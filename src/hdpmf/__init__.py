@@ -42,6 +42,7 @@ from .evaluation import (
 from .exceptions import (
     ConfigError,
     DivergedRunError,
+    EmptySplitError,
     HdpmfError,
     ParseError,
     ProtocolError,
@@ -89,6 +90,7 @@ __all__ = [
     "BaselineKind",
     "ConfigError",
     "DivergedRunError",
+    "EmptySplitError",
     "ExperimentConfig",
     "ExperimentResult",
     "FactorModel",

@@ -1,7 +1,8 @@
 """Command-line entry point: `run`, `sweep`, and `check-noise`.
 
 Exit codes: 0 on success, 1 on run failure (divergence, failed noise
-check), 2 on configuration errors (including missing input files).
+check), 2 on configuration errors (including missing input files) and on
+data whose split leaves nothing to score.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from pathlib import Path
 from .config import ExperimentConfig, parse_config
 from .diagnostics import check_noise_composition
 from .evaluation import emit_results, load_dataset, run_experiment
-from .exceptions import ConfigError, HdpmfError
+from .exceptions import ConfigError, EmptySplitError, HdpmfError
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
 
@@ -139,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    except EmptySplitError as exc:
+        print(f"data error: {exc}", file=sys.stderr)
         return 2
     except HdpmfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)

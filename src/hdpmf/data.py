@@ -2,7 +2,7 @@
 
 A :class:`RatingDataset` stores sparse (user, item, rating) triples with a
 declared rating scale. Entries are kept in canonical (user, item) order so
-that everything downstream (noise streams, sampling, training) is
+that everything downstream (noise draws, sampling, training) is
 deterministic regardless of file order.
 """
 

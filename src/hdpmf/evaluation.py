@@ -21,7 +21,7 @@ from .data import (
     split_leave_one_out,
     subsample_per_user,
 )
-from .exceptions import DivergedRunError
+from .exceptions import DivergedRunError, EmptySplitError
 from .model import TrainConfig
 from .privacy import allocate_weights
 from .protocol import predict_all, run_hdpmf
@@ -144,12 +144,21 @@ def run_single_seed(
     trace=None,
     loss_log: list[float] | None = None,
 ) -> SeedResult:
-    """Allocate weights, split, train the configured method, score."""
+    """Allocate weights, split, train the configured method, score.
+
+    Raises EmptySplitError before training when the split holds out
+    nothing, which happens when no user has more than n_test ratings.
+    """
     weights = allocate_weights(cfg.privacy_spec(), dataset.n_users, dataset.n_items, seed)
     if cfg.split == "leave-one-out":
         plan = split_leave_one_out(dataset, seed)
     else:
         plan = split_leave_n_out(dataset, cfg.n_test, seed)
+    if len(plan.test) == 0:
+        raise EmptySplitError(
+            f"the {plan.description} split holds out nothing to score: no user has "
+            f"more ratings than it holds out ({len(dataset)} ratings in the dataset)"
+        )
     train_set = subsample_per_user(plan.train, cfg.fraction, seed)
     tc = TrainConfig(
         epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam, K=cfg.k, master_seed=seed

@@ -22,6 +22,10 @@ class ParseError(HdpmfError):
         super().__init__(f"{path}:{line_no}: {message}")
 
 
+class EmptySplitError(HdpmfError):
+    """The train/test split holds out no ratings, so nothing can be scored."""
+
+
 class DivergedRunError(HdpmfError):
     """Training produced non-finite values."""
 

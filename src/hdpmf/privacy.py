@@ -13,13 +13,13 @@ stretch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .data import RatingDataset
-from .rng import stream
+from .rng import keyed_exponential, keyed_normal, stream
 
 
 @dataclass
@@ -162,7 +162,8 @@ class NoisePlan:
     rater i contributes x_j^i = (2*delta/eps) * sqrt(2K*h_j) * c_j^i with
     c_j^i ~ N(0, 1/|raters(j)|)^K, so the per-item aggregate is Laplace of
     scale 2*sqrt(K)*delta/eps per coordinate. Shares are stored in
-    item-major order aligned with the dataset's by-item layout.
+    item-major order aligned with the dataset's by-item layout, so each
+    item's slots are sorted by user.
     """
 
     item_ptr: np.ndarray  # (n_items + 1,)
@@ -172,7 +173,6 @@ class NoisePlan:
     delta: float
     epsilon: float
     K: int
-    _index: dict | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def zeros(cls, dataset: RatingDataset, K: int) -> "NoisePlan":
@@ -199,24 +199,30 @@ class NoisePlan:
         return self.h[j]
 
     def share(self, i: int, j: int) -> np.ndarray:
-        """The share x_j^i contributed by user i to item j."""
-        if self._index is None:
-            index = {}
-            for j_ in range(len(self.item_ptr) - 1):
-                for p in range(self.item_ptr[j_], self.item_ptr[j_ + 1]):
-                    index[(int(self.item_users[p]), j_)] = p
-            self._index = index
-        return self.shares[self._index[(i, j)]]
+        """The share x_j^i contributed by user i to item j; KeyError if i
+        did not rate j."""
+        if not 0 <= j < len(self.item_ptr) - 1:
+            raise KeyError((i, j))
+        s, e = self.item_ptr[j], self.item_ptr[j + 1]
+        p = s + np.searchsorted(self.item_users[s:e], i)
+        if p == e or self.item_users[p] != i:
+            raise KeyError((i, j))
+        return self.shares[p]
 
     @cached_property
     def item_totals(self) -> np.ndarray:
         """(n_items, K) aggregated noise per item; zero rows where unrated."""
         totals = np.zeros((len(self.item_ptr) - 1, self.K))
-        for j in range(len(totals)):
-            s, e = self.item_ptr[j], self.item_ptr[j + 1]
-            if s < e:
-                totals[j] = self.shares[s:e].sum(axis=0)
+        rated = np.flatnonzero(np.diff(self.item_ptr))
+        if len(rated):
+            totals[rated] = np.add.reduceat(self.shares, self.item_ptr[rated], axis=0)
         return totals
+
+
+# By-item slots whose c shares are drawn per vectorized call. Any value
+# gives the same plan, since every draw depends only on its key; blocks keep
+# the temporaries under a megabyte for K = 10 instead of growing with nnz.
+NOISE_BLOCK_SLOTS = 1024
 
 
 def build_noise_plan(
@@ -225,27 +231,29 @@ def build_noise_plan(
     """Draw the run's noise shares, keyed so that neither item nor rater
     iteration order can change any draw.
 
-    h_j uses the stream (seed, j); c_j^i the stream (seed, j, i). Items with
-    no raters get no entry.
+    Both parts are keyed Philox draws (`rng.keyed_normal`,
+    `rng.keyed_exponential`): h_j under purpose `noise-h` and key (j, 0);
+    c_j^i under `noise-c` and key (j, i), so a share that survives a
+    subset of the data keeps its draw and only its 1/sqrt(|raters(j)|)
+    scale changes. Items with no raters get no entry.
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be > 0")
     ptr, order = dataset.by_item
     users_by_item = dataset.users[order]
-    shares = np.zeros((len(dataset), K))
+    items_by_slot = dataset.items[order]
+    counts = np.diff(ptr)
+    rated = np.flatnonzero(counts)
     h = np.zeros((dataset.n_items, K))
-    coef = 2.0 * delta / epsilon
-    for j in range(dataset.n_items):
-        s, e = int(ptr[j]), int(ptr[j + 1])
-        if s == e:
-            continue
-        h[j] = stream(master_seed, "noise-h", j).exponential(1.0, size=K)
-        basis = coef * np.sqrt(2.0 * K * h[j])
-        sigma = 1.0 / math.sqrt(e - s)
-        for p in range(s, e):
-            i = int(users_by_item[p])
-            c = stream(master_seed, "noise-c", j, i).normal(0.0, sigma, size=K)
-            shares[p] = basis * c
+    h[rated] = keyed_exponential(master_seed, "noise-h", rated, np.zeros_like(rated), K)
+    basis = (2.0 * delta / epsilon) * np.sqrt(2.0 * K * h)
+    sigma = np.zeros(dataset.n_items)
+    sigma[rated] = 1.0 / np.sqrt(counts[rated])
+    shares = np.empty((len(dataset), K))
+    for s in range(0, len(dataset), NOISE_BLOCK_SLOTS):
+        j = items_by_slot[s : s + NOISE_BLOCK_SLOTS]
+        c = keyed_normal(master_seed, "noise-c", j, users_by_item[s : s + NOISE_BLOCK_SLOTS], K)
+        shares[s : s + NOISE_BLOCK_SLOTS] = basis[j] * (sigma[j, None] * c)
     return NoisePlan(
         item_ptr=ptr,
         item_users=users_by_item,

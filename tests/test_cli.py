@@ -102,6 +102,19 @@ class TestCmdRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("body", ["1,1,3\n1,2,4\n2,1,5\n", ""])
+    def test_split_with_nothing_to_score_is_a_data_error(self, tmp_path, capsys, body):
+        # every user has <= n_test ratings, or the CSV has only its header
+        data = tmp_path / "few.csv"
+        data.write_text("user,item,rating\n" + body)
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, dataset=data, output=out, **BASE)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and "leave-3-out" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path, synth_factory):
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=71)
         out = tmp_path / "r.csv"

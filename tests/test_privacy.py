@@ -11,6 +11,7 @@ from scipy import stats
 
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
+from hdpmf import privacy
 from hdpmf.privacy import (
     NoisePlan,
     PrivacySpec,
@@ -24,7 +25,7 @@ from hdpmf.privacy import (
     stretch,
     weight,
 )
-from hdpmf.rng import stream
+from hdpmf.rng import keyed_normal, keyed_uniform, philox4x64, stream
 
 
 class TestPrivacySpec:
@@ -184,7 +185,7 @@ class TestNoisePlan:
             raters = ds.item_raters(j)
             sigma = 1.0 / math.sqrt(len(raters))
             for i in raters:
-                c = stream(11, "noise-c", j, int(i)).normal(0.0, sigma, size=4)
+                c = sigma * keyed_normal(11, "noise-c", [j], [i], 4)[0]
                 expected = (2.0 * 4.0 / 1.0) * np.sqrt(2.0 * 4 * h) * c
                 assert np.array_equal(plan.share(int(i), j), expected)
 
@@ -208,9 +209,43 @@ class TestNoisePlan:
         # |raters| = 1: c ~ N(0, 1), the single-user composition form
         ds = RatingDataset(np.array([0]), np.array([0]), np.array([3.0]), 1, 1, 1, 5)
         plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=7)
-        c = stream(7, "noise-c", 0, 0).normal(0.0, 1.0, size=3)
+        c = keyed_normal(7, "noise-c", [0], [0], 3)[0]
         expected = 8.0 * np.sqrt(6.0 * plan.item_basis(0)) * c
         assert np.allclose(plan.share(0, 0), expected, rtol=1e-12)
+
+    def test_share_of_unrated_pair_raises(self):
+        ds = RatingDataset(
+            np.array([0, 2, 1]), np.array([0, 0, 1]), np.array([3.0, 4.0, 5.0]), 3, 3, 1, 5
+        )
+        plan = build_noise_plan(ds, 2, 4.0, 1.0, master_seed=0)
+        assert np.array_equal(plan.share(2, 0), plan.shares[1])
+        for i, j in ((1, 0), (3, 0), (0, 1), (0, 2), (0, 3), (0, -1)):
+            with pytest.raises(KeyError):
+                plan.share(i, j)
+
+    def test_item_totals_match_per_item_loop(self):
+        ds = RatingDataset(
+            np.array([0, 1, 1, 2, 3]), np.array([1, 1, 3, 3, 3]), np.full(5, 3.0), 4, 5, 1, 5
+        )
+        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=9)
+        expected, bound = np.zeros((5, 3)), np.zeros((5, 3))
+        for j in range(5):
+            s, e = plan.item_ptr[j], plan.item_ptr[j + 1]
+            if s < e:
+                expected[j] = plan.shares[s:e].sum(axis=0)
+                # summation order may differ: allow the recursive-sum error bound
+                bound[j] = (e - s) * np.finfo(float).eps * np.abs(plan.shares[s:e]).sum(axis=0)
+        assert np.all(np.abs(plan.item_totals - expected) <= bound)
+        assert not plan.item_totals[[0, 2, 4]].any()
+
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_block_size_does_not_change_plan(self, monkeypatch, block):
+        ds = _complete_dataset(7, 5)
+        reference = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
+        monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
+        plan = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
+        assert np.array_equal(plan.shares, reference.shares)
+        assert np.array_equal(plan.h, reference.h)
 
     def test_item_totals_sum_of_shares(self):
         ds = _complete_dataset(5, 2)
@@ -224,10 +259,8 @@ class TestNoisePlan:
         ds = _complete_dataset(4, 1)
         samples = []
         for seed in range(3000):
-            total = np.zeros(2)
-            for i in range(4):
-                total += stream(seed, "noise-c", 0, i).normal(0.0, 0.5, size=2)
-            samples.extend(total.tolist())
+            c = 0.5 * keyed_normal(seed, "noise-c", np.zeros(4, int), np.arange(4), 2)
+            samples.extend(c.sum(axis=0).tolist())
         assert np.var(samples) == pytest.approx(1.0, rel=0.05)
 
     def test_aggregate_matches_vectorized_sampler_distribution(self):
@@ -246,3 +279,87 @@ class TestNoisePlan:
         assert not plan.shares.any()
         assert not plan.item_totals.any()
         assert plan.epsilon == math.inf
+
+
+@st.composite
+def _sparse_datasets(draw):
+    n_users = draw(st.integers(1, 8))
+    n_items = draw(st.integers(1, 8))
+    cells = draw(st.lists(st.booleans(), min_size=n_users * n_items, max_size=n_users * n_items))
+    flat = np.flatnonzero(cells)
+    users, items = np.unravel_index(flat, (n_users, n_items))
+    ratings = np.array(draw(st.lists(st.integers(1, 5), min_size=len(flat), max_size=len(flat))), float)
+    return RatingDataset(users, items, ratings, n_users, n_items, 1.0, 5.0)
+
+
+class TestKeyedDraws:
+    def test_philox_matches_numpy(self):
+        rng = np.random.default_rng(20)
+        counters = rng.integers(0, 2**64 - 1, size=(4, 20), dtype=np.uint64)
+        keys = rng.integers(0, 2**64, size=(20, 2), dtype=np.uint64)
+        for n in range(20):
+            c, k = counters[:, n], keys[n]
+            expected = np.random.Philox(counter=c, key=k).random_raw(4)
+            # numpy increments the counter before emitting its first block
+            bumped = c.copy()
+            bumped[0] += np.uint64(1)
+            got = philox4x64(bumped[:, None], (int(k[0]), int(k[1])))[:, 0]
+            assert np.array_equal(got, expected)
+
+    def test_uniform_layout_matches_numpy_philox(self):
+        # key (seed, purpose id 5 = noise-c), counter (j, i, block, 0)
+        u = keyed_uniform(123, "noise-c", [7], [2], 10)[0]
+        words = np.concatenate([
+            np.random.Philox(counter=[6, 2, b, 0], key=[123, 5]).random_raw(4) for b in range(3)
+        ])
+        assert np.array_equal(u, ((words[:10] >> np.uint64(12)) + 0.5) * 2.0**-52)
+        assert np.all((u > 0) & (u < 1))
+
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_rejects_seed_outside_key_word(self, seed):
+        with pytest.raises(ValueError):
+            keyed_uniform(seed, "noise-c", [0], [0], 2)
+
+    @given(
+        st.lists(st.tuples(st.integers(0, 2**40), st.integers(0, 2**40)), max_size=40),
+        st.lists(st.integers(0, 40), max_size=5),
+        st.integers(1, 11),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_draws_equal_concatenation_over_any_split(self, keys, cuts, size):
+        j = np.array([k[0] for k in keys], dtype=np.int64)
+        i = np.array([k[1] for k in keys], dtype=np.int64)
+        whole = keyed_normal(3, "noise-c", j, i, size)
+        bounds = [0, *sorted(min(c, len(keys)) for c in cuts), len(keys)]
+        parts = [keyed_normal(3, "noise-c", j[a:b], i[a:b], size) for a, b in zip(bounds, bounds[1:])]
+        assert np.array_equal(np.concatenate(parts), whole)
+
+    @given(_sparse_datasets(), st.randoms(use_true_random=False))
+    @settings(max_examples=40, deadline=None)
+    def test_plan_invariant_to_row_order(self, ds, random):
+        perm = list(range(len(ds)))
+        random.shuffle(perm)
+        shuffled = RatingDataset(
+            ds.users[perm], ds.items[perm], ds.ratings[perm], ds.n_users, ds.n_items, 1.0, 5.0
+        )
+        a = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=8)
+        b = build_noise_plan(shuffled, 3, 4.0, 1.0, master_seed=8)
+        for name in ("item_ptr", "item_users", "shares", "h"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+    @given(_sparse_datasets(), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_subset_rescales_sigma_but_keeps_draw(self, ds, data):
+        keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))), bool)
+        sub = ds.subset(keep)
+        K, coef = 4, 2.0 * 4.0 / 0.5
+        full = build_noise_plan(ds, K, 4.0, 0.5, master_seed=6)
+        part = build_noise_plan(sub, K, 4.0, 0.5, master_seed=6)
+
+        def unit_draw(plan, i, j):
+            n_j = plan.item_ptr[j + 1] - plan.item_ptr[j]
+            return plan.share(i, j) / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
+
+        for i, j in zip(sub.users, sub.items):
+            assert np.array_equal(part.item_basis(j), full.item_basis(j))
+            assert np.allclose(unit_draw(part, i, j), unit_draw(full, i, j), rtol=1e-12, atol=0)
