@@ -1,9 +1,9 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True, language_level=3
 """Compiled training kernel: one full-batch epoch over CSR rating arrays.
 
-Mirrors hdpmf._fallback.run_epoch; both backends satisfy the same
-contracts and either may serve a run (per-backend results agree to
-floating-point reduction order).
+The item phase, then the user phase; each is a Jacobi sweep, run here
+one row at a time. hdpmf._fallback.run_epoch runs the same sweeps in
+NumPy blocks of rows; the backends agree to reduction order.
 """
 
 from libc.math cimport sqrt

@@ -9,6 +9,7 @@ for the default dataset location; explicit paths are used as given.
 from __future__ import annotations
 
 import os
+import re
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -27,6 +28,8 @@ ETA0_DEFAULTS = {
     BaselineKind.DPMF: 0.001,
 }
 LAMBDA_DEFAULT = 0.01
+
+_COMMENT = re.compile(r"(?:^|\s)#")
 
 
 def default_dataset_path() -> str:
@@ -196,13 +199,16 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
 def parse_config(path: str | Path) -> ExperimentConfig:
     """Read a `key = value` config file, apply defaults, validate.
 
+    `#` starts a comment at the beginning of a line or after whitespace;
+    elsewhere it is part of the value.
+
     Raises ConfigError naming the offending key.
     """
     values: dict[str, object] = {}
     explicit: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
-            text = line.split("#", 1)[0].strip()
+            text = _COMMENT.split(line, 1)[0].strip()
             if not text:
                 continue
             if "=" not in text:

@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 from .privacy import laplace_scale
 from .rng import stream
@@ -99,6 +98,8 @@ def check_noise_composition(
 ) -> NoiseCheckReport:
     """Estimate mean, variance, and KS distance of the aggregate against
     Laplace(2*sqrt(K)*delta/epsilon)."""
+    from scipy import stats  # deferred: about 1 s to import, most of `import hdpmf`
+
     b = laplace_scale(K, delta, epsilon)
     draws = sample_aggregate_noise(K, delta, epsilon, raters, samples, master_seed)
     ks = stats.kstest(draws, stats.laplace(scale=b).cdf).statistic

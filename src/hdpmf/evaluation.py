@@ -7,7 +7,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
-from scipy import stats
 
 from .baselines import BaselineKind, run_dpmf, run_mf, run_pdpmf
 from .config import ExperimentConfig
@@ -276,6 +275,8 @@ def paired_t_test(a, b) -> tuple[float, str]:
         t = math.inf if mean > 0 else -math.inf
     else:
         t = mean / (sd / math.sqrt(n))
+    from scipy import stats  # deferred: about 1 s to import, most of `import hdpmf`
+
     for level, p in (("99%", 0.99), ("95%", 0.95), ("90%", 0.90)):
         if t > float(stats.t.ppf(p, n - 1)):
             return t, level

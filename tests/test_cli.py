@@ -67,6 +67,18 @@ class TestParseConfig:
         path.write_text("# a comment\n\nepsilon = 0.5  # inline\n")
         assert parse_config(path).epsilon == 0.5
 
+    def test_hash_inside_value_is_kept(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("dataset = data/run#2.csv\noutput = out#1.csv\t# tab comment\n")
+        cfg = parse_config(path)
+        assert cfg.dataset == "data/run#2.csv"
+        assert cfg.output == "out#1.csv"
+
+    def test_indented_comment_line(self, tmp_path):
+        path = tmp_path / "c.cfg"
+        path.write_text("   # indented = comment\nk = 5 # note\n")
+        assert parse_config(path).k == 5
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("epsilon = 1\nepsilon = 2\n")

@@ -1,10 +1,15 @@
 """Metrics, significance, orchestration, and results emission."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import hdpmf
 from hdpmf.baselines import BaselineKind
 from hdpmf.config import ExperimentConfig
 from hdpmf.evaluation import (
@@ -99,6 +104,18 @@ class TestPairedTTest:
             paired_t_test([1.0], [2.0])
         with pytest.raises(ValueError):
             paired_t_test([1.0, 2.0], [1.0])
+
+
+def test_import_does_not_load_scipy_stats():
+    # scipy.stats takes most of the import time of the package and only the
+    # significance test and the noise check need it
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [str(Path(hdpmf.__file__).parents[1]), env.get("PYTHONPATH", "")]
+    )
+    code = "import sys, hdpmf; sys.exit('scipy.stats' in sys.modules)"
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
+    assert done.returncode == 0
 
 
 def _csv_config(tmp_path, ds, **overrides):

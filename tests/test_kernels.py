@@ -1,15 +1,132 @@
-"""Backend parity: the compiled kernel and the NumPy fallback implement the
-same epoch semantics."""
+"""Epoch-kernel contracts: the NumPy fallback matches a scalar oracle
+transcribed from the compiled kernel, and the compiled kernel (imported, or
+built from the committed `_native.c` when a C compiler exists) matches the
+fallback."""
+
+import importlib
+import importlib.util
+import shlex
+import shutil
+import subprocess
+import sysconfig
+from pathlib import Path
+from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdpmf import _fallback, kernels
 from hdpmf.data import RatingDataset
 from hdpmf.model import init_model
-from hdpmf.rng import stream
 
-native = pytest.importorskip("hdpmf._native", reason="compiled kernel not built")
+NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
+
+
+@pytest.fixture(scope="session")
+def native(tmp_path_factory):
+    """The compiled kernel: the installed extension if importable, else the
+    committed `_native.c` compiled with the interpreter's own compiler and
+    flags into a temporary directory (never into the source tree, which
+    would switch every other test to the native backend)."""
+    try:
+        return importlib.import_module("hdpmf._native")
+    except ImportError:
+        pass
+    cfg = sysconfig.get_config_var
+    cc = shlex.split(cfg("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("compiled kernel not built and no C compiler found")
+    out_dir = tmp_path_factory.mktemp("native")
+    obj = out_dir / "_native.o"
+    target = out_dir / f"_native{cfg('EXT_SUFFIX')}"
+    commands = [
+        cc + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
+        + ["-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
+           "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", "-c", str(NATIVE_C), "-o", str(obj)],
+        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(target)],
+    ]
+    for cmd in commands:
+        done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+        assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
+    # loaded without entering sys.modules, so backend selection is unaffected
+    spec = importlib.util.spec_from_file_location("hdpmf._native", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def oracle_epoch(U, V, item_ptr, item_users, item_vals, item_noise,
+                 user_ptr, user_items, user_vals, lam, eta, project):
+    """Scalar reference: `_native.pyx` transcribed loop for loop."""
+    n_items = len(item_ptr) - 1
+    n_users = len(user_ptr) - 1
+    K = U.shape[1]
+    acc = [0.0] * K
+
+    for j in range(n_items):
+        s = item_ptr[j]
+        e = item_ptr[j + 1]
+        if s == e:
+            continue
+        for k in range(K):
+            acc[k] = 0.0
+        for p in range(s, e):
+            i = item_users[p]
+            dot = 0.0
+            for k in range(K):
+                dot += U[i, k] * V[j, k]
+            resid = 2.0 * (dot - item_vals[p])
+            for k in range(K):
+                acc[k] += resid * U[i, k]
+        for k in range(K):
+            g = acc[k] + item_noise[j, k] + 2.0 * lam * V[j, k]
+            V[j, k] = V[j, k] - eta * g
+
+    for i in range(n_users):
+        s = user_ptr[i]
+        e = user_ptr[i + 1]
+        for k in range(K):
+            acc[k] = 0.0
+        for p in range(s, e):
+            j = user_items[p]
+            dot = 0.0
+            for k in range(K):
+                dot += U[i, k] * V[j, k]
+            resid = 2.0 * (dot - user_vals[p])
+            for k in range(K):
+                acc[k] += resid * V[j, k]
+        norm = 0.0
+        for k in range(K):
+            g = acc[k] + 2.0 * lam * U[i, k]
+            acc[k] = U[i, k] - eta * g
+            norm += acc[k] * acc[k]
+        if project and norm > 1.0:
+            norm = np.sqrt(norm)
+            for k in range(K):
+                U[i, k] = acc[k] / norm
+        else:
+            for k in range(K):
+                U[i, k] = acc[k]
+
+
+ORACLE = SimpleNamespace(run_epoch=oracle_epoch)
+
+
+def _kernel_args(ds):
+    """The rating arguments of `run_epoch` for a dataset."""
+    user_ptr, _ = ds.by_user
+    item_ptr, order = ds.by_item
+    return dict(
+        item_ptr=item_ptr,
+        item_users=np.ascontiguousarray(ds.users[order]),
+        item_vals=np.ascontiguousarray(ds.ratings[order]),
+        user_ptr=user_ptr,
+        user_items=ds.items,
+        user_vals=ds.ratings,
+    )
 
 
 def _instance(seed, n=40, m=30, K=6, density=0.2):
@@ -24,21 +141,24 @@ def _instance(seed, n=40, m=30, K=6, density=0.2):
 
 
 def _run(impl, ds, model, noise, lam, eta, epochs, project=True):
-    U, V = model.U.copy(), model.V.copy()
-    user_ptr, _ = ds.by_user
-    item_ptr, order = ds.by_item
-    item_users = np.ascontiguousarray(ds.users[order])
-    item_vals = np.ascontiguousarray(ds.ratings[order])
+    inst = dict(U=model.U, V=model.V, item_noise=noise, lam=lam, eta=eta,
+                project=project, **_kernel_args(ds))
+    return _epochs(impl.run_epoch, inst, epochs)
+
+
+def _epochs(run_epoch, inst, epochs, after_epoch=None):
+    """Train copies of inst's U and V for `epochs` epochs."""
+    U, V = inst["U"].copy(), inst["V"].copy()
+    args = {k: v for k, v in inst.items() if k not in ("U", "V")}
     for _ in range(epochs):
-        impl.run_epoch(
-            U, V, item_ptr, item_users, item_vals, noise,
-            user_ptr, ds.items, ds.ratings, lam, eta, project,
-        )
+        run_epoch(U, V, **args)
+        if after_epoch is not None:
+            after_epoch(U, V)
     return U, V
 
 
 @pytest.mark.parametrize("seed", range(5))
-def test_backends_agree(seed):
+def test_backends_agree(native, seed):
     ds, model, noise = _instance(seed)
     U_n, V_n = _run(native, ds, model, noise, lam=0.01, eta=0.01, epochs=3)
     U_p, V_p = _run(_fallback, ds, model, noise, lam=0.01, eta=0.01, epochs=3)
@@ -46,7 +166,7 @@ def test_backends_agree(seed):
     assert np.allclose(V_n, V_p, rtol=1e-10, atol=1e-13)
 
 
-def test_backends_agree_without_projection():
+def test_backends_agree_without_projection(native):
     ds, model, noise = _instance(11)
     U_n, V_n = _run(native, ds, model, noise, 0.0, 0.005, 2, project=False)
     U_p, V_p = _run(_fallback, ds, model, noise, 0.0, 0.005, 2, project=False)
@@ -54,27 +174,85 @@ def test_backends_agree_without_projection():
     assert np.allclose(V_n, V_p, rtol=1e-10, atol=1e-13)
 
 
-def test_projection_enforced_by_both(monkeypatch):
+def test_native_matches_oracle(native):
+    ds, model, noise = _instance(13, n=12, m=9, K=3, density=0.4)
+    U_n, V_n = _run(native, ds, model, noise, lam=0.01, eta=0.05, epochs=2)
+    U_o, V_o = _run(ORACLE, ds, model, noise, lam=0.01, eta=0.05, epochs=2)
+    assert np.allclose(U_n, U_o, rtol=0, atol=1e-12)
+    assert np.allclose(V_n, V_o, rtol=0, atol=1e-12)
+
+
+@pytest.fixture(params=["python", "native"])
+def impl(request):
+    if request.param == "python":
+        return _fallback
+    return request.getfixturevalue("native")
+
+
+def test_projection_enforced(impl):
     ds, model, noise = _instance(12)
-    for impl in (native, _fallback):
-        U, V = _run(impl, ds, model, noise, lam=0.0, eta=0.5, epochs=4)
-        if np.isfinite(U).all():
-            assert np.linalg.norm(U, axis=1).max() <= 1.0 + 1e-12
+    U, V = _run(impl, ds, model, noise, lam=0.0, eta=0.5, epochs=4)
+    if np.isfinite(U).all():
+        assert np.linalg.norm(U, axis=1).max() <= 1.0 + 1e-12
 
 
 def test_selected_backend_matches_module():
     assert kernels.backend_name() in ("native", "python")
-    if kernels.backend_name() == "native":
-        assert kernels.run_epoch is native.run_epoch
+    if kernels.backend_name() == "python":
+        assert kernels.run_epoch is _fallback.run_epoch
+    else:
+        assert kernels.run_epoch is importlib.import_module("hdpmf._native").run_epoch
 
 
-def test_empty_items_skipped_by_both():
+def test_empty_items_skipped(impl):
     # item 2 has no raters; its factor row and noise must stay untouched
     ds = RatingDataset(
         np.array([0, 1]), np.array([0, 1]), np.array([3.0, 4.0]), 2, 3, 1.0, 5.0
     )
     model = init_model(2, 3, 2, master_seed=0)
     noise = np.full((3, 2), 1e6)
-    for impl in (native, _fallback):
-        U, V = _run(impl, ds, model, noise, lam=0.0, eta=0.01, epochs=1)
-        assert np.array_equal(V[2], model.V[2])
+    U, V = _run(impl, ds, model, noise, lam=0.0, eta=0.01, epochs=1)
+    assert np.array_equal(V[2], model.V[2])
+
+
+@st.composite
+def csr_instances(draw):
+    """Random small rating matrices in kernel form: any sparsity pattern
+    (so items without raters and users without ratings occur), integer
+    ratings from 0, K down to 1, projection on or off."""
+    n_users = draw(st.integers(1, 7))
+    n_items = draw(st.integers(1, 7))
+    K = draw(st.integers(1, 4))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                                  max_size=n_users * n_items))).reshape(n_users, n_items)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    users, items = np.nonzero(mask)
+    ratings = rng.integers(0, 6, size=len(users)).astype(np.float64)
+    ds = RatingDataset(users, items, ratings, n_users, n_items, 0.0, 5.0)
+    U = rng.normal(0.0, 0.5, size=(n_users, K))
+    U /= np.maximum(1.0, np.linalg.norm(U, axis=1))[:, None]
+    V = rng.normal(0.0, 1.0, size=(n_items, K))
+    return dict(
+        U=U, V=V, item_noise=rng.normal(0.0, 2.0, size=(n_items, K)),
+        lam=draw(st.sampled_from([0.0, 0.01, 0.1])),
+        eta=draw(st.sampled_from([0.001, 0.01, 0.05])),
+        project=draw(st.booleans()),
+        **_kernel_args(ds),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=csr_instances(), epochs=st.integers(1, 3), block=st.sampled_from([1, 3, 4096]))
+def test_fallback_matches_oracle(inst, epochs, block):
+    def check_ball(U, V):
+        if inst["project"]:
+            assert np.linalg.norm(U, axis=1).max(initial=0.0) <= 1.0 + 1e-12
+
+    U_o, V_o = _epochs(oracle_epoch, inst, epochs)
+    with mock.patch.object(_fallback, "BLOCK_ENTRIES", block):
+        U_p, V_p = _epochs(_fallback.run_epoch, inst, epochs, check_ball)
+    np.testing.assert_allclose(U_p, U_o, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(V_p, V_o, rtol=0, atol=1e-12)
+
+    unrated = np.diff(inst["item_ptr"]) == 0
+    assert np.array_equal(V_p[unrated], inst["V"][unrated])
