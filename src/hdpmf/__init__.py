@@ -26,7 +26,6 @@ from .data import (
     load_movielens_100k,
     load_movielens_1m,
     split_leave_n_out,
-    split_leave_one_out,
     subsample_per_user,
 )
 from .diagnostics import NoiseCheckReport, check_noise_composition
@@ -54,8 +53,8 @@ from .model import (
     init_model,
     item_gradient,
     learning_rate,
+    objective_value,
     predict_raw,
-    private_objective,
     project_unit_ball,
     user_gradient,
 )
@@ -66,21 +65,14 @@ from .privacy import (
     allocate_weights,
     build_noise_plan,
     laplace_scale,
-    personalized_budget,
     rescale_prediction,
-    sample_laplace,
-    stretch,
-    weight,
 )
 from .protocol import (
     GradientMessage,
     MessageChannel,
     RecommenderState,
     UserDevice,
-    device_emit_gradient,
-    device_update_user,
     predict_all,
-    recommender_update_item,
     run_hdpmf,
 )
 
@@ -112,8 +104,6 @@ __all__ = [
     "backend_name",
     "build_noise_plan",
     "check_noise_composition",
-    "device_emit_gradient",
-    "device_update_user",
     "emit_results",
     "grid_search_cv",
     "init_model",
@@ -127,26 +117,20 @@ __all__ = [
     "mae",
     "min_observed_budget",
     "mse",
+    "objective_value",
     "paired_t_test",
     "parse_config",
     "pdp_sample_ratings",
-    "personalized_budget",
     "predict_all",
     "predict_raw",
-    "private_objective",
     "project_unit_ball",
-    "recommender_update_item",
     "rescale_prediction",
     "run_dpmf",
     "run_experiment",
     "run_hdpmf",
     "run_mf",
     "run_pdpmf",
-    "sample_laplace",
     "split_leave_n_out",
-    "split_leave_one_out",
-    "stretch",
     "subsample_per_user",
     "user_gradient",
-    "weight",
 ]

@@ -37,11 +37,8 @@ class BaselineKind(enum.Enum):
     HDPMF_R = "hdpmf_r"
 
     @property
-    def stretches(self) -> bool:
-        return self in (BaselineKind.HDPMF, BaselineKind.HDPMF_R)
-
-    @property
     def rescales(self) -> bool:
+        """Whether predictions divide by w_ij; only hdpmf does."""
         return self is BaselineKind.HDPMF
 
 

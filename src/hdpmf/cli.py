@@ -1,13 +1,15 @@
 """Command-line entry point: `run`, `sweep`, and `check-noise`.
 
 Exit codes: 0 on success, 1 on run failure (divergence, failed noise
-check), 2 on configuration errors (including missing input files) and on
-data whose split leaves nothing to score.
+check), 2 on invalid arguments, on configuration errors (including input
+files that are missing or cannot be read) and on data whose split leaves
+nothing to score.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from contextlib import ExitStack
 from dataclasses import replace
@@ -98,6 +100,40 @@ def cmd_check_noise(K: int, delta: float, epsilon: float, raters: list[int], sam
     return 0 if ok else 1
 
 
+def _checked(parse, ok, requirement: str):
+    """argparse type: `parse` the text, then require `ok(value)`, so bad
+    input ends in a usage error (exit 2) instead of a traceback."""
+
+    def convert(raw: str):
+        try:
+            value = parse(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid value: {raw!r}") from None
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {requirement}, got {raw!r}")
+        return value
+
+    return convert
+
+
+def _comma_list(parse):
+    """argparse type: a non-empty comma-separated list of `parse` values."""
+
+    def convert(raw: str) -> list:
+        values = [parse(part) for part in raw.split(",") if part.strip()]
+        if not values:
+            raise argparse.ArgumentTypeError(f"no values in {raw!r}")
+        return values
+
+    return convert
+
+
+_number = _checked(float, math.isfinite, "a finite number")
+_positive_number = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
+_positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_seed = _checked(int, lambda v: v >= 0, ">= 0")
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hdpmf",
@@ -111,15 +147,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="re-run the experiment over a parameter grid")
     p_sweep.add_argument("config")
     p_sweep.add_argument("--key", required=True, choices=SWEEP_KEYS)
-    p_sweep.add_argument("--values", required=True, help="comma-separated values")
+    p_sweep.add_argument("--values", required=True, type=_comma_list(_number), help="comma-separated values")
 
     p_noise = sub.add_parser("check-noise", help="Monte-Carlo check of the noise composition")
-    p_noise.add_argument("--dim", type=int, default=10, help="latent dimension K")
-    p_noise.add_argument("--delta", type=float, default=4.0, help="rating range")
-    p_noise.add_argument("--eps", type=float, default=1.0, help="privacy budget")
-    p_noise.add_argument("--raters", default="1,5,50", help="comma-separated rater counts")
-    p_noise.add_argument("--samples", type=int, default=1_000_000)
-    p_noise.add_argument("--seed", type=int, default=0)
+    p_noise.add_argument("--dim", type=_positive_int, default=10, help="latent dimension K")
+    p_noise.add_argument("--delta", type=_positive_number, default=4.0, help="rating range")
+    p_noise.add_argument("--eps", type=_positive_number, default=1.0, help="privacy budget")
+    p_noise.add_argument(
+        "--raters", type=_comma_list(_positive_int), default=[1, 5, 50],
+        help="comma-separated rater counts",
+    )
+    p_noise.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p_noise.add_argument("--seed", type=_seed, default=0)
     return parser
 
 
@@ -129,16 +168,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "run":
             return cmd_run(args.config)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",") if v.strip()]
-            return cmd_sweep(args.config, args.key, values)
+            return cmd_sweep(args.config, args.key, args.values)
         if args.command == "check-noise":
-            raters = [int(v) for v in str(args.raters).split(",") if v.strip()]
-            return cmd_check_noise(args.dim, args.delta, args.eps, raters, args.samples, args.seed)
+            return cmd_check_noise(args.dim, args.delta, args.eps, args.raters, args.samples, args.seed)
         raise AssertionError(args.command)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except EmptySplitError as exc:

@@ -17,16 +17,10 @@ from .baselines import BaselineKind
 from .exceptions import ConfigError
 from .privacy import PrivacySpec
 
-# Best-found training defaults per method (5-fold CV over lambda in
-# {0.01, 0.001} and eta0 in {0.05, 0.01, 0.005, 0.001}; dpmf over
+# Best-found training defaults, the same for every method (5-fold CV over
+# lambda in {0.01, 0.001} and eta0 in {0.05, 0.01, 0.005, 0.001}; dpmf over
 # {0.005, 0.001, 0.0005, 0.0001}).
-ETA0_DEFAULTS = {
-    BaselineKind.MF: 0.001,
-    BaselineKind.HDPMF: 0.001,
-    BaselineKind.HDPMF_R: 0.001,
-    BaselineKind.PDPMF: 0.001,
-    BaselineKind.DPMF: 0.001,
-}
+ETA0_DEFAULT = 0.001
 LAMBDA_DEFAULT = 0.01
 
 _COMMENT = re.compile(r"(?:^|\s)#")
@@ -48,7 +42,7 @@ class ExperimentConfig:
     method: BaselineKind = BaselineKind.HDPMF
     k: int = 10
     epochs: int = 100
-    eta0: float | None = None  # None: per-method default
+    eta0: float | None = None  # None: ETA0_DEFAULT
     lam: float = LAMBDA_DEFAULT
     epsilon: float = 1.0
     f_uc: float = 0.54
@@ -66,23 +60,13 @@ class ExperimentConfig:
     fraction: float = 1.0
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
     output: str = "results.csv"
-    rescale: bool | None = None  # None: method default
-    clamp: bool = True
     engine: str = "kernel"  # kernel | messages
     trace: str | None = None
     loss_trace: str | None = None
 
     @property
     def effective_eta0(self) -> float:
-        return self.eta0 if self.eta0 is not None else ETA0_DEFAULTS[self.method]
-
-    @property
-    def effective_rescale(self) -> bool:
-        if self.method is BaselineKind.HDPMF_R:
-            return False
-        if self.rescale is not None:
-            return self.rescale
-        return self.method.rescales
+        return self.eta0 if self.eta0 is not None else ETA0_DEFAULT
 
     def privacy_spec(self) -> PrivacySpec:
         try:
@@ -102,23 +86,12 @@ class ExperimentConfig:
             value = getattr(self, f.name)
             if f.name == "eta0":
                 value = self.effective_eta0
-            elif f.name == "rescale":
-                value = self.effective_rescale
             elif f.name == "method":
                 value = value.value
             elif f.name == "seeds":
                 value = ",".join(str(s) for s in value)
             out.append((f.name, str(value)))
         return out
-
-
-def _parse_bool(raw: str) -> bool:
-    lowered = raw.lower()
-    if lowered in ("true", "yes", "1", "on"):
-        return True
-    if lowered in ("false", "no", "0", "off"):
-        return False
-    raise ValueError(f"not a boolean: {raw!r}")
 
 
 def _parse_seeds(raw: str) -> tuple[int, ...]:
@@ -158,15 +131,13 @@ _PARSERS = {
     "fraction": float,
     "seeds": _parse_seeds,
     "output": str,
-    "rescale": _parse_bool,
-    "clamp": _parse_bool,
     "engine": str,
     "trace": str,
     "loss_trace": str,
 }
 
 
-def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
+def _validate(cfg: ExperimentConfig) -> None:
     if cfg.format not in ("ml-100k", "ml-1m", "csv"):
         raise ConfigError("format", f"must be ml-100k, ml-1m, or csv, got {cfg.format!r}")
     if cfg.k < 1:
@@ -191,8 +162,6 @@ def _validate(cfg: ExperimentConfig, explicit: set[str]) -> None:
         raise ConfigError("engine", f"must be kernel or messages, got {cfg.engine!r}")
     if cfg.trace is not None and cfg.engine != "messages":
         raise ConfigError("trace", "run traces require engine = messages")
-    if "rescale" in explicit and not cfg.method.stretches:
-        raise ConfigError("rescale", f"only meaningful for hdpmf/hdpmf_r, not {cfg.method.value}")
     cfg.privacy_spec()
 
 
@@ -205,7 +174,6 @@ def parse_config(path: str | Path) -> ExperimentConfig:
     Raises ConfigError naming the offending key.
     """
     values: dict[str, object] = {}
-    explicit: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for line_no, line in enumerate(fh, start=1):
             text = _COMMENT.split(line, 1)[0].strip()
@@ -218,13 +186,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
             raw = raw.strip()
             if key not in _PARSERS:
                 raise ConfigError(key, "unknown key")
-            if key in explicit:
+            if key in values:
                 raise ConfigError(key, "set more than once")
             try:
                 values[key] = _PARSERS[key](raw)
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
-            explicit.add(key)
     cfg = ExperimentConfig(**values)
-    _validate(cfg, explicit)
+    _validate(cfg)
     return cfg

@@ -11,6 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
+from typing import TextIO
 
 import numpy as np
 
@@ -122,36 +123,39 @@ def _dense_remap(raw: np.ndarray) -> tuple[np.ndarray, int]:
     return dense.astype(np.int64), len(uniq)
 
 
-def _load_delimited(
-    path: str | Path,
+def _read_ratings(
+    fh: TextIO,
+    path: Path,
+    first_line_no: int,
     sep: str,
-    min_fields: int,
+    n_fields: int,
     scale_min: float,
     scale_max: float,
 ) -> RatingDataset:
-    path = Path(path)
+    """Parse the lines of an open ratings file: exactly `n_fields` fields
+    separated by `sep`, user id, item id and rating first. Blank lines are
+    skipped."""
     raw_users, raw_items, ratings = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(sep)
-            if len(parts) < min_fields:
-                raise ParseError(str(path), line_no, f"expected {min_fields} fields, got {len(parts)}")
-            try:
-                u = int(parts[0])
-                i = int(parts[1])
-                r = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from None
-            if not (scale_min <= r <= scale_max):
-                raise ParseError(
-                    str(path), line_no, f"rating {r} outside scale [{scale_min}, {scale_max}]"
-                )
-            raw_users.append(u)
-            raw_items.append(i)
-            ratings.append(r)
+    for line_no, line in enumerate(fh, start=first_line_no):
+        line = line.rstrip("\n")
+        if not line:
+            continue
+        parts = line.split(sep)
+        if len(parts) != n_fields:
+            raise ParseError(str(path), line_no, f"expected {n_fields} fields, got {len(parts)}")
+        try:
+            u = int(parts[0])
+            i = int(parts[1])
+            r = float(parts[2])
+        except ValueError as exc:
+            raise ParseError(str(path), line_no, str(exc)) from None
+        if not (scale_min <= r <= scale_max):
+            raise ParseError(
+                str(path), line_no, f"rating {r} outside scale [{scale_min}, {scale_max}]"
+            )
+        raw_users.append(u)
+        raw_items.append(i)
+        ratings.append(r)
     users, n_users = _dense_remap(np.asarray(raw_users, dtype=np.int64))
     items, n_items = _dense_remap(np.asarray(raw_items, dtype=np.int64))
     try:
@@ -166,12 +170,16 @@ def load_movielens_100k(path: str | Path) -> RatingDataset:
     Raw ids are remapped to dense 0-based indices (ascending raw id); the
     scale is fixed to [1, 5].
     """
-    return _load_delimited(path, "\t", 4, 1.0, 5.0)
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        return _read_ratings(fh, path, 1, "\t", 4, 1.0, 5.0)
 
 
 def load_movielens_1m(path: str | Path) -> RatingDataset:
     """Parse the `user::item::rating::timestamp` format, scale [1, 5]."""
-    return _load_delimited(path, "::", 4, 1.0, 5.0)
+    path = Path(path)
+    with open(path, encoding="utf-8") as fh:
+        return _read_ratings(fh, path, 1, "::", 4, 1.0, 5.0)
 
 
 def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingDataset:
@@ -180,37 +188,11 @@ def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingData
     A completely empty file yields a valid empty dataset.
     """
     path = Path(path)
-    raw_users, raw_items, ratings = [], [], []
     with open(path, encoding="utf-8") as fh:
         header = fh.readline().rstrip("\n")
         if header and header.replace(" ", "") != "user,item,rating":
             raise ParseError(str(path), 1, f"expected header 'user,item,rating', got {header!r}")
-        for line_no, line in enumerate(fh, start=2):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            parts = line.split(",")
-            if len(parts) != 3:
-                raise ParseError(str(path), line_no, f"expected 3 fields, got {len(parts)}")
-            try:
-                u = int(parts[0])
-                i = int(parts[1])
-                r = float(parts[2])
-            except ValueError as exc:
-                raise ParseError(str(path), line_no, str(exc)) from None
-            if not (scale_min <= r <= scale_max):
-                raise ParseError(
-                    str(path), line_no, f"rating {r} outside scale [{scale_min}, {scale_max}]"
-                )
-            raw_users.append(u)
-            raw_items.append(i)
-            ratings.append(r)
-    users, n_users = _dense_remap(np.asarray(raw_users, dtype=np.int64))
-    items, n_items = _dense_remap(np.asarray(raw_items, dtype=np.int64))
-    try:
-        return RatingDataset(users, items, np.asarray(ratings), n_users, n_items, scale_min, scale_max)
-    except ValueError as exc:
-        raise ParseError(str(path), 0, str(exc)) from None
+        return _read_ratings(fh, path, 2, ",", 3, scale_min, scale_max)
 
 
 def split_leave_n_out(dataset: RatingDataset, n_test: int, master_seed: int) -> SplitPlan:
@@ -232,13 +214,6 @@ def split_leave_n_out(dataset: RatingDataset, n_test: int, master_seed: int) -> 
         test=dataset.subset(test_mask),
         description=f"leave-{n_test}-out",
     )
-
-
-def split_leave_one_out(dataset: RatingDataset, master_seed: int) -> SplitPlan:
-    """Hold out one seeded rating per user with at least two ratings."""
-    plan = split_leave_n_out(dataset, 1, master_seed)
-    plan.description = "leave-one-out"
-    return plan
 
 
 def kfold_splits(dataset: RatingDataset, k: int, master_seed: int) -> list[SplitPlan]:

@@ -12,22 +12,7 @@ import numpy as np
 from . import kernels
 from .data import RatingDataset
 from .exceptions import DivergedRunError
-from .model import FactorModel, TrainConfig, init_model, learning_rate
-
-
-def objective_value(
-    model: FactorModel,
-    dataset: RatingDataset,
-    train_vals: np.ndarray,
-    noise_totals: np.ndarray,
-) -> float:
-    """Training objective: squared residuals against the (stretched)
-    targets, plus the per-item noise inner products, plus regularization."""
-    preds = np.einsum("ik,ik->i", model.U[dataset.users], model.V[dataset.items])
-    resid = train_vals - preds
-    noise_term = float(np.einsum("jk,jk->", model.V, noise_totals))
-    reg = model.lam * (float(np.sum(model.U * model.U)) + float(np.sum(model.V * model.V)))
-    return float(resid @ resid) + noise_term + reg
+from .model import FactorModel, TrainConfig, init_model, learning_rate, objective_value
 
 
 def fit(

@@ -17,7 +17,6 @@ from .data import (
     load_movielens_100k,
     load_movielens_1m,
     split_leave_n_out,
-    split_leave_one_out,
     subsample_per_user,
 )
 from .exceptions import DivergedRunError, EmptySplitError
@@ -124,7 +123,7 @@ def train_method(
     loss_log: list[float] | None = None,
 ):
     """Dispatch to the configured runner; hdpmf and its no-rescale
-    ablation train identically."""
+    ablation hdpmf_r train identically and differ only in prediction."""
     common = dict(engine_mode=engine_mode, trace=trace, loss_log=loss_log)
     if method is BaselineKind.MF:
         return run_mf(train_set, tc, **common)
@@ -149,10 +148,8 @@ def run_single_seed(
     nothing, which happens when no user has more than n_test ratings.
     """
     weights = allocate_weights(cfg.privacy_spec(), dataset.n_users, dataset.n_items, seed)
-    if cfg.split == "leave-one-out":
-        plan = split_leave_one_out(dataset, seed)
-    else:
-        plan = split_leave_n_out(dataset, cfg.n_test, seed)
+    n_test = 1 if cfg.split == "leave-one-out" else cfg.n_test
+    plan = split_leave_n_out(dataset, n_test, seed)
     if len(plan.test) == 0:
         raise EmptySplitError(
             f"the {plan.description} split holds out nothing to score: no user has "
@@ -169,7 +166,7 @@ def run_single_seed(
     preds = predict_all(
         model, weights, plan.test.users, plan.test.items,
         dataset.scale_min, dataset.scale_max,
-        rescale=cfg.effective_rescale, clamp=cfg.clamp,
+        rescale=cfg.method.rescales,
     )
     truths = plan.test.ratings
     return SeedResult(seed, mse(preds, truths), mae(preds, truths))
@@ -243,7 +240,7 @@ def grid_search_cv(
                 preds = predict_all(
                     model, weights, fold.test.users, fold.test.items,
                     dataset.scale_min, dataset.scale_max,
-                    rescale=cfg.effective_rescale, clamp=cfg.clamp,
+                    rescale=cfg.method.rescales,
                 )
                 scores.append(mse(preds, fold.test.ratings))
             table[(eta0, lam)] = float(np.mean(scores))

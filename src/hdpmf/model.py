@@ -1,4 +1,5 @@
-"""Latent-factor model: initialization, predictions, gradients, schedule.
+"""Latent-factor model: initialization, predictions, gradients, objective,
+schedule.
 
 The private training objective is
 
@@ -134,19 +135,22 @@ def project_unit_ball(u: np.ndarray) -> np.ndarray:
     return u / norm
 
 
-def private_objective(model, dataset: RatingDataset, weights, noise_plan) -> float:
-    """Exact value of the private training objective.
+def objective_value(
+    model: FactorModel,
+    dataset: RatingDataset,
+    train_vals: np.ndarray,
+    noise_totals: np.ndarray,
+) -> float:
+    """The training objective of the module docstring for one model.
 
-    Used by gradient-check oracles and optional convergence logging; the
-    training loop itself never needs it.
+    `train_vals` are the regression targets in the dataset's entry order
+    (w_ij * r_ij, or raw ratings for the unstretched methods);
+    `noise_totals` holds each item's summed shares, since the share terms
+    of the objective add up to v_j . sum_i x_j^i per item. Used by the
+    loss trace and the gradient-check oracles; training never needs it.
     """
-    U, V = model.U, model.V
-    total = 0.0
-    for idx in range(len(dataset)):
-        i = int(dataset.users[idx])
-        j = int(dataset.items[idx])
-        w = weights.weight(i, j)
-        resid = w * dataset.ratings[idx] - U[i] @ V[j]
-        total += resid * resid + float(V[j] @ noise_plan.share(i, j))
-    total += model.lam * (float(np.sum(U * U)) + float(np.sum(V * V)))
-    return total
+    preds = np.einsum("ik,ik->i", model.U[dataset.users], model.V[dataset.items])
+    resid = train_vals - preds
+    noise_term = float(np.einsum("jk,jk->", model.V, noise_totals))
+    reg = model.lam * (float(np.sum(model.U * model.U)) + float(np.sum(model.V * model.V)))
+    return float(resid @ resid) + noise_term + reg

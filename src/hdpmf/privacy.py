@@ -113,21 +113,6 @@ def allocate_weights(spec: PrivacySpec, n_users: int, n_items: int, master_seed:
     return WeightAssignment(beta, gamma)
 
 
-def weight(assignment: WeightAssignment, i: int, j: int) -> float:
-    """Privacy weight of rating (i, j)."""
-    return assignment.weight(i, j)
-
-
-def personalized_budget(w_ij: float, epsilon: float) -> float:
-    """Personal privacy budget of one rating."""
-    return w_ij * epsilon
-
-
-def stretch(r_ij: float, w_ij: float) -> float:
-    """Shrink a rating by its privacy weight before training."""
-    return w_ij * r_ij
-
-
 def laplace_scale(K: int, delta: float, epsilon: float) -> float:
     """Noise scale 2*sqrt(K)*delta/epsilon that the item factors need for
     the heterogeneous guarantee."""
@@ -136,22 +121,12 @@ def laplace_scale(K: int, delta: float, epsilon: float) -> float:
     return 2.0 * math.sqrt(K) * delta / epsilon
 
 
-def sample_laplace(scale: float, rng: np.random.Generator) -> float:
-    """One Laplace(0, scale) draw, deterministic in the stream state."""
-    if scale <= 0:
-        raise ValueError(f"scale must be > 0, got {scale}")
-    return float(rng.laplace(0.0, scale))
-
-
-def rescale_prediction(raw: float, w_ij: float, scale_min: float, scale_max: float, clamp: bool = True) -> float:
+def rescale_prediction(raw: float, w_ij: float, scale_min: float, scale_max: float) -> float:
     """Undo stretching at prediction time: raw / w_ij, clamped to the
     rating scale (division by small weights can overshoot it)."""
     if w_ij <= 0:
         raise ValueError(f"privacy weight must be > 0, got {w_ij}")
-    value = raw / w_ij
-    if clamp:
-        value = min(max(value, scale_min), scale_max)
-    return value
+    return min(max(raw / w_ij, scale_min), scale_max)
 
 
 @dataclass

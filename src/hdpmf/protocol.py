@@ -28,7 +28,14 @@ import numpy as np
 from . import engine
 from .data import RatingDataset
 from .exceptions import DivergedRunError, ProtocolError
-from .model import FactorModel, TrainConfig, init_model, learning_rate, project_unit_ball
+from .model import (
+    FactorModel,
+    TrainConfig,
+    init_model,
+    learning_rate,
+    objective_value,
+    project_unit_ball,
+)
 from .privacy import NoisePlan, WeightAssignment, build_noise_plan
 
 
@@ -134,24 +141,6 @@ class RecommenderState:
         return grad
 
 
-def device_emit_gradient(device: UserDevice, j: int, v_j: np.ndarray) -> GradientMessage:
-    """Module-level alias of UserDevice.emit_gradient."""
-    return device.emit_gradient(j, v_j)
-
-
-def recommender_update_item(
-    state: RecommenderState, j: int, messages: list[GradientMessage], lam: float, eta: float
-) -> np.ndarray:
-    """Module-level alias of RecommenderState.update_item."""
-    return state.update_item(j, messages, lam, eta)
-
-
-def device_update_user(device: UserDevice, V: np.ndarray, lam: float, eta: float) -> np.ndarray:
-    """Module-level alias of UserDevice.update_user; returns the new u_i."""
-    device.update_user(V, lam, eta)
-    return device.u
-
-
 def _build_devices(
     dataset: RatingDataset,
     entry_weights: np.ndarray,
@@ -229,9 +218,7 @@ def _train_messages(
                 np.vstack([d.u for d in devices]), recommender.V, cfg.K, cfg.lam
             )
             loss_log.append(
-                engine.objective_value(
-                    snapshot, dataset, entry_weights * dataset.ratings, plan.item_totals
-                )
+                objective_value(snapshot, dataset, entry_weights * dataset.ratings, plan.item_totals)
             )
 
     model.U = np.vstack([d.u for d in devices])
@@ -302,13 +289,12 @@ def predict_all(
     scale_min: float,
     scale_max: float,
     rescale: bool = True,
-    clamp: bool = True,
 ) -> np.ndarray:
-    """Device-side predictions for (user, item) pairs.
+    """Device-side predictions for (user, item) pairs, clamped to the
+    rating scale.
 
     With `rescale`, raw inner products are divided by w_ij to undo
-    stretching; `rescale=False` gives the ablation variant. Both are
-    clamped to the rating scale unless `clamp` is off.
+    stretching; `rescale=False` gives the ablation variant.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -318,6 +304,4 @@ def predict_all(
         if np.any(w <= 0):
             raise ValueError("privacy weights must be > 0")
         raw = raw / w
-    if clamp:
-        raw = np.clip(raw, scale_min, scale_max)
-    return raw
+    return np.clip(raw, scale_min, scale_max)

@@ -14,11 +14,11 @@ import pytest
 
 from hdpmf.baselines import BaselineKind, run_dpmf, run_mf, run_pdpmf
 from hdpmf.cli import main
-from hdpmf.config import ETA0_DEFAULTS, LAMBDA_DEFAULT
+from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT
 from hdpmf.data import split_leave_n_out
 from hdpmf.diagnostics import check_noise_composition
 from hdpmf.evaluation import mae, mse, paired_t_test
-from hdpmf.model import TrainConfig, init_model, item_gradient, private_objective, user_gradient
+from hdpmf.model import TrainConfig, init_model, item_gradient, objective_value, user_gradient
 from hdpmf.privacy import (
     NoisePlan,
     PrivacySpec,
@@ -47,7 +47,7 @@ def _score_method(dataset, method: BaselineKind, K: int) -> tuple[np.ndarray, np
         weights = allocate_weights(spec, dataset.n_users, dataset.n_items, seed)
         plan = split_leave_n_out(dataset, 10, seed)
         cfg = TrainConfig(
-            epochs=EPOCHS, eta0=ETA0_DEFAULTS[method], lam=LAMBDA_DEFAULT,
+            epochs=EPOCHS, eta0=ETA0_DEFAULT, lam=LAMBDA_DEFAULT,
             K=K, master_seed=seed,
         )
         if method is BaselineKind.MF:
@@ -61,7 +61,7 @@ def _score_method(dataset, method: BaselineKind, K: int) -> tuple[np.ndarray, np
         preds = predict_all(
             model, weights, plan.test.users, plan.test.items,
             dataset.scale_min, dataset.scale_max,
-            rescale=(method is BaselineKind.HDPMF),
+            rescale=method.rescales,
         )
         mses.append(mse(preds, plan.test.ratings))
         maes.append(mae(preds, plan.test.ratings))
@@ -166,9 +166,10 @@ def test_criterion_6_gradient_oracle():
         )
         weights = WeightAssignment(rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m))
         plan = build_noise_plan(ds, K, ds.delta, 1.0, int(rng.integers(10_000)))
+        targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
 
         def objective():
-            return private_objective(model, ds, weights, plan)
+            return objective_value(model, ds, targets, plan.item_totals)
 
         def fd(vec):
             g = np.zeros_like(vec)

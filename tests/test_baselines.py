@@ -32,9 +32,7 @@ class TestBaselineKind:
         assert {k.value for k in BaselineKind} == {"mf", "dpmf", "pdpmf", "hdpmf", "hdpmf_r"}
 
     def test_flags(self):
-        assert BaselineKind.HDPMF.stretches and BaselineKind.HDPMF.rescales
-        assert BaselineKind.HDPMF_R.stretches and not BaselineKind.HDPMF_R.rescales
-        assert not BaselineKind.MF.stretches and not BaselineKind.DPMF.rescales
+        assert [k for k in BaselineKind if k.rescales] == [BaselineKind.HDPMF]
 
 
 class TestPdpSampling:

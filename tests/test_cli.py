@@ -52,16 +52,6 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epochs"):
             parse_config(write_config(tmp_path, epochs="ten"))
 
-    def test_hdpmf_r_forces_rescale_off(self, tmp_path):
-        cfg = parse_config(write_config(tmp_path, method="hdpmf_r"))
-        assert cfg.effective_rescale is False
-        cfg = parse_config(write_config(tmp_path, method="hdpmf_r", rescale="true"))
-        assert cfg.effective_rescale is False
-
-    def test_rescale_only_for_stretching_methods(self, tmp_path):
-        with pytest.raises(ConfigError, match="rescale"):
-            parse_config(write_config(tmp_path, method="mf", rescale="false"))
-
     def test_comments_and_blank_lines(self, tmp_path):
         path = tmp_path / "c.cfg"
         path.write_text("# a comment\n\nepsilon = 0.5  # inline\n")
@@ -114,6 +104,36 @@ class TestCmdRun:
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
 
+    @pytest.mark.parametrize("key,value,method", [
+        pytest.param("rescale", "false", "mf", id="rescale-mf"),
+        pytest.param("rescale", "true", "hdpmf_r", id="rescale-hdpmf_r"),
+        pytest.param("rescale", "false", "hdpmf", id="rescale-hdpmf"),
+        pytest.param("clamp", "false", "hdpmf", id="clamp-hdpmf"),
+    ])
+    def test_removed_knobs_are_config_errors(self, tmp_path, synth_factory, capsys, key, value, method):
+        # `method` alone picks rescaling, and predictions are always clamped
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=67)
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, dataset=data, output=out, method=method, **{key: value}, **BASE)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"'{key}': unknown key" in err
+        assert not out.exists()
+
+    def test_hdpmf_r_rows_are_labelled_and_not_rescaled(self, tmp_path, synth_factory):
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=67)
+        mses = {}
+        for method in ("hdpmf", "hdpmf_r"):
+            out = tmp_path / f"{method}.csv"
+            cfg = write_config(tmp_path, f"{method}.cfg", dataset=data, output=out, method=method, **BASE)
+            assert main(["run", str(cfg)]) == 0
+            seed_rows, agg_rows = read_results(out)
+            assert {r["method"] for r in seed_rows + agg_rows} == {method}
+            mses[method] = [r["mse"] for r in seed_rows]
+        # same training, so only the missing division by w_ij can differ
+        assert all(a != b for a, b in zip(mses["hdpmf"], mses["hdpmf_r"]))
+
     @pytest.mark.parametrize("body", ["1,1,3\n1,2,4\n2,1,5\n", ""])
     def test_split_with_nothing_to_score_is_a_data_error(self, tmp_path, capsys, body):
         # every user has <= n_test ratings, or the CSV has only its header
@@ -148,11 +168,10 @@ class TestCmdRun:
 
     def test_loss_trace_matches_objective(self, tmp_path, synth_factory):
         from hdpmf.evaluation import load_dataset, run_experiment
-        from hdpmf.model import FactorModel, TrainConfig, private_objective
+        from hdpmf.model import TrainConfig, objective_value
         from hdpmf.privacy import allocate_weights, build_noise_plan
         from hdpmf.protocol import run_hdpmf
         from hdpmf.data import split_leave_n_out
-        import io
 
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=101)
         out = tmp_path / "r.csv"
@@ -164,8 +183,8 @@ class TestCmdRun:
         lines = (tmp_path / "loss.csv").read_text().splitlines()
         rows = [line.split(",") for line in lines if not line.startswith("#")]
         assert len(rows) == 2 * 4  # seeds x epochs
-        # cross-check the last logged value for seed 0 against the exact
-        # per-entry objective
+        # cross-check the last logged value for seed 0 against the objective
+        # of an independently trained model
         cfg = parse_config(cfg_path)
         ds = load_dataset(cfg)
         plan_split = split_leave_n_out(ds, cfg.n_test, 0)
@@ -173,7 +192,9 @@ class TestCmdRun:
         tc = TrainConfig(epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam,
                          K=cfg.k, master_seed=0)
         model, plan = run_hdpmf(plan_split.train, w, cfg.epsilon, tc)
-        expected = private_objective(model, plan_split.train, w, plan)
+        train = plan_split.train
+        targets = w.matrix_entries(train.users, train.items) * train.ratings
+        expected = objective_value(model, train, targets, plan.item_totals)
         logged = float(rows[cfg.epochs - 1][2])
         assert logged == pytest.approx(expected, rel=1e-9)
 
@@ -208,18 +229,18 @@ class TestCmdSweep:
         import hdpmf.evaluation as evaluation
 
         seen = []
-        original = evaluation.split_leave_one_out
+        original = evaluation.split_leave_n_out
 
-        def spy(ds, seed):
-            seen.append(seed)
-            return original(ds, seed)
+        def spy(ds, n_test, seed):
+            seen.append(n_test)
+            return original(ds, n_test, seed)
 
-        monkeypatch.setattr(evaluation, "split_leave_one_out", spy)
+        monkeypatch.setattr(evaluation, "split_leave_n_out", spy)
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=89)
         out = tmp_path / "sweep.csv"
         cfg = write_config(tmp_path, dataset=data, output=out, method="hdpmf", **BASE)
         assert main(["sweep", str(cfg), "--key", "fraction", "--values", "0.5,1.0"]) == 0
-        assert seen  # leave-one-out was used
+        assert seen and set(seen) == {1}  # leave-one-out was used
         seed_rows, _ = read_results(out)
         assert sorted({r["fraction"] for r in seed_rows}) == [0.5, 1.0]
 
@@ -253,3 +274,26 @@ class TestCmdCheckNoise:
         report = check_noise_composition(10, 4.0, 1.0, 1, 150_000, 1)
         assert report.passed
         assert report.variance == pytest.approx(report.target_variance, rel=0.03)
+
+
+@pytest.mark.parametrize("argv", [
+    ["sweep", "{dir}/exp.cfg", "--key", "eps_uc", "--values", "abc"],
+    ["check-noise", "--dim", "0"],
+    ["check-noise", "--raters", "x"],
+    ["check-noise", "--raters", "0"],
+    ["check-noise", "--samples", "0"],
+    ["check-noise", "--delta", "0"],
+    ["check-noise", "--delta", "-4"],
+    ["check-noise", "--eps", "0"],
+    ["check-noise", "--eps", "-1"],
+    ["run", "{dir}"],
+], ids=lambda argv: " ".join(argv).replace("{dir}", "DIR"))
+def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # argparse rejects the argument itself
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err and "Traceback" not in err

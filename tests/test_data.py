@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hdpmf.data import (
     RatingDataset,
@@ -10,7 +12,6 @@ from hdpmf.data import (
     load_movielens_100k,
     load_movielens_1m,
     split_leave_n_out,
-    split_leave_one_out,
     subsample_per_user,
 )
 from hdpmf.exceptions import ParseError
@@ -70,6 +71,11 @@ class TestLoaders:
         with pytest.raises(ParseError, match="expected 4 fields"):
             load_movielens_100k(path)
 
+    def test_ml100k_extra_field(self, tmp_path):
+        path = write(tmp_path, "u.data", "1\t3\t4\t881250949\n1\t4\t4\t881250949\t9\n")
+        with pytest.raises(ParseError, match=":2: expected 4 fields, got 5"):
+            load_movielens_100k(path)
+
     def test_ml100k_error_names_line(self, tmp_path):
         path = write(tmp_path, "u.data", "1\t3\t4\t0\nbad line here\n")
         with pytest.raises(ParseError, match=":2:"):
@@ -111,6 +117,41 @@ class TestLoaders:
         ds = load_csv(path, 1, 5)
         assert sorted(set(ds.users.tolist())) == [0, 1]
         assert sorted(set(ds.items.tolist())) == [0, 1]
+
+
+@st.composite
+def rating_triples(draw):
+    """Distinct (user, item) pairs with sparse raw ids, in random order,
+    with ratings on [1, 5] in half steps."""
+    raw_ids = st.integers(0, 10**9)
+    users = draw(st.lists(raw_ids, min_size=1, max_size=6, unique=True))
+    items = draw(st.lists(raw_ids, min_size=1, max_size=6, unique=True))
+    pairs = draw(st.lists(
+        st.tuples(st.sampled_from(users), st.sampled_from(items)),
+        min_size=1, max_size=20, unique=True,
+    ))
+    return [(u, i, draw(st.integers(2, 10)) / 2) for u, i in draw(st.permutations(pairs))]
+
+
+class TestLoaderRoundTrip:
+    @settings(max_examples=50, deadline=None)
+    @given(triples=rating_triples())
+    def test_formats_load_equal_datasets(self, tmp_path_factory, triples):
+        tmp = tmp_path_factory.mktemp("roundtrip")
+        csv = write(tmp, "r.csv", "user,item,rating\n" + "".join(f"{u},{i},{r}\n" for u, i, r in triples))
+        ml100k = write(tmp, "u.data", "".join(f"{u}\t{i}\t{r}\t0\n" for u, i, r in triples))
+        ml1m = write(tmp, "r.dat", "".join(f"{u}::{i}::{r}::0\n" for u, i, r in triples))
+        loaded = [load_csv(csv, 1, 5), load_movielens_100k(ml100k), load_movielens_1m(ml1m)]
+
+        # dense ids follow ascending raw ids; entries are sorted by (user, item)
+        user_ids = {u: k for k, u in enumerate(sorted({u for u, _, _ in triples}))}
+        item_ids = {i: k for k, i in enumerate(sorted({i for _, i, _ in triples}))}
+        expected = sorted((user_ids[u], item_ids[i], r) for u, i, r in triples)
+        for ds in loaded:
+            assert (ds.n_users, ds.n_items) == (len(user_ids), len(item_ids))
+            assert (ds.scale_min, ds.scale_max) == (1.0, 5.0)
+            got = list(zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()))
+            assert got == expected
 
 
 class TestSplits:
@@ -158,13 +199,13 @@ class TestSplits:
     def test_leave_one_out(self):
         users = np.array([0, 0, 1])
         ds = RatingDataset(users, np.array([0, 1, 0]), np.full(3, 3.0), 2, 2, 1, 5)
-        plan = split_leave_one_out(ds, master_seed=0)
+        plan = split_leave_n_out(ds, 1, master_seed=0)
         # user 0 (2 ratings) leaves one; user 1 (1 rating) keeps everything
         assert len(plan.test) == 1
         assert plan.test.users.tolist() == [0]
 
     def test_leave_one_out_test_size(self, small_synth):
-        plan = split_leave_one_out(small_synth, master_seed=0)
+        plan = split_leave_n_out(small_synth, 1, master_seed=0)
         ptr, _ = small_synth.by_user
         eligible = int(np.sum(np.diff(ptr) >= 2))
         assert len(plan.test) == eligible

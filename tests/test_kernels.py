@@ -3,8 +3,10 @@ transcribed from the compiled kernel, and the compiled kernel (imported, or
 built from the committed `_native.c` when a C compiler exists) matches the
 fallback."""
 
+import hashlib
 import importlib
 import importlib.util
+import os
 import shlex
 import shutil
 import subprocess
@@ -25,32 +27,54 @@ from hdpmf.model import init_model
 NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
 
 
+def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
+    """Compile and link `_native.c` with the interpreter's own compiler and
+    flags."""
+    cfg = sysconfig.get_config_var
+    return [
+        shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
+        + ["-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
+           "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", "-c", str(src), "-o", str(obj)],
+        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(out)],
+    ]
+
+
 @pytest.fixture(scope="session")
-def native(tmp_path_factory):
+def native(pytestconfig, tmp_path_factory):
     """The compiled kernel: the installed extension if importable, else the
     committed `_native.c` compiled with the interpreter's own compiler and
-    flags into a temporary directory (never into the source tree, which
-    would switch every other test to the native backend)."""
+    flags (never into the source tree, which would switch every other test
+    to the native backend).
+
+    The build is kept in the pytest cache under a key of the source's
+    sha256 and the compile commands, so only the first session after a
+    change to either pays the compile; without the cache plugin it goes to
+    a temporary directory.
+    """
     try:
         return importlib.import_module("hdpmf._native")
     except ImportError:
         pass
-    cfg = sysconfig.get_config_var
-    cc = shlex.split(cfg("CC") or "")
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("compiled kernel not built and no C compiler found")
-    out_dir = tmp_path_factory.mktemp("native")
-    obj = out_dir / "_native.o"
-    target = out_dir / f"_native{cfg('EXT_SUFFIX')}"
-    commands = [
-        cc + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
-        + ["-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
-           "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", "-c", str(NATIVE_C), "-o", str(obj)],
-        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(target)],
-    ]
-    for cmd in commands:
-        done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-        assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
+    probe = _native_build_commands(NATIVE_C, Path("o"), Path("so"))
+    key = hashlib.sha256(NATIVE_C.read_bytes() + repr(probe).encode()).hexdigest()[:16]
+    cache = getattr(pytestconfig, "cache", None)
+    build_dir = cache.mkdir(f"hdpmf-native-{key}") if cache is not None else tmp_path_factory.mktemp("native")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = build_dir / f"_native{suffix}"
+    if not target.is_file():
+        tmp = build_dir / f"_native.{os.getpid()}.tmp{suffix}"
+        obj = build_dir / f"_native.{os.getpid()}.o"
+        try:
+            for cmd in _native_build_commands(NATIVE_C, obj, tmp):
+                done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+                assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+            obj.unlink(missing_ok=True)
     # loaded without entering sys.modules, so backend selection is unaffected
     spec = importlib.util.spec_from_file_location("hdpmf._native", target)
     module = importlib.util.module_from_spec(spec)

@@ -14,8 +14,8 @@ from hdpmf.model import (
     init_model,
     item_gradient,
     learning_rate,
+    objective_value,
     predict_raw,
-    private_objective,
     project_unit_ball,
     user_gradient,
 )
@@ -122,7 +122,8 @@ def _fd_gradient(fun, x, h=1e-6):
 def _check_gradients_fd(seed, K):
     """Analytic gradients vs central finite differences of the objective."""
     ds, model, weights, plan = _random_instance(seed, K)
-    obj = lambda: private_objective(model, ds, weights, plan)
+    targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
+    obj = lambda: objective_value(model, ds, targets, plan.item_totals)
 
     for j in range(ds.n_items):
         entries = [
@@ -151,6 +152,11 @@ def test_gradients_match_finite_differences(seed, K):
     _check_gradients_fd(seed, K)
 
 
+def _objective(model, ds, weights, plan):
+    targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
+    return objective_value(model, ds, targets, plan.item_totals)
+
+
 class TestObjective:
     def test_zero_model_zero_noise(self, tiny_dataset):
         model = FactorModel(np.zeros((5, 2)), np.zeros((4, 2)), 2, lam=0.0)
@@ -159,19 +165,30 @@ class TestObjective:
         expected = sum(
             (0.4 * r) ** 2 for r in tiny_dataset.ratings
         )
-        assert private_objective(model, tiny_dataset, w, plan) == pytest.approx(expected)
+        assert _objective(model, tiny_dataset, w, plan) == pytest.approx(expected)
 
     def test_reduces_to_nonprivate_loss(self, tiny_dataset):
         model = init_model(5, 4, 3, master_seed=2, lam=0.01)
         w = WeightAssignment.uniform(5, 4)
         plan = NoisePlan.zeros(tiny_dataset, 3)
-        got = private_objective(model, tiny_dataset, w, plan)
+        got = _objective(model, tiny_dataset, w, plan)
         resid = [
             (r - model.U[i] @ model.V[j]) ** 2
             for i, j, r in zip(tiny_dataset.users, tiny_dataset.items, tiny_dataset.ratings)
         ]
         expected = sum(resid) + 0.01 * (np.sum(model.U**2) + np.sum(model.V**2))
         assert got == pytest.approx(expected)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_per_share_sum(self, seed):
+        # the objective as the module docstring writes it: one residual and
+        # one v_j . x_j^i term per observed rating
+        ds, model, weights, plan = _random_instance(seed, K=3)
+        expected = model.lam * (np.sum(model.U**2) + np.sum(model.V**2))
+        for i, j, r in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()):
+            resid = weights.weight(i, j) * r - model.U[i] @ model.V[j]
+            expected += resid**2 + model.V[j] @ plan.share(i, j)
+        assert _objective(model, ds, weights, plan) == pytest.approx(expected, rel=1e-10)
 
 
 class TestLearningRate:

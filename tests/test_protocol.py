@@ -15,10 +15,7 @@ from hdpmf.protocol import (
     MessageChannel,
     RecommenderState,
     UserDevice,
-    device_emit_gradient,
-    device_update_user,
     predict_all,
-    recommender_update_item,
     run_hdpmf,
     train,
 )
@@ -32,7 +29,7 @@ def make_device(u, ratings, weights, shares=None):
 class TestDeviceEmit:
     def test_hand_payload(self):
         dev = make_device([1.0, 0.0], {3: 4.0}, {3: 0.5})
-        msg = device_emit_gradient(dev, 3, np.array([0.5, 0.0]))
+        msg = dev.emit_gradient(3, np.array([0.5, 0.0]))
         assert msg.item_index == 3 and msg.sender == 0
         assert msg.payload.tolist() == [-3.0, 0.0]
 
@@ -54,13 +51,13 @@ class TestRecommenderUpdate:
     def test_zero_payloads_no_reg(self):
         state = RecommenderState(V=np.array([[0.4, 0.2]]), raters={0: np.array([0, 1])})
         msgs = [GradientMessage(0, 0, np.zeros(2)), GradientMessage(0, 1, np.zeros(2))]
-        recommender_update_item(state, 0, msgs, lam=0.0, eta=0.1)
+        state.update_item(0, msgs, lam=0.0, eta=0.1)
         assert state.V[0].tolist() == [0.4, 0.2]
 
     def test_single_payload_step(self):
         state = RecommenderState(V=np.array([[1.0, 1.0]]), raters={0: np.array([0])})
         g = np.array([2.0, -4.0])
-        recommender_update_item(state, 0, [GradientMessage(0, 0, g)], lam=0.0, eta=0.5)
+        state.update_item(0, [GradientMessage(0, 0, g)], lam=0.0, eta=0.5)
         assert state.V[0].tolist() == [0.0, 3.0]
 
     def test_missing_rater_rejected(self):
@@ -84,13 +81,13 @@ class TestDeviceUpdateUser:
     def test_zero_residual_no_reg_unchanged(self):
         dev = make_device([0.5, 0.0], {0: 0.5}, {0: 1.0})
         V = np.array([[1.0, 0.0]])
-        device_update_user(dev, V, lam=0.0, eta=0.1)
+        dev.update_user(V, lam=0.0, eta=0.1)
         assert dev.u.tolist() == [0.5, 0.0]
 
     def test_projection_applied(self):
         dev = make_device([1.0, 0.0], {0: 5.0}, {0: 1.0})
         V = np.array([[-10.0, 0.0]])
-        device_update_user(dev, V, lam=0.0, eta=1.0)
+        dev.update_user(V, lam=0.0, eta=1.0)
         assert np.linalg.norm(dev.u) <= 1.0 + 1e-12
 
     def test_step_matches_centralized_user_gradient(self):
