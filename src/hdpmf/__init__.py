@@ -11,11 +11,9 @@ evaluation harness.
 
 from .baselines import (
     BaselineKind,
+    method_inputs,
     min_observed_budget,
     pdp_sample_ratings,
-    run_dpmf,
-    run_mf,
-    run_pdpmf,
 )
 from .config import ExperimentConfig, parse_config
 from .data import (
@@ -73,7 +71,7 @@ from .protocol import (
     RecommenderState,
     UserDevice,
     predict_all,
-    run_hdpmf,
+    train,
 )
 
 __version__ = "0.1.0"
@@ -115,6 +113,7 @@ __all__ = [
     "load_movielens_100k",
     "load_movielens_1m",
     "mae",
+    "method_inputs",
     "min_observed_budget",
     "mse",
     "objective_value",
@@ -125,12 +124,9 @@ __all__ = [
     "predict_raw",
     "project_unit_ball",
     "rescale_prediction",
-    "run_dpmf",
     "run_experiment",
-    "run_hdpmf",
-    "run_mf",
-    "run_pdpmf",
     "split_leave_n_out",
     "subsample_per_user",
+    "train",
     "user_gradient",
 ]

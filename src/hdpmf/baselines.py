@@ -1,9 +1,10 @@
-"""Comparison methods built on the shared training machinery.
+"""The compared methods as inputs to the one shared training protocol.
 
-All runners share the same initialization, schedule, projection, and epoch
-structure; they differ only in how ratings enter the residuals (stretched
-or raw), which ratings participate, how much noise each item gradient
-carries, and whether predictions are rescaled.
+Every method trains through `protocol.train` with the same initialization,
+schedule, projection, and epoch structure; `method_inputs` gives what each
+one feeds it: which ratings, which per-rating weights (stretched targets
+w_ij * r_ij, or raw ratings), and which noise plan. Whether predictions are
+rescaled is `BaselineKind.rescales`.
 
 * ``mf``      — no noise, no stretching: the non-private reference.
 * ``dpmf``    — uniform noise for everyone, calibrated to the strictest
@@ -21,9 +22,7 @@ import enum
 import numpy as np
 
 from .data import RatingDataset
-from .model import FactorModel, TrainConfig
 from .privacy import NoisePlan, WeightAssignment, build_noise_plan
-from .protocol import MessageChannel, run_hdpmf, train
 from .rng import stream
 
 
@@ -42,23 +41,6 @@ class BaselineKind(enum.Enum):
         return self is BaselineKind.HDPMF
 
 
-def run_mf(
-    dataset: RatingDataset,
-    cfg: TrainConfig,
-    engine_mode: str = "kernel",
-    channel: MessageChannel | None = None,
-    trace=None,
-    loss_log: list[float] | None = None,
-) -> FactorModel:
-    """Non-private full-batch matrix factorization (unit weights, zero
-    noise), sharing the private pipeline end to end."""
-    ones = np.ones(len(dataset))
-    return train(
-        dataset, ones, NoisePlan.zeros(dataset, cfg.K), cfg,
-        engine_mode=engine_mode, channel=channel, trace=trace, loss_log=loss_log,
-    )
-
-
 def min_observed_budget(dataset: RatingDataset, weights: WeightAssignment, epsilon: float) -> float:
     """Strictest personal budget among observed ratings; a uniform
     mechanism must honor it to protect everyone."""
@@ -66,24 +48,6 @@ def min_observed_budget(dataset: RatingDataset, weights: WeightAssignment, epsil
         return epsilon
     w = weights.matrix_entries(dataset.users, dataset.items)
     return float(w.min()) * epsilon
-
-
-def run_dpmf(
-    dataset: RatingDataset,
-    weights: WeightAssignment,
-    epsilon: float,
-    cfg: TrainConfig,
-    engine_mode: str = "kernel",
-    channel: MessageChannel | None = None,
-    trace=None,
-    loss_log: list[float] | None = None,
-) -> FactorModel:
-    """Uniform-noise training: raw ratings in the residuals, every item
-    gradient perturbed at the minimum observed budget."""
-    eps_min = min_observed_budget(dataset, weights, epsilon)
-    plan = build_noise_plan(dataset, cfg.K, dataset.delta, eps_min, cfg.master_seed)
-    ones = np.ones(len(dataset))
-    return train(dataset, ones, plan, cfg, engine_mode=engine_mode, channel=channel, trace=trace, loss_log=loss_log)
 
 
 def pdp_sample_ratings(
@@ -107,24 +71,32 @@ def pdp_sample_ratings(
     return dataset.subset(draws < pi)
 
 
-def run_pdpmf(
+def method_inputs(
+    method: BaselineKind,
     dataset: RatingDataset,
     weights: WeightAssignment,
     epsilon: float,
-    cfg: TrainConfig,
-    engine_mode: str = "kernel",
-    channel: MessageChannel | None = None,
-    trace=None,
-    loss_log: list[float] | None = None,
-) -> FactorModel:
-    """Sample-mechanism baseline: sample ratings by personal budget with
-    threshold epsilon, then train uniformly at that budget on the subset.
+    K: int,
+    master_seed: int,
+) -> tuple[RatingDataset, np.ndarray, NoisePlan]:
+    """What `method` feeds `protocol.train`: (training ratings, per-entry
+    weights in their canonical order, noise plan).
 
-    Users whose ratings all sampled out still take their (regularization
-    only) user updates; items with no surviving raters are skipped.
+    mf trains on raw ratings with zero noise. dpmf draws one plan at the
+    minimum observed budget. pdpmf samples ratings by personal budget with
+    threshold epsilon and draws its plan at epsilon on the surviving subset;
+    users whose ratings all sampled out still take their (regularization
+    only) user updates, and items with no surviving raters are skipped.
+    hdpmf and hdpmf_r stretch ratings by w_ij and draw the plan at epsilon.
     """
-    budgets = epsilon * weights.matrix_entries(dataset.users, dataset.items)
-    sampled = pdp_sample_ratings(dataset, budgets, epsilon, cfg.master_seed)
-    plan = build_noise_plan(sampled, cfg.K, sampled.delta, epsilon, cfg.master_seed)
-    ones = np.ones(len(sampled))
-    return train(sampled, ones, plan, cfg, engine_mode=engine_mode, channel=channel, trace=trace, loss_log=loss_log)
+    if method is BaselineKind.MF:
+        return dataset, np.ones(len(dataset)), NoisePlan.zeros(dataset, K)
+    if method is BaselineKind.DPMF:
+        epsilon = min_observed_budget(dataset, weights, epsilon)
+    elif method is BaselineKind.PDPMF:
+        budgets = epsilon * weights.matrix_entries(dataset.users, dataset.items)
+        dataset = pdp_sample_ratings(dataset, budgets, epsilon, master_seed)
+    plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
+    if method in (BaselineKind.HDPMF, BaselineKind.HDPMF_R):
+        return dataset, weights.matrix_entries(dataset.users, dataset.items), plan
+    return dataset, np.ones(len(dataset)), plan

@@ -9,14 +9,15 @@ nothing to score.
 from __future__ import annotations
 
 import argparse
+import errno
 import math
 import sys
-from contextlib import ExitStack
+from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
 from .config import ExperimentConfig, parse_config
-from .diagnostics import check_noise_composition
+from .diagnostics import MIN_SAMPLES, check_noise_composition
 from .evaluation import emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError
 
@@ -28,14 +29,29 @@ def _provenance(cfg: ExperimentConfig, extra: list[str] | None = None) -> list[s
     return lines + (extra or [])
 
 
+@contextmanager
+def _utf8_text(path):
+    """Report a file that is not UTF-8 text like any unreadable file."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason})", str(path)) from None
+
+
+def _parse_checked(config_path: str) -> ExperimentConfig:
+    with _utf8_text(config_path):
+        return parse_config(config_path)
+
+
 def _load_checked(cfg: ExperimentConfig):
     if not Path(cfg.dataset).exists():
         raise ConfigError("dataset", f"file not found: {cfg.dataset}")
-    return load_dataset(cfg)
+    with _utf8_text(cfg.dataset):
+        return load_dataset(cfg)
 
 
 def cmd_run(config_path: str) -> int:
-    cfg = parse_config(config_path)
+    cfg = _parse_checked(config_path)
     dataset = _load_checked(cfg)
     with ExitStack() as stack:
         trace = None
@@ -63,7 +79,7 @@ def cmd_run(config_path: str) -> int:
 def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
     if key not in SWEEP_KEYS:
         raise ConfigError(key, f"sweep key must be one of {SWEEP_KEYS}")
-    base = parse_config(config_path)
+    base = _parse_checked(config_path)
     if not values:
         raise ConfigError(key, "no sweep values given")
     dataset = _load_checked(base)
@@ -131,6 +147,7 @@ def _comma_list(parse):
 _number = _checked(float, math.isfinite, "a finite number")
 _positive_number = _checked(float, lambda v: math.isfinite(v) and v > 0, "a finite number > 0")
 _positive_int = _checked(int, lambda v: v >= 1, ">= 1")
+_sample_count = _checked(int, lambda v: v >= MIN_SAMPLES, f">= {MIN_SAMPLES}")
 _seed = _checked(int, lambda v: v >= 0, ">= 0")
 
 
@@ -157,7 +174,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--raters", type=_comma_list(_positive_int), default=[1, 5, 50],
         help="comma-separated rater counts",
     )
-    p_noise.add_argument("--samples", type=_positive_int, default=1_000_000)
+    p_noise.add_argument("--samples", type=_sample_count, default=1_000_000)
     p_noise.add_argument("--seed", type=_seed, default=0)
     return parser
 

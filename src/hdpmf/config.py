@@ -102,6 +102,8 @@ def _parse_seeds(raw: str) -> tuple[int, ...]:
         raise ValueError("duplicate seeds")
     if any(s < 0 for s in seeds):
         raise ValueError("seeds must be non-negative")
+    if any(s >= 1 << 64 for s in seeds):
+        raise ValueError("seeds must be below 2**64, the width of the noise-plan key")
     return seeds
 
 

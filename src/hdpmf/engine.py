@@ -18,9 +18,8 @@ from .model import FactorModel, TrainConfig, init_model, learning_rate, objectiv
 def fit(
     dataset: RatingDataset,
     train_vals: np.ndarray,
-    noise_totals: np.ndarray | None,
+    noise_totals: np.ndarray,
     cfg: TrainConfig,
-    project: bool = True,
     epoch_callback: Callable[[int, FactorModel], None] | None = None,
     loss_log: list[float] | None = None,
 ) -> FactorModel:
@@ -28,9 +27,12 @@ def fit(
 
     `train_vals` are the per-entry regression targets in the dataset's
     canonical entry order (raw ratings for plain MF, w_ij * r_ij when
-    stretching). `noise_totals` holds the fixed per-item noise vectors, or
-    None for the noise-free limit. Updates run sequentially in index order,
-    so the result is a pure function of the inputs.
+    stretching). `noise_totals` holds the fixed per-item noise vectors
+    (zero rows for the noise-free limit). Each epoch is an item phase, then
+    a user phase, each a Jacobi sweep: every step of a phase reads only the
+    factors as they were when the phase began, so the result is a pure
+    function of the inputs. User vectors are projected onto the unit ball
+    after every user step.
 
     Raises DivergedRunError naming the first epoch that produced a
     non-finite factor.
@@ -38,8 +40,6 @@ def fit(
     train_vals = np.ascontiguousarray(train_vals, dtype=np.float64)
     if train_vals.shape != (len(dataset),):
         raise ValueError("train_vals must align with dataset entries")
-    if noise_totals is None:
-        noise_totals = np.zeros((dataset.n_items, cfg.K))
     noise_totals = np.ascontiguousarray(noise_totals, dtype=np.float64)
     if noise_totals.shape != (dataset.n_items, cfg.K):
         raise ValueError(f"noise_totals must have shape ({dataset.n_items}, {cfg.K})")
@@ -56,7 +56,7 @@ def fit(
             model.U, model.V,
             item_ptr, item_users, item_vals, noise_totals,
             user_ptr, dataset.items, train_vals,
-            cfg.lam, eta, project,
+            cfg.lam, eta, True,
         )
         if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
             raise DivergedRunError(t)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .baselines import BaselineKind, run_dpmf, run_mf, run_pdpmf
+from .baselines import BaselineKind, method_inputs
 from .config import ExperimentConfig
 from .data import (
     RatingDataset,
@@ -22,7 +22,7 @@ from .data import (
 from .exceptions import DivergedRunError, EmptySplitError
 from .model import TrainConfig
 from .privacy import allocate_weights
-from .protocol import predict_all, run_hdpmf
+from .protocol import predict_all, train
 
 RESULT_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae"
 AGGREGATE_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,n_seeds,mse_mean,mse_std,mae_mean,mae_std"
@@ -112,29 +112,6 @@ def load_dataset(cfg: ExperimentConfig) -> RatingDataset:
     return load_csv(cfg.dataset, cfg.scale_min, cfg.scale_max)
 
 
-def train_method(
-    method: BaselineKind,
-    train_set: RatingDataset,
-    weights,
-    epsilon: float,
-    tc: TrainConfig,
-    engine_mode: str = "kernel",
-    trace=None,
-    loss_log: list[float] | None = None,
-):
-    """Dispatch to the configured runner; hdpmf and its no-rescale
-    ablation hdpmf_r train identically and differ only in prediction."""
-    common = dict(engine_mode=engine_mode, trace=trace, loss_log=loss_log)
-    if method is BaselineKind.MF:
-        return run_mf(train_set, tc, **common)
-    if method is BaselineKind.DPMF:
-        return run_dpmf(train_set, weights, epsilon, tc, **common)
-    if method is BaselineKind.PDPMF:
-        return run_pdpmf(train_set, weights, epsilon, tc, **common)
-    model, _ = run_hdpmf(train_set, weights, epsilon, tc, **common)
-    return model
-
-
 def run_single_seed(
     cfg: ExperimentConfig,
     dataset: RatingDataset,
@@ -142,7 +119,8 @@ def run_single_seed(
     trace=None,
     loss_log: list[float] | None = None,
 ) -> SeedResult:
-    """Allocate weights, split, train the configured method, score.
+    """Allocate weights, split, train the configured method on its
+    `method_inputs`, score.
 
     Raises EmptySplitError before training when the split holds out
     nothing, which happens when no user has more than n_test ratings.
@@ -159,10 +137,8 @@ def run_single_seed(
     tc = TrainConfig(
         epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam, K=cfg.k, master_seed=seed
     )
-    model = train_method(
-        cfg.method, train_set, weights, cfg.epsilon, tc,
-        engine_mode=cfg.engine, trace=trace, loss_log=loss_log,
-    )
+    inputs = method_inputs(cfg.method, train_set, weights, cfg.epsilon, cfg.k, seed)
+    model = train(*inputs, tc, engine_mode=cfg.engine, trace=trace, loss_log=loss_log)
     preds = predict_all(
         model, weights, plan.test.users, plan.test.items,
         dataset.scale_min, dataset.scale_max,
@@ -221,19 +197,20 @@ def grid_search_cv(
     """
     weights = allocate_weights(cfg.privacy_spec(), dataset.n_users, dataset.n_items, master_seed)
     folds = kfold_splits(dataset, n_folds, master_seed)
+    fold_inputs = [
+        method_inputs(cfg.method, fold.train, weights, cfg.epsilon, cfg.k, master_seed)
+        for fold in folds
+    ]
     table: dict[tuple[float, float], float] = {}
     for eta0 in eta_grid:
         for lam in lam_grid:
             scores = []
-            for fold in folds:
+            for fold, inputs in zip(folds, fold_inputs):
                 tc = TrainConfig(
                     epochs=cfg.epochs, eta0=eta0, lam=lam, K=cfg.k, master_seed=master_seed
                 )
                 try:
-                    model = train_method(
-                        cfg.method, fold.train, weights, cfg.epsilon, tc,
-                        engine_mode=cfg.engine,
-                    )
+                    model = train(*inputs, tc, engine_mode=cfg.engine)
                 except DivergedRunError:
                     scores.append(math.inf)
                     continue

@@ -14,8 +14,11 @@ Two interchangeable execution paths exist:
 * ``engine="messages"`` — explicit device/recommender objects exchanging
   GradientMessage values, used for protocol audits, traces, and tests.
 
-Per item and epoch both paths aggregate the same rater contributions in the
-same ascending order; they agree to floating-point reduction order.
+Both paths take the same per-entity steps from the same inputs. They sum
+differently: the message path adds each rater's residual term plus noise
+share in ascending rater order, while the kernels add the item's summed
+noise after the residual sum. So they agree to floating-point reduction
+order, not bit for bit.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ from .model import (
     objective_value,
     project_unit_ball,
 )
-from .privacy import NoisePlan, WeightAssignment, build_noise_plan
+from .privacy import NoisePlan, WeightAssignment
 
 
 @dataclass
@@ -98,7 +101,7 @@ class UserDevice:
             payload = payload + share
         return GradientMessage(j, self.user_index, payload)
 
-    def update_user(self, V: np.ndarray, lam: float, eta: float, project: bool = True) -> float:
+    def update_user(self, V: np.ndarray, lam: float, eta: float) -> float:
         """Local gradient step against the shared item factors, then
         projection onto the unit ball. Returns the gradient norm."""
         grad = np.zeros_like(self.u)
@@ -107,8 +110,7 @@ class UserDevice:
             wr = self.weights[j] * self.ratings[j]
             grad += 2.0 * (float(self.u @ v_j) - wr) * v_j
         grad += 2.0 * lam * self.u
-        u_new = self.u - eta * grad
-        self.u = project_unit_ball(u_new) if project else u_new
+        self.u = project_unit_ball(self.u - eta * grad)
         return float(np.sqrt(grad @ grad))
 
 
@@ -168,7 +170,6 @@ def _train_messages(
     plan: NoisePlan,
     cfg: TrainConfig,
     channel: MessageChannel,
-    project: bool,
     trace: IO[str] | None,
     loss_log: list[float] | None = None,
 ) -> FactorModel:
@@ -205,7 +206,7 @@ def _train_messages(
         V_ro = recommender.V.copy()
         V_ro.flags.writeable = False
         for i in range(dataset.n_users):
-            norm = devices[i].update_user(V_ro, cfg.lam, eta, project)
+            norm = devices[i].update_user(V_ro, cfg.lam, eta)
             if trace is not None:
                 trace.write(f"{t},user,{i},0,{norm!r}\n")
         finite = np.isfinite(recommender.V).all() and all(
@@ -232,7 +233,6 @@ def train(
     plan: NoisePlan,
     cfg: TrainConfig,
     engine_mode: str = "kernel",
-    project: bool = True,
     channel: MessageChannel | None = None,
     trace: IO[str] | None = None,
     loss_log: list[float] | None = None,
@@ -240,45 +240,23 @@ def train(
     """Train with per-entry privacy weights and a fixed noise plan.
 
     `entry_weights` aligns with the dataset's canonical entry order; pass
-    ones to disable stretching. All methods funnel through here so they
-    share initialization, schedule, and projection.
+    ones to disable stretching. Every method trains here, from the inputs
+    `baselines.method_inputs` gives it, so all share initialization,
+    schedule, and the unit-ball projection of user vectors.
     """
     entry_weights = np.ascontiguousarray(entry_weights, dtype=np.float64)
     if entry_weights.shape != (len(dataset),):
         raise ValueError("entry_weights must align with dataset entries")
     if engine_mode == "kernel":
         vals = entry_weights * dataset.ratings
-        return engine.fit(dataset, vals, plan.item_totals, cfg, project=project, loss_log=loss_log)
+        return engine.fit(dataset, vals, plan.item_totals, cfg, loss_log=loss_log)
     if engine_mode == "messages":
         return _train_messages(
             dataset, entry_weights, plan, cfg,
             channel if channel is not None else MessageChannel(),
-            project, trace, loss_log,
+            trace, loss_log,
         )
     raise ValueError(f"unknown engine {engine_mode!r}")
-
-
-def run_hdpmf(
-    dataset: RatingDataset,
-    weights: WeightAssignment,
-    epsilon: float,
-    cfg: TrainConfig,
-    engine_mode: str = "kernel",
-    noise_plan: NoisePlan | None = None,
-    channel: MessageChannel | None = None,
-    trace: IO[str] | None = None,
-    loss_log: list[float] | None = None,
-) -> tuple[FactorModel, NoisePlan]:
-    """Full private training run: stretch ratings by w_ij, perturb item
-    gradients with the decomposed noise plan, train for cfg.epochs."""
-    if noise_plan is None:
-        noise_plan = build_noise_plan(dataset, cfg.K, dataset.delta, epsilon, cfg.master_seed)
-    entry_weights = weights.matrix_entries(dataset.users, dataset.items)
-    model = train(
-        dataset, entry_weights, noise_plan, cfg,
-        engine_mode=engine_mode, channel=channel, trace=trace, loss_log=loss_log,
-    )
-    return model, noise_plan
 
 
 def predict_all(

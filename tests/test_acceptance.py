@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hdpmf.baselines import BaselineKind, run_dpmf, run_mf, run_pdpmf
+from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.cli import main
 from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT
 from hdpmf.data import split_leave_n_out
@@ -26,7 +26,7 @@ from hdpmf.privacy import (
     allocate_weights,
     build_noise_plan,
 )
-from hdpmf.protocol import MessageChannel, predict_all, run_hdpmf
+from hdpmf.protocol import MessageChannel, predict_all, train
 
 SEEDS = (0, 1, 2, 3, 4)
 EPOCHS = 100
@@ -50,14 +50,7 @@ def _score_method(dataset, method: BaselineKind, K: int) -> tuple[np.ndarray, np
             epochs=EPOCHS, eta0=ETA0_DEFAULT, lam=LAMBDA_DEFAULT,
             K=K, master_seed=seed,
         )
-        if method is BaselineKind.MF:
-            model = run_mf(plan.train, cfg)
-        elif method is BaselineKind.DPMF:
-            model = run_dpmf(plan.train, weights, EPSILON, cfg)
-        elif method is BaselineKind.PDPMF:
-            model = run_pdpmf(plan.train, weights, EPSILON, cfg)
-        else:
-            model, _ = run_hdpmf(plan.train, weights, EPSILON, cfg)
+        model = train(*method_inputs(method, plan.train, weights, EPSILON, K, seed), cfg)
         preds = predict_all(
             model, weights, plan.test.users, plan.test.items,
             dataset.scale_min, dataset.scale_max,
@@ -208,11 +201,10 @@ def test_criterion_6_gradient_oracle():
 def test_criterion_7_reduction_bitwise(synth_factory):
     ds = synth_factory(n_users=50, n_items=50, mean_per_user=12, master_seed=101)
     cfg = TrainConfig(epochs=EPOCHS, eta0=0.001, lam=LAMBDA_DEFAULT, K=10, master_seed=0)
-    mf_model = run_mf(ds, cfg)
-    hd_model, _ = run_hdpmf(
-        ds, WeightAssignment.uniform(ds.n_users, ds.n_items), EPSILON, cfg,
-        noise_plan=NoisePlan.zeros(ds, cfg.K),
-    )
+    uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+    mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, EPSILON, cfg.K, 0), cfg)
+    hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, EPSILON, cfg.K, 0)
+    hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.K), cfg)
     ok = np.array_equal(mf_model.V, hd_model.V) and np.array_equal(mf_model.U, hd_model.U)
     _report(7, "unit weights + zero noise reduce to plain MF bitwise", ok)
 
@@ -246,7 +238,8 @@ def test_criterion_9_information_flow(synth_factory):
     cfg = TrainConfig(epochs=5, eta0=0.001, lam=LAMBDA_DEFAULT, K=4, master_seed=0)
     channel = MessageChannel(capture=True)
     model0 = init_model(ds.n_users, ds.n_items, cfg.K, cfg.master_seed)
-    run_hdpmf(ds, weights, EPSILON, cfg, engine_mode="messages", channel=channel)
+    inputs = method_inputs(BaselineKind.HDPMF, ds, weights, EPSILON, cfg.K, cfg.master_seed)
+    train(*inputs, cfg, engine_mode="messages", channel=channel)
 
     private_values = set(ds.ratings.tolist())
     private_values |= {

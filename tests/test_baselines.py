@@ -7,17 +7,15 @@ import pytest
 
 from hdpmf.baselines import (
     BaselineKind,
+    method_inputs,
     min_observed_budget,
     pdp_sample_ratings,
-    run_dpmf,
-    run_mf,
-    run_pdpmf,
 )
 from hdpmf.data import RatingDataset, split_leave_n_out
 from hdpmf.evaluation import mse, paired_t_test
 from hdpmf.model import TrainConfig
 from hdpmf.privacy import PrivacySpec, WeightAssignment, allocate_weights
-from hdpmf.protocol import predict_all, run_hdpmf
+from hdpmf.protocol import predict_all, train
 
 
 def _uniform_budget_dataset(n_entries, budget):
@@ -97,11 +95,10 @@ class TestReductions:
 
         ds = synth_factory(n_users=20, n_items=15, mean_per_user=6, master_seed=53)
         cfg = TrainConfig(epochs=10, eta0=0.005, lam=0.01, K=3, master_seed=1)
-        mf = run_mf(ds, cfg)
-        hd, _ = run_hdpmf(
-            ds, WeightAssignment.uniform(ds.n_users, ds.n_items), 1.0, cfg,
-            noise_plan=NoisePlan.zeros(ds, 3),
-        )
+        uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        mf = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, 3, 1), cfg)
+        hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, 3, 1)
+        hd = train(hd_ds, hd_weights, NoisePlan.zeros(ds, 3), cfg)
         assert np.array_equal(mf.V, hd.V)
 
     def test_pdpmf_with_full_budgets_equals_dpmf(self, synth_factory):
@@ -110,8 +107,8 @@ class TestReductions:
         ds = synth_factory(n_users=18, n_items=14, mean_per_user=6, master_seed=59)
         w = WeightAssignment.uniform(ds.n_users, ds.n_items)
         cfg = TrainConfig(epochs=8, eta0=0.005, lam=0.01, K=3, master_seed=2)
-        a = run_pdpmf(ds, w, 1.0, cfg)
-        b = run_dpmf(ds, w, 1.0, cfg)
+        a = train(*method_inputs(BaselineKind.PDPMF, ds, w, 1.0, 3, 2), cfg)
+        b = train(*method_inputs(BaselineKind.DPMF, ds, w, 1.0, 3, 2), cfg)
         assert np.array_equal(a.V, b.V) and np.array_equal(a.U, b.U)
 
 
@@ -127,14 +124,8 @@ def scores(order_synth):
             w = allocate_weights(spec, ds.n_users, ds.n_items, seed)
             plan = split_leave_n_out(ds, 10, seed)
             cfg = TrainConfig(epochs=100, eta0=0.001, lam=0.01, K=10, master_seed=seed)
-            if method in ("hdpmf", "hdpmf_r"):
-                model, _ = run_hdpmf(plan.train, w, spec.epsilon, cfg)
-            elif method == "pdpmf":
-                model = run_pdpmf(plan.train, w, spec.epsilon, cfg)
-            elif method == "dpmf":
-                model = run_dpmf(plan.train, w, spec.epsilon, cfg)
-            else:
-                model = run_mf(plan.train, cfg)
+            inputs = method_inputs(BaselineKind(method), plan.train, w, spec.epsilon, 10, seed)
+            model = train(*inputs, cfg)
             preds = predict_all(
                 model, w, plan.test.users, plan.test.items, 1.0, 5.0,
                 rescale=(method == "hdpmf"),
@@ -176,8 +167,8 @@ class TestTrends:
                 w = allocate_weights(spec, ds.n_users, ds.n_items, seed)
                 plan = split_leave_n_out(ds, 10, seed)
                 cfg = TrainConfig(epochs=100, eta0=0.001, lam=0.01, K=10, master_seed=seed)
-                mh, _ = run_hdpmf(plan.train, w, spec.epsilon, cfg)
-                mp = run_pdpmf(plan.train, w, spec.epsilon, cfg)
+                mh = train(*method_inputs(BaselineKind.HDPMF, plan.train, w, spec.epsilon, 10, seed), cfg)
+                mp = train(*method_inputs(BaselineKind.PDPMF, plan.train, w, spec.epsilon, 10, seed), cfg)
                 h.append(mse(predict_all(mh, w, plan.test.users, plan.test.items, 1, 5), plan.test.ratings))
                 p.append(mse(predict_all(mp, w, plan.test.users, plan.test.items, 1, 5, rescale=False), plan.test.ratings))
             gaps[eps_uc] = np.mean(p) - np.mean(h)

@@ -44,6 +44,11 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="epsilon"):
             parse_config(write_config(tmp_path, epsilon=-1))
 
+    def test_seed_must_fit_the_noise_key(self, tmp_path):
+        assert parse_config(write_config(tmp_path, seeds=2**64 - 1)).seeds == (2**64 - 1,)
+        with pytest.raises(ConfigError, match="seeds"):
+            parse_config(write_config(tmp_path, seeds=2**64))
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(write_config(tmp_path, learning="fast"))
@@ -103,6 +108,18 @@ class TestCmdRun:
 
     def test_missing_config_file(self, tmp_path, capsys):
         assert main(["run", str(tmp_path / "absent.cfg")]) == 2
+
+    def test_non_utf8_files_name_their_path(self, tmp_path, capsys):
+        config = tmp_path / "latin.cfg"
+        config.write_bytes(b"\xff\xfeformat = csv\n")
+        data = tmp_path / "latin.csv"
+        data.write_bytes(b"\xff\xfeuser,item,rating\n1,1,3\n")
+        for path in (config, write_config(tmp_path, dataset=data, format="csv")):
+            assert main(["run", str(path)]) == 2
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("config error:")
+            assert "not UTF-8" in err[0]
+        assert str(data) in err[0]
 
     @pytest.mark.parametrize("key,value,method", [
         pytest.param("rescale", "false", "mf", id="rescale-mf"),
@@ -169,8 +186,9 @@ class TestCmdRun:
     def test_loss_trace_matches_objective(self, tmp_path, synth_factory):
         from hdpmf.evaluation import load_dataset, run_experiment
         from hdpmf.model import TrainConfig, objective_value
-        from hdpmf.privacy import allocate_weights, build_noise_plan
-        from hdpmf.protocol import run_hdpmf
+        from hdpmf.baselines import BaselineKind, method_inputs
+        from hdpmf.privacy import allocate_weights
+        from hdpmf.protocol import train
         from hdpmf.data import split_leave_n_out
 
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=101)
@@ -191,10 +209,12 @@ class TestCmdRun:
         w = allocate_weights(cfg.privacy_spec(), ds.n_users, ds.n_items, 0)
         tc = TrainConfig(epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam,
                          K=cfg.k, master_seed=0)
-        model, plan = run_hdpmf(plan_split.train, w, cfg.epsilon, tc)
-        train = plan_split.train
-        targets = w.matrix_entries(train.users, train.items) * train.ratings
-        expected = objective_value(model, train, targets, plan.item_totals)
+        train_set, entry_weights, plan = method_inputs(
+            BaselineKind.HDPMF, plan_split.train, w, cfg.epsilon, cfg.k, 0
+        )
+        model = train(train_set, entry_weights, plan, tc)
+        targets = w.matrix_entries(train_set.users, train_set.items) * train_set.ratings
+        expected = objective_value(model, train_set, targets, plan.item_totals)
         logged = float(rows[cfg.epochs - 1][2])
         assert logged == pytest.approx(expected, rel=1e-9)
 
@@ -275,6 +295,28 @@ class TestCmdCheckNoise:
         assert report.passed
         assert report.variance == pytest.approx(report.target_variance, rel=0.03)
 
+    def test_too_few_samples_rejected(self):
+        from hdpmf.diagnostics import MIN_SAMPLES, check_noise_composition
+
+        with pytest.raises(ValueError, match="samples"):
+            check_noise_composition(10, 4.0, 1.0, 1, MIN_SAMPLES - 1, 0)
+
+    def test_half_variance_sampler_fails_at_minimum(self, monkeypatch):
+        from hdpmf import diagnostics
+
+        true_sampler = diagnostics.sample_aggregate_noise
+
+        def half_variance(*args, **kwargs):
+            return true_sampler(*args, **kwargs) / np.sqrt(2.0)
+
+        exact = diagnostics.check_noise_composition(10, 4.0, 1.0, 5, diagnostics.MIN_SAMPLES, 0)
+        monkeypatch.setattr(diagnostics, "sample_aggregate_noise", half_variance)
+        half = diagnostics.check_noise_composition(10, 4.0, 1.0, 5, diagnostics.MIN_SAMPLES, 0)
+        assert exact.passed
+        assert half.variance == pytest.approx(exact.variance / 2.0, rel=1e-12)
+        assert not half.variance_ok and not half.passed
+        assert "[FAIL]" in "\n".join(half.lines())
+
 
 @pytest.mark.parametrize("argv", [
     ["sweep", "{dir}/exp.cfg", "--key", "eps_uc", "--values", "abc"],
@@ -282,13 +324,20 @@ class TestCmdCheckNoise:
     ["check-noise", "--raters", "x"],
     ["check-noise", "--raters", "0"],
     ["check-noise", "--samples", "0"],
+    ["check-noise", "--samples", "1"],
     ["check-noise", "--delta", "0"],
     ["check-noise", "--delta", "-4"],
     ["check-noise", "--eps", "0"],
     ["check-noise", "--eps", "-1"],
     ["run", "{dir}"],
+    ["run", "{dir}/seed-2-64.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}", "DIR"))
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
+    ratings = tmp_path / "ratings.csv"
+    ratings.write_text("user,item,rating\n1,1,3\n1,2,4\n2,1,5\n2,2,2\n")
+    (tmp_path / "seed-2-64.cfg").write_text(
+        f"dataset = {ratings}\nformat = csv\nn_test = 1\nseeds = 18446744073709551616\n"
+    )
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)

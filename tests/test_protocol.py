@@ -4,8 +4,10 @@ contract."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from hdpmf.baselines import run_mf
+from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.data import RatingDataset
 from hdpmf.exceptions import ProtocolError
 from hdpmf.model import FactorModel, TrainConfig, init_model, item_gradient
@@ -16,7 +18,6 @@ from hdpmf.protocol import (
     RecommenderState,
     UserDevice,
     predict_all,
-    run_hdpmf,
     train,
 )
 
@@ -145,26 +146,56 @@ class TestAggregationEquivalence:
             assert np.allclose(total, central, rtol=1e-10, atol=1e-12)
 
 
+@st.composite
+def engine_cases(draw):
+    """Small random rating matrices with any sparsity pattern (so items
+    without raters and users without ratings occur), K from 1 to 4, one of
+    the five methods and a master seed."""
+    n_users = draw(st.integers(1, 6))
+    n_items = draw(st.integers(1, 6))
+    mask = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
+                                  max_size=n_users * n_items))).reshape(n_users, n_items)
+    seed = draw(st.integers(0, 2**32 - 1))
+    users, items = np.nonzero(mask)
+    ratings = np.random.default_rng(seed).integers(1, 6, size=len(users)).astype(np.float64)
+    ds = RatingDataset(users, items, ratings, n_users, n_items, 1.0, 5.0)
+    return ds, draw(st.integers(1, 4)), draw(st.sampled_from(list(BaselineKind))), seed
+
+
 class TestEngineAgreement:
     def test_message_and_kernel_engines_agree(self, synth_factory):
         ds = synth_factory(n_users=15, n_items=12, mean_per_user=6, master_seed=23)
         weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=2)
         cfg = TrainConfig(epochs=5, eta0=0.01, lam=0.01, K=4, master_seed=2)
-        m_kernel, plan = run_hdpmf(ds, weights, 1.0, cfg, engine_mode="kernel")
-        m_msg, _ = run_hdpmf(ds, weights, 1.0, cfg, engine_mode="messages", noise_plan=plan)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
+        m_kernel = train(*inputs, cfg, engine_mode="kernel")
+        m_msg = train(*inputs, cfg, engine_mode="messages")
         assert np.allclose(m_kernel.V, m_msg.V, rtol=1e-9, atol=1e-12)
         assert np.allclose(m_kernel.U, m_msg.U, rtol=1e-9, atol=1e-12)
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=engine_cases())
+    def test_engines_agree_for_every_method(self, case):
+        ds, K, method, seed = case
+        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, seed)
+        cfg = TrainConfig(epochs=3, eta0=0.01, lam=0.01, K=K, master_seed=seed)
+        inputs = method_inputs(method, ds, weights, 1.0, K, seed)
+        m_kernel = train(*inputs, cfg, engine_mode="kernel")
+        m_msg = train(*inputs, cfg, engine_mode="messages")
+        np.testing.assert_allclose(m_msg.V, m_kernel.V, rtol=1e-9, atol=1e-12)
+        np.testing.assert_allclose(m_msg.U, m_kernel.U, rtol=1e-9, atol=1e-12)
+        for model in (m_kernel, m_msg):
+            assert np.linalg.norm(model.U, axis=1).max() <= 1.0 + 1e-12
 
 
 class TestReduction:
     def test_uniform_weights_zero_noise_reduces_to_mf(self, synth_factory):
         ds = synth_factory(n_users=25, n_items=20, mean_per_user=8, master_seed=29)
         cfg = TrainConfig(epochs=12, eta0=0.01, lam=0.01, K=3, master_seed=4)
-        mf_model = run_mf(ds, cfg)
-        hd_model, _ = run_hdpmf(
-            ds, WeightAssignment.uniform(ds.n_users, ds.n_items), 1.0, cfg,
-            noise_plan=NoisePlan.zeros(ds, cfg.K),
-        )
+        uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, cfg.K, 4), cfg)
+        hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, cfg.K, 4)
+        hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.K), cfg)
         assert np.array_equal(mf_model.V, hd_model.V)
         assert np.array_equal(mf_model.U, hd_model.U)
 
@@ -174,8 +205,8 @@ class TestDeterminism:
         ds = synth_factory(n_users=20, n_items=18, mean_per_user=6, master_seed=31)
         weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=3)
         cfg = TrainConfig(epochs=8, eta0=0.005, lam=0.01, K=3, master_seed=3)
-        a, _ = run_hdpmf(ds, weights, 1.0, cfg)
-        b, _ = run_hdpmf(ds, weights, 1.0, cfg)
+        a = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, 3), cfg)
+        b = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, 3), cfg)
         assert np.array_equal(a.V, b.V) and np.array_equal(a.U, b.U)
 
 
@@ -203,7 +234,8 @@ class TestInformationFlow:
         weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=6)
         cfg = TrainConfig(epochs=3, eta0=0.005, lam=0.01, K=4, master_seed=6)
         channel = MessageChannel(capture=True)
-        run_hdpmf(ds, weights, 1.0, cfg, engine_mode="messages", channel=channel)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
+        train(*inputs, cfg, engine_mode="messages", channel=channel)
 
         ptr, _ = ds.by_item
         rated_items = int(np.sum(np.diff(ptr) > 0))
@@ -227,7 +259,8 @@ class TestInformationFlow:
         weights = allocate_weights(PrivacySpec(), n, m, master_seed=7)
         cfg = TrainConfig(epochs=2, eta0=0.0001, lam=0.01, K=3, master_seed=7)
         channel = MessageChannel(capture=True)
-        run_hdpmf(ds, weights, 1.0, cfg, engine_mode="messages", channel=channel)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
+        train(*inputs, cfg, engine_mode="messages", channel=channel)
         rating_values = set(ds.ratings.tolist())
         weight_values = {
             weights.weight(i, j) for i, j in zip(ds.users.tolist(), ds.items.tolist())
@@ -274,7 +307,8 @@ class TestTrace:
         weights = WeightAssignment.uniform(5, 4)
         cfg = TrainConfig(epochs=2, eta0=0.01, lam=0.0, K=2, master_seed=0)
         buf = io.StringIO()
-        run_hdpmf(tiny_dataset, weights, 1.0, cfg, engine_mode="messages", trace=buf)
+        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, weights, 1.0, cfg.K, 0)
+        train(*inputs, cfg, engine_mode="messages", trace=buf)
         lines = buf.getvalue().strip().splitlines()
         # per epoch: one line per rated item plus one per user
         assert len(lines) == 2 * (4 + 5)
