@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on run failure (divergence, failed noise
 check), 2 on invalid arguments, on configuration errors (including input
-files that are missing or cannot be read) and on data whose split leaves
-nothing to score.
+files that are missing or cannot be read), on malformed data rows and on
+data whose split leaves nothing to score.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from pathlib import Path
 from .config import ExperimentConfig, parse_config
 from .diagnostics import MIN_SAMPLES, check_noise_composition
 from .evaluation import emit_results, load_dataset, run_experiment
-from .exceptions import ConfigError, EmptySplitError, HdpmfError
+from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
 
@@ -192,7 +192,7 @@ def main(argv: list[str] | None = None) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EmptySplitError as exc:
+    except (ParseError, EmptySplitError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return 2
     except HdpmfError as exc:

@@ -152,12 +152,13 @@ class NoisePlan:
     @classmethod
     def zeros(cls, dataset: RatingDataset, K: int) -> "NoisePlan":
         """All-zero shares; the noise-free limit used by plain MF and
-        reduction tests."""
+        reduction tests. The shares are a read-only zero-stride view, so
+        the plan costs no nnz x K memory."""
         ptr, order = dataset.by_item
         return cls(
             item_ptr=ptr,
             item_users=dataset.users[order],
-            shares=np.zeros((len(dataset), K)),
+            shares=np.broadcast_to(0.0, (len(dataset), K)),
             h=np.zeros((dataset.n_items, K)),
             delta=dataset.delta,
             epsilon=math.inf,

@@ -331,6 +331,7 @@ class TestCmdCheckNoise:
     ["check-noise", "--eps", "-1"],
     ["run", "{dir}"],
     ["run", "{dir}/seed-2-64.cfg"],
+    ["run", "{dir}/bad-row.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}", "DIR"))
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     ratings = tmp_path / "ratings.csv"
@@ -338,6 +339,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     (tmp_path / "seed-2-64.cfg").write_text(
         f"dataset = {ratings}\nformat = csv\nn_test = 1\nseeds = 18446744073709551616\n"
     )
+    bad_row = tmp_path / "bad-row.csv"
+    bad_row.write_text("user,item,rating\n1,1,3\n1,2,x\n")
+    (tmp_path / "bad-row.cfg").write_text(f"dataset = {bad_row}\nformat = csv\n")
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)

@@ -1,11 +1,12 @@
-"""Epoch-kernel contracts: the NumPy fallback matches a scalar oracle
-transcribed from the compiled kernel, and the compiled kernel (imported, or
-built from the committed `_native.c` when a C compiler exists) matches the
-fallback."""
+"""Epoch-kernel contracts: both kernels match a scalar oracle, the
+compiled kernel (imported, or built from `_native.c` when a C compiler
+exists) also matches the fallback, and it rejects malformed arguments before
+writing anything."""
 
 import hashlib
 import importlib
 import importlib.util
+import inspect
 import os
 import shlex
 import shutil
@@ -33,16 +34,15 @@ def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
     cfg = sysconfig.get_config_var
     return [
         shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
-        + ["-I" + sysconfig.get_paths()["include"], "-I" + np.get_include(),
-           "-DNPY_NO_DEPRECATED_API=NPY_1_7_API_VERSION", "-c", str(src), "-o", str(obj)],
+        + ["-I" + sysconfig.get_paths()["include"], "-c", str(src), "-o", str(obj)],
         shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(out)],
     ]
 
 
 @pytest.fixture(scope="session")
 def native(pytestconfig, tmp_path_factory):
-    """The compiled kernel: the installed extension if importable, else the
-    committed `_native.c` compiled with the interpreter's own compiler and
+    """The compiled kernel: the installed extension if importable, else
+    `_native.c` compiled with the interpreter's own compiler and
     flags (never into the source tree, which would switch every other test
     to the native backend).
 
@@ -84,7 +84,9 @@ def native(pytestconfig, tmp_path_factory):
 
 def oracle_epoch(U, V, item_ptr, item_users, item_vals, item_noise,
                  user_ptr, user_items, user_vals, lam, eta, project):
-    """Scalar reference: `_native.pyx` transcribed loop for loop."""
+    """Scalar reference for one epoch. `_native.c` runs these loops
+    statement for statement; the NumPy fallback runs the same sweeps in
+    blocks, so both are checked against this function."""
     n_items = len(item_ptr) - 1
     n_users = len(user_ptr) - 1
     K = U.shape[1]
@@ -280,3 +282,61 @@ def test_fallback_matches_oracle(inst, epochs, block):
 
     unrated = np.diff(inst["item_ptr"]) == 0
     assert np.array_equal(V_p[unrated], inst["V"][unrated])
+
+
+@settings(max_examples=60, deadline=None)
+@given(inst=csr_instances(), epochs=st.integers(1, 3))
+def test_native_matches_oracle_property(native, inst, epochs):
+    # bit for bit where the compiler does not contract to FMA (x86-64
+    # default); the tolerance admits platforms that do
+    U_o, V_o = _epochs(oracle_epoch, inst, epochs)
+    U_n, V_n = _epochs(native.run_epoch, inst, epochs)
+    np.testing.assert_allclose(U_n, U_o, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(V_n, V_o, rtol=0, atol=1e-12)
+
+
+def test_native_takes_arguments_by_position_and_keyword(native):
+    names = list(inspect.signature(_fallback.run_epoch).parameters)
+    assert list(inspect.signature(native.run_epoch).parameters) == names
+    ds, model, noise = _instance(4)
+    by_name = dict(U=model.U.copy(), V=model.V.copy(), item_noise=noise, lam=0.01, eta=0.05,
+                   project=True, **_kernel_args(ds))
+    by_position = [by_name[n].copy() if n in ("U", "V") else by_name[n] for n in names]
+    native.run_epoch(**by_name)
+    native.run_epoch(*by_position)
+    assert np.array_equal(by_name["U"], by_position[0])
+    assert np.array_equal(by_name["V"], by_position[1])
+
+
+def _replaced(array, index, value):
+    out = array.copy()
+    out[index] = value
+    return out
+
+
+def _read_only(array):
+    out = array.copy()
+    out.setflags(write=False)
+    return out
+
+
+@pytest.mark.parametrize("error, name, bad", [
+    (TypeError, "item_ptr", lambda a: a["item_ptr"].astype(np.int32)),
+    (TypeError, "U", lambda a: a["U"].astype(np.float32)),
+    (ValueError, "V", lambda a: np.asfortranarray(a["V"])),
+    (ValueError, "U", lambda a: _read_only(a["U"])),
+    (ValueError, "item_ptr", lambda a: a["item_ptr"][:-1]),
+    (ValueError, "item_users", lambda a: _replaced(a["item_users"], 0, len(a["U"]))),
+    (ValueError, "user_items", lambda a: _replaced(a["user_items"], -1, -1)),
+    (ValueError, "item_noise", lambda a: np.ascontiguousarray(a["item_noise"][:, 1:])),
+    (ValueError, "user_vals", lambda a: a["user_vals"][:-1]),
+], ids=["int32-item_ptr", "float32-U", "fortran-V", "read-only-U", "short-item_ptr",
+        "item_users-eq-n_users", "negative-user_items", "narrow-item_noise", "short-user_vals"])
+def test_native_rejects_malformed_arguments(native, error, name, bad):
+    ds, model, noise = _instance(3, n=8, m=6, K=3, density=0.5)
+    args = dict(U=model.U.copy(), V=model.V.copy(), item_noise=noise, **_kernel_args(ds))
+    args[name] = bad(args)
+    U0, V0 = args["U"].copy(), args["V"].copy()
+    with pytest.raises(error):
+        native.run_epoch(lam=0.01, eta=0.05, project=True, **args)
+    assert args["U"].tobytes() == U0.tobytes() and args["V"].tobytes() == V0.tobytes()

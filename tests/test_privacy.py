@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
+from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
 from hdpmf import privacy
@@ -244,6 +245,12 @@ class TestNoisePlan:
         assert not plan.shares.any()
         assert not plan.item_totals.any()
         assert plan.epsilon == math.inf
+
+    def test_mf_plan_holds_no_share_memory(self, tiny_dataset):
+        _, _, plan = method_inputs(BaselineKind.MF, tiny_dataset, None, 1.0, 3, 0)  # mf reads no weights
+        assert plan.shares.shape == (len(tiny_dataset), 3)
+        assert plan.shares.strides == (0, 0) and not plan.shares.flags.writeable
+        assert np.array_equal(plan.item_totals, np.zeros((tiny_dataset.n_items, 3)))
 
 
 @st.composite
