@@ -52,7 +52,6 @@ from .model import (
     item_gradient,
     learning_rate,
     objective_value,
-    predict_raw,
     project_unit_ball,
     user_gradient,
 )
@@ -63,7 +62,6 @@ from .privacy import (
     allocate_weights,
     build_noise_plan,
     laplace_scale,
-    rescale_prediction,
 )
 from .protocol import (
     GradientMessage,
@@ -121,9 +119,7 @@ __all__ = [
     "parse_config",
     "pdp_sample_ratings",
     "predict_all",
-    "predict_raw",
     "project_unit_ball",
-    "rescale_prediction",
     "run_experiment",
     "split_leave_n_out",
     "subsample_per_user",

@@ -5,8 +5,6 @@ the same updates entity by entity; this engine is what experiments run.
 
 from __future__ import annotations
 
-from typing import Callable
-
 import numpy as np
 
 from . import kernels
@@ -20,7 +18,6 @@ def fit(
     train_vals: np.ndarray,
     noise_totals: np.ndarray,
     cfg: TrainConfig,
-    epoch_callback: Callable[[int, FactorModel], None] | None = None,
     loss_log: list[float] | None = None,
 ) -> FactorModel:
     """Train a factor model on (possibly stretched) target values.
@@ -60,8 +57,6 @@ def fit(
         )
         if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
             raise DivergedRunError(t)
-        if epoch_callback is not None:
-            epoch_callback(t, model)
         if loss_log is not None:
             loss_log.append(objective_value(model, dataset, train_vals, noise_totals))
     return model

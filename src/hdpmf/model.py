@@ -1,5 +1,4 @@
-"""Latent-factor model: initialization, predictions, gradients, objective,
-schedule.
+"""Latent-factor model: initialization, gradients, objective, schedule.
 
 The private training objective is
 
@@ -10,6 +9,11 @@ where x_j^i are fixed noise shares drawn once per run. Item gradients carry
 the aggregated noise; user gradients are noise-free because user vectors
 never leave the device. User vectors are kept inside the unit L2 ball,
 which the calibration of the noise scale relies on.
+
+`item_gradient` and `user_gradient` are the one row-vectorized definition
+of the gradients: the message engine's devices take their user step with
+`user_gradient`, and the finite-difference tests check both against the
+objective. The epoch kernels compute the same updates over CSR arrays.
 """
 
 from __future__ import annotations
@@ -30,9 +34,6 @@ class FactorModel:
     V: np.ndarray  # (n_items, K)
     K: int
     lam: float = 0.0
-
-    def copy(self) -> "FactorModel":
-        return FactorModel(self.U.copy(), self.V.copy(), self.K, self.lam)
 
 
 @dataclass
@@ -69,47 +70,28 @@ def init_model(n_users: int, n_items: int, K: int, master_seed: int, lam: float 
     return FactorModel(U, V, K, lam)
 
 
-def predict_raw(model: FactorModel, i: int, j: int) -> float:
-    """Inner product u_i . v_j (unscaled prediction)."""
-    if not (0 <= i < model.U.shape[0] and 0 <= j < model.V.shape[0]):
-        raise IndexError(f"indices ({i}, {j}) out of range")
-    return float(model.U[i] @ model.V[j])
-
-
 def item_gradient(
-    model: FactorModel,
-    j: int,
-    stretched_entries: list[tuple[int, float]],
+    v_j: np.ndarray,
+    raters_U: np.ndarray,
+    wr: np.ndarray,
     noise: np.ndarray,
+    lam: float,
 ) -> np.ndarray:
     """Gradient of the private objective w.r.t. v_j.
 
-    `stretched_entries` holds (user index, w_ij * r_ij) for the raters of j;
-    `noise` is the aggregated per-item noise vector.
+    `raters_U` holds the rows u_i of j's raters, `wr` their targets
+    w_ij * r_ij in the same order, and `noise` the item's aggregated noise.
     """
-    noise = np.asarray(noise, dtype=np.float64)
-    if noise.shape != (model.K,):
-        raise ValueError(f"noise must have shape ({model.K},), got {noise.shape}")
-    v_j = model.V[j]
-    grad = np.zeros(model.K)
-    for i, wr in stretched_entries:
-        u_i = model.U[i]
-        grad += 2.0 * (u_i @ v_j - wr) * u_i
-    return grad + noise + 2.0 * model.lam * v_j
+    return 2.0 * ((raters_U @ v_j - wr) @ raters_U) + noise + 2.0 * lam * v_j
 
 
-def user_gradient(
-    model: FactorModel,
-    i: int,
-    stretched_entries: list[tuple[int, float]],
-) -> np.ndarray:
-    """Gradient of the private objective w.r.t. u_i (noise-free)."""
-    u_i = model.U[i]
-    grad = np.zeros(model.K)
-    for j, wr in stretched_entries:
-        v_j = model.V[j]
-        grad += 2.0 * (u_i @ v_j - wr) * v_j
-    return grad + 2.0 * model.lam * u_i
+def user_gradient(u_i: np.ndarray, rated_V: np.ndarray, wr: np.ndarray, lam: float) -> np.ndarray:
+    """Gradient of the private objective w.r.t. u_i (noise-free).
+
+    `rated_V` holds the rows v_j of the items i rated and `wr` the targets
+    w_ij * r_ij in the same order.
+    """
+    return 2.0 * ((rated_V @ u_i - wr) @ rated_V) + 2.0 * lam * u_i
 
 
 def learning_rate(t: int, epochs: int, eta0: float) -> float:

@@ -1,5 +1,5 @@
-"""Privacy machinery: weight allocation, stretching, noise calibration,
-distributed noise composition, and prediction rescaling.
+"""Privacy machinery: weight allocation, stretching, noise calibration and
+distributed noise composition.
 
 Every rating (i, j) carries a privacy weight w_ij = beta_i * gamma_j in
 (0, 1], giving it a personal budget w_ij * eps. Training sees the stretched
@@ -7,7 +7,7 @@ value w_ij * r_ij, and the item-side gradients are perturbed once per run
 by per-item Laplace noise of scale 2*sqrt(K)*delta/eps, assembled from
 per-device shares: a shared exponential vector h_j times per-rater Gaussian
 draws whose variances sum to one. Predictions divide by w_ij to undo the
-stretch.
+stretch (`protocol.predict_all`).
 """
 
 from __future__ import annotations
@@ -119,14 +119,6 @@ def laplace_scale(K: int, delta: float, epsilon: float) -> float:
     if K < 1 or delta <= 0 or epsilon <= 0:
         raise ValueError("K, delta, epsilon must be positive")
     return 2.0 * math.sqrt(K) * delta / epsilon
-
-
-def rescale_prediction(raw: float, w_ij: float, scale_min: float, scale_max: float) -> float:
-    """Undo stretching at prediction time: raw / w_ij, clamped to the
-    rating scale (division by small weights can overshoot it)."""
-    if w_ij <= 0:
-        raise ValueError(f"privacy weight must be > 0, got {w_ij}")
-    return min(max(raw / w_ij, scale_min), scale_max)
 
 
 @dataclass

@@ -14,11 +14,17 @@ Two interchangeable execution paths exist:
 * ``engine="messages"`` — explicit device/recommender objects exchanging
   GradientMessage values, used for protocol audits, traces, and tests.
 
+A device holds arrays: its rated items in ascending order, their targets
+w_ij * r_ij and its noise share for each. Its message for item j is the one
+rater's summand of `model.item_gradient`, and its user step calls
+`model.user_gradient`, a vectorized sum over its rated items.
+
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
 share in ascending rater order, while the kernels add the item's summed
-noise after the residual sum. So they agree to floating-point reduction
-order, not bit for bit.
+noise after the residual sum, and each path reduces a user's sum in its
+own order. So they agree to floating-point reduction order, not bit for
+bit.
 """
 
 from __future__ import annotations
@@ -38,6 +44,7 @@ from .model import (
     learning_rate,
     objective_value,
     project_unit_ball,
+    user_gradient,
 )
 from .privacy import NoisePlan, WeightAssignment
 
@@ -82,34 +89,32 @@ class MessageChannel:
 
 @dataclass
 class UserDevice:
-    """Private per-user state: ratings, weights, latent vector, noise shares."""
+    """Private per-user state: the rated items (ascending), their targets
+    w_ij * r_ij, the device's noise share for each, and the user vector."""
 
     user_index: int
-    ratings: dict[int, float]
-    weights: dict[int, float]
+    items: np.ndarray  # (n,)
+    wr: np.ndarray  # (n,)
+    shares: np.ndarray  # (n, K)
     u: np.ndarray
-    noise_shares: dict[int, np.ndarray] = field(default_factory=dict)
+    _row: dict[int, int] = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self._row = {j: r for r, j in enumerate(self.items.tolist())}
 
     def emit_gradient(self, j: int, v_j: np.ndarray) -> GradientMessage:
-        """Local item-gradient contribution plus this device's noise share."""
-        if j not in self.ratings:
+        """Local item-gradient contribution plus this device's noise share:
+        the one rater's summand of `model.item_gradient`."""
+        r = self._row.get(j)
+        if r is None:
             raise ProtocolError(f"device {self.user_index} asked to report on unrated item {j}")
-        wr = self.weights[j] * self.ratings[j]
-        payload = 2.0 * (float(self.u @ v_j) - wr) * self.u
-        share = self.noise_shares.get(j)
-        if share is not None:
-            payload = payload + share
+        payload = 2.0 * (float(self.u @ v_j) - self.wr[r]) * self.u + self.shares[r]
         return GradientMessage(j, self.user_index, payload)
 
     def update_user(self, V: np.ndarray, lam: float, eta: float) -> float:
         """Local gradient step against the shared item factors, then
         projection onto the unit ball. Returns the gradient norm."""
-        grad = np.zeros_like(self.u)
-        for j in sorted(self.ratings):
-            v_j = V[j]
-            wr = self.weights[j] * self.ratings[j]
-            grad += 2.0 * (float(self.u @ v_j) - wr) * v_j
-        grad += 2.0 * lam * self.u
+        grad = user_gradient(self.u, V[self.items], self.wr, lam)
         self.u = project_unit_ball(self.u - eta * grad)
         return float(np.sqrt(grad @ grad))
 
@@ -149,19 +154,19 @@ def _build_devices(
     plan: NoisePlan,
     U0: np.ndarray,
 ) -> list[UserDevice]:
-    devices = [
-        UserDevice(i, {}, {}, U0[i].copy()) for i in range(dataset.n_users)
+    """One device per user, holding views of its by-user CSR row. The
+    plan's shares are in by-item slot order, so they are gathered into
+    entry order through the inverse of the by-item permutation."""
+    user_ptr, _ = dataset.by_user
+    _, item_order = dataset.by_item
+    slot = np.empty_like(item_order)
+    slot[item_order] = np.arange(len(item_order))
+    shares = plan.shares[slot]
+    wr = entry_weights * dataset.ratings
+    return [
+        UserDevice(i, dataset.items[s:e], wr[s:e], shares[s:e], U0[i].copy())
+        for i, (s, e) in enumerate(zip(user_ptr[:-1].tolist(), user_ptr[1:].tolist()))
     ]
-    for p in range(len(dataset)):
-        i = int(dataset.users[p])
-        j = int(dataset.items[p])
-        devices[i].ratings[j] = float(dataset.ratings[p])
-        devices[i].weights[j] = float(entry_weights[p])
-    for j in range(dataset.n_items):
-        s, e = int(plan.item_ptr[j]), int(plan.item_ptr[j + 1])
-        for p in range(s, e):
-            devices[int(plan.item_users[p])].noise_shares[j] = plan.shares[p]
-    return devices
 
 
 def _train_messages(
@@ -242,11 +247,18 @@ def train(
     `entry_weights` aligns with the dataset's canonical entry order; pass
     ones to disable stretching. Every method trains here, from the inputs
     `baselines.method_inputs` gives it, so all share initialization,
-    schedule, and the unit-ball projection of user vectors.
+    schedule, and the unit-ball projection of user vectors. The plan must
+    be drawn for this dataset's ratings and `cfg.K`, else ValueError.
     """
     entry_weights = np.ascontiguousarray(entry_weights, dtype=np.float64)
     if entry_weights.shape != (len(dataset),):
         raise ValueError("entry_weights must align with dataset entries")
+    item_ptr, item_order = dataset.by_item
+    if plan.K != cfg.K:
+        raise ValueError(f"noise plan has K = {plan.K}, training uses K = {cfg.K}")
+    if not (np.array_equal(plan.item_ptr, item_ptr)
+            and np.array_equal(plan.item_users, dataset.users[item_order])):
+        raise ValueError("noise plan was drawn for other ratings than the dataset's")
     if engine_mode == "kernel":
         vals = entry_weights * dataset.ratings
         return engine.fit(dataset, vals, plan.item_totals, cfg, loss_log=loss_log)

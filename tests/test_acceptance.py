@@ -177,19 +177,15 @@ def test_criterion_6_gradient_oracle():
             return g
 
         for j in range(m):
-            entries = [
-                (int(ds.users[p]), weights.weight(int(ds.users[p]), j) * float(ds.ratings[p]))
-                for p in range(len(ds)) if ds.items[p] == j
-            ]
-            analytic = item_gradient(model, j, entries, plan.item_totals[j])
+            raters = ds.items == j
+            analytic = item_gradient(
+                model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
+            )
             err = np.linalg.norm(analytic - fd(model.V[j])) / max(1.0, np.linalg.norm(analytic))
             worst = max(worst, err)
         for i in range(n):
-            entries = [
-                (int(ds.items[p]), weights.weight(i, int(ds.items[p])) * float(ds.ratings[p]))
-                for p in range(len(ds)) if ds.users[p] == i
-            ]
-            analytic = user_gradient(model, i, entries)
+            rated = ds.users == i
+            analytic = user_gradient(model.U[i], model.V[ds.items[rated]], targets[rated], model.lam)
             err = np.linalg.norm(analytic - fd(model.U[i])) / max(1.0, np.linalg.norm(analytic))
             worst = max(worst, err)
         checked += 1

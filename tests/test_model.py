@@ -15,11 +15,11 @@ from hdpmf.model import (
     item_gradient,
     learning_rate,
     objective_value,
-    predict_raw,
     project_unit_ball,
     user_gradient,
 )
 from hdpmf.privacy import NoisePlan, WeightAssignment, build_noise_plan
+from hdpmf.protocol import predict_all
 from hdpmf.rng import stream
 
 
@@ -45,50 +45,48 @@ class TestInit:
         assert not np.array_equal(a.U, b.U)
 
 
+def _raw(m):
+    """The unrescaled prediction u_0 . v_0, clamped only far outside it."""
+    return predict_all(m, WeightAssignment.uniform(1, 1), [0], [0], -10.0, 10.0, rescale=False)[0]
+
+
 class TestPredictRaw:
     def test_hand_inner_product(self):
         m = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), 2)
-        assert predict_raw(m, 0, 0) == 0.5
+        assert _raw(m) == 0.5
 
     def test_zero_vector(self):
         m = FactorModel(np.zeros((1, 2)), np.array([[0.7, -0.3]]), 2)
-        assert predict_raw(m, 0, 0) == 0.0
+        assert _raw(m) == 0.0
 
     def test_unit_pair(self):
         m = FactorModel(np.array([[0.6, 0.8]]), np.array([[0.6, 0.8]]), 2)
-        assert predict_raw(m, 0, 0) == pytest.approx(1.0)
-
-    def test_index_error(self):
-        m = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
-        with pytest.raises(IndexError):
-            predict_raw(m, 1, 0)
+        assert _raw(m) == pytest.approx(1.0)
 
 
 class TestGradients:
     def test_item_gradient_single_rater(self):
-        m = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), 2, lam=0.0)
-        g = item_gradient(m, 0, [(0, 2.0)], np.zeros(2))
+        g = item_gradient(np.array([0.5, 0.0]), np.array([[1.0, 0.0]]), np.array([2.0]),
+                          np.zeros(2), 0.0)
         assert g.tolist() == [-3.0, 0.0]
 
     def test_item_gradient_no_raters(self):
-        m = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), 2, lam=0.0)
-        assert item_gradient(m, 0, [], np.zeros(2)).tolist() == [0.0, 0.0]
+        g = item_gradient(np.array([0.5, 0.0]), np.zeros((0, 2)), np.zeros(0), np.zeros(2), 0.0)
+        assert g.tolist() == [0.0, 0.0]
 
     def test_item_gradient_dimension_mismatch(self):
-        m = FactorModel(np.zeros((1, 2)), np.zeros((1, 2)), 2)
         with pytest.raises(ValueError):
-            item_gradient(m, 0, [], np.zeros(3))
+            item_gradient(np.zeros(2), np.zeros((0, 2)), np.zeros(0), np.zeros(3), 0.0)
 
     def test_user_gradient_single_item(self):
-        m = FactorModel(np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]]), 2, lam=0.0)
-        g = user_gradient(m, 0, [(0, 2.0)])
+        g = user_gradient(np.array([0.5, 0.0]), np.array([[1.0, 0.0]]), np.array([2.0]), 0.0)
         assert g.tolist() == [-3.0, 0.0]
 
     def test_user_gradient_regularization_only(self):
-        m = FactorModel(np.array([[0.3, -0.4]]), np.array([[1.0, 0.0]]), 2, lam=1.0)
+        u = np.array([0.3, -0.4])
         # zero residual: wr equals the current prediction
-        g = user_gradient(m, 0, [(0, 0.3)])
-        assert g == pytest.approx(2.0 * m.U[0])
+        g = user_gradient(u, np.array([[1.0, 0.0]]), np.array([0.3]), 1.0)
+        assert g == pytest.approx(2.0 * u)
 
 
 def _random_instance(seed, K):
@@ -126,23 +124,16 @@ def _check_gradients_fd(seed, K):
     obj = lambda: objective_value(model, ds, targets, plan.item_totals)
 
     for j in range(ds.n_items):
-        entries = [
-            (int(ds.users[p]), weights.weight(int(ds.users[p]), j) * float(ds.ratings[p]))
-            for p in range(len(ds))
-            if ds.items[p] == j
-        ]
-        noise = plan.item_totals[j]
-        analytic = item_gradient(model, j, entries, noise)
+        raters = ds.items == j
+        analytic = item_gradient(
+            model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
+        )
         fd = _fd_gradient(obj, model.V[j])
         assert np.linalg.norm(analytic - fd) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
 
     for i in range(ds.n_users):
-        entries = [
-            (int(ds.items[p]), weights.weight(i, int(ds.items[p])) * float(ds.ratings[p]))
-            for p in range(len(ds))
-            if ds.users[p] == i
-        ]
-        analytic = user_gradient(model, i, entries)
+        rated = ds.users == i
+        analytic = user_gradient(model.U[i], model.V[ds.items[rated]], targets[rated], model.lam)
         fd = _fd_gradient(obj, model.U[i])
         assert np.linalg.norm(analytic - fd) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
 

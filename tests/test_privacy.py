@@ -20,9 +20,18 @@ from hdpmf.privacy import (
     allocate_weights,
     build_noise_plan,
     laplace_scale,
-    rescale_prediction,
 )
+from hdpmf.model import FactorModel
+from hdpmf.protocol import predict_all
 from hdpmf.rng import keyed_normal, keyed_uniform, philox4x64
+
+
+def _predict_one(raw, w_ij, scale_min, scale_max):
+    """`predict_all` on one (user, item) pair whose inner product is `raw`
+    and whose privacy weight is `w_ij`."""
+    model = FactorModel(np.array([[raw]]), np.array([[1.0]]), 1)
+    weights = WeightAssignment(np.array([w_ij]), np.array([1.0]))
+    return predict_all(model, weights, [0], [0], scale_min, scale_max)[0]
 
 
 class TestPrivacySpec:
@@ -100,7 +109,7 @@ class TestWeightOps:
     @settings(max_examples=100, deadline=None)
     def test_stretch_then_rescale_recovers(self, r, w):
         # training targets are w * r; a perfect fit predicts them exactly
-        assert rescale_prediction(w * r, w, 1.0, 5.0) == pytest.approx(r, rel=1e-12)
+        assert _predict_one(w * r, w, 1.0, 5.0) == pytest.approx(r, rel=1e-12)
 
 
 class TestLaplaceScale:
@@ -118,20 +127,20 @@ class TestLaplaceScale:
 
 class TestRescalePrediction:
     def test_division(self):
-        assert rescale_prediction(0.6, 0.5, 1.0, 5.0) == pytest.approx(1.2)
+        assert _predict_one(0.6, 0.5, 1.0, 5.0) == pytest.approx(1.2)
 
     def test_clamp_at_max(self):
-        assert rescale_prediction(10.0, 0.5, 1.0, 5.0) == 5.0
+        assert _predict_one(10.0, 0.5, 1.0, 5.0) == 5.0
 
     def test_clamp_at_min(self):
-        assert rescale_prediction(0.1, 1.0, 1.0, 5.0) == 1.0
+        assert _predict_one(0.1, 1.0, 1.0, 5.0) == 1.0
 
     def test_identity_weight(self):
-        assert rescale_prediction(3.3, 1.0, 1.0, 5.0) == pytest.approx(3.3)
+        assert _predict_one(3.3, 1.0, 1.0, 5.0) == pytest.approx(3.3)
 
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
-            rescale_prediction(1.0, 0.0, 1.0, 5.0)
+            _predict_one(1.0, 0.0, 1.0, 5.0)
 
 
 def _complete_dataset(n_users, n_items, rating=3.0):

@@ -10,21 +10,32 @@ from hypothesis import strategies as st
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.data import RatingDataset
 from hdpmf.exceptions import ProtocolError
-from hdpmf.model import FactorModel, TrainConfig, init_model, item_gradient
+from hdpmf.model import FactorModel, TrainConfig, init_model, item_gradient, user_gradient
 from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan, PrivacySpec
 from hdpmf.protocol import (
     GradientMessage,
     MessageChannel,
     RecommenderState,
     UserDevice,
+    _build_devices,
     predict_all,
     train,
 )
 
 
 def make_device(u, ratings, weights, shares=None):
-    return UserDevice(0, dict(ratings), dict(weights), np.asarray(u, dtype=float),
-                      shares or {})
+    """Device 0 from {item: rating}, {item: weight} and {item: share};
+    unlisted shares are zero."""
+    u = np.asarray(u, dtype=float)
+    items = sorted(ratings)
+    shares = shares or {}
+    return UserDevice(
+        0,
+        np.array(items, dtype=np.int64),
+        np.array([weights[j] * ratings[j] for j in items]),
+        np.array([shares.get(j, np.zeros_like(u)) for j in items]).reshape(len(items), len(u)),
+        u,
+    )
 
 
 class TestDeviceEmit:
@@ -92,7 +103,7 @@ class TestDeviceUpdateUser:
         assert np.linalg.norm(dev.u) <= 1.0 + 1e-12
 
     def test_step_matches_centralized_user_gradient(self):
-        from hdpmf.model import FactorModel, project_unit_ball, user_gradient
+        from hdpmf.model import project_unit_ball
 
         rng = np.random.default_rng(3)
         K, m = 3, 6
@@ -100,13 +111,12 @@ class TestDeviceUpdateUser:
         u = rng.normal(0, 0.3, K)
         ratings = {j: float(rng.uniform(1, 5)) for j in (0, 2, 5)}
         weights = {j: float(rng.uniform(0.1, 1)) for j in ratings}
-        dev = UserDevice(0, ratings, weights, u.copy())
+        dev = make_device(u.copy(), ratings, weights)
         eta, lam = 0.05, 0.02
         dev.update_user(V, lam, eta)
 
-        model = FactorModel(u[None, :].copy(), V, K, lam=lam)
-        entries = [(j, weights[j] * ratings[j]) for j in sorted(ratings)]
-        grad = user_gradient(model, 0, entries)
+        items = sorted(ratings)
+        grad = user_gradient(u, V[items], np.array([weights[j] * ratings[j] for j in items]), lam)
         expected = project_unit_ball(u - eta * grad)
         assert np.allclose(dev.u, expected, rtol=1e-12, atol=1e-15)
 
@@ -118,31 +128,29 @@ class TestAggregationEquivalence:
         weights = allocate_weights(spec, ds.n_users, ds.n_items, master_seed=1)
         plan = build_noise_plan(ds, 3, ds.delta, 1.0, master_seed=1)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1, lam=0.02)
+        targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
         devices = {}
         for i in range(ds.n_users):
-            mask = ds.users == i
+            rated = ds.users == i
+            items = ds.items[rated]
             devices[i] = UserDevice(
                 i,
-                {int(j): float(r) for j, r in zip(ds.items[mask], ds.ratings[mask])},
-                {int(j): weights.weight(i, int(j)) for j in ds.items[mask]},
+                items,
+                targets[rated],
+                np.array([plan.share(i, int(j)) for j in items]).reshape(len(items), 3),
                 model.U[i].copy(),
-                {},
             )
         for j in range(ds.n_items):
-            raters = ds.item_raters(j)
-            for i in raters:
-                devices[int(i)].noise_shares[j] = plan.share(int(i), j)
-            if len(raters) == 0:
+            raters = ds.items == j
+            if not raters.any():
                 continue
             total = np.zeros(3)
-            for i in raters:
+            for i in ds.users[raters]:
                 total += devices[int(i)].emit_gradient(j, model.V[j]).payload
             total += 2.0 * model.lam * model.V[j]
-            entries = [
-                (int(i), weights.weight(int(i), j) * devices[int(i)].ratings[j])
-                for i in raters
-            ]
-            central = item_gradient(model, j, entries, plan.item_totals[j])
+            central = item_gradient(
+                model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
+            )
             assert np.allclose(total, central, rtol=1e-10, atol=1e-12)
 
 
@@ -160,6 +168,44 @@ def engine_cases(draw):
     ratings = np.random.default_rng(seed).integers(1, 6, size=len(users)).astype(np.float64)
     ds = RatingDataset(users, items, ratings, n_users, n_items, 1.0, 5.0)
     return ds, draw(st.integers(1, 4)), draw(st.sampled_from(list(BaselineKind))), seed
+
+
+class TestDeviceConstruction:
+    @settings(max_examples=40, deadline=None)
+    @given(case=engine_cases())
+    def test_devices_hold_their_ratings_and_shares(self, case):
+        # engine agreement cannot see shares permuted among one item's
+        # raters, since the item's sum is unchanged; this can
+        ds, K, method, seed = case
+        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, seed)
+        train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
+        U0 = init_model(train_set.n_users, train_set.n_items, K, seed).U
+        devices = _build_devices(train_set, entry_weights, plan, U0)
+        assert len(devices) == train_set.n_users
+        for i, dev in enumerate(devices):
+            rated = train_set.users == i
+            assert dev.user_index == i
+            assert np.all(np.diff(dev.items) > 0)
+            assert np.array_equal(dev.items, train_set.items[rated])
+            assert np.array_equal(dev.wr, entry_weights[rated] * train_set.ratings[rated])
+            assert dev.shares.shape == (len(dev.items), K)
+            for row, j in zip(dev.shares, dev.items.tolist()):
+                assert row.tobytes() == plan.share(i, j).tobytes()
+            assert np.array_equal(dev.u, U0[i])
+
+
+class TestPlanAlignment:
+    @pytest.mark.parametrize("engine_mode", ["kernel", "messages"])
+    @pytest.mark.parametrize("case", ["other-K", "subset"])
+    def test_plan_for_other_ratings_rejected(self, synth_factory, engine_mode, case):
+        ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=53)
+        cfg = TrainConfig(epochs=1, K=3)
+        if case == "other-K":
+            plan = build_noise_plan(ds, 1, ds.delta, 1.0, 0)
+        else:
+            plan = build_noise_plan(ds.subset(np.arange(len(ds)) % 2 == 0), 3, ds.delta, 1.0, 0)
+        with pytest.raises(ValueError, match="noise plan"):
+            train(ds, np.ones(len(ds)), plan, cfg, engine_mode=engine_mode)
 
 
 class TestEngineAgreement:
@@ -211,18 +257,25 @@ class TestDeterminism:
 
 
 class TestProjectionInvariant:
-    def test_user_norms_bounded_every_epoch(self, synth_factory):
+    def test_user_norms_bounded_every_epoch(self, synth_factory, monkeypatch):
         ds = synth_factory(n_users=30, n_items=25, mean_per_user=8, master_seed=37)
         weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=5)
-        from hdpmf import engine
+        from hdpmf import engine, kernels
 
         seen = []
+        run_epoch = kernels.run_epoch
+
+        def recording_epoch(U, *args, **kwargs):
+            result = run_epoch(U, *args, **kwargs)
+            seen.append(np.linalg.norm(U, axis=1).max())
+            return result
+
+        monkeypatch.setattr(kernels, "run_epoch", recording_epoch)
         cfg = TrainConfig(epochs=10, eta0=0.05, lam=0.01, K=4, master_seed=5)
         entry_w = weights.matrix_entries(ds.users, ds.items)
         engine.fit(
             ds, entry_w * ds.ratings,
             build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg,
-            epoch_callback=lambda t, m: seen.append(np.linalg.norm(m.U, axis=1).max()),
         )
         assert len(seen) == 10
         assert max(seen) <= 1.0 + 1e-12
@@ -286,9 +339,6 @@ class TestPredictAll:
         assert np.array_equal(on, off)
 
     def test_matches_scalar_rescale(self, synth_factory):
-        from hdpmf.privacy import rescale_prediction
-        from hdpmf.model import predict_raw
-
         ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=47)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1)
         model.V *= 9.0  # force some predictions past the clamp bounds
@@ -296,7 +346,7 @@ class TestPredictAll:
         out = predict_all(model, w, ds.users, ds.items, 1.0, 5.0)
         for idx in range(len(ds)):
             i, j = int(ds.users[idx]), int(ds.items[idx])
-            expected = rescale_prediction(predict_raw(model, i, j), w.weight(i, j), 1.0, 5.0)
+            expected = np.clip(model.U[i] @ model.V[j] / w.weight(i, j), 1.0, 5.0)
             assert out[idx] == pytest.approx(expected, rel=1e-12)
 
 
