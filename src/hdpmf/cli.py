@@ -82,19 +82,20 @@ def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
     base = _parse_checked(config_path)
     if not values:
         raise ConfigError(key, "no sweep values given")
+    for trace_key in ("trace", "loss_trace"):
+        if getattr(base, trace_key) is not None:
+            raise ConfigError(trace_key, "sweep writes no traces; remove the key or use run")
+    changes = {"split": "leave-one-out"} if key == "fraction" else {}
+    configs = []
+    for value in values:
+        try:
+            configs.append(replace(base, **changes, **{key: value}))
+        except ConfigError as exc:
+            raise ConfigError(key, f"sweep value {value} invalid: {exc}") from None
     dataset = _load_checked(base)
     results = []
     failed = False
-    for value in values:
-        cfg = replace(base, **{key: value})
-        if key == "fraction":
-            cfg = replace(cfg, split="leave-one-out")
-        try:
-            cfg.privacy_spec()
-            if not (0.0 < cfg.fraction <= 1.0):
-                raise ConfigError("fraction", f"must be in (0, 1], got {cfg.fraction}")
-        except ConfigError as exc:
-            raise ConfigError(key, f"sweep value {value} invalid: {exc}") from None
+    for value, cfg in zip(values, configs):
         result = run_experiment(cfg, dataset=dataset)
         failed = failed or result.partial or not result.seed_results
         results.append(result)

@@ -8,10 +8,13 @@ for the default dataset location; explicit paths are used as given.
 
 from __future__ import annotations
 
+import math
 import os
 import re
+import types
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 from .baselines import BaselineKind
 from .exceptions import ConfigError
@@ -33,7 +36,11 @@ def default_dataset_path() -> str:
 
 @dataclass
 class ExperimentConfig:
-    """Validated, fully-defaulted settings of one experiment."""
+    """Validated, fully-defaulted settings of one experiment.
+
+    Every construction, from a file, by `dataclasses.replace` or directly,
+    runs the same checks and raises ConfigError naming the offending key.
+    """
 
     dataset: str = field(default_factory=default_dataset_path)
     format: str = "ml-100k"  # ml-100k | ml-1m | csv
@@ -63,6 +70,41 @@ class ExperimentConfig:
     engine: str = "kernel"  # kernel | messages
     trace: str | None = None
     loss_trace: str | None = None
+
+    def __post_init__(self):
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ConfigError(f.name, f"must be finite, got {value}")
+        if self.format not in ("ml-100k", "ml-1m", "csv"):
+            raise ConfigError("format", f"must be ml-100k, ml-1m, or csv, got {self.format!r}")
+        if self.k < 1:
+            raise ConfigError("k", f"must be >= 1, got {self.k}")
+        if self.epochs < 1:
+            raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
+        if self.eta0 is not None and self.eta0 <= 0:
+            raise ConfigError("eta0", f"must be > 0, got {self.eta0}")
+        if self.lam < 0:
+            raise ConfigError("lam", f"must be >= 0, got {self.lam}")
+        if self.scale_max <= self.scale_min:
+            raise ConfigError("scale_max", "rating scale must have positive range")
+        if self.split not in ("leave-n-out", "leave-one-out"):
+            raise ConfigError("split", f"must be leave-n-out or leave-one-out, got {self.split!r}")
+        if self.n_test < 1:
+            raise ConfigError("n_test", f"must be >= 1, got {self.n_test}")
+        if not (0.0 < self.fraction <= 1.0):
+            raise ConfigError("fraction", f"must be in (0, 1], got {self.fraction}")
+        if not self.seeds:
+            raise ConfigError("seeds", "need at least one seed")
+        if len(set(self.seeds)) != len(self.seeds):
+            raise ConfigError("seeds", "duplicate seeds")
+        if not all(0 <= s < 1 << 64 for s in self.seeds):
+            raise ConfigError("seeds", "must be in [0, 2**64), the width of the noise-plan key")
+        if self.engine not in ("kernel", "messages"):
+            raise ConfigError("engine", f"must be kernel or messages, got {self.engine!r}")
+        if self.trace is not None and self.engine != "messages":
+            raise ConfigError("trace", "run traces require engine = messages")
+        self.privacy_spec()
 
     @property
     def effective_eta0(self) -> float:
@@ -94,84 +136,26 @@ class ExperimentConfig:
         return out
 
 
-def _parse_seeds(raw: str) -> tuple[int, ...]:
-    seeds = tuple(int(part.strip()) for part in raw.split(",") if part.strip())
-    if not seeds:
-        raise ValueError("need at least one seed")
-    if len(set(seeds)) != len(seeds):
-        raise ValueError("duplicate seeds")
-    if any(s < 0 for s in seeds):
-        raise ValueError("seeds must be non-negative")
-    if any(s >= 1 << 64 for s in seeds):
-        raise ValueError("seeds must be below 2**64, the width of the noise-plan key")
-    return seeds
+_TYPES = get_type_hints(ExperimentConfig)
 
 
-_PARSERS = {
-    "dataset": str,
-    "format": str,
-    "scale_min": float,
-    "scale_max": float,
-    "method": lambda raw: BaselineKind(raw.lower()),
-    "k": int,
-    "epochs": int,
-    "eta0": float,
-    "lam": float,
-    "epsilon": float,
-    "f_uc": float,
-    "f_um": float,
-    "f_ic": float,
-    "f_im": float,
-    "eps_uc": float,
-    "eps_um": float,
-    "eps_ul": float,
-    "eps_ic": float,
-    "eps_im": float,
-    "eps_il": float,
-    "split": str,
-    "n_test": int,
-    "fraction": float,
-    "seeds": _parse_seeds,
-    "output": str,
-    "engine": str,
-    "trace": str,
-    "loss_trace": str,
-}
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.format not in ("ml-100k", "ml-1m", "csv"):
-        raise ConfigError("format", f"must be ml-100k, ml-1m, or csv, got {cfg.format!r}")
-    if cfg.k < 1:
-        raise ConfigError("k", f"must be >= 1, got {cfg.k}")
-    if cfg.epochs < 1:
-        raise ConfigError("epochs", f"must be >= 1, got {cfg.epochs}")
-    if cfg.eta0 is not None and cfg.eta0 <= 0:
-        raise ConfigError("eta0", f"must be > 0, got {cfg.eta0}")
-    if cfg.lam < 0:
-        raise ConfigError("lam", f"must be >= 0, got {cfg.lam}")
-    if cfg.epsilon <= 0:
-        raise ConfigError("epsilon", f"must be > 0, got {cfg.epsilon}")
-    if cfg.scale_max <= cfg.scale_min:
-        raise ConfigError("scale_max", "rating scale must have positive range")
-    if cfg.split not in ("leave-n-out", "leave-one-out"):
-        raise ConfigError("split", f"must be leave-n-out or leave-one-out, got {cfg.split!r}")
-    if cfg.n_test < 1:
-        raise ConfigError("n_test", f"must be >= 1, got {cfg.n_test}")
-    if not (0.0 < cfg.fraction <= 1.0):
-        raise ConfigError("fraction", f"must be in (0, 1], got {cfg.fraction}")
-    if cfg.engine not in ("kernel", "messages"):
-        raise ConfigError("engine", f"must be kernel or messages, got {cfg.engine!r}")
-    if cfg.trace is not None and cfg.engine != "messages":
-        raise ConfigError("trace", "run traces require engine = messages")
-    cfg.privacy_spec()
+def _parse_value(kind, raw: str):
+    """Parse the text of a value by its field's declared type."""
+    if kind == tuple[int, ...]:
+        return tuple(int(part) for part in raw.split(",") if part.strip())
+    if kind is BaselineKind:
+        return BaselineKind(raw.lower())
+    if isinstance(kind, types.UnionType):  # `X | None` reads as X
+        kind, _ = get_args(kind)
+    return kind(raw)
 
 
 def parse_config(path: str | Path) -> ExperimentConfig:
-    """Read a `key = value` config file, apply defaults, validate.
+    """Read a `key = value` config file and build the config from it.
 
     `#` starts a comment at the beginning of a line or after whitespace;
-    elsewhere it is part of the value.
+    elsewhere it is part of the value. A key is unknown unless it names a
+    field of ExperimentConfig.
 
     Raises ConfigError naming the offending key.
     """
@@ -185,15 +169,12 @@ def parse_config(path: str | Path) -> ExperimentConfig:
                 raise ConfigError(f"line {line_no}", f"expected 'key = value', got {text!r}")
             key, _, raw = text.partition("=")
             key = key.strip()
-            raw = raw.strip()
-            if key not in _PARSERS:
+            if key not in _TYPES:
                 raise ConfigError(key, "unknown key")
             if key in values:
                 raise ConfigError(key, "set more than once")
             try:
-                values[key] = _PARSERS[key](raw)
+                values[key] = _parse_value(_TYPES[key], raw.strip())
             except ValueError as exc:
                 raise ConfigError(key, str(exc)) from None
-    cfg = ExperimentConfig(**values)
-    _validate(cfg)
-    return cfg
+    return ExperimentConfig(**values)

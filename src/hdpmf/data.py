@@ -89,11 +89,6 @@ class RatingDataset:
         np.cumsum(counts, out=ptr[1:])
         return ptr, order
 
-    def item_raters(self, j: int) -> np.ndarray:
-        """Users who rated item j, ascending."""
-        ptr, order = self.by_item
-        return self.users[order[ptr[j] : ptr[j + 1]]]
-
     def subset(self, mask: np.ndarray) -> "RatingDataset":
         """New dataset keeping entries where mask is True; dimensions and
         scale are preserved."""

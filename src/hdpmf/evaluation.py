@@ -150,7 +150,6 @@ def run_single_seed(
 
 def run_experiment(
     cfg: ExperimentConfig,
-    seeds: list[int] | tuple[int, ...] | None = None,
     dataset: RatingDataset | None = None,
     trace=None,
     loss_trace=None,
@@ -161,13 +160,10 @@ def run_experiment(
     `loss_trace` is an optional text handle receiving one
     `seed,epoch,objective` line per training epoch.
     """
-    seeds = list(cfg.seeds if seeds is None else seeds)
-    if not seeds:
-        raise ValueError("need at least one seed")
     if dataset is None:
         dataset = load_dataset(cfg)
     result = ExperimentResult(method=cfg.method, config=cfg)
-    for seed in seeds:
+    for seed in cfg.seeds:
         loss_log: list[float] | None = [] if loss_trace is not None else None
         try:
             result.seed_results.append(

@@ -53,10 +53,10 @@ class PrivacySpec:
             raise ValueError("f_uc + f_um must be <= 1")
         if self.f_ic + self.f_im > 1.0 + 1e-12:
             raise ValueError("f_ic + f_im must be <= 1")
-        for lo, mid, hi in ((self.eps_uc, self.eps_um, self.eps_ul),
-                            (self.eps_ic, self.eps_im, self.eps_il)):
+        for names in (("eps_uc", "eps_um", "eps_ul"), ("eps_ic", "eps_im", "eps_il")):
+            lo, mid, hi = (getattr(self, name) for name in names)
             if not (0.0 < lo <= mid <= hi <= 1.0):
-                raise ValueError(f"weight ranges must satisfy 0 < con <= mod <= lib <= 1, got {(lo, mid, hi)}")
+                raise ValueError(f"weight ranges must satisfy 0 < {' <= '.join(names)} <= 1, got {(lo, mid, hi)}")
 
 
 @dataclass
@@ -156,15 +156,6 @@ class NoisePlan:
             epsilon=math.inf,
             K=K,
         )
-
-    def has_item(self, j: int) -> bool:
-        return self.item_ptr[j] < self.item_ptr[j + 1]
-
-    def item_basis(self, j: int) -> np.ndarray:
-        """The shared exponential vector h_j of a rated item."""
-        if not self.has_item(j):
-            raise KeyError(f"item {j} has no raters, no noise entry")
-        return self.h[j]
 
     def share(self, i: int, j: int) -> np.ndarray:
         """The share x_j^i contributed by user i to item j; KeyError if i

@@ -1,11 +1,14 @@
 """Config parsing and the CLI subcommands end to end."""
 
+from dataclasses import replace
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from hdpmf.baselines import BaselineKind
 from hdpmf.cli import main
-from hdpmf.config import parse_config
+from hdpmf.config import ExperimentConfig, parse_config
 from hdpmf.evaluation import read_results
 from hdpmf.exceptions import ConfigError
 
@@ -89,6 +92,40 @@ class TestParseConfig:
     def test_bad_ratio_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             parse_config(write_config(tmp_path, f_uc=0.8, f_um=0.4))
+
+    @pytest.mark.parametrize("path", [None, Path(__file__).parent.parent / "configs" / "demo.cfg"],
+                             ids=["defaults", "demo.cfg"])
+    def test_effective_items_echo_parses_back(self, tmp_path, path):
+        cfg = ExperimentConfig() if path is None else parse_config(path)
+        echo = [f"{key} = {value}" for key, value in cfg.effective_items() if value != "None"]
+        (tmp_path / "echo.cfg").write_text("\n".join(echo) + "\n")
+        assert parse_config(tmp_path / "echo.cfg").effective_items() == cfg.effective_items()
+
+
+class TestConfigChecks:
+    """Direct construction and `dataclasses.replace` run the checks a
+    config file gets."""
+
+    @pytest.mark.parametrize("make", [
+        pytest.param(lambda **kw: ExperimentConfig(**kw), id="direct"),
+        pytest.param(lambda **kw: replace(ExperimentConfig(), **kw), id="replace"),
+    ])
+    @pytest.mark.parametrize("key,value", [
+        ("k", 0),
+        ("epochs", 0),
+        ("fraction", 7),
+        ("engine", "bogus"),
+        ("trace", "t.log"),
+        ("eps_uc", 5),
+        ("seeds", ()),
+        ("seeds", (1, 1)),
+        ("seeds", (2**64,)),
+        ("epsilon", float("nan")),
+        ("lam", float("inf")),
+    ])
+    def test_invalid_value_names_its_key(self, make, key, value):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+            make(**{key: value})
 
 
 class TestCmdRun:
@@ -269,6 +306,18 @@ class TestCmdSweep:
         cfg = write_config(tmp_path, dataset=data, output=tmp_path / "o.csv", **BASE)
         assert main(["sweep", str(cfg), "--key", "fraction", "--values", "0,2"]) == 2
 
+    @pytest.mark.parametrize("key", ["trace", "loss_trace"])
+    def test_trace_keys_rejected(self, tmp_path, synth_factory, capsys, key):
+        # sweep writes no trace, so a trace key would be echoed but ignored
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
+        out, trace = tmp_path / "o.csv", tmp_path / "t.log"
+        cfg = write_config(tmp_path, dataset=data, output=out, engine="messages", **{key: trace}, **BASE)
+        assert main(["sweep", str(cfg), "--key", "eps_uc", "--values", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"'{key}'" in err
+        assert not out.exists() and not trace.exists()
+
 
 class TestCmdCheckNoise:
     def test_small_check_passes(self, capsys):
@@ -332,6 +381,11 @@ class TestCmdCheckNoise:
     ["run", "{dir}"],
     ["run", "{dir}/seed-2-64.cfg"],
     ["run", "{dir}/bad-row.cfg"],
+    ["run", "{dir}/epsilon-nan.cfg"],
+    ["run", "{dir}/epsilon-inf.cfg"],
+    ["run", "{dir}/lam-nan.cfg"],
+    ["run", "{dir}/eta0-inf.cfg"],
+    ["run", "{dir}/scale_max-inf.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}", "DIR"))
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     ratings = tmp_path / "ratings.csv"
@@ -342,6 +396,11 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     bad_row = tmp_path / "bad-row.csv"
     bad_row.write_text("user,item,rating\n1,1,3\n1,2,x\n")
     (tmp_path / "bad-row.cfg").write_text(f"dataset = {bad_row}\nformat = csv\n")
+    for key, value in (("epsilon", "nan"), ("epsilon", "inf"), ("lam", "nan"), ("eta0", "inf"), ("scale_max", "inf")):
+        (tmp_path / f"{key}-{value}.cfg").write_text(
+            f"dataset = {ratings}\nformat = csv\nn_test = 1\nepochs = 2\n"
+            f"output = {tmp_path / 'r.csv'}\n{key} = {value}\n"
+        )
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)
@@ -350,3 +409,5 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err and "Traceback" not in err
+    if argv[0] == "run":
+        assert err.count("\n") == 1

@@ -46,8 +46,10 @@ class TestRatingDataset:
         assert tiny_dataset.delta == 4.0
 
     def test_item_raters_ascending(self, tiny_dataset):
-        raters = tiny_dataset.item_raters(1)
-        assert raters.tolist() == sorted(raters.tolist())
+        ptr, order = tiny_dataset.by_item
+        for j in range(tiny_dataset.n_items):
+            raters = tiny_dataset.users[order[ptr[j] : ptr[j + 1]]]
+            assert raters.tolist() == sorted(raters.tolist())
 
 
 class TestLoaders:

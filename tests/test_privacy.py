@@ -155,9 +155,10 @@ class TestNoisePlan:
     def test_share_formula(self):
         ds = _complete_dataset(3, 2)
         plan = build_noise_plan(ds, K=4, delta=4.0, epsilon=1.0, master_seed=11)
+        ptr, order = ds.by_item
         for j in range(2):
-            h = plan.item_basis(j)
-            raters = ds.item_raters(j)
+            h = plan.h[j]
+            raters = ds.users[order[ptr[j] : ptr[j + 1]]]
             sigma = 1.0 / math.sqrt(len(raters))
             for i in raters:
                 c = sigma * keyed_normal(11, "noise-c", [j], [i], 4)[0]
@@ -175,17 +176,16 @@ class TestNoisePlan:
             np.array([0, 1]), np.array([0, 0]), np.array([3.0, 4.0]), 2, 3, 1, 5
         )
         plan = build_noise_plan(ds, 2, 4.0, 1.0, master_seed=0)
-        assert plan.has_item(0)
-        assert not plan.has_item(1)
-        with pytest.raises(KeyError):
-            plan.item_basis(1)
+        assert list(plan.item_ptr) == [0, 2, 2, 2]
+        assert np.all(plan.h[0] > 0)
+        assert not plan.h[1:].any()
 
     def test_single_rater_share_is_standard_normal_scaled(self):
         # |raters| = 1: c ~ N(0, 1), the single-user composition form
         ds = RatingDataset(np.array([0]), np.array([0]), np.array([3.0]), 1, 1, 1, 5)
         plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=7)
         c = keyed_normal(7, "noise-c", [0], [0], 3)[0]
-        expected = 8.0 * np.sqrt(6.0 * plan.item_basis(0)) * c
+        expected = 8.0 * np.sqrt(6.0 * plan.h[0]) * c
         assert np.allclose(plan.share(0, 0), expected, rtol=1e-12)
 
     def test_share_of_unrated_pair_raises(self):
@@ -342,5 +342,5 @@ class TestKeyedDraws:
             return plan.share(i, j) / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
 
         for i, j in zip(sub.users, sub.items):
-            assert np.array_equal(part.item_basis(j), full.item_basis(j))
+            assert np.array_equal(part.h[j], full.h[j])
             assert np.allclose(unit_draw(part, i, j), unit_draw(full, i, j), rtol=1e-12, atol=0)
