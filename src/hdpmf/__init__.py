@@ -47,7 +47,6 @@ from .exceptions import (
 from .kernels import backend_name
 from .model import (
     FactorModel,
-    TrainConfig,
     init_model,
     item_gradient,
     learning_rate,
@@ -57,7 +56,6 @@ from .model import (
 )
 from .privacy import (
     NoisePlan,
-    PrivacySpec,
     WeightAssignment,
     allocate_weights,
     build_noise_plan,
@@ -88,12 +86,10 @@ __all__ = [
     "NoiseCheckReport",
     "NoisePlan",
     "ParseError",
-    "PrivacySpec",
     "ProtocolError",
     "RatingDataset",
     "RecommenderState",
     "SplitPlan",
-    "TrainConfig",
     "UserDevice",
     "WeightAssignment",
     "allocate_weights",

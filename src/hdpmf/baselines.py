@@ -1,10 +1,11 @@
 """The compared methods as inputs to the one shared training protocol.
 
-Every method trains through `protocol.train` with the same initialization,
-schedule, projection, and epoch structure; `method_inputs` gives what each
-one feeds it: which ratings, which per-rating weights (stretched targets
-w_ij * r_ij, or raw ratings), and which noise plan. Whether predictions are
-rescaled is `BaselineKind.rescales`.
+Every method trains as `protocol.train(*method_inputs(...), cfg, seed)`,
+with the same initialization, schedule, projection, and epoch structure;
+`method_inputs` gives what each one feeds it: which ratings, which
+per-rating weights (stretched targets w_ij * r_ij, or raw ratings), and
+which noise plan. The config supplies everything else. Whether predictions
+are rescaled is `BaselineKind.rescales`.
 
 * ``mf``      — no noise, no stretching: the non-private reference.
 * ``dpmf``    — uniform noise for everyone, calibrated to the strictest

@@ -2,8 +2,9 @@
 
 Exit codes: 0 on success, 1 on run failure (divergence, failed noise
 check), 2 on invalid arguments, on configuration errors (including input
-files that are missing or cannot be read), on malformed data rows and on
-data whose split leaves nothing to score.
+files that are missing or cannot be read and an output directory that does
+not exist), on malformed data rows and on data whose split leaves nothing
+to score.
 """
 
 from __future__ import annotations
@@ -39,8 +40,14 @@ def _utf8_text(path):
 
 
 def _parse_checked(config_path: str) -> ExperimentConfig:
+    """Parse the config and check, before any data is loaded, that the
+    results file can be written where it says."""
     with _utf8_text(config_path):
-        return parse_config(config_path)
+        cfg = parse_config(config_path)
+    directory = Path(cfg.output).parent
+    if not directory.is_dir():
+        raise ConfigError("output", f"directory not found: {directory}")
+    return cfg
 
 
 def _load_checked(cfg: ExperimentConfig):

@@ -1,9 +1,10 @@
 """Experiment configuration: flat `key = value` files with defaults.
 
 An empty file is a valid config: every key has a default matching the
-reference experimental setting (privacy spec table defaults, epsilon 1,
-K 10, 100 epochs, 5 seeds). Paths are resolved against HDPMF_DATA_DIR only
-for the default dataset location; explicit paths are used as given.
+reference experimental setting (the paper's group ratios and weight
+ranges, epsilon 1, K 10, 100 epochs, 5 seeds). Paths are resolved against
+HDPMF_DATA_DIR only for the default dataset location; explicit paths are
+used as given.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from typing import get_args, get_type_hints
 
 from .baselines import BaselineKind
 from .exceptions import ConfigError
-from .privacy import PrivacySpec
 
 # Best-found training defaults, the same for every method (5-fold CV over
 # lambda in {0.01, 0.001} and eta0 in {0.05, 0.01, 0.005, 0.001}; dpmf over
@@ -40,6 +40,10 @@ class ExperimentConfig:
 
     Every construction, from a file, by `dataclasses.replace` or directly,
     runs the same checks and raises ConfigError naming the offending key.
+    The privacy keys are the group ratios and weight ranges from which
+    `privacy.allocate_weights` draws w_ij = beta_i * gamma_j:
+    conservative and moderate groups draw uniformly from [lo, mid) and
+    [mid, hi); the liberal group is fixed at hi.
     """
 
     dataset: str = field(default_factory=default_dataset_path)
@@ -104,22 +108,28 @@ class ExperimentConfig:
             raise ConfigError("engine", f"must be kernel or messages, got {self.engine!r}")
         if self.trace is not None and self.engine != "messages":
             raise ConfigError("trace", "run traces require engine = messages")
-        self.privacy_spec()
+        if self.epsilon <= 0:
+            raise ConfigError("epsilon", f"must be > 0, got {self.epsilon}")
+        # Each privacy field is checked against the fields before it in its
+        # group, so an error names the first field that breaks the order.
+        for con, mod in (("f_uc", "f_um"), ("f_ic", "f_im")):
+            for name in (con, mod):
+                value = getattr(self, name)
+                if not 0.0 <= value <= 1.0:
+                    raise ConfigError(name, f"must be in [0, 1], got {value}")
+            if getattr(self, con) + getattr(self, mod) > 1.0 + 1e-12:
+                raise ConfigError(mod, f"{con} + {mod} must be <= 1")
+        for names in (("eps_uc", "eps_um", "eps_ul"), ("eps_ic", "eps_im", "eps_il")):
+            lo, mid, hi = (getattr(self, name) for name in names)
+            for name, ok in zip(names, (0.0 < lo <= 1.0, lo <= mid <= 1.0, mid <= hi <= 1.0)):
+                if not ok:
+                    raise ConfigError(
+                        name, f"weight ranges must satisfy 0 < {' <= '.join(names)} <= 1, got {(lo, mid, hi)}"
+                    )
 
     @property
     def effective_eta0(self) -> float:
         return self.eta0 if self.eta0 is not None else ETA0_DEFAULT
-
-    def privacy_spec(self) -> PrivacySpec:
-        try:
-            return PrivacySpec(
-                epsilon=self.epsilon,
-                f_uc=self.f_uc, f_um=self.f_um, f_ic=self.f_ic, f_im=self.f_im,
-                eps_uc=self.eps_uc, eps_um=self.eps_um, eps_ul=self.eps_ul,
-                eps_ic=self.eps_ic, eps_im=self.eps_im, eps_il=self.eps_il,
-            )
-        except ValueError as exc:
-            raise ConfigError("privacy spec", str(exc)) from None
 
     def effective_items(self) -> list[tuple[str, str]]:
         """All settings after defaults, for provenance echoes."""

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -20,7 +20,6 @@ from .data import (
     subsample_per_user,
 )
 from .exceptions import DivergedRunError, EmptySplitError
-from .model import TrainConfig
 from .privacy import allocate_weights
 from .protocol import predict_all, train
 
@@ -28,27 +27,26 @@ RESULT_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae"
 AGGREGATE_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,n_seeds,mse_mean,mse_std,mae_mean,mae_std"
 
 
-def mse(predictions, truths) -> float:
-    """Mean squared error of paired predictions."""
+def _errors(predictions, truths) -> np.ndarray:
+    """Prediction minus truth for paired, non-empty score lists."""
     predictions = np.asarray(predictions, dtype=np.float64)
     truths = np.asarray(truths, dtype=np.float64)
     if predictions.shape != truths.shape:
         raise ValueError("predictions and truths must have equal length")
     if predictions.size == 0:
         raise ValueError("cannot score an empty prediction list")
-    diff = predictions - truths
+    return predictions - truths
+
+
+def mse(predictions, truths) -> float:
+    """Mean squared error of paired predictions."""
+    diff = _errors(predictions, truths)
     return float(np.mean(diff * diff))
 
 
 def mae(predictions, truths) -> float:
     """Mean absolute error of paired predictions."""
-    predictions = np.asarray(predictions, dtype=np.float64)
-    truths = np.asarray(truths, dtype=np.float64)
-    if predictions.shape != truths.shape:
-        raise ValueError("predictions and truths must have equal length")
-    if predictions.size == 0:
-        raise ValueError("cannot score an empty prediction list")
-    return float(np.mean(np.abs(predictions - truths)))
+    return float(np.mean(np.abs(_errors(predictions, truths))))
 
 
 @dataclass
@@ -125,7 +123,7 @@ def run_single_seed(
     Raises EmptySplitError before training when the split holds out
     nothing, which happens when no user has more than n_test ratings.
     """
-    weights = allocate_weights(cfg.privacy_spec(), dataset.n_users, dataset.n_items, seed)
+    weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
     n_test = 1 if cfg.split == "leave-one-out" else cfg.n_test
     plan = split_leave_n_out(dataset, n_test, seed)
     if len(plan.test) == 0:
@@ -134,11 +132,8 @@ def run_single_seed(
             f"more ratings than it holds out ({len(dataset)} ratings in the dataset)"
         )
     train_set = subsample_per_user(plan.train, cfg.fraction, seed)
-    tc = TrainConfig(
-        epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam, K=cfg.k, master_seed=seed
-    )
     inputs = method_inputs(cfg.method, train_set, weights, cfg.epsilon, cfg.k, seed)
-    model = train(*inputs, tc, engine_mode=cfg.engine, trace=trace, loss_log=loss_log)
+    model = train(*inputs, cfg, seed, trace=trace, loss_log=loss_log)
     preds = predict_all(
         model, weights, plan.test.users, plan.test.items,
         dataset.scale_min, dataset.scale_max,
@@ -191,7 +186,7 @@ def grid_search_cv(
     Optional: the shipped defaults were pinned with this and acceptance
     runs use them directly. Diverged folds score as infinity.
     """
-    weights = allocate_weights(cfg.privacy_spec(), dataset.n_users, dataset.n_items, master_seed)
+    weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, master_seed)
     folds = kfold_splits(dataset, n_folds, master_seed)
     fold_inputs = [
         method_inputs(cfg.method, fold.train, weights, cfg.epsilon, cfg.k, master_seed)
@@ -201,12 +196,10 @@ def grid_search_cv(
     for eta0 in eta_grid:
         for lam in lam_grid:
             scores = []
+            point = replace(cfg, eta0=eta0, lam=lam)
             for fold, inputs in zip(folds, fold_inputs):
-                tc = TrainConfig(
-                    epochs=cfg.epochs, eta0=eta0, lam=lam, K=cfg.k, master_seed=master_seed
-                )
                 try:
-                    model = train(*inputs, tc, engine_mode=cfg.engine)
+                    model = train(*inputs, point, master_seed)
                 except DivergedRunError:
                     scores.append(math.inf)
                     continue
@@ -257,22 +250,25 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _result_rows(result: ExperimentResult) -> list[str]:
-    cfg = result.config
-    prefix = (
-        f"{result.method.value},{cfg.dataset},{cfg.k},{_fmt(cfg.epsilon)},"
-        f"{_fmt(cfg.f_uc)},{_fmt(cfg.eps_uc)},{_fmt(cfg.fraction)}"
-    )
-    rows = [f"{prefix},{r.seed},{_fmt(r.mse)},{_fmt(r.mae)}" for r in result.seed_results]
-    return rows
-
-
-def _aggregate_row(result: ExperimentResult) -> str:
+def _row_prefix(result: ExperimentResult) -> str:
+    """The columns that seed rows and aggregate rows share, method to
+    fraction."""
     cfg = result.config
     return (
         f"{result.method.value},{cfg.dataset},{cfg.k},{_fmt(cfg.epsilon)},"
-        f"{_fmt(cfg.f_uc)},{_fmt(cfg.eps_uc)},{_fmt(cfg.fraction)},"
-        f"{len(result.seed_results)},{_fmt(result.mse_mean)},{_fmt(result.mse_std)},"
+        f"{_fmt(cfg.f_uc)},{_fmt(cfg.eps_uc)},{_fmt(cfg.fraction)}"
+    )
+
+
+def _result_rows(result: ExperimentResult) -> list[str]:
+    prefix = _row_prefix(result)
+    return [f"{prefix},{r.seed},{_fmt(r.mse)},{_fmt(r.mae)}" for r in result.seed_results]
+
+
+def _aggregate_row(result: ExperimentResult) -> str:
+    return (
+        f"{_row_prefix(result)},{len(result.seed_results)},"
+        f"{_fmt(result.mse_mean)},{_fmt(result.mse_std)},"
         f"{_fmt(result.mae_mean)},{_fmt(result.mae_std)}"
     )
 

@@ -14,6 +14,9 @@ which the calibration of the noise scale relies on.
 of the gradients: the message engine's devices take their user step with
 `user_gradient`, and the finite-difference tests check both against the
 objective. The epoch kernels compute the same updates over CSR arrays.
+
+The hyperparameters of a run (`k`, `epochs`, `eta0`, `lam`) are fields of
+`config.ExperimentConfig`; the functions here take them as plain values.
 """
 
 from __future__ import annotations
@@ -34,27 +37,6 @@ class FactorModel:
     V: np.ndarray  # (n_items, K)
     K: int
     lam: float = 0.0
-
-
-@dataclass
-class TrainConfig:
-    """Hyperparameters of one training run."""
-
-    epochs: int = 100
-    eta0: float = 0.005
-    lam: float = 0.01
-    K: int = 10
-    master_seed: int = 0
-
-    def __post_init__(self):
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if self.eta0 <= 0:
-            raise ValueError(f"eta0 must be > 0, got {self.eta0}")
-        if self.lam < 0:
-            raise ValueError(f"lam must be >= 0, got {self.lam}")
-        if self.K < 1:
-            raise ValueError(f"K must be >= 1, got {self.K}")
 
 
 def init_model(n_users: int, n_items: int, K: int, master_seed: int, lam: float = 0.0) -> FactorModel:

@@ -15,48 +15,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .data import RatingDataset
 from .rng import keyed_exponential, keyed_normal, stream
 
-
-@dataclass
-class PrivacySpec:
-    """Group ratios and weight ranges for users and items.
-
-    Conservative and moderate groups draw weights uniformly from
-    [w_con, w_mod) and [w_mod, w_lib); the liberal group is fixed at w_lib.
-    """
-
-    epsilon: float = 1.0
-    f_uc: float = 0.54
-    f_um: float = 0.37
-    f_ic: float = 0.33
-    f_im: float = 0.33
-    eps_uc: float = 0.1
-    eps_um: float = 0.5
-    eps_ul: float = 1.0
-    eps_ic: float = 0.1
-    eps_im: float = 0.5
-    eps_il: float = 1.0
-
-    def __post_init__(self):
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {self.epsilon}")
-        for name in ("f_uc", "f_um", "f_ic", "f_im"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1], got {v}")
-        if self.f_uc + self.f_um > 1.0 + 1e-12:
-            raise ValueError("f_uc + f_um must be <= 1")
-        if self.f_ic + self.f_im > 1.0 + 1e-12:
-            raise ValueError("f_ic + f_im must be <= 1")
-        for names in (("eps_uc", "eps_um", "eps_ul"), ("eps_ic", "eps_im", "eps_il")):
-            lo, mid, hi = (getattr(self, name) for name in names)
-            if not (0.0 < lo <= mid <= hi <= 1.0):
-                raise ValueError(f"weight ranges must satisfy 0 < {' <= '.join(names)} <= 1, got {(lo, mid, hi)}")
+if TYPE_CHECKING:  # config imports this module through baselines
+    from .config import ExperimentConfig
 
 
 @dataclass
@@ -96,18 +63,19 @@ def _allocate_group_weights(
     return out
 
 
-def allocate_weights(spec: PrivacySpec, n_users: int, n_items: int, master_seed: int) -> WeightAssignment:
-    """Randomly assign users and items to privacy groups and draw weights.
+def allocate_weights(cfg: ExperimentConfig, n_users: int, n_items: int, master_seed: int) -> WeightAssignment:
+    """Randomly assign users and items to the privacy groups of `cfg` and
+    draw weights.
 
     Deterministic in the master seed; user and item draws come from
     independent streams.
     """
     beta = _allocate_group_weights(
-        n_users, spec.f_uc, spec.f_um, spec.eps_uc, spec.eps_um, spec.eps_ul,
+        n_users, cfg.f_uc, cfg.f_um, cfg.eps_uc, cfg.eps_um, cfg.eps_ul,
         stream(master_seed, "user-weights"),
     )
     gamma = _allocate_group_weights(
-        n_items, spec.f_ic, spec.f_im, spec.eps_ic, spec.eps_im, spec.eps_il,
+        n_items, cfg.f_ic, cfg.f_im, cfg.eps_ic, cfg.eps_im, cfg.eps_il,
         stream(master_seed, "item-weights"),
     )
     return WeightAssignment(beta, gamma)

@@ -6,13 +6,15 @@ on user devices and never cross the boundary: the only device-to-recommender
 traffic is rater registration and per-item gradient messages whose payload
 is a single K-vector (residual term plus the device's noise share).
 
-Two interchangeable execution paths exist:
+Two interchangeable execution paths exist, chosen by the config's
+`engine` key:
 
-* ``engine="kernel"`` — the batch engine (hdpmf.engine) computing the same
+* ``kernel`` — the batch engine (hdpmf.engine) computing the same
   per-entity updates over CSR arrays. This is the reference mode used by
   experiments.
-* ``engine="messages"`` — explicit device/recommender objects exchanging
-  GradientMessage values, used for protocol audits, traces, and tests.
+* ``messages`` — explicit device/recommender objects exchanging
+  GradientMessage values through a MessageChannel, used for protocol
+  audits, traces, and tests. Only this path takes a channel or a trace.
 
 A device holds arrays: its rated items in ascending order, their targets
 w_ij * r_ij and its noise share for each. Its message for item j is the one
@@ -35,11 +37,11 @@ from typing import IO
 import numpy as np
 
 from . import engine
+from .config import ExperimentConfig
 from .data import RatingDataset
 from .exceptions import DivergedRunError, ProtocolError
 from .model import (
     FactorModel,
-    TrainConfig,
     init_model,
     learning_rate,
     objective_value,
@@ -173,12 +175,13 @@ def _train_messages(
     dataset: RatingDataset,
     entry_weights: np.ndarray,
     plan: NoisePlan,
-    cfg: TrainConfig,
+    cfg: ExperimentConfig,
+    seed: int,
     channel: MessageChannel,
     trace: IO[str] | None,
-    loss_log: list[float] | None = None,
+    loss_log: list[float] | None,
 ) -> FactorModel:
-    model = init_model(dataset.n_users, dataset.n_items, cfg.K, cfg.master_seed, cfg.lam)
+    model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
     devices = _build_devices(dataset, entry_weights, plan, model.U)
     item_ptr, item_order = dataset.by_item
     raters = {}
@@ -195,7 +198,7 @@ def _train_messages(
 
     rated_items = sorted(raters)
     for t in range(cfg.epochs):
-        eta = learning_rate(t, cfg.epochs, cfg.eta0)
+        eta = learning_rate(t, cfg.epochs, cfg.effective_eta0)
         for j in rated_items:
             v_ro = recommender.V[j].copy()
             v_ro.flags.writeable = False
@@ -221,7 +224,7 @@ def _train_messages(
             raise DivergedRunError(t)
         if loss_log is not None:
             snapshot = FactorModel(
-                np.vstack([d.u for d in devices]), recommender.V, cfg.K, cfg.lam
+                np.vstack([d.u for d in devices]), recommender.V, cfg.k, cfg.lam
             )
             loss_log.append(
                 objective_value(snapshot, dataset, entry_weights * dataset.ratings, plan.item_totals)
@@ -236,39 +239,42 @@ def train(
     dataset: RatingDataset,
     entry_weights: np.ndarray,
     plan: NoisePlan,
-    cfg: TrainConfig,
-    engine_mode: str = "kernel",
+    cfg: ExperimentConfig,
+    seed: int,
     channel: MessageChannel | None = None,
     trace: IO[str] | None = None,
     loss_log: list[float] | None = None,
 ) -> FactorModel:
-    """Train with per-entry privacy weights and a fixed noise plan.
+    """Train with per-entry privacy weights and a fixed noise plan on the
+    engine `cfg.engine` names, with the `k`, `epochs`, `effective_eta0`
+    and `lam` of `cfg` and the model initialization drawn from `seed`.
 
     `entry_weights` aligns with the dataset's canonical entry order; pass
     ones to disable stretching. Every method trains here, from the inputs
     `baselines.method_inputs` gives it, so all share initialization,
     schedule, and the unit-ball projection of user vectors. The plan must
-    be drawn for this dataset's ratings and `cfg.K`, else ValueError.
+    be drawn for this dataset's ratings and `cfg.k`, else ValueError. A
+    `channel` or `trace` needs the messages engine, else ValueError.
     """
     entry_weights = np.ascontiguousarray(entry_weights, dtype=np.float64)
     if entry_weights.shape != (len(dataset),):
         raise ValueError("entry_weights must align with dataset entries")
     item_ptr, item_order = dataset.by_item
-    if plan.K != cfg.K:
-        raise ValueError(f"noise plan has K = {plan.K}, training uses K = {cfg.K}")
+    if plan.K != cfg.k:
+        raise ValueError(f"noise plan has K = {plan.K}, training uses K = {cfg.k}")
     if not (np.array_equal(plan.item_ptr, item_ptr)
             and np.array_equal(plan.item_users, dataset.users[item_order])):
         raise ValueError("noise plan was drawn for other ratings than the dataset's")
-    if engine_mode == "kernel":
-        vals = entry_weights * dataset.ratings
-        return engine.fit(dataset, vals, plan.item_totals, cfg, loss_log=loss_log)
-    if engine_mode == "messages":
+    if cfg.engine == "messages":
         return _train_messages(
-            dataset, entry_weights, plan, cfg,
+            dataset, entry_weights, plan, cfg, seed,
             channel if channel is not None else MessageChannel(),
             trace, loss_log,
         )
-    raise ValueError(f"unknown engine {engine_mode!r}")
+    if channel is not None or trace is not None:
+        raise ValueError("a message channel or trace needs engine = messages")
+    vals = entry_weights * dataset.ratings
+    return engine.fit(dataset, vals, plan.item_totals, cfg, seed, loss_log=loss_log)
 
 
 def predict_all(

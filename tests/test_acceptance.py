@@ -14,14 +14,13 @@ import pytest
 
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.cli import main
-from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT
+from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT, ExperimentConfig
 from hdpmf.data import split_leave_n_out
 from hdpmf.diagnostics import check_noise_composition
 from hdpmf.evaluation import mae, mse, paired_t_test
-from hdpmf.model import TrainConfig, init_model, item_gradient, objective_value, user_gradient
+from hdpmf.model import init_model, item_gradient, objective_value, user_gradient
 from hdpmf.privacy import (
     NoisePlan,
-    PrivacySpec,
     WeightAssignment,
     allocate_weights,
     build_noise_plan,
@@ -41,16 +40,12 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
 
 
 def _score_method(dataset, method: BaselineKind, K: int) -> tuple[np.ndarray, np.ndarray]:
-    spec = PrivacySpec(epsilon=EPSILON)
+    cfg = ExperimentConfig(epsilon=EPSILON, epochs=EPOCHS, eta0=ETA0_DEFAULT, lam=LAMBDA_DEFAULT, k=K)
     mses, maes = [], []
     for seed in SEEDS:
-        weights = allocate_weights(spec, dataset.n_users, dataset.n_items, seed)
+        weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
         plan = split_leave_n_out(dataset, 10, seed)
-        cfg = TrainConfig(
-            epochs=EPOCHS, eta0=ETA0_DEFAULT, lam=LAMBDA_DEFAULT,
-            K=K, master_seed=seed,
-        )
-        model = train(*method_inputs(method, plan.train, weights, EPSILON, K, seed), cfg)
+        model = train(*method_inputs(method, plan.train, weights, EPSILON, K, seed), cfg, seed)
         preds = predict_all(
             model, weights, plan.test.users, plan.test.items,
             dataset.scale_min, dataset.scale_max,
@@ -196,11 +191,11 @@ def test_criterion_6_gradient_oracle():
 
 def test_criterion_7_reduction_bitwise(synth_factory):
     ds = synth_factory(n_users=50, n_items=50, mean_per_user=12, master_seed=101)
-    cfg = TrainConfig(epochs=EPOCHS, eta0=0.001, lam=LAMBDA_DEFAULT, K=10, master_seed=0)
+    cfg = ExperimentConfig(epochs=EPOCHS, eta0=0.001, lam=LAMBDA_DEFAULT, k=10)
     uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
-    mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, EPSILON, cfg.K, 0), cfg)
-    hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, EPSILON, cfg.K, 0)
-    hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.K), cfg)
+    mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, EPSILON, cfg.k, 0), cfg, 0)
+    hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, EPSILON, cfg.k, 0)
+    hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.k), cfg, 0)
     ok = np.array_equal(mf_model.V, hd_model.V) and np.array_equal(mf_model.U, hd_model.U)
     _report(7, "unit weights + zero noise reduce to plain MF bitwise", ok)
 
@@ -229,13 +224,14 @@ def test_criterion_8_determinism(tmp_path, synth_factory):
 
 def test_criterion_9_information_flow(synth_factory):
     ds = synth_factory(n_users=20, n_items=20, mean_per_user=6, master_seed=107)
-    spec = PrivacySpec(epsilon=EPSILON)
-    weights = allocate_weights(spec, ds.n_users, ds.n_items, master_seed=0)
-    cfg = TrainConfig(epochs=5, eta0=0.001, lam=LAMBDA_DEFAULT, K=4, master_seed=0)
+    cfg = ExperimentConfig(
+        epsilon=EPSILON, epochs=5, eta0=0.001, lam=LAMBDA_DEFAULT, k=4, engine="messages"
+    )
+    weights = allocate_weights(cfg, ds.n_users, ds.n_items, master_seed=0)
     channel = MessageChannel(capture=True)
-    model0 = init_model(ds.n_users, ds.n_items, cfg.K, cfg.master_seed)
-    inputs = method_inputs(BaselineKind.HDPMF, ds, weights, EPSILON, cfg.K, cfg.master_seed)
-    train(*inputs, cfg, engine_mode="messages", channel=channel)
+    model0 = init_model(ds.n_users, ds.n_items, cfg.k, 0)
+    inputs = method_inputs(BaselineKind.HDPMF, ds, weights, EPSILON, cfg.k, 0)
+    train(*inputs, cfg, 0, channel=channel)
 
     private_values = set(ds.ratings.tolist())
     private_values |= {
@@ -245,7 +241,7 @@ def test_criterion_9_information_flow(synth_factory):
 
     payload_ok = all(
         isinstance(m.payload, np.ndarray)
-        and m.payload.shape == (cfg.K,)
+        and m.payload.shape == (cfg.k,)
         and m.payload.dtype == np.float64
         for m in channel.gradient_log
     )

@@ -11,10 +11,10 @@ from hdpmf.baselines import (
     min_observed_budget,
     pdp_sample_ratings,
 )
+from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset, split_leave_n_out
 from hdpmf.evaluation import mse, paired_t_test
-from hdpmf.model import TrainConfig
-from hdpmf.privacy import PrivacySpec, WeightAssignment, allocate_weights
+from hdpmf.privacy import WeightAssignment, allocate_weights
 from hdpmf.protocol import predict_all, train
 
 
@@ -94,11 +94,11 @@ class TestReductions:
         from hdpmf.privacy import NoisePlan
 
         ds = synth_factory(n_users=20, n_items=15, mean_per_user=6, master_seed=53)
-        cfg = TrainConfig(epochs=10, eta0=0.005, lam=0.01, K=3, master_seed=1)
+        cfg = ExperimentConfig(epochs=10, eta0=0.005, lam=0.01, k=3)
         uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
-        mf = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, 3, 1), cfg)
+        mf = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, 3, 1), cfg, 1)
         hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, 3, 1)
-        hd = train(hd_ds, hd_weights, NoisePlan.zeros(ds, 3), cfg)
+        hd = train(hd_ds, hd_weights, NoisePlan.zeros(ds, 3), cfg, 1)
         assert np.array_equal(mf.V, hd.V)
 
     def test_pdpmf_with_full_budgets_equals_dpmf(self, synth_factory):
@@ -106,26 +106,25 @@ class TestReductions:
         # the uniform budget equals the threshold
         ds = synth_factory(n_users=18, n_items=14, mean_per_user=6, master_seed=59)
         w = WeightAssignment.uniform(ds.n_users, ds.n_items)
-        cfg = TrainConfig(epochs=8, eta0=0.005, lam=0.01, K=3, master_seed=2)
-        a = train(*method_inputs(BaselineKind.PDPMF, ds, w, 1.0, 3, 2), cfg)
-        b = train(*method_inputs(BaselineKind.DPMF, ds, w, 1.0, 3, 2), cfg)
+        cfg = ExperimentConfig(epochs=8, eta0=0.005, lam=0.01, k=3)
+        a = train(*method_inputs(BaselineKind.PDPMF, ds, w, 1.0, 3, 2), cfg, 2)
+        b = train(*method_inputs(BaselineKind.DPMF, ds, w, 1.0, 3, 2), cfg, 2)
         assert np.array_equal(a.V, b.V) and np.array_equal(a.U, b.U)
 
 
 @pytest.fixture(scope="module")
 def scores(order_synth):
     ds = order_synth
-    spec = PrivacySpec()
+    cfg = ExperimentConfig(epochs=100, eta0=0.001, lam=0.01, k=10)
     seeds = (0, 1, 2, 3, 4)
     out = {}
     for method in ("mf", "hdpmf", "hdpmf_r", "pdpmf", "dpmf"):
         vals = []
         for seed in seeds:
-            w = allocate_weights(spec, ds.n_users, ds.n_items, seed)
+            w = allocate_weights(cfg, ds.n_users, ds.n_items, seed)
             plan = split_leave_n_out(ds, 10, seed)
-            cfg = TrainConfig(epochs=100, eta0=0.001, lam=0.01, K=10, master_seed=seed)
-            inputs = method_inputs(BaselineKind(method), plan.train, w, spec.epsilon, 10, seed)
-            model = train(*inputs, cfg)
+            inputs = method_inputs(BaselineKind(method), plan.train, w, cfg.epsilon, 10, seed)
+            model = train(*inputs, cfg, seed)
             preds = predict_all(
                 model, w, plan.test.users, plan.test.items, 1.0, 5.0,
                 rescale=(method == "hdpmf"),
@@ -161,14 +160,13 @@ class TestTrends:
         seeds = (0, 1, 2)
         gaps = {}
         for eps_uc in (0.1, 0.4):
-            spec = PrivacySpec(eps_uc=eps_uc)
+            cfg = ExperimentConfig(epochs=100, eta0=0.001, lam=0.01, k=10, eps_uc=eps_uc)
             h, p = [], []
             for seed in seeds:
-                w = allocate_weights(spec, ds.n_users, ds.n_items, seed)
+                w = allocate_weights(cfg, ds.n_users, ds.n_items, seed)
                 plan = split_leave_n_out(ds, 10, seed)
-                cfg = TrainConfig(epochs=100, eta0=0.001, lam=0.01, K=10, master_seed=seed)
-                mh = train(*method_inputs(BaselineKind.HDPMF, plan.train, w, spec.epsilon, 10, seed), cfg)
-                mp = train(*method_inputs(BaselineKind.PDPMF, plan.train, w, spec.epsilon, 10, seed), cfg)
+                mh = train(*method_inputs(BaselineKind.HDPMF, plan.train, w, cfg.epsilon, 10, seed), cfg, seed)
+                mp = train(*method_inputs(BaselineKind.PDPMF, plan.train, w, cfg.epsilon, 10, seed), cfg, seed)
                 h.append(mse(predict_all(mh, w, plan.test.users, plan.test.items, 1, 5), plan.test.ratings))
                 p.append(mse(predict_all(mp, w, plan.test.users, plan.test.items, 1, 5, rescale=False), plan.test.ratings))
             gaps[eps_uc] = np.mean(p) - np.mean(h)

@@ -37,9 +37,10 @@ BASE = dict(
 class TestParseConfig:
     def test_empty_file_gives_table_defaults(self, tmp_path):
         cfg = parse_config(write_config(tmp_path))
-        assert cfg.f_uc == 0.54 and cfg.f_um == 0.37 and cfg.f_ic == 0.33
+        assert (cfg.f_uc, cfg.f_um, cfg.f_ic, cfg.f_im) == (0.54, 0.37, 0.33, 0.33)
         assert cfg.epsilon == 1.0 and cfg.k == 10 and cfg.epochs == 100
-        assert cfg.eps_uc == 0.1 and cfg.eps_ul == 1.0
+        assert (cfg.eps_uc, cfg.eps_um, cfg.eps_ul) == (0.1, 0.5, 1.0)
+        assert (cfg.eps_ic, cfg.eps_im, cfg.eps_il) == (0.1, 0.5, 1.0)
         assert cfg.method is BaselineKind.HDPMF
         assert cfg.seeds == (0, 1, 2, 3, 4)
 
@@ -122,10 +123,39 @@ class TestConfigChecks:
         ("seeds", (2**64,)),
         ("epsilon", float("nan")),
         ("lam", float("inf")),
+        ("eta0", 0.0),
+        ("lam", -0.1),
+        ("epsilon", 0.0),
+        ("epsilon", -1.0),
+        ("f_uc", -0.1),
+        ("f_im", 1.5),
+        ("eps_uc", 0.0),
+        ("eps_il", 1.5),
     ])
     def test_invalid_value_names_its_key(self, make, key, value):
-        with pytest.raises(ConfigError, match=rf"\b{key}\b"):
+        with pytest.raises(ConfigError, match=rf"\b{key}\b") as info:
             make(**{key: value})
+        assert info.value.key == key
+
+    @pytest.mark.parametrize("changes,key", [
+        pytest.param({"f_uc": 0.8, "f_um": 0.4}, "f_um", id="f_uc-0.8-f_um-0.4"),
+        pytest.param({"f_uc": 0.7, "f_um": 0.5}, "f_um", id="f_uc-0.7-f_um-0.5"),
+        pytest.param({"f_ic": 0.6, "f_im": 0.5}, "f_im", id="f_ic-0.6-f_im-0.5"),
+        pytest.param({"eps_uc": 0.6, "eps_um": 0.5}, "eps_um", id="eps_uc-0.6-eps_um-0.5"),
+        pytest.param({"eps_ul": 0.3}, "eps_ul", id="eps_ul-0.3"),
+        pytest.param({"eps_im": 0.05}, "eps_im", id="eps_im-0.05"),
+    ])
+    def test_privacy_group_error_names_the_field_at_fault(self, changes, key):
+        """A ratio pair or weight range is checked field by field against
+        the fields before it, so the error names the first field out of
+        order, not the group."""
+        with pytest.raises(ConfigError, match=rf"\b{key}\b") as info:
+            ExperimentConfig(**changes)
+        assert info.value.key == key
+
+    def test_privacy_file_error_names_its_key(self, tmp_path, capsys):
+        assert main(["run", str(write_config(tmp_path, f_uc=0.8, f_um=0.4))]) == 2
+        assert capsys.readouterr().err.startswith("config error: config key 'f_um':")
 
 
 class TestCmdRun:
@@ -222,7 +252,7 @@ class TestCmdRun:
 
     def test_loss_trace_matches_objective(self, tmp_path, synth_factory):
         from hdpmf.evaluation import load_dataset, run_experiment
-        from hdpmf.model import TrainConfig, objective_value
+        from hdpmf.model import objective_value
         from hdpmf.baselines import BaselineKind, method_inputs
         from hdpmf.privacy import allocate_weights
         from hdpmf.protocol import train
@@ -243,13 +273,11 @@ class TestCmdRun:
         cfg = parse_config(cfg_path)
         ds = load_dataset(cfg)
         plan_split = split_leave_n_out(ds, cfg.n_test, 0)
-        w = allocate_weights(cfg.privacy_spec(), ds.n_users, ds.n_items, 0)
-        tc = TrainConfig(epochs=cfg.epochs, eta0=cfg.effective_eta0, lam=cfg.lam,
-                         K=cfg.k, master_seed=0)
+        w = allocate_weights(cfg, ds.n_users, ds.n_items, 0)
         train_set, entry_weights, plan = method_inputs(
             BaselineKind.HDPMF, plan_split.train, w, cfg.epsilon, cfg.k, 0
         )
-        model = train(train_set, entry_weights, plan, tc)
+        model = train(train_set, entry_weights, plan, cfg, 0)
         targets = w.matrix_entries(train_set.users, train_set.items) * train_set.ratings
         expected = objective_value(model, train_set, targets, plan.item_totals)
         logged = float(rows[cfg.epochs - 1][2])
@@ -317,6 +345,27 @@ class TestCmdSweep:
         assert err.startswith("config error:") and err.count("\n") == 1
         assert f"'{key}'" in err
         assert not out.exists() and not trace.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["run"], id="run"),
+    pytest.param(["sweep", "--key", "eps_uc", "--values", "0.1,0.2"], id="sweep"),
+])
+def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
+    import hdpmf.cli as cli
+
+    def never(*args, **kwargs):
+        raise AssertionError("the data was loaded or a run started before the output was checked")
+
+    monkeypatch.setattr(cli, "load_dataset", never)
+    monkeypatch.setattr(cli, "run_experiment", never)
+    data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
+    cfg = write_config(tmp_path, dataset=data, output=tmp_path / "no_such_dir" / "res.csv", **BASE)
+    assert main([argv[0], str(cfg), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: config key 'output':")
+    assert "no_such_dir" in err[0]
+    assert not (tmp_path / "no_such_dir").exists()
 
 
 class TestCmdCheckNoise:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from hdpmf.data import RatingDataset
 from hdpmf.model import (
     FactorModel,
-    TrainConfig,
     init_model,
     item_gradient,
     learning_rate,
@@ -221,15 +220,3 @@ class TestProjection:
         once = project_unit_ball(u)
         assert np.sqrt(once @ once) <= 1.0 + 1e-12
         assert np.allclose(project_unit_ball(once.copy()), once)
-
-
-class TestTrainConfig:
-    def test_rejects_bad_values(self):
-        with pytest.raises(ValueError):
-            TrainConfig(epochs=0)
-        with pytest.raises(ValueError):
-            TrainConfig(eta0=0.0)
-        with pytest.raises(ValueError):
-            TrainConfig(lam=-0.1)
-        with pytest.raises(ValueError):
-            TrainConfig(K=0)

@@ -10,12 +10,12 @@ from hypothesis import strategies as st
 from scipy import stats
 
 from hdpmf.baselines import BaselineKind, method_inputs
+from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
 from hdpmf import privacy
 from hdpmf.privacy import (
     NoisePlan,
-    PrivacySpec,
     WeightAssignment,
     allocate_weights,
     build_noise_plan,
@@ -34,49 +34,28 @@ def _predict_one(raw, w_ij, scale_min, scale_max):
     return predict_all(model, weights, [0], [0], scale_min, scale_max)[0]
 
 
-class TestPrivacySpec:
-    def test_defaults_are_valid(self):
-        spec = PrivacySpec()
-        assert spec.f_uc == 0.54 and spec.f_um == 0.37
-        assert spec.eps_uc == 0.1 and spec.eps_um == 0.5 and spec.eps_ul == 1.0
-
-    def test_rejects_bad_ratios(self):
-        with pytest.raises(ValueError):
-            PrivacySpec(f_uc=0.7, f_um=0.5)
-
-    def test_rejects_bad_ranges(self):
-        with pytest.raises(ValueError):
-            PrivacySpec(eps_uc=0.6, eps_um=0.5)
-        with pytest.raises(ValueError):
-            PrivacySpec(eps_uc=0.0)
-
-    def test_rejects_nonpositive_epsilon(self):
-        with pytest.raises(ValueError):
-            PrivacySpec(epsilon=0.0)
-
-
 class TestAllocateWeights:
     def test_default_group_sizes_n100(self):
-        w = allocate_weights(PrivacySpec(), 100, 10, master_seed=0)
+        w = allocate_weights(ExperimentConfig(), 100, 10, master_seed=0)
         conservative = np.sum((w.beta >= 0.1) & (w.beta < 0.5))
         moderate = np.sum((w.beta >= 0.5) & (w.beta < 1.0))
         liberal = np.sum(w.beta == 1.0)
         assert (conservative, moderate, liberal) == (54, 37, 9)
 
     def test_all_liberal_when_ratios_zero(self):
-        spec = PrivacySpec(f_uc=0.0, f_um=0.0, f_ic=0.0, f_im=0.0)
-        w = allocate_weights(spec, 50, 50, master_seed=1)
+        cfg = ExperimentConfig(f_uc=0.0, f_um=0.0, f_ic=0.0, f_im=0.0)
+        w = allocate_weights(cfg, 50, 50, master_seed=1)
         assert np.all(w.beta == 1.0) and np.all(w.gamma == 1.0)
 
     def test_weights_within_declared_ranges(self):
-        w = allocate_weights(PrivacySpec(), 500, 500, master_seed=2)
+        w = allocate_weights(ExperimentConfig(), 500, 500, master_seed=2)
         assert np.all(w.beta >= 0.1) and np.all(w.beta <= 1.0)
         assert np.all(w.gamma >= 0.1) and np.all(w.gamma <= 1.0)
 
     def test_deterministic_in_seed(self):
-        a = allocate_weights(PrivacySpec(), 64, 64, master_seed=5)
-        b = allocate_weights(PrivacySpec(), 64, 64, master_seed=5)
-        c = allocate_weights(PrivacySpec(), 64, 64, master_seed=6)
+        a = allocate_weights(ExperimentConfig(), 64, 64, master_seed=5)
+        b = allocate_weights(ExperimentConfig(), 64, 64, master_seed=5)
+        c = allocate_weights(ExperimentConfig(), 64, 64, master_seed=6)
         assert np.array_equal(a.beta, b.beta) and np.array_equal(a.gamma, b.gamma)
         assert not np.array_equal(a.beta, c.beta)
 
@@ -91,7 +70,7 @@ class TestWeightOps:
         assert w.weight(0, 0) == 1.0
 
     def test_rank_one_structure(self):
-        w = allocate_weights(PrivacySpec(), 30, 30, master_seed=3)
+        w = allocate_weights(ExperimentConfig(), 30, 30, master_seed=3)
         rng = np.random.default_rng(0)
         for _ in range(50):
             i, i2 = rng.integers(30, size=2)
@@ -101,7 +80,7 @@ class TestWeightOps:
             )
 
     def test_all_pairs_in_unit_interval(self):
-        w = allocate_weights(PrivacySpec(), 40, 40, master_seed=4)
+        w = allocate_weights(ExperimentConfig(), 40, 40, master_seed=4)
         products = np.outer(w.beta, w.gamma)
         assert np.all(products > 0) and np.all(products <= 1)
 

@@ -2,16 +2,19 @@
 the centralized gradients, engine agreement, and the information-flow
 contract."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdpmf.baselines import BaselineKind, method_inputs
+from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.exceptions import ProtocolError
-from hdpmf.model import FactorModel, TrainConfig, init_model, item_gradient, user_gradient
-from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan, PrivacySpec
+from hdpmf.model import FactorModel, init_model, item_gradient, user_gradient
+from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
 from hdpmf.protocol import (
     GradientMessage,
     MessageChannel,
@@ -124,8 +127,7 @@ class TestDeviceUpdateUser:
 class TestAggregationEquivalence:
     def test_payload_sum_matches_centralized_gradient(self, synth_factory):
         ds = synth_factory(n_users=12, n_items=10, mean_per_user=5, master_seed=21)
-        spec = PrivacySpec()
-        weights = allocate_weights(spec, ds.n_users, ds.n_items, master_seed=1)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=1)
         plan = build_noise_plan(ds, 3, ds.delta, 1.0, master_seed=1)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1, lam=0.02)
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
@@ -177,7 +179,7 @@ class TestDeviceConstruction:
         # engine agreement cannot see shares permuted among one item's
         # raters, since the item's sum is unchanged; this can
         ds, K, method, seed = case
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, seed)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
         train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
         U0 = init_model(train_set.n_users, train_set.n_items, K, seed).U
         devices = _build_devices(train_set, entry_weights, plan, U0)
@@ -195,27 +197,41 @@ class TestDeviceConstruction:
 
 
 class TestPlanAlignment:
-    @pytest.mark.parametrize("engine_mode", ["kernel", "messages"])
+    @pytest.mark.parametrize("engine", ["kernel", "messages"])
     @pytest.mark.parametrize("case", ["other-K", "subset"])
-    def test_plan_for_other_ratings_rejected(self, synth_factory, engine_mode, case):
+    def test_plan_for_other_ratings_rejected(self, synth_factory, engine, case):
         ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=53)
-        cfg = TrainConfig(epochs=1, K=3)
+        cfg = ExperimentConfig(epochs=1, k=3, engine=engine)
         if case == "other-K":
             plan = build_noise_plan(ds, 1, ds.delta, 1.0, 0)
         else:
             plan = build_noise_plan(ds.subset(np.arange(len(ds)) % 2 == 0), 3, ds.delta, 1.0, 0)
         with pytest.raises(ValueError, match="noise plan"):
-            train(ds, np.ones(len(ds)), plan, cfg, engine_mode=engine_mode)
+            train(ds, np.ones(len(ds)), plan, cfg, 0)
+
+
+class TestKernelEngineTakesNoMessageArguments:
+    """The kernel engine exchanges no messages, so a channel or trace
+    handle given to it would stay empty; `train` refuses them."""
+
+    @pytest.mark.parametrize("argument", ["channel", "trace"])
+    def test_rejected_on_kernel_engine(self, tiny_dataset, argument):
+        import io
+
+        handle = MessageChannel() if argument == "channel" else io.StringIO()
+        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, WeightAssignment.uniform(5, 4), 1.0, 2, 0)
+        with pytest.raises(ValueError, match="engine = messages"):
+            train(*inputs, ExperimentConfig(epochs=1, k=2), 0, **{argument: handle})
 
 
 class TestEngineAgreement:
     def test_message_and_kernel_engines_agree(self, synth_factory):
         ds = synth_factory(n_users=15, n_items=12, mean_per_user=6, master_seed=23)
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=2)
-        cfg = TrainConfig(epochs=5, eta0=0.01, lam=0.01, K=4, master_seed=2)
-        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
-        m_kernel = train(*inputs, cfg, engine_mode="kernel")
-        m_msg = train(*inputs, cfg, engine_mode="messages")
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=2)
+        cfg = ExperimentConfig(epochs=5, eta0=0.01, lam=0.01, k=4)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 2)
+        m_kernel = train(*inputs, cfg, 2)
+        m_msg = train(*inputs, replace(cfg, engine="messages"), 2)
         assert np.allclose(m_kernel.V, m_msg.V, rtol=1e-9, atol=1e-12)
         assert np.allclose(m_kernel.U, m_msg.U, rtol=1e-9, atol=1e-12)
 
@@ -223,11 +239,11 @@ class TestEngineAgreement:
     @given(case=engine_cases())
     def test_engines_agree_for_every_method(self, case):
         ds, K, method, seed = case
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, seed)
-        cfg = TrainConfig(epochs=3, eta0=0.01, lam=0.01, K=K, master_seed=seed)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
+        cfg = ExperimentConfig(epochs=3, eta0=0.01, lam=0.01, k=K)
         inputs = method_inputs(method, ds, weights, 1.0, K, seed)
-        m_kernel = train(*inputs, cfg, engine_mode="kernel")
-        m_msg = train(*inputs, cfg, engine_mode="messages")
+        m_kernel = train(*inputs, cfg, seed)
+        m_msg = train(*inputs, replace(cfg, engine="messages"), seed)
         np.testing.assert_allclose(m_msg.V, m_kernel.V, rtol=1e-9, atol=1e-12)
         np.testing.assert_allclose(m_msg.U, m_kernel.U, rtol=1e-9, atol=1e-12)
         for model in (m_kernel, m_msg):
@@ -237,11 +253,11 @@ class TestEngineAgreement:
 class TestReduction:
     def test_uniform_weights_zero_noise_reduces_to_mf(self, synth_factory):
         ds = synth_factory(n_users=25, n_items=20, mean_per_user=8, master_seed=29)
-        cfg = TrainConfig(epochs=12, eta0=0.01, lam=0.01, K=3, master_seed=4)
+        cfg = ExperimentConfig(epochs=12, eta0=0.01, lam=0.01, k=3)
         uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
-        mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, cfg.K, 4), cfg)
-        hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, cfg.K, 4)
-        hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.K), cfg)
+        mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, cfg.k, 4), cfg, 4)
+        hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, cfg.k, 4)
+        hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.k), cfg, 4)
         assert np.array_equal(mf_model.V, hd_model.V)
         assert np.array_equal(mf_model.U, hd_model.U)
 
@@ -249,17 +265,17 @@ class TestReduction:
 class TestDeterminism:
     def test_same_seed_bitwise_identical(self, synth_factory):
         ds = synth_factory(n_users=20, n_items=18, mean_per_user=6, master_seed=31)
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=3)
-        cfg = TrainConfig(epochs=8, eta0=0.005, lam=0.01, K=3, master_seed=3)
-        a = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, 3), cfg)
-        b = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, 3), cfg)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=3)
+        cfg = ExperimentConfig(epochs=8, eta0=0.005, lam=0.01, k=3)
+        a = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 3), cfg, 3)
+        b = train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 3), cfg, 3)
         assert np.array_equal(a.V, b.V) and np.array_equal(a.U, b.U)
 
 
 class TestProjectionInvariant:
     def test_user_norms_bounded_every_epoch(self, synth_factory, monkeypatch):
         ds = synth_factory(n_users=30, n_items=25, mean_per_user=8, master_seed=37)
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=5)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=5)
         from hdpmf import engine, kernels
 
         seen = []
@@ -271,11 +287,11 @@ class TestProjectionInvariant:
             return result
 
         monkeypatch.setattr(kernels, "run_epoch", recording_epoch)
-        cfg = TrainConfig(epochs=10, eta0=0.05, lam=0.01, K=4, master_seed=5)
+        cfg = ExperimentConfig(epochs=10, eta0=0.05, lam=0.01, k=4)
         entry_w = weights.matrix_entries(ds.users, ds.items)
         engine.fit(
             ds, entry_w * ds.ratings,
-            build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg,
+            build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg, 5,
         )
         assert len(seen) == 10
         assert max(seen) <= 1.0 + 1e-12
@@ -284,11 +300,11 @@ class TestProjectionInvariant:
 class TestInformationFlow:
     def test_only_k_vectors_cross_the_boundary(self, synth_factory):
         ds = synth_factory(n_users=20, n_items=20, mean_per_user=6, master_seed=41)
-        weights = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=6)
-        cfg = TrainConfig(epochs=3, eta0=0.005, lam=0.01, K=4, master_seed=6)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=6)
+        cfg = ExperimentConfig(epochs=3, eta0=0.005, lam=0.01, k=4, engine="messages")
         channel = MessageChannel(capture=True)
-        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
-        train(*inputs, cfg, engine_mode="messages", channel=channel)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 6)
+        train(*inputs, cfg, 6, channel=channel)
 
         ptr, _ = ds.by_item
         rated_items = int(np.sum(np.diff(ptr) > 0))
@@ -298,7 +314,7 @@ class TestInformationFlow:
         assert len(channel.gradient_log) == channel.n_gradient_messages
         for msg in channel.gradient_log:
             assert isinstance(msg.payload, np.ndarray)
-            assert msg.payload.shape == (cfg.K,)
+            assert msg.payload.shape == (cfg.k,)
             assert msg.payload.dtype == np.float64
 
     def test_raw_ratings_never_appear_in_payloads(self):
@@ -309,11 +325,11 @@ class TestInformationFlow:
         users, items = np.meshgrid(np.arange(n), np.arange(m), indexing="ij")
         ratings = rng.integers(100, 106, size=n * m).astype(float)
         ds = RatingDataset(users.ravel(), items.ravel(), ratings, n, m, 100.0, 105.0)
-        weights = allocate_weights(PrivacySpec(), n, m, master_seed=7)
-        cfg = TrainConfig(epochs=2, eta0=0.0001, lam=0.01, K=3, master_seed=7)
+        weights = allocate_weights(ExperimentConfig(), n, m, master_seed=7)
+        cfg = ExperimentConfig(epochs=2, eta0=0.0001, lam=0.01, k=3, engine="messages")
         channel = MessageChannel(capture=True)
-        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.K, cfg.master_seed)
-        train(*inputs, cfg, engine_mode="messages", channel=channel)
+        inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 7)
+        train(*inputs, cfg, 7, channel=channel)
         rating_values = set(ds.ratings.tolist())
         weight_values = {
             weights.weight(i, j) for i, j in zip(ds.users.tolist(), ds.items.tolist())
@@ -342,7 +358,7 @@ class TestPredictAll:
         ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=47)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1)
         model.V *= 9.0  # force some predictions past the clamp bounds
-        w = allocate_weights(PrivacySpec(), ds.n_users, ds.n_items, master_seed=8)
+        w = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=8)
         out = predict_all(model, w, ds.users, ds.items, 1.0, 5.0)
         for idx in range(len(ds)):
             i, j = int(ds.users[idx]), int(ds.items[idx])
@@ -355,10 +371,10 @@ class TestTrace:
         import io
 
         weights = WeightAssignment.uniform(5, 4)
-        cfg = TrainConfig(epochs=2, eta0=0.01, lam=0.0, K=2, master_seed=0)
+        cfg = ExperimentConfig(epochs=2, eta0=0.01, lam=0.0, k=2, engine="messages")
         buf = io.StringIO()
-        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, weights, 1.0, cfg.K, 0)
-        train(*inputs, cfg, engine_mode="messages", trace=buf)
+        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, weights, 1.0, cfg.k, 0)
+        train(*inputs, cfg, 0, trace=buf)
         lines = buf.getvalue().strip().splitlines()
         # per epoch: one line per rated item plus one per user
         assert len(lines) == 2 * (4 + 5)
