@@ -34,6 +34,15 @@ def _predict_one(raw, w_ij, scale_min, scale_max):
     return predict_all(model, weights, [0], [0], scale_min, scale_max)[0]
 
 
+class TestPrivacySpec:
+    """The privacy settings an `ExperimentConfig` carries by default."""
+
+    def test_defaults_are_valid(self):
+        spec = ExperimentConfig()
+        assert spec.f_uc == 0.54 and spec.f_um == 0.37
+        assert spec.eps_uc == 0.1 and spec.eps_um == 0.5 and spec.eps_ul == 1.0
+
+
 class TestAllocateWeights:
     def test_default_group_sizes_n100(self):
         w = allocate_weights(ExperimentConfig(), 100, 10, master_seed=0)
