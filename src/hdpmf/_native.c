@@ -1,20 +1,26 @@
-/* Compiled training kernel: one full-batch epoch over CSR rating arrays.
+/* Compiled kernels: one full-batch training epoch over CSR rating arrays,
+ * and the keyed Philox4x64-10 uniforms of the noise plan.
  *
- * The item phase, then the user phase; each is a Jacobi sweep, run here one
- * row at a time. hdpmf._fallback.run_epoch runs the same sweeps in NumPy
- * blocks of rows; the backends agree to reduction order. The loops follow
- * the scalar reference `oracle_epoch` in tests/test_kernels.py statement for
- * statement, so where the compiler does not contract to FMA they match it
- * bit for bit. Arrays arrive through the buffer protocol, so the module
- * needs only Python.h; every argument is checked before anything is written.
+ * The epoch runs the item phase, then the user phase; each is a Jacobi
+ * sweep, run here one row at a time. hdpmf._fallback.run_epoch runs the same
+ * sweeps in NumPy blocks of rows; the backends agree to reduction order. The
+ * loops follow the scalar reference `oracle_epoch` in tests/test_kernels.py
+ * statement for statement, so where the compiler does not contract to FMA
+ * they match it bit for bit.
+ *
+ * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
+ * maps them to doubles exactly, so both backends draw the same bits.
+ *
+ * Arrays arrive through the buffer protocol, so the module needs only
+ * Python.h; every argument is checked before anything is written.
  */
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
 
-/* The nine array arguments, in call order: float64 ('d') or int64 ('q'),
-   with their number of dimensions. Only U and V are written. */
+/* run_epoch's nine array arguments, in call order: float64 ('d') or int64
+   ('q'), with their number of dimensions. Only U and V are written. */
 enum { U_, V_, ITEM_PTR, ITEM_USERS, ITEM_VALS, ITEM_NOISE, USER_PTR, USER_ITEMS, USER_VALS, N_ARRAYS };
 
 static const struct { char kind; int ndim; } SPEC[N_ARRAYS] = {
@@ -29,8 +35,8 @@ static char *KWLIST[] = {
     "user_ptr", "user_items", "user_vals", "lam", "eta", "project", NULL,
 };
 
-/* Whether a struct-module format names one native float64 ('d') or int64
-   ('q': also 'l' where long has 8 bytes). */
+/* Whether a struct-module format names one native float64 ('d'), int64
+   ('q': also 'l' where long has 8 bytes) or uint64 ('Q': also 'L'). */
 static int
 format_is(const Py_buffer *b, char kind)
 {
@@ -39,24 +45,32 @@ format_is(const Py_buffer *b, char kind)
         f++;
     if (b->itemsize != 8 || f[0] == '\0' || f[1] != '\0')
         return 0;
-    return kind == 'd' ? f[0] == 'd' : (f[0] == 'q' || (f[0] == 'l' && sizeof(long) == 8));
+    switch (kind) {
+    case 'd':
+        return f[0] == 'd';
+    case 'q':
+        return f[0] == 'q' || (f[0] == 'l' && sizeof(long) == 8);
+    default:
+        return f[0] == 'Q' || (f[0] == 'L' && sizeof(long) == 8);
+    }
 }
 
-/* Acquire argument `a` as a C-contiguous buffer of the kind SPEC gives. */
+/* Acquire argument `name` as a C-contiguous buffer of `ndim` dimensions
+   holding `kind` (see format_is), and writable if `writable`. */
 static int
-get_array(PyObject *obj, Py_buffer *b, int a)
+get_array(PyObject *obj, Py_buffer *b, const char *name, char kind, int ndim, int writable)
 {
-    const char *name = KWLIST[a];
     if (PyObject_GetBuffer(obj, b, PyBUF_RECORDS_RO) < 0)
         return -1;
-    if (!format_is(b, SPEC[a].kind))
+    if (!format_is(b, kind))
         PyErr_Format(PyExc_TypeError, "%s must hold %s, got format '%s'", name,
-                     SPEC[a].kind == 'd' ? "float64" : "int64", b->format ? b->format : "B");
-    else if (b->ndim != SPEC[a].ndim)
-        PyErr_Format(PyExc_ValueError, "%s must have %d dimension(s), got %d", name, SPEC[a].ndim, b->ndim);
+                     kind == 'd' ? "float64" : kind == 'q' ? "int64" : "uint64",
+                     b->format ? b->format : "B");
+    else if (b->ndim != ndim)
+        PyErr_Format(PyExc_ValueError, "%s must have %d dimension(s), got %d", name, ndim, b->ndim);
     else if (!PyBuffer_IsContiguous(b, 'C'))
         PyErr_Format(PyExc_ValueError, "%s must be C-contiguous", name);
-    else if (a <= V_ && b->readonly)
+    else if (writable && b->readonly)
         PyErr_Format(PyExc_ValueError, "%s must be writable", name);
     else
         return 0;
@@ -197,7 +211,7 @@ run_epoch(PyObject *self, PyObject *args, PyObject *kwds)
                                      &lam, &eta, &project))
         return NULL;
     for (; got < N_ARRAYS; got++)
-        if (get_array(obj[got], &b[got], got) < 0)
+        if (get_array(obj[got], &b[got], KWLIST[got], SPEC[got].kind, SPEC[got].ndim, got <= V_) < 0)
             goto done;
     if (check_shapes(b) < 0)
         goto done;
@@ -215,11 +229,138 @@ done:
     return result;
 }
 
+/* Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2,
+   3", SC'11; the Random123 constants): the round multipliers and the key's
+   per-round increments. */
+#define PHILOX_M0 UINT64_C(0xD2E7470EE14C6C93)
+#define PHILOX_M1 UINT64_C(0xCA5A826395121157)
+#define PHILOX_W0 UINT64_C(0x9E3779B97F4A7C15)
+#define PHILOX_W1 UINT64_C(0xBB67AE8584CAA73B)
+#define PHILOX_ROUNDS 10
+
+/* The low word of the 128-bit product a * b; the high word goes to *hi.
+   Without a 128-bit type the high word is assembled from 32-bit halves, as
+   hdpmf._fallback does it; no partial sum can overflow 64 bits. */
+static inline uint64_t
+mulhilo(uint64_t a, uint64_t b, uint64_t *hi)
+{
+#ifdef __SIZEOF_INT128__
+    unsigned __int128 p = (unsigned __int128)a * b;
+    *hi = (uint64_t)(p >> 64);
+    return (uint64_t)p;
+#else
+    const uint64_t lo32 = UINT64_C(0xFFFFFFFF);
+    uint64_t a_lo = a & lo32, a_hi = a >> 32, b_lo = b & lo32, b_hi = b >> 32;
+    uint64_t mid = a_hi * b_lo + ((a_lo * b_lo) >> 32);
+    uint64_t cross = a_lo * b_hi + (mid & lo32);
+    *hi = a_hi * b_hi + (mid >> 32) + (cross >> 32);
+    return a * b;
+#endif
+}
+
+/* Replace the counter x by its Philox4x64-10 block under key (k0, k1). */
+static inline void
+philox4x64(uint64_t x[4], uint64_t k0, uint64_t k1)
+{
+    uint64_t hi0, hi1, lo0, lo1;
+    int r;
+    for (r = 0; r < PHILOX_ROUNDS; r++) {
+        if (r) {
+            k0 += PHILOX_W0;
+            k1 += PHILOX_W1;
+        }
+        lo0 = mulhilo(PHILOX_M0, x[0], &hi0);
+        lo1 = mulhilo(PHILOX_M1, x[2], &hi1);
+        x[0] = hi1 ^ x[1] ^ k0;
+        x[1] = lo1;
+        x[2] = hi0 ^ x[3] ^ k1;
+        x[3] = lo0;
+    }
+}
+
+/* Row r of out (n x size) holds the blocks for counters (j[r], i[r], b, 0),
+   b = 0, 1, ..., word w of block b in column 4b + w. A word keeps its top 52
+   bits and becomes the midpoint of its bin: both steps are exact in double. */
+static void
+fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
+             double *out, Py_ssize_t size)
+{
+    uint64_t x[4];
+    Py_ssize_t r, c, w;
+    for (r = 0; r < n; r++, out += size)
+        for (c = 0; c < size; c += 4) {
+            x[0] = j[r];
+            x[1] = i[r];
+            x[2] = (uint64_t)(c / 4);
+            x[3] = 0;
+            philox4x64(x, k0, k1);
+            for (w = 0; w < 4 && c + w < size; w++)
+                out[c + w] = ((double)(x[w] >> 12) + 0.5) * 0x1p-52;
+        }
+}
+
+/* A key word: an integer in [0, 2^64), else OverflowError (TypeError for a
+   non-integer). */
+static int
+key_word(PyObject *obj, uint64_t *word)
+{
+    PyObject *index = PyNumber_Index(obj);
+    if (index == NULL)
+        return -1;
+    *word = PyLong_AsUnsignedLongLong(index);
+    Py_DECREF(index);
+    return *word == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
+}
+
+static char *UNIFORM_KWLIST[] = {"j", "i", "key0", "key1", "out", NULL};
+
+static PyObject *
+keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *j_obj, *i_obj, *k0_obj, *k1_obj, *out_obj, *result = NULL;
+    Py_buffer j, i, out;
+    uint64_t k0, k1;
+    Py_ssize_t n;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO:keyed_uniform", UNIFORM_KWLIST, &j_obj,
+                                     &i_obj, &k0_obj, &k1_obj, &out_obj))
+        return NULL;
+    if (key_word(k0_obj, &k0) < 0 || key_word(k1_obj, &k1) < 0)
+        return NULL;
+    if (get_array(j_obj, &j, "j", 'Q', 1, 0) < 0)
+        return NULL;
+    if (get_array(i_obj, &i, "i", 'Q', 1, 0) < 0)
+        goto release_j;
+    if (get_array(out_obj, &out, "out", 'd', 2, 1) < 0)
+        goto release_i;
+    n = j.shape[0];
+    if (i.shape[0] != n)
+        PyErr_Format(PyExc_ValueError, "i must have as many entries as j (%zd), got %zd", n,
+                     i.shape[0]);
+    else if (out.shape[0] != n)
+        PyErr_Format(PyExc_ValueError, "out must have len(j) = %zd rows, got %zd", n, out.shape[0]);
+    else {
+        fill_uniform(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]);
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+release_i:
+    PyBuffer_Release(&i);
+release_j:
+    PyBuffer_Release(&j);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"run_epoch", (PyCFunction)(void (*)(void))run_epoch, METH_VARARGS | METH_KEYWORDS,
      "run_epoch($module, /, U, V, item_ptr, item_users, item_vals, item_noise, user_ptr, user_items,"
      " user_vals, lam, eta, project)\n--\n\n"
      "Run one epoch in place: item phase (ascending j), then user phase\n(ascending i)."},
+    {"keyed_uniform", (PyCFunction)(void (*)(void))keyed_uniform, METH_VARARGS | METH_KEYWORDS,
+     "keyed_uniform($module, /, j, i, key0, key1, out)\n--\n\n"
+     "Fill out, shape (len(j), size), with doubles in (0, 1): column 4b + w of\n"
+     "row r is word w of the Philox4x64-10 block for key (key0, key1) and\n"
+     "counter (j[r], i[r], b, 0), as ((word >> 12) + 0.5) * 2**-52."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -234,7 +375,8 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "Compiled training kernel: one full-batch epoch over CSR rating arrays.",
+    .m_doc = "Compiled kernels: one training epoch over CSR rating arrays, and keyed\n"
+              "Philox4x64-10 uniforms.",
     .m_methods = methods,
     .m_slots = slots,
 };

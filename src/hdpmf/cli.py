@@ -17,16 +17,25 @@ from contextlib import ExitStack, contextmanager
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .config import ExperimentConfig, parse_config
 from .diagnostics import MIN_SAMPLES, check_noise_composition
 from .evaluation import emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
+from .kernels import backend_name
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
 
 
 def _provenance(cfg: ExperimentConfig, extra: list[str] | None = None) -> list[str]:
+    """Header lines of a results file: the effective config, then what ran
+    it. The backend trains and draws the noise words, and the keyed normals
+    go through NumPy's transcendental functions, so both can change the
+    last bits of a result."""
     lines = [f"{key} = {value}" for key, value in cfg.effective_items()]
+    lines += [f"backend = {backend_name()}", f"hdpmf = {__version__}", f"numpy = {np.__version__}"]
     return lines + (extra or [])
 
 

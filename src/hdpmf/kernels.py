@@ -1,6 +1,8 @@
 """Kernel backend selection.
 
-The compiled extension is preferred when importable; the NumPy fallback is
+A backend provides the training epoch (`run_epoch`) and the noise plan's
+keyed Philox words (`keyed_uniform`); both come from the same module. The
+compiled extension is preferred when importable; the NumPy fallback is
 always available. Set HDPMF_BACKEND=python (or =native) to force a choice —
 forcing `native` raises if the extension did not build.
 """
@@ -18,16 +20,21 @@ if _requested == "python":
 else:
     try:
         from . import _native as _impl  # type: ignore[no-redef]
-    except ImportError:
+
+        if not hasattr(_impl, "keyed_uniform"):
+            raise ImportError("it was built from an older _native.c; rebuild it")
+    except ImportError as exc:
         if _requested == "native":
             raise ImportError(
-                "HDPMF_BACKEND=native but the compiled extension is not available"
+                f"HDPMF_BACKEND=native but the compiled extension is not available: {exc}"
             ) from None
         _impl = _fallback
 
 run_epoch = _impl.run_epoch
+keyed_uniform = _impl.keyed_uniform
 
 
 def backend_name() -> str:
-    """Which kernel implementation is active: 'native' or 'python'."""
+    """Which kernel implementation is active, 'native' or 'python': it runs
+    the training epochs and draws the noise plan's Philox words."""
     return _impl.NAME

@@ -147,8 +147,9 @@ class NoisePlan:
 
 
 # By-item slots whose c shares are drawn per vectorized call. Any value
-# gives the same plan, since every draw depends only on its key; blocks keep
-# the temporaries under a megabyte for K = 10 instead of growing with nnz.
+# gives the same plan, since every draw depends only on its key. Blocks keep
+# the Box-Muller temporaries (and, on the NumPy backend, the Philox counter
+# and word arrays) under a megabyte for K = 10 instead of growing with nnz.
 NOISE_BLOCK_SLOTS = 1024
 
 

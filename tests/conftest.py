@@ -1,5 +1,14 @@
-"""Shared fixtures: synthetic rating data and the optional ML-100K file."""
+"""Shared fixtures: synthetic rating data, the optional ML-100K file and
+the compiled kernels."""
 
+import hashlib
+import importlib
+import importlib.util
+import os
+import shlex
+import shutil
+import subprocess
+import sysconfig
 from pathlib import Path
 
 import numpy as np
@@ -79,3 +88,60 @@ def ml100k() -> RatingDataset:
             "containing ml-100k/u.data to run this criterion"
         )
     return load_movielens_100k(path)
+
+
+NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
+
+
+def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
+    """Compile and link `_native.c` with the interpreter's own compiler and
+    flags."""
+    cfg = sysconfig.get_config_var
+    return [
+        shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
+        + ["-I" + sysconfig.get_paths()["include"], "-c", str(src), "-o", str(obj)],
+        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(out)],
+    ]
+
+
+@pytest.fixture(scope="session")
+def native(pytestconfig, tmp_path_factory):
+    """The compiled kernels module: the installed extension if importable,
+    else `_native.c` compiled with the interpreter's own compiler and
+    flags (never into the source tree, which would switch every other test
+    to the native backend).
+
+    The build is kept in the pytest cache under a key of the source's
+    sha256 and the compile commands, so only the first session after a
+    change to either pays the compile; without the cache plugin it goes to
+    a temporary directory.
+    """
+    try:
+        return importlib.import_module("hdpmf._native")
+    except ImportError:
+        pass
+    cc = shlex.split(sysconfig.get_config_var("CC") or "")
+    if not cc or shutil.which(cc[0]) is None:
+        pytest.skip("compiled kernel not built and no C compiler found")
+    probe = _native_build_commands(NATIVE_C, Path("o"), Path("so"))
+    key = hashlib.sha256(NATIVE_C.read_bytes() + repr(probe).encode()).hexdigest()[:16]
+    cache = getattr(pytestconfig, "cache", None)
+    build_dir = cache.mkdir(f"hdpmf-native-{key}") if cache is not None else tmp_path_factory.mktemp("native")
+    suffix = sysconfig.get_config_var("EXT_SUFFIX")
+    target = build_dir / f"_native{suffix}"
+    if not target.is_file():
+        tmp = build_dir / f"_native.{os.getpid()}.tmp{suffix}"
+        obj = build_dir / f"_native.{os.getpid()}.o"
+        try:
+            for cmd in _native_build_commands(NATIVE_C, obj, tmp):
+                done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+                assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
+            os.replace(tmp, target)
+        finally:
+            tmp.unlink(missing_ok=True)
+            obj.unlink(missing_ok=True)
+    # loaded without entering sys.modules, so backend selection is unaffected
+    spec = importlib.util.spec_from_file_location("hdpmf._native", target)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

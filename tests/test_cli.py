@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import hdpmf
 from hdpmf.baselines import BaselineKind
 from hdpmf.cli import main
 from hdpmf.config import ExperimentConfig, parse_config
@@ -167,6 +168,25 @@ class TestCmdRun:
         seed_rows, agg_rows = read_results(out)
         assert len(seed_rows) == 2 and len(agg_rows) == 1
         assert "MSE" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv, rows", [
+        (["run"], 2),
+        (["sweep", "--key", "eps_uc", "--values", "0.2,0.3"], 4),
+    ], ids=["run", "sweep"])
+    def test_header_names_backend_and_versions(self, tmp_path, synth_factory, argv, rows):
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=67)
+        out = tmp_path / "res.csv"
+        cfg = write_config(tmp_path, dataset=data, output=out, method="hdpmf", **BASE)
+        assert main([argv[0], str(cfg), *argv[1:]]) == 0
+        ran_by = [f"# backend = {hdpmf.backend_name()}", f"# hdpmf = {hdpmf.__version__}",
+                  f"# numpy = {np.__version__}"]
+        lines = out.read_text().splitlines()
+        header = lines[: lines.index("method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae")]
+        assert all(line in header for line in ran_by)
+        without = tmp_path / "without.csv"
+        without.write_text("".join(line + "\n" for line in lines if line not in ran_by))
+        assert read_results(out) == read_results(without)
+        assert len(read_results(out)[0]) == rows  # seeds x sweep values
 
     def test_missing_dataset_names_path(self, tmp_path, capsys):
         cfg = write_config(tmp_path, dataset="/nonexistent/u.data")

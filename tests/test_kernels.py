@@ -1,86 +1,27 @@
-"""Epoch-kernel contracts: both kernels match a scalar oracle, the
-compiled kernel (imported, or built from `_native.c` when a C compiler
-exists) also matches the fallback, and it rejects malformed arguments before
-writing anything."""
+"""Kernel contracts: both epoch kernels match a scalar oracle, the
+compiled kernels (the `native` fixture: imported, or built from `_native.c`
+when a C compiler exists) also match the fallback, the keyed uniforms of
+both backends are the same bits as `numpy.random.Philox`, and the compiled
+entry points reject malformed arguments before writing anything."""
 
-import hashlib
 import importlib
-import importlib.util
 import inspect
 import os
-import shlex
-import shutil
 import subprocess
-import sysconfig
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import hdpmf
 from hdpmf import _fallback, kernels
 from hdpmf.data import RatingDataset
 from hdpmf.model import init_model
-
-NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
-
-
-def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
-    """Compile and link `_native.c` with the interpreter's own compiler and
-    flags."""
-    cfg = sysconfig.get_config_var
-    return [
-        shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
-        + ["-I" + sysconfig.get_paths()["include"], "-c", str(src), "-o", str(obj)],
-        shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(out)],
-    ]
-
-
-@pytest.fixture(scope="session")
-def native(pytestconfig, tmp_path_factory):
-    """The compiled kernel: the installed extension if importable, else
-    `_native.c` compiled with the interpreter's own compiler and
-    flags (never into the source tree, which would switch every other test
-    to the native backend).
-
-    The build is kept in the pytest cache under a key of the source's
-    sha256 and the compile commands, so only the first session after a
-    change to either pays the compile; without the cache plugin it goes to
-    a temporary directory.
-    """
-    try:
-        return importlib.import_module("hdpmf._native")
-    except ImportError:
-        pass
-    cc = shlex.split(sysconfig.get_config_var("CC") or "")
-    if not cc or shutil.which(cc[0]) is None:
-        pytest.skip("compiled kernel not built and no C compiler found")
-    probe = _native_build_commands(NATIVE_C, Path("o"), Path("so"))
-    key = hashlib.sha256(NATIVE_C.read_bytes() + repr(probe).encode()).hexdigest()[:16]
-    cache = getattr(pytestconfig, "cache", None)
-    build_dir = cache.mkdir(f"hdpmf-native-{key}") if cache is not None else tmp_path_factory.mktemp("native")
-    suffix = sysconfig.get_config_var("EXT_SUFFIX")
-    target = build_dir / f"_native{suffix}"
-    if not target.is_file():
-        tmp = build_dir / f"_native.{os.getpid()}.tmp{suffix}"
-        obj = build_dir / f"_native.{os.getpid()}.o"
-        try:
-            for cmd in _native_build_commands(NATIVE_C, obj, tmp):
-                done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
-                assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
-            os.replace(tmp, target)
-        finally:
-            tmp.unlink(missing_ok=True)
-            obj.unlink(missing_ok=True)
-    # loaded without entering sys.modules, so backend selection is unaffected
-    spec = importlib.util.spec_from_file_location("hdpmf._native", target)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
 
 def oracle_epoch(U, V, item_ptr, item_users, item_vals, item_noise,
                  user_ptr, user_items, user_vals, lam, eta, project):
@@ -225,9 +166,31 @@ def test_projection_enforced(impl):
 def test_selected_backend_matches_module():
     assert kernels.backend_name() in ("native", "python")
     if kernels.backend_name() == "python":
-        assert kernels.run_epoch is _fallback.run_epoch
+        impl = _fallback
     else:
-        assert kernels.run_epoch is importlib.import_module("hdpmf._native").run_epoch
+        impl = importlib.import_module("hdpmf._native")
+    assert kernels.run_epoch is impl.run_epoch
+    assert kernels.keyed_uniform is impl.keyed_uniform
+
+
+@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ImportError")])
+def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
+    # an extension built from an older _native.c has run_epoch only
+    code = (
+        "import sys, types\n"
+        "stale = types.ModuleType('hdpmf._native')\n"
+        "stale.NAME, stale.run_epoch = 'native', None\n"
+        "sys.modules['hdpmf._native'] = stale\n"
+        "try:\n"
+        "    from hdpmf import kernels\n"
+        "    print(kernels.backend_name())\n"
+        "except ImportError as exc:\n"
+        "    print('ImportError', exc)\n"
+    )
+    env = dict(os.environ, HDPMF_BACKEND=requested)
+    env["PYTHONPATH"] = os.pathsep.join([str(Path(hdpmf.__file__).parents[1]), env.get("PYTHONPATH", "")])
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert done.stdout.split()[0] == selected, done.stderr
 
 
 def test_empty_items_skipped(impl):
@@ -340,3 +303,80 @@ def test_native_rejects_malformed_arguments(native, error, name, bad):
     with pytest.raises(error):
         native.run_epoch(lam=0.01, eta=0.05, project=True, **args)
     assert args["U"].tobytes() == U0.tobytes() and args["V"].tobytes() == V0.tobytes()
+
+
+# -- keyed uniforms ---------------------------------------------------------
+UINT64_MAX = 2**64 - 1
+_words = st.one_of(st.sampled_from([0, 1, UINT64_MAX]), st.integers(0, UINT64_MAX))
+
+
+def _uniforms(impl, j, i, key0, key1, size):
+    out = np.full((len(j), size), np.nan)
+    impl.keyed_uniform(np.asarray(j, dtype=np.uint64), np.asarray(i, dtype=np.uint64), key0, key1, out)
+    return out
+
+
+@settings(max_examples=100, deadline=None)
+@given(keys=st.lists(st.tuples(_words, _words), max_size=40), key0=_words, key1=_words,
+       size=st.integers(0, 13))
+@example(keys=[], key0=0, key1=0, size=0)
+@example(keys=[], key0=1, key1=2, size=5)
+@example(keys=[(3, 4)] * 3, key0=1, key1=2, size=0)
+def test_native_uniforms_equal_fallback(native, keys, key0, key1, size):
+    j, i = [k[0] for k in keys], [k[1] for k in keys]
+    got = _uniforms(native, j, i, key0, key1, size)
+    assert got.shape == (len(keys), size)
+    assert np.array_equal(got, _uniforms(_fallback, j, i, key0, key1, size))
+
+
+def _numpy_philox_uniforms(j, i, key0, key1, size):
+    """The keyed uniforms from `numpy.random.Philox` alone: block b of a
+    row is the first `random_raw` block after counter (j, i, b, 0) - 1, a
+    256-bit integer with word 0 least significant."""
+    words = []
+    for b in range(-(-size // 4)):
+        c = (j + (i << 64) + (b << 128) - 1) % 2**256
+        counter = np.array([(c >> (64 * w)) & UINT64_MAX for w in range(4)], dtype=np.uint64)
+        key = np.array([key0, key1], dtype=np.uint64)
+        words.extend(np.random.Philox(counter=counter, key=key).random_raw(4).tolist())
+    return np.array([((w >> 12) + 0.5) * 2.0**-52 for w in words[:size]])
+
+
+@pytest.mark.parametrize("j, i, key0, key1, size", [
+    (0, 0, 0, 0, 13),
+    (UINT64_MAX, UINT64_MAX, UINT64_MAX, UINT64_MAX, 9),
+    (7, 2, 123, 5, 10),
+    (1682, 0, 2**63, 4, 10),
+    (12345678901234567890, 3, 98765, 11, 5),
+], ids=["zeros", "all-ones", "noise-c-layout", "noise-h-layout", "wide-j"])
+def test_native_uniforms_match_numpy_philox(native, j, i, key0, key1, size):
+    expected = _numpy_philox_uniforms(j, i, key0, key1, size)
+    assert np.array_equal(_uniforms(native, [j], [i], key0, key1, size)[0], expected)
+    assert np.all((expected > 0) & (expected < 1))
+
+
+@pytest.mark.parametrize("error, name, bad", [
+    (TypeError, "j", lambda a: a["j"].astype(np.int64)),
+    (TypeError, "i", lambda a: a["i"].astype(np.float64)),
+    (ValueError, "j", lambda a: a["j"].reshape(2, 2)),
+    (ValueError, "i", lambda a: a["i"][:-1]),
+    (ValueError, "i", lambda a: np.arange(8, dtype=np.uint64)[::2]),
+    (TypeError, "out", lambda a: a["out"].astype(np.float32)),
+    (ValueError, "out", lambda a: np.asfortranarray(a["out"])),
+    (ValueError, "out", lambda a: _read_only(a["out"])),
+    (ValueError, "out", lambda a: a["out"][:-1].copy()),
+    (ValueError, "out", lambda a: a["out"].ravel()),
+    (OverflowError, "key0", lambda a: -1),
+    (OverflowError, "key1", lambda a: 2**64),
+    (TypeError, "key0", lambda a: 1.5),
+], ids=["int64-j", "float64-i", "2d-j", "short-i", "strided-i", "float32-out", "fortran-out",
+        "read-only-out", "short-out", "1d-out", "negative-key0", "key1-2to64", "float-key0"])
+def test_native_uniform_rejects_malformed_arguments(native, error, name, bad):
+    args = dict(j=np.arange(4, dtype=np.uint64), i=np.arange(4, 8, dtype=np.uint64),
+                key0=9, key1=5, out=np.zeros((4, 6)))
+    args[name] = bad(args)
+    out = args["out"]
+    before = out.tobytes()
+    with pytest.raises(error):
+        native.keyed_uniform(**args)
+    assert out.tobytes() == before

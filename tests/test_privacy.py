@@ -13,7 +13,7 @@ from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
-from hdpmf import privacy
+from hdpmf import _fallback, kernels, privacy
 from hdpmf.privacy import (
     NoisePlan,
     WeightAssignment,
@@ -23,7 +23,8 @@ from hdpmf.privacy import (
 )
 from hdpmf.model import FactorModel
 from hdpmf.protocol import predict_all
-from hdpmf.rng import keyed_normal, keyed_uniform, philox4x64
+from hdpmf._fallback import philox4x64
+from hdpmf.rng import keyed_normal, keyed_uniform
 
 
 def _predict_one(raw, w_ij, scale_min, scale_max):
@@ -209,6 +210,14 @@ class TestNoisePlan:
         plan = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
         assert np.array_equal(plan.shares, reference.shares)
         assert np.array_equal(plan.h, reference.h)
+
+    def test_plan_is_the_same_bits_on_either_backend(self, monkeypatch, native, small_synth):
+        plans = []
+        for impl in (_fallback, native):
+            monkeypatch.setattr(kernels, "keyed_uniform", impl.keyed_uniform)
+            plans.append(build_noise_plan(small_synth, 10, 4.0, 0.5, master_seed=13))
+        assert np.array_equal(plans[0].shares, plans[1].shares)
+        assert np.array_equal(plans[0].h, plans[1].h)
 
     def test_item_totals_sum_of_shares(self):
         ds = _complete_dataset(5, 2)
