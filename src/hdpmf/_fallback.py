@@ -1,9 +1,9 @@
 """Pure-NumPy kernels; same semantics as the compiled extension.
 
-`keyed_uniform` draws the noise plan's keyed uniforms from Philox4x64-10
-(`philox4x64`), evaluated in uint64 arithmetic 32 bits at a time; the
-extension computes the same words and maps them the same exact way, so the
-two backends draw the same bits.
+`keyed_uniform` draws the keyed uniforms behind every seeded draw from
+Philox4x64-10 (`philox4x64`), evaluated in uint64 arithmetic 32 bits at a
+time; the extension computes the same words and maps them the same exact
+way, so the two backends draw the same bits.
 
 One epoch of `run_epoch` is one full-batch sweep: every rated item gets one
 aggregated gradient step (raters' contributions plus the item's fixed noise
@@ -111,6 +111,10 @@ _PHILOX_M_HI = _PHILOX_M >> _SHIFT32
 _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
+# Philox blocks per vectorized evaluation in `keyed_uniform`: the counter,
+# word and product temporaries are each a few times 4 x 8 x this many bytes
+# (under a megabyte), however many rows a call draws.
+PHILOX_CHUNK_BLOCKS = 4096
 
 
 def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -158,15 +162,24 @@ def keyed_uniform(j: np.ndarray, i: np.ndarray, key0: int, key1: int, out: np.nd
     """Fill `out`, shape (len(j), size), with doubles in (0, 1): column
     4b + w of row r is word w of the Philox4x64-10 block for key
     (key0, key1) and counter (j[r], i[r], b, 0), as
-    ((word >> 12) + 0.5) * 2**-52."""
+    ((word >> 12) + 0.5) * 2**-52.
+
+    Rows are evaluated about PHILOX_CHUNK_BLOCKS blocks at a time, so the
+    counter and word temporaries stay bounded for any number of rows.
+    """
     n, size = out.shape
     if len(j) != n or len(i) != n:
         raise ValueError(f"j and i must have out's {n} rows, got {len(j)} and {len(i)}")
     blocks = -(-size // 4)
-    counter = np.zeros((4, n * blocks), dtype=np.uint64)
-    counter[0] = np.repeat(j, blocks)
-    counter[1] = np.repeat(i, blocks)
-    counter[2] = np.tile(np.arange(blocks, dtype=np.uint64), n)
-    words = philox4x64(counter, (key0, key1))
-    bits = words.T.reshape(n, 4 * blocks)[:, :size] >> np.uint64(12)
-    out[...] = (bits.astype(np.float64) + 0.5) * 2.0**-52
+    if blocks == 0:
+        return
+    rows = max(1, PHILOX_CHUNK_BLOCKS // blocks)
+    for r0 in range(0, n, rows):
+        m = min(rows, n - r0)
+        counter = np.zeros((4, m * blocks), dtype=np.uint64)
+        counter[0] = np.repeat(j[r0 : r0 + m], blocks)
+        counter[1] = np.repeat(i[r0 : r0 + m], blocks)
+        counter[2] = np.tile(np.arange(blocks, dtype=np.uint64), m)
+        words = philox4x64(counter, (key0, key1))
+        bits = words.T.reshape(m, 4 * blocks)[:, :size] >> np.uint64(12)
+        out[r0 : r0 + m] = (bits.astype(np.float64) + 0.5) * 2.0**-52

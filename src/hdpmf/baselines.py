@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import RatingDataset
 from .privacy import NoisePlan, WeightAssignment, build_noise_plan
-from .rng import stream
+from .rng import keyed_uniform
 
 
 class BaselineKind(enum.Enum):
@@ -58,9 +58,12 @@ def pdp_sample_ratings(
     master_seed: int,
 ) -> RatingDataset:
     """Keep each rating independently with probability
-    (e^budget - 1)/(e^threshold - 1), capped at 1 for budgets >= threshold.
+    pi = (e^budget - 1)/(e^threshold - 1), capped at 1 for budgets >= threshold.
 
-    Budgets align with the dataset's canonical entry order.
+    Rating (i, j) is kept when its keyed `pdp-sample` draw under key (j, i)
+    is below its pi, so its fate depends on nothing but its own key and
+    budget: the same rating in any subset of the data is kept or dropped
+    alike. Budgets align with the dataset's canonical entry order.
     """
     if threshold <= 0:
         raise ValueError(f"threshold must be > 0, got {threshold}")
@@ -68,7 +71,7 @@ def pdp_sample_ratings(
     if budgets.shape != (len(dataset),):
         raise ValueError("budgets must align with dataset entries")
     pi = np.where(budgets >= threshold, 1.0, np.expm1(budgets) / np.expm1(threshold))
-    draws = stream(master_seed, "pdp-sample").uniform(size=len(dataset))
+    draws = keyed_uniform(master_seed, "pdp-sample", dataset.items, dataset.users, 1)[:, 0]
     return dataset.subset(draws < pi)
 
 

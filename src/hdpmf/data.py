@@ -16,7 +16,7 @@ from typing import TextIO
 import numpy as np
 
 from .exceptions import ParseError
-from .rng import stream
+from .rng import keyed_uniform
 
 
 @dataclass
@@ -190,20 +190,44 @@ def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingData
         return _read_ratings(fh, path, 2, ",", 3, scale_min, scale_max)
 
 
+def _smallest_keys_per_user(
+    dataset: RatingDataset, quota: np.ndarray, master_seed: int, purpose: str
+) -> np.ndarray:
+    """Mask of the quota[u] ratings of each user u with the smallest keyed
+    uniforms under `purpose`, each rating keyed (item, user).
+
+    One stable argsort of a packed (user, draw) word ranks every rating
+    within its user: the user index fills the high bits and the top bits of
+    the draw's 52-bit mantissa the rest. Whether a rating is picked depends
+    only on its own draw and those of its user's other ratings, not on the
+    arrays' order or on other users.
+    """
+    draws = keyed_uniform(master_seed, purpose, dataset.items, dataset.users, 1)[:, 0]
+    user_bits = max(dataset.n_users - 1, 1).bit_length()
+    draw_bits = min(52, 64 - user_bits)
+    # draws are (m + 0.5) * 2**-52 for a 52-bit m, so this recovers m exactly
+    mantissa = (draws * 2.0**52).astype(np.uint64) >> np.uint64(52 - draw_bits)
+    packed = (dataset.users.astype(np.uint64) << np.uint64(draw_bits)) | mantissa
+    order = np.argsort(packed, kind="stable")
+    # entries are user-sorted, so sorting keeps each user's slots in place
+    ptr, _ = dataset.by_user
+    rank = np.empty(len(dataset), dtype=np.int64)
+    rank[order] = np.arange(len(dataset)) - ptr[dataset.users]
+    return rank < quota[dataset.users]
+
+
 def split_leave_n_out(dataset: RatingDataset, n_test: int, master_seed: int) -> SplitPlan:
-    """Hold out n_test seeded-random ratings per user.
+    """Hold out n_test ratings per user: those with the smallest keyed
+    `split` draws (one per rating, keyed (item, user)).
 
     Users with at most n_test ratings contribute everything to train, so
-    every test user stays trainable.
+    every test user stays trainable. Raises ValueError for n_test < 1.
     """
-    ptr, _ = dataset.by_user
-    test_mask = np.zeros(len(dataset), dtype=bool)
-    for u in range(dataset.n_users):
-        s, e = ptr[u], ptr[u + 1]
-        if e - s <= n_test:
-            continue
-        picks = stream(master_seed, "split", u).permutation(e - s)[:n_test]
-        test_mask[s + picks] = True
+    if n_test < 1:
+        raise ValueError(f"n_test must be >= 1, got {n_test}")
+    counts = np.diff(dataset.by_user[0])
+    quota = np.where(counts > n_test, n_test, 0)
+    test_mask = _smallest_keys_per_user(dataset, quota, master_seed, "split")
     return SplitPlan(
         train=dataset.subset(~test_mask),
         test=dataset.subset(test_mask),
@@ -213,10 +237,18 @@ def split_leave_n_out(dataset: RatingDataset, n_test: int, master_seed: int) -> 
 
 def kfold_splits(dataset: RatingDataset, k: int, master_seed: int) -> list[SplitPlan]:
     """Seeded partition of entries into k near-equal folds (sizes differ by
-    at most 1); fold i serves as validation against the rest."""
+    at most 1); fold i serves as validation against the rest.
+
+    Entries are ordered by their keyed `kfold` draws (one per rating, keyed
+    (item, user)) and the order is cut into k consecutive folds. Raises
+    ValueError unless 2 <= k <= len(dataset), so no fold is empty.
+    """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
-    perm = stream(master_seed, "kfold").permutation(len(dataset))
+    if k > len(dataset):
+        raise ValueError(f"k must be at most the {len(dataset)} ratings, got {k}")
+    draws = keyed_uniform(master_seed, "kfold", dataset.items, dataset.users, 1)[:, 0]
+    perm = np.argsort(draws, kind="stable")
     plans = []
     for fold, chunk in enumerate(np.array_split(perm, k)):
         mask = np.zeros(len(dataset), dtype=bool)
@@ -232,19 +264,11 @@ def kfold_splits(dataset: RatingDataset, k: int, master_seed: int) -> list[Split
 
 
 def subsample_per_user(dataset: RatingDataset, fraction: float, master_seed: int) -> RatingDataset:
-    """Keep ceil(fraction * count) seeded-random ratings per user."""
+    """Keep ceil(fraction * count) ratings per user: those with the smallest
+    keyed `subsample` draws (one per rating, keyed (item, user))."""
     if not (0.0 < fraction <= 1.0):
         raise ValueError(f"fraction must be in (0, 1], got {fraction}")
     if fraction == 1.0:
         return dataset
-    ptr, _ = dataset.by_user
-    keep = np.zeros(len(dataset), dtype=bool)
-    for u in range(dataset.n_users):
-        s, e = ptr[u], ptr[u + 1]
-        count = e - s
-        if count == 0:
-            continue
-        n_keep = int(np.ceil(fraction * count))
-        picks = stream(master_seed, "subsample", u).permutation(count)[:n_keep]
-        keep[s + picks] = True
-    return dataset.subset(keep)
+    quota = np.ceil(fraction * np.diff(dataset.by_user[0])).astype(np.int64)
+    return dataset.subset(_smallest_keys_per_user(dataset, quota, master_seed, "subsample"))

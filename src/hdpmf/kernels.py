@@ -1,10 +1,10 @@
 """Kernel backend selection.
 
-A backend provides the training epoch (`run_epoch`) and the noise plan's
-keyed Philox words (`keyed_uniform`); both come from the same module. The
-compiled extension is preferred when importable; the NumPy fallback is
-always available. Set HDPMF_BACKEND=python (or =native) to force a choice —
-forcing `native` raises if the extension did not build.
+A backend provides the training epoch (`run_epoch`) and the keyed Philox
+words behind every seeded draw (`keyed_uniform`); both come from the same
+module. The compiled extension is preferred when importable; the NumPy
+fallback is always available. Set HDPMF_BACKEND=python (or =native) to
+force a choice — forcing `native` raises if the extension did not build.
 """
 
 from __future__ import annotations
@@ -36,5 +36,5 @@ keyed_uniform = _impl.keyed_uniform
 
 def backend_name() -> str:
     """Which kernel implementation is active, 'native' or 'python': it runs
-    the training epochs and draws the noise plan's Philox words."""
+    the training epochs and draws the keyed Philox words."""
     return _impl.NAME

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import RatingDataset
-from .rng import stream
+from .rng import keyed_uniform
 
 
 @dataclass
@@ -40,16 +40,18 @@ class FactorModel:
 
 
 def init_model(n_users: int, n_items: int, K: int, master_seed: int, lam: float = 0.0) -> FactorModel:
-    """Fresh model with i.i.d. uniform [0, 1/sqrt(K)] entries.
+    """Fresh model with i.i.d. uniform (0, 1/sqrt(K)) entries.
 
-    The bound makes every initial prediction at most 1 and every initial
-    user vector lie inside the unit ball.
+    Row i of U is the keyed `model-init` draw under key (i, 0) and row j of
+    V the draw under key (j, 1), so each row depends only on its entity:
+    V does not change with the number of users, nor U with the items. The
+    bound makes every initial prediction at most 1 and every initial user
+    vector lie inside the unit ball.
     """
-    rng = stream(master_seed, "model-init")
+    U = keyed_uniform(master_seed, "model-init", np.arange(n_users), np.full(n_users, 0), K)
+    V = keyed_uniform(master_seed, "model-init", np.arange(n_items), np.full(n_items, 1), K)
     hi = 1.0 / np.sqrt(K)
-    U = rng.uniform(0.0, hi, size=(n_users, K))
-    V = rng.uniform(0.0, hi, size=(n_items, K))
-    return FactorModel(U, V, K, lam)
+    return FactorModel(hi * U, hi * V, K, lam)
 
 
 def item_gradient(

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .data import RatingDataset
-from .rng import keyed_exponential, keyed_normal, stream
+from .rng import keyed_exponential, keyed_normal, keyed_uniform
 
 if TYPE_CHECKING:  # config imports this module through baselines
     from .config import ExperimentConfig
@@ -49,17 +49,22 @@ class WeightAssignment:
 def _allocate_group_weights(
     count: int, f_con: float, f_mod: float,
     lo: float, mid: float, hi: float,
-    rng: np.random.Generator,
+    master_seed: int, purpose: str,
 ) -> np.ndarray:
-    """Permute entities, fill the first floor(f_con * count) with draws from
-    [lo, mid), the next floor(f_mod * count) from [mid, hi), the rest with
-    exactly hi."""
+    """Order entities by their first keyed draw, fill the first
+    floor(f_con * count) with values in [lo, mid) from their second draw,
+    the next floor(f_mod * count) in [mid, hi), the rest with exactly hi.
+
+    Entity e's two draws are the keyed uniforms of `purpose` under key
+    (e, 0)."""
     n_con = int(math.floor(f_con * count))
     n_mod = int(math.floor(f_mod * count))
-    perm = rng.permutation(count)
+    u = keyed_uniform(master_seed, purpose, np.arange(count), np.full(count, 0), 2)
+    perm = np.argsort(u[:, 0], kind="stable")
+    con, mod = perm[:n_con], perm[n_con : n_con + n_mod]
     out = np.full(count, hi, dtype=np.float64)
-    out[perm[:n_con]] = rng.uniform(lo, mid, size=n_con)
-    out[perm[n_con : n_con + n_mod]] = rng.uniform(mid, hi, size=n_mod)
+    out[con] = lo + (mid - lo) * u[con, 1]
+    out[mod] = mid + (hi - mid) * u[mod, 1]
     return out
 
 
@@ -67,16 +72,18 @@ def allocate_weights(cfg: ExperimentConfig, n_users: int, n_items: int, master_s
     """Randomly assign users and items to the privacy groups of `cfg` and
     draw weights.
 
-    Deterministic in the master seed; user and item draws come from
-    independent streams.
+    Deterministic in the master seed. Users and items draw under their own
+    purposes (`user-weights`, `item-weights`), each entity from its own
+    key, so a group is a rank of the entities' keyed draws, not a position
+    in a sequential stream.
     """
     beta = _allocate_group_weights(
         n_users, cfg.f_uc, cfg.f_um, cfg.eps_uc, cfg.eps_um, cfg.eps_ul,
-        stream(master_seed, "user-weights"),
+        master_seed, "user-weights",
     )
     gamma = _allocate_group_weights(
         n_items, cfg.f_ic, cfg.f_im, cfg.eps_ic, cfg.eps_im, cfg.eps_il,
-        stream(master_seed, "item-weights"),
+        master_seed, "item-weights",
     )
     return WeightAssignment(beta, gamma)
 
@@ -148,8 +155,9 @@ class NoisePlan:
 
 # By-item slots whose c shares are drawn per vectorized call. Any value
 # gives the same plan, since every draw depends only on its key. Blocks keep
-# the Box-Muller temporaries (and, on the NumPy backend, the Philox counter
-# and word arrays) under a megabyte for K = 10 instead of growing with nnz.
+# the uniforms and the Box-Muller temporaries under a megabyte for K = 10
+# instead of growing with nnz; the NumPy backend bounds its Philox counter
+# and word arrays itself (`_fallback.PHILOX_CHUNK_BLOCKS`).
 NOISE_BLOCK_SLOTS = 1024
 
 

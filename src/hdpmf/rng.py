@@ -1,22 +1,27 @@
 """Deterministic, purpose-keyed random draws.
 
-Every random draw in the package is a pure function of
-(master_seed, purpose, *entity indices), through one of two mechanisms:
-
-- `stream` returns a sequential PCG64 generator for the split, weights,
-  init, subsample, pdp-sample, check-noise and synthetic draws;
-- `keyed_uniform` (with `keyed_normal` and `keyed_exponential` on top)
-  evaluates the counter-based Philox4x64-10 generator (Salmon et al.,
-  "Parallel random numbers: as easy as 1, 2, 3", SC'11) over many (j, i)
-  keys at once; the noise plan's `noise-h` and `noise-c` draws use it. The
-  selected kernel backend makes the words: the C extension, or NumPy
-  without it (`HDPMF_BACKEND=python`). Both give the same words and map
-  them to doubles exactly, so the draws are the same bits either way; the
-  Box-Muller and `-log` transforms on top run in NumPy on both.
+Every random draw of a run is a pure function of
+(master_seed, purpose, j, i): `keyed_uniform` (with `keyed_normal` and
+`keyed_exponential` on top) evaluates the counter-based Philox4x64-10
+generator (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
+SC'11) over many (j, i) keys at once. The split, subsample, kfold and
+pdp-sample draws are keyed (item, user), the weight draws (entity, 0), the
+model init (user, 0) and (item, 1), and the noise plan's `noise-h` and
+`noise-c` draws (item, 0) and (item, user). The selected kernel backend
+makes the words: the C extension, or NumPy without it
+(`HDPMF_BACKEND=python`). Both give the same words and map them to doubles
+exactly, so the draws are the same bits either way; the Box-Muller and
+`-log` transforms on top run in NumPy on both.
 
 Draws for different keys are mutually independent, so neither parallel
-execution, entity iteration order nor how keys are batched can change any
-draw, and a whole experiment is a pure function of its master seed.
+execution, entity iteration order, the arrays' layout nor how keys are
+batched can change any draw, and a whole experiment is a pure function of
+its master seed.
+
+`stream` returns a sequential PCG64 generator. It is kept for the two
+draws that must not share the mechanism under test: `check-noise`, the
+independent sampler the noise plan's law is checked against, and the
+tests' `synthetic` data.
 """
 
 from __future__ import annotations

@@ -206,6 +206,12 @@ class TestSplits:
         assert len(plan.test) == 1
         assert plan.test.users.tolist() == [0]
 
+    @pytest.mark.parametrize("n_test", [-1, 0])
+    def test_n_test_below_one_rejected(self, n_test):
+        ds = RatingDataset(np.zeros(5, dtype=int), np.arange(5), np.full(5, 3.0), 1, 5, 1, 5)
+        with pytest.raises(ValueError, match="n_test"):
+            split_leave_n_out(ds, n_test, master_seed=0)
+
     def test_leave_one_out_test_size(self, small_synth):
         plan = split_leave_n_out(small_synth, 1, master_seed=0)
         ptr, _ = small_synth.by_user
@@ -234,6 +240,13 @@ class TestKfold:
     def test_k_must_be_at_least_two(self, small_synth):
         with pytest.raises(ValueError):
             kfold_splits(small_synth, 1, master_seed=0)
+
+    def test_k_above_rating_count_rejected(self):
+        # more folds than ratings would leave some folds empty
+        ds = RatingDataset(np.zeros(5, dtype=int), np.arange(5), np.full(5, 3.0), 1, 5, 1, 5)
+        with pytest.raises(ValueError, match="5 ratings"):
+            kfold_splits(ds, 7, master_seed=0)
+        assert [len(p.test) for p in kfold_splits(ds, 5, master_seed=0)] == [1] * 5
 
 
 class TestSubsample:

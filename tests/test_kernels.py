@@ -329,6 +329,15 @@ def test_native_uniforms_equal_fallback(native, keys, key0, key1, size):
     assert np.array_equal(got, _uniforms(_fallback, j, i, key0, key1, size))
 
 
+@pytest.mark.parametrize("chunk", [1, 7, 12])
+def test_fallback_uniforms_do_not_depend_on_chunk_size(monkeypatch, chunk):
+    # 51 rows of 3 blocks: one row per chunk, or 2 and 4 with a short last chunk
+    j, i = np.arange(51), np.arange(51, 102)
+    whole = _uniforms(_fallback, j, i, 3, 4, 9)
+    monkeypatch.setattr(_fallback, "PHILOX_CHUNK_BLOCKS", chunk)
+    assert np.array_equal(_uniforms(_fallback, j, i, 3, 4, 9), whole)
+
+
 def _numpy_philox_uniforms(j, i, key0, key1, size):
     """The keyed uniforms from `numpy.random.Philox` alone: block b of a
     row is the first `random_raw` block after counter (j, i, b, 0) - 1, a
