@@ -117,7 +117,7 @@ def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
         results.append(result)
         print(f"{key}={value}: MSE {result.mse_mean:.4f} +/- {result.mse_std:.4f}")
     extra = [f"sweep: {key} = {','.join(str(v) for v in values)}"]
-    emit_results(results, base.output, provenance=_provenance(base, extra))
+    emit_results(results, base.output, provenance=_provenance(replace(base, **changes), extra))
     print(f"results written to {base.output}")
     return 1 if failed else 0
 

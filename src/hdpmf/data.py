@@ -50,17 +50,19 @@ class RatingDataset:
                 raise ValueError("item index out of range")
             if self.ratings.min() < self.scale_min or self.ratings.max() > self.scale_max:
                 raise ValueError("rating outside declared scale")
+        du, di = np.diff(self.users), np.diff(self.items)
+        if ((du > 0) | ((du == 0) & (di > 0))).all():
+            return  # already canonical and distinct, as every subset is
         order = np.lexsort((self.items, self.users))
         self.users = self.users[order]
         self.items = self.items[order]
         self.ratings = self.ratings[order]
-        if len(self.users) > 1:
-            same = (np.diff(self.users) == 0) & (np.diff(self.items) == 0)
-            if same.any():
-                k = int(np.flatnonzero(same)[0])
-                raise ValueError(
-                    f"duplicate rating for user {self.users[k]}, item {self.items[k]}"
-                )
+        same = (np.diff(self.users) == 0) & (np.diff(self.items) == 0)
+        if same.any():
+            k = int(np.flatnonzero(same)[0])
+            raise ValueError(
+                f"duplicate rating for user {self.users[k]}, item {self.items[k]}"
+            )
 
     def __len__(self) -> int:
         return len(self.ratings)

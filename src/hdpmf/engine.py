@@ -1,9 +1,14 @@
-"""Batch training engine: the fast, reference-mode path through the epoch
-kernel. The message-level protocol simulation in hdpmf.protocol computes
-the same updates entity by entity; this engine is what experiments run.
+"""The training loop of both engines, and the batch engine.
+
+`run_epochs` holds the learning-rate schedule, the divergence check and the
+loss trace. `fit`, the batch engine that experiments run, calls
+`kernels.run_epoch` in it; the message engine in hdpmf.protocol runs its
+item and user phases in it.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -12,6 +17,33 @@ from .config import ExperimentConfig
 from .data import RatingDataset
 from .exceptions import DivergedRunError
 from .model import FactorModel, init_model, learning_rate, objective_value
+
+
+def run_epochs(
+    model: FactorModel,
+    epoch: Callable[[int, float], None],
+    dataset: RatingDataset,
+    targets: np.ndarray,
+    noise_totals: np.ndarray,
+    cfg: ExperimentConfig,
+    loss_log: list[float] | None = None,
+) -> FactorModel:
+    """Call `epoch(t, eta)` for each of the `cfg.epochs` epochs, with eta
+    from the schedule of `cfg.effective_eta0`; the epoch updates `model.U`
+    and `model.V` in place.
+
+    Overflow stays silent: the first epoch that leaves a non-finite factor
+    raises DivergedRunError naming it. With a `loss_log`, the objective of
+    the model on `targets` and `noise_totals` is appended after each epoch.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(cfg.epochs):
+            epoch(t, learning_rate(t, cfg.epochs, cfg.effective_eta0))
+            if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
+                raise DivergedRunError(t)
+            if loss_log is not None:
+                loss_log.append(objective_value(model, dataset, targets, noise_totals))
+    return model
 
 
 def fit(
@@ -33,10 +65,8 @@ def fit(
     a user phase, each a Jacobi sweep: every step of a phase reads only the
     factors as they were when the phase began, so the result is a pure
     function of the inputs. User vectors are projected onto the unit ball
-    after every user step.
-
-    Raises DivergedRunError naming the first epoch that produced a
-    non-finite factor.
+    after every user step. The loop is `run_epochs`, so the first epoch that
+    leaves a non-finite factor raises DivergedRunError.
     """
     train_vals = np.ascontiguousarray(train_vals, dtype=np.float64)
     if train_vals.shape != (len(dataset),):
@@ -51,16 +81,12 @@ def fit(
     item_users = np.ascontiguousarray(dataset.users[item_order])
     item_vals = np.ascontiguousarray(train_vals[item_order])
 
-    for t in range(cfg.epochs):
-        eta = learning_rate(t, cfg.epochs, cfg.effective_eta0)
+    def epoch(t: int, eta: float) -> None:
         kernels.run_epoch(
             model.U, model.V,
             item_ptr, item_users, item_vals, noise_totals,
             user_ptr, dataset.items, train_vals,
             cfg.lam, eta, True,
         )
-        if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
-            raise DivergedRunError(t)
-        if loss_log is not None:
-            loss_log.append(objective_value(model, dataset, train_vals, noise_totals))
-    return model
+
+    return run_epochs(model, epoch, dataset, train_vals, noise_totals, cfg, loss_log)

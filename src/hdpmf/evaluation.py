@@ -25,6 +25,8 @@ from .protocol import predict_all, train
 
 RESULT_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae"
 AGGREGATE_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,n_seeds,mse_mean,mse_std,mae_mean,mae_std"
+# The line that opens the aggregate section; header lines echo free text.
+AGGREGATE_MARKER = "# aggregate: mean and sample standard deviation over seeds"
 
 
 def _errors(predictions, truths) -> np.ndarray:
@@ -288,7 +290,7 @@ def emit_results(
     lines.append(RESULT_COLUMNS)
     for result in results:
         lines.extend(_result_rows(result))
-    lines.append("# aggregate: mean and sample standard deviation over seeds")
+    lines.append(AGGREGATE_MARKER)
     lines.append(AGGREGATE_COLUMNS)
     for result in results:
         lines.append(_aggregate_row(result))
@@ -309,7 +311,7 @@ def read_results(path: str | Path) -> tuple[list[dict], list[dict]]:
     agg_fields = AGGREGATE_COLUMNS.split(",")
     for line in Path(path).read_text(encoding="utf-8").splitlines():
         if line.startswith("#"):
-            if "aggregate" in line:
+            if line == AGGREGATE_MARKER:
                 section = "aggregate"
             continue
         if line in (RESULT_COLUMNS, AGGREGATE_COLUMNS):

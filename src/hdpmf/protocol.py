@@ -6,8 +6,8 @@ on user devices and never cross the boundary: the only device-to-recommender
 traffic is rater registration and per-item gradient messages whose payload
 is a single K-vector (residual term plus the device's noise share).
 
-Two interchangeable execution paths exist, chosen by the config's
-`engine` key:
+The config's `engine` key picks how an epoch is computed; both engines run
+it in the one training loop, `engine.run_epochs`:
 
 * ``kernel`` — the batch engine (hdpmf.engine) computing the same
   per-entity updates over CSR arrays. This is the reference mode used by
@@ -17,9 +17,10 @@ Two interchangeable execution paths exist, chosen by the config's
   audits, traces, and tests. Only this path takes a channel or a trace.
 
 A device holds arrays: its rated items in ascending order, their targets
-w_ij * r_ij and its noise share for each. Its message for item j is the one
-rater's summand of `model.item_gradient`, and its user step calls
-`model.user_gradient`, a vectorized sum over its rated items.
+w_ij * r_ij, its noise share for each, and its user vector `u`, which is
+its row of the model's U and which it alone writes. Its message for item j
+is the one rater's summand of `model.item_gradient`, and its user step
+calls `model.user_gradient`, a vectorized sum over its rated items.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
@@ -39,15 +40,8 @@ import numpy as np
 from . import engine
 from .config import ExperimentConfig
 from .data import RatingDataset
-from .exceptions import DivergedRunError, ProtocolError
-from .model import (
-    FactorModel,
-    init_model,
-    learning_rate,
-    objective_value,
-    project_unit_ball,
-    user_gradient,
-)
+from .exceptions import ProtocolError
+from .model import FactorModel, init_model, project_unit_ball, user_gradient
 from .privacy import NoisePlan, WeightAssignment
 
 
@@ -92,7 +86,8 @@ class MessageChannel:
 @dataclass
 class UserDevice:
     """Private per-user state: the rated items (ascending), their targets
-    w_ij * r_ij, the device's noise share for each, and the user vector."""
+    w_ij * r_ij, the device's noise share for each, and the user vector,
+    which the user step overwrites in place."""
 
     user_index: int
     items: np.ndarray  # (n,)
@@ -117,7 +112,7 @@ class UserDevice:
         """Local gradient step against the shared item factors, then
         projection onto the unit ball. Returns the gradient norm."""
         grad = user_gradient(self.u, V[self.items], self.wr, lam)
-        self.u = project_unit_ball(self.u - eta * grad)
+        self.u[:] = project_unit_ball(self.u - eta * grad)
         return float(np.sqrt(grad @ grad))
 
 
@@ -151,29 +146,26 @@ class RecommenderState:
 
 
 def _build_devices(
-    dataset: RatingDataset,
-    entry_weights: np.ndarray,
-    plan: NoisePlan,
-    U0: np.ndarray,
+    dataset: RatingDataset, targets: np.ndarray, plan: NoisePlan, U: np.ndarray
 ) -> list[UserDevice]:
-    """One device per user, holding views of its by-user CSR row. The
-    plan's shares are in by-item slot order, so they are gathered into
-    entry order through the inverse of the by-item permutation."""
+    """One device per user, holding views of its by-user CSR row of the
+    entries, of `targets` (w_ij * r_ij) and of `U`: device i's `u` is row i
+    of U. The plan's shares are in by-item slot order, so they are gathered
+    into entry order through the inverse of the by-item permutation."""
     user_ptr, _ = dataset.by_user
     _, item_order = dataset.by_item
     slot = np.empty_like(item_order)
     slot[item_order] = np.arange(len(item_order))
     shares = plan.shares[slot]
-    wr = entry_weights * dataset.ratings
     return [
-        UserDevice(i, dataset.items[s:e], wr[s:e], shares[s:e], U0[i].copy())
+        UserDevice(i, dataset.items[s:e], targets[s:e], shares[s:e], U[i])
         for i, (s, e) in enumerate(zip(user_ptr[:-1].tolist(), user_ptr[1:].tolist()))
     ]
 
 
 def _train_messages(
     dataset: RatingDataset,
-    entry_weights: np.ndarray,
+    targets: np.ndarray,
     plan: NoisePlan,
     cfg: ExperimentConfig,
     seed: int,
@@ -182,29 +174,23 @@ def _train_messages(
     loss_log: list[float] | None,
 ) -> FactorModel:
     model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
-    devices = _build_devices(dataset, entry_weights, plan, model.U)
-    item_ptr, item_order = dataset.by_item
-    raters = {}
-    for j in range(dataset.n_items):
-        s, e = int(item_ptr[j]), int(item_ptr[j + 1])
-        if s < e:
-            raters[j] = dataset.users[item_order[s:e]]
+    devices = _build_devices(dataset, targets, plan, model.U)
+    # each rated item's slots of the plan, which train matched to the dataset
+    rated = np.flatnonzero(np.diff(plan.item_ptr))
+    raters = dict(zip(rated.tolist(), np.split(plan.item_users, plan.item_ptr[rated[1:]])))
     recommender = RecommenderState(V=model.V, raters=raters)
-
     for j, members in raters.items():
         channel.broadcast()  # h_j distribution to the rater set
         for i in members:
             channel.register_rater(int(i), j)
 
-    rated_items = sorted(raters)
-    for t in range(cfg.epochs):
-        eta = learning_rate(t, cfg.epochs, cfg.effective_eta0)
-        for j in rated_items:
+    def epoch(t: int, eta: float) -> None:
+        for j, members in raters.items():
             v_ro = recommender.V[j].copy()
             v_ro.flags.writeable = False
             messages = [
                 channel.deliver_gradient(devices[int(i)].emit_gradient(j, v_ro))
-                for i in raters[j]
+                for i in members
             ]
             grad = recommender.update_item(j, messages, cfg.lam, eta)
             if trace is not None:
@@ -213,26 +199,12 @@ def _train_messages(
         channel.broadcast()  # end-of-item-phase V distribution
         V_ro = recommender.V.copy()
         V_ro.flags.writeable = False
-        for i in range(dataset.n_users):
-            norm = devices[i].update_user(V_ro, cfg.lam, eta)
+        for i, device in enumerate(devices):
+            norm = device.update_user(V_ro, cfg.lam, eta)
             if trace is not None:
                 trace.write(f"{t},user,{i},0,{norm!r}\n")
-        finite = np.isfinite(recommender.V).all() and all(
-            np.isfinite(d.u).all() for d in devices
-        )
-        if not finite:
-            raise DivergedRunError(t)
-        if loss_log is not None:
-            snapshot = FactorModel(
-                np.vstack([d.u for d in devices]), recommender.V, cfg.k, cfg.lam
-            )
-            loss_log.append(
-                objective_value(snapshot, dataset, entry_weights * dataset.ratings, plan.item_totals)
-            )
 
-    model.U = np.vstack([d.u for d in devices])
-    model.V = recommender.V
-    return model
+    return engine.run_epochs(model, epoch, dataset, targets, plan.item_totals, cfg, loss_log)
 
 
 def train(
@@ -265,16 +237,16 @@ def train(
     if not (np.array_equal(plan.item_ptr, item_ptr)
             and np.array_equal(plan.item_users, dataset.users[item_order])):
         raise ValueError("noise plan was drawn for other ratings than the dataset's")
+    targets = entry_weights * dataset.ratings
     if cfg.engine == "messages":
         return _train_messages(
-            dataset, entry_weights, plan, cfg, seed,
+            dataset, targets, plan, cfg, seed,
             channel if channel is not None else MessageChannel(),
             trace, loss_log,
         )
     if channel is not None or trace is not None:
         raise ValueError("a message channel or trace needs engine = messages")
-    vals = entry_weights * dataset.ratings
-    return engine.fit(dataset, vals, plan.item_totals, cfg, seed, loss_log=loss_log)
+    return engine.fit(dataset, targets, plan.item_totals, cfg, seed, loss_log=loss_log)
 
 
 def predict_all(

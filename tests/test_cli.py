@@ -270,7 +270,8 @@ class TestCmdRun:
         assert main(["run", str(cfg)]) == 1
         assert "FAILED" in capsys.readouterr().out
 
-    def test_loss_trace_matches_objective(self, tmp_path, synth_factory):
+    @pytest.mark.parametrize("engine", ["kernel", "messages"])
+    def test_loss_trace_matches_objective(self, tmp_path, synth_factory, engine):
         from hdpmf.evaluation import load_dataset, run_experiment
         from hdpmf.model import objective_value
         from hdpmf.baselines import BaselineKind, method_inputs
@@ -281,7 +282,7 @@ class TestCmdRun:
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=101)
         out = tmp_path / "r.csv"
         cfg_path = write_config(
-            tmp_path, dataset=data, output=out, method="hdpmf",
+            tmp_path, dataset=data, output=out, method="hdpmf", engine=engine,
             loss_trace=tmp_path / "loss.csv", **BASE,
         )
         assert main(["run", str(cfg_path)]) == 0
@@ -348,6 +349,7 @@ class TestCmdSweep:
         assert seen and set(seen) == {1}  # leave-one-out was used
         seed_rows, _ = read_results(out)
         assert sorted({r["fraction"] for r in seed_rows}) == [0.5, 1.0]
+        assert "# split = leave-one-out" in out.read_text().splitlines()
 
     def test_invalid_key_rejected(self, tmp_path, synth_factory):
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)

@@ -34,13 +34,24 @@ class TestRatingDataset:
         with pytest.raises(ValueError, match="scale"):
             RatingDataset(np.array([0]), np.array([0]), np.array([6.0]), 1, 1, 1, 5)
 
-    def test_entries_canonically_sorted(self):
+    def test_entries_canonically_sorted(self, synth_factory):
         ds = RatingDataset(
             np.array([1, 0, 1]), np.array([0, 0, 1]), np.array([2.0, 3.0, 4.0]), 2, 2, 1, 5
         )
         assert ds.users.tolist() == [0, 1, 1]
         assert ds.items.tolist() == [0, 0, 1]
         assert ds.ratings.tolist() == [3.0, 2.0, 4.0]
+        # a subset keeps the canonical order without sorting again
+        big = synth_factory(n_users=20, n_items=15, mean_per_user=6, master_seed=5)
+        mask = np.random.default_rng(5).random(len(big)) < 0.7
+        perm = np.random.default_rng(6).permutation(int(mask.sum()))
+        shuffled = RatingDataset(
+            big.users[mask][perm], big.items[mask][perm], big.ratings[mask][perm],
+            big.n_users, big.n_items, big.scale_min, big.scale_max,
+        )
+        sub = big.subset(mask)
+        for name in ("users", "items", "ratings"):
+            assert np.array_equal(getattr(sub, name), getattr(shuffled, name))
 
     def test_delta_from_declared_scale(self, tiny_dataset):
         assert tiny_dataset.delta == 4.0

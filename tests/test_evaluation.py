@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -154,10 +155,12 @@ class TestRunExperiment:
         for sr in res.seed_results:
             assert sr.mae**2 <= sr.mse + 1e-12
 
-    def test_diverged_seed_recorded_as_partial(self, synth_factory, tmp_path):
+    @pytest.mark.parametrize("engine", ["kernel", "messages"])
+    def test_diverged_seed_recorded_as_partial(self, synth_factory, tmp_path, engine):
         ds = synth_factory(n_users=15, n_items=12, mean_per_user=5, master_seed=61)
-        # absurd learning rate overflows the factors deterministically
-        cfg = _csv_config(tmp_path, ds, method=BaselineKind.MF, eta0=1e9, epochs=60)
+        # absurd learning rate overflows the factors deterministically, and
+        # silently: a RuntimeWarning is an error in this suite
+        cfg = _csv_config(tmp_path, ds, method=BaselineKind.MF, eta0=1e9, epochs=60, engine=engine)
         res = run_experiment(cfg)
         assert res.partial
         assert all(isinstance(s, int) for s, _ in res.failures)
@@ -227,6 +230,18 @@ class TestEmitResults:
             assert row["seed"] == sr.seed
         assert agg_rows[0]["mse_mean"] == res.mse_mean
         assert agg_rows[0]["mse_std"] == res.mse_std
+
+    def test_header_naming_aggregate_roundtrips(self, tmp_path):
+        # the header echoes the dataset path; only the section marker
+        # opens the aggregate section
+        res = self._result(tmp_path)
+        res.config = replace(res.config, dataset="aggregate-ratings.csv")
+        path = tmp_path / "out.csv"
+        emit_results([res], path, provenance=[f"{k} = {v}" for k, v in res.config.effective_items()])
+        seed_rows, agg_rows = read_results(path)
+        assert [row["mse"] for row in seed_rows] == [r.mse for r in res.seed_results]
+        assert [row["dataset"] for row in seed_rows + agg_rows] == ["aggregate-ratings.csv"] * 6
+        assert agg_rows[0]["mae_mean"] == res.mae_mean
 
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):

@@ -182,7 +182,7 @@ class TestDeviceConstruction:
         weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
         train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
         U0 = init_model(train_set.n_users, train_set.n_items, K, seed).U
-        devices = _build_devices(train_set, entry_weights, plan, U0)
+        devices = _build_devices(train_set, entry_weights * train_set.ratings, plan, U0)
         assert len(devices) == train_set.n_users
         for i, dev in enumerate(devices):
             rated = train_set.users == i
