@@ -63,6 +63,7 @@ from .privacy import (
 )
 from .protocol import (
     GradientMessage,
+    GradientUpload,
     MessageChannel,
     RecommenderState,
     UserDevice,
@@ -81,6 +82,7 @@ __all__ = [
     "ExperimentResult",
     "FactorModel",
     "GradientMessage",
+    "GradientUpload",
     "HdpmfError",
     "MessageChannel",
     "NoiseCheckReport",

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
@@ -252,27 +253,27 @@ def _fmt(value: float) -> str:
     return repr(float(value))
 
 
-def _row_prefix(result: ExperimentResult) -> str:
+def _row_prefix(result: ExperimentResult) -> list[str]:
     """The columns that seed rows and aggregate rows share, method to
     fraction."""
     cfg = result.config
-    return (
-        f"{result.method.value},{cfg.dataset},{cfg.k},{_fmt(cfg.epsilon)},"
-        f"{_fmt(cfg.f_uc)},{_fmt(cfg.eps_uc)},{_fmt(cfg.fraction)}"
-    )
+    return [
+        result.method.value, str(cfg.dataset), str(cfg.k), _fmt(cfg.epsilon),
+        _fmt(cfg.f_uc), _fmt(cfg.eps_uc), _fmt(cfg.fraction),
+    ]
 
 
-def _result_rows(result: ExperimentResult) -> list[str]:
+def _result_rows(result: ExperimentResult) -> list[list[str]]:
     prefix = _row_prefix(result)
-    return [f"{prefix},{r.seed},{_fmt(r.mse)},{_fmt(r.mae)}" for r in result.seed_results]
+    return [prefix + [str(r.seed), _fmt(r.mse), _fmt(r.mae)] for r in result.seed_results]
 
 
-def _aggregate_row(result: ExperimentResult) -> str:
-    return (
-        f"{_row_prefix(result)},{len(result.seed_results)},"
-        f"{_fmt(result.mse_mean)},{_fmt(result.mse_std)},"
-        f"{_fmt(result.mae_mean)},{_fmt(result.mae_std)}"
-    )
+def _aggregate_row(result: ExperimentResult) -> list[str]:
+    return _row_prefix(result) + [
+        str(len(result.seed_results)),
+        _fmt(result.mse_mean), _fmt(result.mse_std),
+        _fmt(result.mae_mean), _fmt(result.mae_std),
+    ]
 
 
 def emit_results(
@@ -281,29 +282,36 @@ def emit_results(
     provenance: list[str] | None = None,
 ) -> None:
     """Write per-seed rows plus an aggregate section; deterministic bytes
-    for identical inputs, full-precision decimals for exact round-trips."""
+    for identical inputs, full-precision decimals for exact round-trips.
+    Rows are CSV with minimal quoting, so a field that holds a comma or a
+    quote (a dataset path, say) is quoted and reads back intact."""
     if not results:
         raise ValueError("no results to emit")
-    lines = []
+    # imported here, after a run's factors and noise plan are freed, so the
+    # module stays out of the run's peak memory
+    import csv
+
+    out = io.StringIO()
+    rows = csv.writer(out, lineterminator="\n")
     for entry in provenance or []:
-        lines.append(f"# {entry}")
-    lines.append(RESULT_COLUMNS)
+        out.write(f"# {entry}\n")
+    out.write(RESULT_COLUMNS + "\n")
     for result in results:
-        lines.extend(_result_rows(result))
-    lines.append(AGGREGATE_MARKER)
-    lines.append(AGGREGATE_COLUMNS)
-    for result in results:
-        lines.append(_aggregate_row(result))
+        rows.writerows(_result_rows(result))
+    out.write(AGGREGATE_MARKER + "\n" + AGGREGATE_COLUMNS + "\n")
+    rows.writerows(_aggregate_row(result) for result in results)
     failures = [(r.method.value, seed, reason) for r in results for seed, reason in r.failures]
     if failures:
-        lines.append("# failures")
+        out.write("# failures\n")
         for method, seed, reason in failures:
-            lines.append(f"# {method},{seed},{reason}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+            out.write(f"# {method},{seed},{reason}\n")
+    Path(path).write_text(out.getvalue(), encoding="utf-8")
 
 
 def read_results(path: str | Path) -> tuple[list[dict], list[dict]]:
     """Parse a results file back into (seed rows, aggregate rows)."""
+    import csv
+
     seed_rows: list[dict] = []
     agg_rows: list[dict] = []
     section = "seed"
@@ -316,7 +324,7 @@ def read_results(path: str | Path) -> tuple[list[dict], list[dict]]:
             continue
         if line in (RESULT_COLUMNS, AGGREGATE_COLUMNS):
             continue
-        parts = line.split(",")
+        parts = next(csv.reader([line]))
         if section == "seed":
             row = dict(zip(seed_fields, parts))
             for key in ("K", "seed"):

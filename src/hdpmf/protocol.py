@@ -3,8 +3,9 @@
 An untrusted recommender holds only the item factors and a per-item rater
 registry. Ratings, privacy weights, user vectors, and raw noise shares live
 on user devices and never cross the boundary: the only device-to-recommender
-traffic is rater registration and per-item gradient messages whose payload
-is a single K-vector (residual term plus the device's noise share).
+traffic is rater registration and, once per device per item phase, a
+gradient upload whose rows are one K-vector per rated item (residual term
+plus the device's noise share).
 
 The config's `engine` key picks how an epoch is computed; both engines run
 it in the one training loop, `engine.run_epochs`:
@@ -13,27 +14,31 @@ it in the one training loop, `engine.run_epochs`:
   per-entity updates over CSR arrays. This is the reference mode used by
   experiments.
 * ``messages`` — explicit device/recommender objects exchanging
-  GradientMessage values through a MessageChannel, used for protocol
-  audits, traces, and tests. Only this path takes a channel or a trace.
+  GradientUpload values through a MessageChannel, which counts and audits
+  them row by row, used for protocol audits, traces, and tests. Only this
+  path takes a channel or a trace.
 
 A device holds arrays: its rated items in ascending order, their targets
 w_ij * r_ij, its noise share for each, and its user vector `u`, which is
-its row of the model's U and which it alone writes. Its message for item j
-is the one rater's summand of `model.item_gradient`, and its user step
-calls `model.user_gradient`, a vectorized sum over its rated items.
+its row of the model's U and which it alone writes. Its upload's row for
+item j is the one rater's summand of `model.item_gradient`, the residuals
+of all its rows coming from one matrix-vector product, and its user step
+calls `model.user_gradient`, a vectorized sum over its rated items. The
+recommender checks that the rows it receives are its registry exactly and
+folds the uploads in ascending sender order, whatever the delivery order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
 share in ascending rater order, while the kernels add the item's summed
-noise after the residual sum, and each path reduces a user's sum in its
-own order. So they agree to floating-point reduction order, not bit for
-bit.
+noise after the residual sum, and each path reduces a residual and a
+user's sum in its own order. So they agree to floating-point reduction
+order, not bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
@@ -47,18 +52,27 @@ from .privacy import NoisePlan, WeightAssignment
 
 @dataclass
 class GradientMessage:
-    """One device's contribution to one item update."""
+    """One device's contribution to one item update: one row of an upload."""
 
     item_index: int
     sender: int
     payload: np.ndarray  # (K,)
 
 
+@dataclass
+class GradientUpload:
+    """One device's item-phase upload: a payload row for each rated item."""
+
+    sender: int
+    items: np.ndarray  # (n,) ascending
+    payload: np.ndarray  # (n, K)
+
+
 class MessageChannel:
     """Instrumented transport between devices and the recommender.
 
-    Counts every message and, when capture is on, keeps the payloads so a
-    test can audit exactly what crossed the boundary.
+    Counts every gradient row and, when capture is on, keeps each row as a
+    GradientMessage so a test can audit exactly what crossed the boundary.
     """
 
     def __init__(self, capture: bool = False):
@@ -74,13 +88,14 @@ class MessageChannel:
     def broadcast(self) -> None:
         self.n_broadcasts += 1
 
-    def deliver_gradient(self, message: GradientMessage) -> GradientMessage:
-        self.n_gradient_messages += 1
+    def deliver_gradient(self, upload: GradientUpload) -> GradientUpload:
+        self.n_gradient_messages += len(upload.items)
         if self.capture:
-            self.gradient_log.append(
-                GradientMessage(message.item_index, message.sender, message.payload.copy())
+            self.gradient_log.extend(
+                GradientMessage(j, upload.sender, row.copy())
+                for j, row in zip(upload.items.tolist(), upload.payload)
             )
-        return message
+        return upload
 
 
 @dataclass
@@ -94,19 +109,14 @@ class UserDevice:
     wr: np.ndarray  # (n,)
     shares: np.ndarray  # (n, K)
     u: np.ndarray
-    _row: dict[int, int] = field(init=False, repr=False)
 
-    def __post_init__(self):
-        self._row = {j: r for r, j in enumerate(self.items.tolist())}
-
-    def emit_gradient(self, j: int, v_j: np.ndarray) -> GradientMessage:
-        """Local item-gradient contribution plus this device's noise share:
-        the one rater's summand of `model.item_gradient`."""
-        r = self._row.get(j)
-        if r is None:
-            raise ProtocolError(f"device {self.user_index} asked to report on unrated item {j}")
-        payload = 2.0 * (float(self.u @ v_j) - self.wr[r]) * self.u + self.shares[r]
-        return GradientMessage(j, self.user_index, payload)
+    def emit_gradient(self, V: np.ndarray) -> GradientUpload:
+        """Local item-gradient contributions plus this device's noise
+        shares: row r is the one rater's summand of `model.item_gradient`
+        for item items[r]."""
+        residual = V[self.items] @ self.u - self.wr
+        payload = (2.0 * residual)[:, None] * self.u + self.shares
+        return GradientUpload(self.user_index, self.items, payload)
 
     def update_user(self, V: np.ndarray, lam: float, eta: float) -> float:
         """Local gradient step against the shared item factors, then
@@ -118,31 +128,66 @@ class UserDevice:
 
 @dataclass
 class RecommenderState:
-    """What the untrusted recommender is allowed to hold."""
+    """What the untrusted recommender is allowed to hold: the item factors
+    and the rater registry, item j's registered raters being
+    item_users[item_ptr[j]:item_ptr[j + 1]] in ascending order (membership
+    only)."""
 
     V: np.ndarray
-    raters: dict[int, np.ndarray]  # item -> ascending user indices (membership only)
+    item_ptr: np.ndarray  # (n_items + 1,)
+    item_users: np.ndarray
+    # the registry by sender: each registered rater's items, ascending
+    _registered: dict[int, np.ndarray] = field(init=False, repr=False)
 
-    def update_item(self, j: int, messages: list[GradientMessage], lam: float, eta: float) -> np.ndarray:
-        """Aggregate one message per registered rater and take the step.
-        Returns the aggregated gradient (for traces)."""
-        expected = self.raters.get(j)
-        if expected is None or len(expected) == 0:
-            raise ProtocolError(f"item {j} has no registered raters")
-        senders = [m.sender for m in messages]
-        if sorted(senders) != list(expected):
-            raise ProtocolError(
-                f"item {j}: expected one message from each of {len(expected)} raters, "
-                f"got senders {sorted(senders)}"
-            )
-        grad = np.zeros(self.V.shape[1])
-        for m in messages:
-            if m.item_index != j:
-                raise ProtocolError(f"message for item {m.item_index} delivered to item {j}")
-            grad += m.payload
-        grad += 2.0 * lam * self.V[j]
-        self.V[j] = self.V[j] - eta * grad
-        return grad
+    def __post_init__(self):
+        by_user = np.argsort(self.item_users, kind="stable")
+        senders, starts = np.unique(self.item_users[by_user], return_index=True)
+        slot_items = np.repeat(np.arange(len(self.item_ptr) - 1), np.diff(self.item_ptr))
+        self._registered = dict(zip(senders.tolist(), np.split(slot_items[by_user], starts[1:])))
+
+    def update_item(self, uploads: Iterable[GradientUpload], lam: float, eta: float) -> np.ndarray:
+        """The item phase: take one upload from each registered rater, in
+        any order, then step every rated item. Returns the rated items'
+        aggregated gradients, in ascending item order (for traces).
+
+        An upload must hold a row for exactly the items its sender
+        registered, so the rows received are the registry exactly; a
+        missing, duplicated, extra or wrong-item row raises ProtocolError
+        and leaves V untouched. Uploads are folded in as they arrive, in
+        ascending sender order, so each item sums its rows in ascending
+        rater order; one that arrives early waits for the senders before it.
+        """
+        registered = self._registered
+        senders = list(registered)  # ascending
+        grad = np.zeros_like(self.V)
+        pending: dict[int, GradientUpload] = {}
+        folded = 0
+        for upload in uploads:
+            s = upload.sender
+            if s not in registered:
+                raise ProtocolError(f"upload from sender {s}, who registered no rating")
+            if s in pending or folded == len(senders) or s < senders[folded]:
+                raise ProtocolError(f"second upload from sender {s}")
+            pending[s] = upload
+            while folded < len(senders) and senders[folded] in pending:
+                sender = senders[folded]
+                ready, items = pending.pop(sender), registered[sender]
+                if not (np.array_equal(ready.items, items)
+                        and ready.payload.shape == (len(items), grad.shape[1])):
+                    raise ProtocolError(
+                        f"upload from sender {sender} does not hold one K-vector "
+                        f"for each of the {len(items)} items it registered"
+                    )
+                # one addition per element, as a running `grad[j] += row` makes
+                np.add.at(grad, items, ready.payload)
+                folded += 1
+        if folded < len(senders):
+            raise ProtocolError(f"no upload from {len(senders) - folded} registered raters")
+        rated = np.flatnonzero(np.diff(self.item_ptr))
+        g = grad[rated]
+        g += 2.0 * lam * self.V[rated]
+        self.V[rated] = self.V[rated] - eta * g
+        return g
 
 
 def _build_devices(
@@ -175,30 +220,30 @@ def _train_messages(
 ) -> FactorModel:
     model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
     devices = _build_devices(dataset, targets, plan, model.U)
-    # each rated item's slots of the plan, which train matched to the dataset
+    # the plan's by-item slots, which train matched to the dataset
+    recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
     rated = np.flatnonzero(np.diff(plan.item_ptr))
-    raters = dict(zip(rated.tolist(), np.split(plan.item_users, plan.item_ptr[rated[1:]])))
-    recommender = RecommenderState(V=model.V, raters=raters)
-    for j, members in raters.items():
+    counts = np.diff(plan.item_ptr)[rated].tolist()
+    for j, s, e in zip(rated.tolist(), plan.item_ptr[rated].tolist(), plan.item_ptr[rated + 1].tolist()):
         channel.broadcast()  # h_j distribution to the rater set
-        for i in members:
-            channel.register_rater(int(i), j)
+        for i in plan.item_users[s:e].tolist():
+            channel.register_rater(i, j)
+    raters = [device for device in devices if len(device.items)]
+    # devices read V through this; it changes only between the phases
+    V_ro = recommender.V.view()
+    V_ro.flags.writeable = False
 
     def epoch(t: int, eta: float) -> None:
-        for j, members in raters.items():
-            v_ro = recommender.V[j].copy()
-            v_ro.flags.writeable = False
-            messages = [
-                channel.deliver_gradient(devices[int(i)].emit_gradient(j, v_ro))
-                for i in members
-            ]
-            grad = recommender.update_item(j, messages, cfg.lam, eta)
-            if trace is not None:
-                norm = float(np.sqrt(grad @ grad))
-                trace.write(f"{t},item,{j},{len(messages)},{norm!r}\n")
+        grad = recommender.update_item(
+            (channel.deliver_gradient(device.emit_gradient(V_ro)) for device in raters),
+            cfg.lam, eta,
+        )
+        if trace is not None:
+            norms = np.sqrt(np.einsum("ij,ij->i", grad, grad)).tolist()
+            trace.write("".join(
+                f"{t},item,{j},{n},{norm!r}\n" for j, n, norm in zip(rated.tolist(), counts, norms)
+            ))
         channel.broadcast()  # end-of-item-phase V distribution
-        V_ro = recommender.V.copy()
-        V_ro.flags.writeable = False
         for i, device in enumerate(devices):
             norm = device.update_user(V_ro, cfg.lam, eta)
             if trace is not None:

@@ -89,8 +89,10 @@ def keyed_normal(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
     u = keyed_uniform(master_seed, purpose, j, i, size + size % 2)
     radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
     angle = 2.0 * np.pi * u[:, 1::2]
-    z = np.stack((radius * np.cos(angle), radius * np.sin(angle)), axis=-1)
-    return z.reshape(u.shape)[:, :size]
+    # the uniforms are spent, so the normals overwrite them in place
+    np.multiply(radius, np.cos(angle), out=u[:, 0::2])
+    np.multiply(radius, np.sin(angle), out=u[:, 1::2])
+    return u[:, :size]
 
 
 def keyed_exponential(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:

@@ -243,6 +243,26 @@ class TestEmitResults:
         assert [row["dataset"] for row in seed_rows + agg_rows] == ["aggregate-ratings.csv"] * 6
         assert agg_rows[0]["mae_mean"] == res.mae_mean
 
+    @pytest.mark.parametrize("dataset", ["ratings/a,b.csv", 'ratings/a"b.csv'])
+    def test_dataset_with_csv_specials_roundtrips(self, tmp_path, dataset):
+        res = self._result(tmp_path)
+        res.config = replace(res.config, dataset=dataset)
+        path = tmp_path / "out.csv"
+        emit_results([res], path, provenance=[f"{k} = {v}" for k, v in res.config.effective_items()])
+        seed_rows, agg_rows = read_results(path)
+        assert [row["dataset"] for row in seed_rows + agg_rows] == [dataset] * 6
+        assert [row["mse"] for row in seed_rows] == [r.mse for r in res.seed_results]
+        assert [row["seed"] for row in seed_rows] == [r.seed for r in res.seed_results]
+        assert agg_rows[0]["mae_std"] == res.mae_std
+
+    def test_plain_dataset_path_is_unquoted(self, tmp_path):
+        res = self._result(tmp_path)
+        path = tmp_path / "out.csv"
+        emit_results([res], path)
+        rows = [line for line in path.read_text().splitlines() if line.startswith("hdpmf,")]
+        assert len(rows) == 6
+        assert all(line.startswith("hdpmf,data.csv,10,") and '"' not in line for line in rows)
+
     def test_empty_rejected(self, tmp_path):
         with pytest.raises(ValueError):
             emit_results([], tmp_path / "x.csv")

@@ -16,7 +16,7 @@ from hdpmf.exceptions import ProtocolError
 from hdpmf.model import FactorModel, init_model, item_gradient, user_gradient
 from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
 from hdpmf.protocol import (
-    GradientMessage,
+    GradientUpload,
     MessageChannel,
     RecommenderState,
     UserDevice,
@@ -41,55 +41,79 @@ def make_device(u, ratings, weights, shares=None):
     )
 
 
+def make_state(V, raters):
+    """A recommender holding V, with {item: ascending raters} as its
+    registry."""
+    V = np.asarray(V, dtype=float)
+    counts = [len(raters.get(j, ())) for j in range(len(V))]
+    ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
+    users = np.array([i for j in range(len(V)) for i in raters.get(j, ())], dtype=np.int64)
+    return RecommenderState(V, ptr, users)
+
+
+def upload(sender, rows):
+    """An upload from {item: payload row}."""
+    items = sorted(rows)
+    return GradientUpload(
+        sender, np.array(items, dtype=np.int64), np.array([rows[j] for j in items], dtype=float)
+    )
+
+
 class TestDeviceEmit:
     def test_hand_payload(self):
         dev = make_device([1.0, 0.0], {3: 4.0}, {3: 0.5})
-        msg = dev.emit_gradient(3, np.array([0.5, 0.0]))
-        assert msg.item_index == 3 and msg.sender == 0
-        assert msg.payload.tolist() == [-3.0, 0.0]
+        V = np.zeros((4, 2))
+        V[3] = [0.5, 0.0]
+        up = dev.emit_gradient(V)
+        assert up.sender == 0 and up.items.tolist() == [3]
+        assert up.payload.tolist() == [[-3.0, 0.0]]
 
     def test_noise_cancellation(self):
         u = np.array([1.0, 0.0])
-        v = np.array([0.5, 0.0])
-        residual_term = 2.0 * (u @ v - 2.0) * u
+        V = np.array([[0.0, 0.0], [0.5, 0.0]])
+        residual_term = 2.0 * (u @ V[1] - 2.0) * u
         dev = make_device(u, {1: 4.0}, {1: 0.5}, shares={1: -residual_term})
-        msg = dev.emit_gradient(1, v)
-        assert np.allclose(msg.payload, 0.0)
-
-    def test_unrated_item_is_protocol_error(self):
-        dev = make_device([1.0, 0.0], {0: 3.0}, {0: 1.0})
-        with pytest.raises(ProtocolError):
-            dev.emit_gradient(5, np.zeros(2))
+        up = dev.emit_gradient(V)
+        assert np.allclose(up.payload, 0.0)
 
 
 class TestRecommenderUpdate:
     def test_zero_payloads_no_reg(self):
-        state = RecommenderState(V=np.array([[0.4, 0.2]]), raters={0: np.array([0, 1])})
-        msgs = [GradientMessage(0, 0, np.zeros(2)), GradientMessage(0, 1, np.zeros(2))]
-        state.update_item(0, msgs, lam=0.0, eta=0.1)
+        state = make_state([[0.4, 0.2]], {0: [0, 1]})
+        state.update_item([upload(0, {0: [0.0, 0.0]}), upload(1, {0: [0.0, 0.0]})], lam=0.0, eta=0.1)
         assert state.V[0].tolist() == [0.4, 0.2]
 
     def test_single_payload_step(self):
-        state = RecommenderState(V=np.array([[1.0, 1.0]]), raters={0: np.array([0])})
-        g = np.array([2.0, -4.0])
-        state.update_item(0, [GradientMessage(0, 0, g)], lam=0.0, eta=0.5)
+        state = make_state([[1.0, 1.0]], {0: [0]})
+        state.update_item([upload(0, {0: [2.0, -4.0]})], lam=0.0, eta=0.5)
         assert state.V[0].tolist() == [0.0, 3.0]
 
-    def test_missing_rater_rejected(self):
-        state = RecommenderState(V=np.zeros((1, 2)), raters={0: np.array([0, 1])})
+    @staticmethod
+    def _rejected(state, uploads):
+        before = state.V.copy()
         with pytest.raises(ProtocolError):
-            state.update_item(0, [GradientMessage(0, 0, np.zeros(2))], 0.0, 0.1)
+            state.update_item(uploads, 0.0, 0.1)
+        assert state.V.tobytes() == before.tobytes()
+
+    def test_missing_rater_rejected(self):
+        state = make_state([[0.1, 0.2]], {0: [0, 1]})
+        self._rejected(state, [upload(0, {0: [1.0, 1.0]})])
 
     def test_duplicate_rater_rejected(self):
-        state = RecommenderState(V=np.zeros((1, 2)), raters={0: np.array([0, 1])})
-        msgs = [GradientMessage(0, 0, np.zeros(2)), GradientMessage(0, 0, np.zeros(2))]
-        with pytest.raises(ProtocolError):
-            state.update_item(0, msgs, 0.0, 0.1)
+        state = make_state([[0.1, 0.2]], {0: [0, 1]})
+        self._rejected(state, [upload(0, {0: [1.0, 1.0]}), upload(0, {0: [1.0, 1.0]})])
 
     def test_wrong_item_rejected(self):
-        state = RecommenderState(V=np.zeros((2, 2)), raters={1: np.array([0])})
-        with pytest.raises(ProtocolError):
-            state.update_item(1, [GradientMessage(0, 0, np.zeros(2))], 0.0, 0.1)
+        state = make_state([[0.1, 0.2], [0.3, 0.4]], {1: [0]})
+        self._rejected(state, [upload(0, {0: [1.0, 1.0]})])
+
+    def test_unregistered_item_rejected(self):
+        # sender 0 rated item 0 only; a row for item 1 is an extra row even
+        # though item 1 is rated by someone else
+        state = make_state([[0.1, 0.2], [0.3, 0.4]], {0: [0], 1: [1]})
+        self._rejected(
+            state, [upload(0, {0: [1.0, 1.0], 1: [1.0, 1.0]}), upload(1, {1: [1.0, 1.0]})]
+        )
 
 
 class TestDeviceUpdateUser:
@@ -131,25 +155,26 @@ class TestAggregationEquivalence:
         plan = build_noise_plan(ds, 3, ds.delta, 1.0, master_seed=1)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1, lam=0.02)
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
-        devices = {}
+        totals = np.zeros((ds.n_items, 3))
         for i in range(ds.n_users):
             rated = ds.users == i
             items = ds.items[rated]
-            devices[i] = UserDevice(
+            dev = UserDevice(
                 i,
                 items,
                 targets[rated],
                 np.array([plan.share(i, int(j)) for j in items]).reshape(len(items), 3),
                 model.U[i].copy(),
             )
+            up = dev.emit_gradient(model.V)
+            assert up.items.tolist() == items.tolist()
+            for j, row in zip(up.items, up.payload):
+                totals[j] += row
         for j in range(ds.n_items):
             raters = ds.items == j
             if not raters.any():
                 continue
-            total = np.zeros(3)
-            for i in ds.users[raters]:
-                total += devices[int(i)].emit_gradient(j, model.V[j]).payload
-            total += 2.0 * model.lam * model.V[j]
+            total = totals[j] + 2.0 * model.lam * model.V[j]
             central = item_gradient(
                 model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
             )
@@ -194,6 +219,90 @@ class TestDeviceConstruction:
             for row, j in zip(dev.shares, dev.items.tolist()):
                 assert row.tobytes() == plan.share(i, j).tobytes()
             assert np.array_equal(dev.u, U0[i])
+
+
+def item_phase(case):
+    """The registry and one epoch's uploads for an engine case, from the
+    model's initial V; None when nobody rated anything."""
+    ds, K, method, seed = case
+    weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
+    train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
+    if len(train_set) == 0:
+        return None
+    model = init_model(train_set.n_users, train_set.n_items, K, seed)
+    devices = _build_devices(train_set, entry_weights * train_set.ratings, plan, model.U)
+    uploads = [dev.emit_gradient(model.V) for dev in devices if len(dev.items)]
+    return model.V, plan, uploads
+
+
+class TestItemPhaseProperties:
+    LAM, ETA = 0.01, 0.05
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=engine_cases(), data=st.data())
+    def test_any_delivery_order_gives_the_same_bits(self, case, data):
+        phase = item_phase(case)
+        if phase is None:
+            return
+        V0, plan, uploads = phase
+        order = data.draw(st.permutations(range(len(uploads))))
+        ends = []
+        for batch in (uploads, [uploads[k] for k in order]):
+            state = RecommenderState(V0.copy(), plan.item_ptr, plan.item_users)
+            state.update_item(iter(batch), self.LAM, self.ETA)
+            ends.append(state.V)
+        # the reference: each item adds its rows one at a time in ascending
+        # rater order, then takes its step
+        expected = V0.copy()
+        for j in np.flatnonzero(np.diff(plan.item_ptr)).tolist():
+            grad = np.zeros(V0.shape[1])
+            for up in uploads:  # ascending sender
+                hit = np.flatnonzero(up.items == j)
+                if len(hit):
+                    grad += up.payload[hit[0]]
+            grad += 2.0 * self.LAM * V0[j]
+            expected[j] = V0[j] - self.ETA * grad
+        assert ends[0].tobytes() == ends[1].tobytes() == expected.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=engine_cases(), data=st.data())
+    def test_one_bad_row_is_rejected_and_v_kept(self, case, data):
+        phase = item_phase(case)
+        if phase is None:
+            return
+        V0, plan, uploads = phase
+        k = data.draw(st.integers(0, len(uploads) - 1))
+        up = uploads[k]
+        r = data.draw(st.integers(0, len(up.items) - 1))
+        kind = data.draw(st.sampled_from(["drop", "duplicate", "retarget"]))
+        items, payload = up.items.copy(), up.payload.copy()
+        if kind == "drop":
+            items, payload = np.delete(items, r), np.delete(payload, r, axis=0)
+        elif kind == "duplicate":
+            items, payload = np.insert(items, r, items[r]), np.insert(payload, r, payload[r], axis=0)
+        else:
+            n_items = len(plan.item_ptr) - 1
+            items[r] = data.draw(st.integers(-1, n_items).filter(lambda j: j != up.items[r]))
+        uploads[k] = GradientUpload(up.sender, items, payload)
+        state = RecommenderState(V0.copy(), plan.item_ptr, plan.item_users)
+        with pytest.raises(ProtocolError):
+            state.update_item(uploads, self.LAM, self.ETA)
+        assert state.V.tobytes() == V0.tobytes()
+
+    @settings(max_examples=30, deadline=None)
+    @given(case=engine_cases(), epochs=st.integers(1, 3))
+    def test_trace_item_lines_sum_to_nnz_times_epochs(self, case, epochs):
+        import io
+
+        ds, K, method, seed = case
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
+        inputs = method_inputs(method, ds, weights, 1.0, K, seed)
+        cfg = ExperimentConfig(epochs=epochs, eta0=0.01, lam=0.01, k=K, engine="messages")
+        buf, channel = io.StringIO(), MessageChannel()
+        train(*inputs, cfg, seed, channel=channel, trace=buf)
+        counts = [int(line.split(",")[3]) for line in buf.getvalue().splitlines()
+                  if line.split(",")[1] == "item"]
+        assert sum(counts) == len(inputs[0]) * epochs == channel.n_gradient_messages
 
 
 class TestPlanAlignment:
