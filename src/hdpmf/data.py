@@ -8,10 +8,11 @@ deterministic regardless of file order.
 
 from __future__ import annotations
 
+import itertools
+import warnings
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import TextIO
 
 import numpy as np
 
@@ -53,7 +54,16 @@ class RatingDataset:
         du, di = np.diff(self.users), np.diff(self.items)
         if ((du > 0) | ((du == 0) & (di > 0))).all():
             return  # already canonical and distinct, as every subset is
-        order = np.lexsort((self.items, self.users))
+        del du, di  # as large as the arrays; free them before sorting
+        if int(self.n_users) * int(self.n_items) < 2**62:
+            # after the range checks, distinct pairs pack into distinct keys,
+            # so any sort of the keys gives lexsort's permutation
+            keys = self.users * self.n_items
+            keys += self.items
+            order = np.argsort(keys)
+            del keys
+        else:
+            order = np.lexsort((self.items, self.users))
         self.users = self.users[order]
         self.items = self.items[order]
         self.ratings = self.ratings[order]
@@ -115,50 +125,199 @@ class SplitPlan:
 
 
 def _dense_remap(raw: np.ndarray) -> tuple[np.ndarray, int]:
-    """Map raw ids to 0..count-1 by ascending raw id."""
+    """Map raw ids to 0..count-1 by ascending raw id.
+
+    When the ids span less than about four times their number, each id's
+    rank comes from a presence mask over the span and its running count,
+    with no sort. Wider spans (sparse or huge ids) take `np.unique`. Both
+    give the same mapping.
+    """
+    if len(raw):
+        lo = int(raw.min())
+        span = int(raw.max()) - lo + 1
+        if span < 4 * len(raw) + 1024:
+            offset = raw - lo
+            present = np.zeros(span, dtype=bool)
+            present[offset] = True
+            rank = np.cumsum(present, dtype=np.int64)
+            rank -= 1
+            return rank[offset], int(rank[-1]) + 1
     uniq, dense = np.unique(raw, return_inverse=True)
     return dense.astype(np.int64), len(uniq)
 
 
-def _read_ratings(
-    fh: TextIO,
+_CSV_HEADER = "user,item,rating"
+# Bytes the bulk parse accepts besides the format's separator. Within them
+# np.loadtxt and int()/float() accept the same fields and read the same
+# values. np.loadtxt also reads bytes such as \x1f as whitespace, which
+# int() and float() reject, so any other byte sends the file to the loop.
+_BULK_BYTES = b"0123456789+-.eE \n"
+_INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
+
+
+def _header_ok(line: str) -> bool:
+    """An empty first line, or the CSV header up to spaces."""
+    line = line.rstrip("\n")
+    return not line or line.replace(" ", "") == _CSV_HEADER
+
+
+def _to_dataset(
     path: Path,
-    first_line_no: int,
+    raw_users: np.ndarray,
+    raw_items: np.ndarray,
+    ratings: np.ndarray,
+    scale_min: float,
+    scale_max: float,
+) -> RatingDataset:
+    """Dense ids and canonical order; a duplicate pair is a ParseError."""
+    users, n_users = _dense_remap(raw_users)
+    items, n_items = _dense_remap(raw_items)
+    try:
+        return RatingDataset(users, items, ratings, n_users, n_items, scale_min, scale_max)
+    except ValueError as exc:
+        raise ParseError(str(path), 0, str(exc)) from None
+
+
+def _read_lines(
+    path: Path,
     sep: str,
     n_fields: int,
     scale_min: float,
     scale_max: float,
+    header: bool,
 ) -> RatingDataset:
-    """Parse the lines of an open ratings file: exactly `n_fields` fields
-    separated by `sep`, user id, item id and rating first. Blank lines are
-    skipped."""
-    raw_users, raw_items, ratings = [], [], []
-    for line_no, line in enumerate(fh, start=first_line_no):
-        line = line.rstrip("\n")
-        if not line:
-            continue
-        parts = line.split(sep)
-        if len(parts) != n_fields:
-            raise ParseError(str(path), line_no, f"expected {n_fields} fields, got {len(parts)}")
+    """Parse a ratings file line by line: exactly `n_fields` fields
+    separated by `sep`, user id, item id and rating first, after the CSV
+    header when `header` is set. Blank lines are skipped. The first bad
+    line raises a ParseError that names it.
+
+    This is the reference that the bulk parse must agree with.
+    """
+    with open(path, encoding="utf-8") as fh:
+        first_line_no = 1
+        if header:
+            line = fh.readline().rstrip("\n")
+            if not _header_ok(line):
+                raise ParseError(str(path), 1, f"expected header '{_CSV_HEADER}', got {line!r}")
+            first_line_no = 2
+        raw_users, raw_items, ratings = [], [], []
+        for line_no, line in enumerate(fh, start=first_line_no):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            parts = line.split(sep)
+            if len(parts) != n_fields:
+                raise ParseError(str(path), line_no, f"expected {n_fields} fields, got {len(parts)}")
+            try:
+                u = int(parts[0])
+                i = int(parts[1])
+                r = float(parts[2])
+            except ValueError as exc:
+                raise ParseError(str(path), line_no, str(exc)) from None
+            for raw_id in (u, i):
+                if not _INT64_MIN <= raw_id <= _INT64_MAX:
+                    raise ParseError(str(path), line_no, f"id {raw_id} does not fit in 64 bits")
+            if not (scale_min <= r <= scale_max):
+                raise ParseError(
+                    str(path), line_no, f"rating {r} outside scale [{scale_min}, {scale_max}]"
+                )
+            raw_users.append(u)
+            raw_items.append(i)
+            ratings.append(r)
+    return _to_dataset(
+        path,
+        np.asarray(raw_users, dtype=np.int64),
+        np.asarray(raw_items, dtype=np.int64),
+        np.asarray(ratings, dtype=np.float64),
+        scale_min,
+        scale_max,
+    )
+
+
+def _line_blocks(body: bytes):
+    """The lines of an ASCII body as lists of str, decoded and split about
+    64 KiB of whole lines at a time: np.loadtxt reads str lines faster than
+    bytes lines, and no str copy of the whole body is made."""
+    start = 0
+    while start < len(body):
+        end = body.find(b"\n", start + (1 << 16)) + 1 or len(body)
+        yield body[start:end].decode("ascii").split("\n")
+        start = end
+
+
+def _read_bulk(
+    path: Path,
+    sep: str,
+    n_fields: int,
+    scale_min: float,
+    scale_max: float,
+    header: bool,
+) -> RatingDataset | None:
+    """Parse the whole file with one `np.loadtxt` call, or return None
+    when that parse cannot be sure to match `_read_lines`.
+
+    The decision is made on the raw bytes: every byte after the header
+    must be in `_BULK_BYTES` or the separator. A multi-character separator
+    becomes one comma, and a separator character left over declines. The
+    parse, the field count and the scale are then checked in bulk (NaN
+    fails the scale check); an error or any warning declines, as does an
+    empty body.
+    """
+    with open(path, "rb") as fh:
+        # latin-1 decodes any bytes, and a header that is not ASCII fails
+        if header and not _header_ok(fh.readline().decode("latin-1")):
+            return None
+        body = fh.read()
+    if body.translate(None, _BULK_BYTES + sep.encode()):
+        return None
+    if len(sep) > 1:
+        # the comma is not in the whitelist, so it cannot be in the raw bytes
+        body = body.replace(sep.encode(), b",")
+        if sep[0].encode() in body:
+            return None
+        sep = ","
+    # the loop only counts the fields after the rating; int64 is the
+    # cheapest type to parse them as
+    fields = [("user", np.int64), ("item", np.int64), ("rating", np.float64)]
+    fields += [(f"extra{k}", np.int64) for k in range(n_fields - 3)]
+    with warnings.catch_warnings():
+        # older NumPy releases only warn on an int field such as 1.0, and
+        # an empty body warns "input contained no data"
+        warnings.simplefilter("error")
         try:
-            u = int(parts[0])
-            i = int(parts[1])
-            r = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(str(path), line_no, str(exc)) from None
-        if not (scale_min <= r <= scale_max):
-            raise ParseError(
-                str(path), line_no, f"rating {r} outside scale [{scale_min}, {scale_max}]"
+            table = np.loadtxt(
+                itertools.chain.from_iterable(_line_blocks(body)), dtype=fields,
+                delimiter=sep, comments=None, quotechar=None, ndmin=1,
             )
-        raw_users.append(u)
-        raw_items.append(i)
-        ratings.append(r)
-    users, n_users = _dense_remap(np.asarray(raw_users, dtype=np.int64))
-    items, n_items = _dense_remap(np.asarray(raw_items, dtype=np.int64))
-    try:
-        return RatingDataset(users, items, np.asarray(ratings), n_users, n_items, scale_min, scale_max)
-    except ValueError as exc:
-        raise ParseError(str(path), 0, str(exc)) from None
+        except (ValueError, OverflowError, Warning):
+            return None
+    del body  # before the remap and the sort
+    ratings = np.ascontiguousarray(table["rating"])
+    if not ((ratings >= scale_min) & (ratings <= scale_max)).all():
+        return None
+    return _to_dataset(path, table["user"], table["item"], ratings, scale_min, scale_max)
+
+
+def _read_ratings(
+    path: str | Path,
+    sep: str,
+    n_fields: int,
+    scale_min: float,
+    scale_max: float,
+    header: bool = False,
+) -> RatingDataset:
+    """Load a ratings file: the bulk parse when every byte after the header
+    is a digit, sign, point, exponent, space, newline or separator and the
+    parse succeeds; otherwise the line loop on the same file.
+
+    Either way the arrays, and every ParseError message, are the line
+    loop's.
+    """
+    path = Path(path)
+    dataset = _read_bulk(path, sep, n_fields, scale_min, scale_max, header)
+    if dataset is None:
+        dataset = _read_lines(path, sep, n_fields, scale_min, scale_max, header)
+    return dataset
 
 
 def load_movielens_100k(path: str | Path) -> RatingDataset:
@@ -167,16 +326,12 @@ def load_movielens_100k(path: str | Path) -> RatingDataset:
     Raw ids are remapped to dense 0-based indices (ascending raw id); the
     scale is fixed to [1, 5].
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return _read_ratings(fh, path, 1, "\t", 4, 1.0, 5.0)
+    return _read_ratings(path, "\t", 4, 1.0, 5.0)
 
 
 def load_movielens_1m(path: str | Path) -> RatingDataset:
     """Parse the `user::item::rating::timestamp` format, scale [1, 5]."""
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        return _read_ratings(fh, path, 1, "::", 4, 1.0, 5.0)
+    return _read_ratings(path, "::", 4, 1.0, 5.0)
 
 
 def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingDataset:
@@ -184,12 +339,7 @@ def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingData
 
     A completely empty file yields a valid empty dataset.
     """
-    path = Path(path)
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().rstrip("\n")
-        if header and header.replace(" ", "") != "user,item,rating":
-            raise ParseError(str(path), 1, f"expected header 'user,item,rating', got {header!r}")
-        return _read_ratings(fh, path, 2, ",", 3, scale_min, scale_max)
+    return _read_ratings(path, ",", 3, scale_min, scale_max, header=True)
 
 
 def _smallest_keys_per_user(

@@ -251,6 +251,17 @@ class TestCmdRun:
         assert err.count("\n") == 1
         assert not out.exists()
 
+    def test_id_beyond_int64_is_a_data_error(self, tmp_path, capsys):
+        data = tmp_path / "huge.csv"
+        data.write_text("user,item,rating\n1,1,3\n99999999999999999999,2,4\n")
+        out = tmp_path / "r.csv"
+        cfg = write_config(tmp_path, dataset=data, output=out, **BASE)
+        assert main(["run", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("data error:") and f"{data}:3: id 99999999999999999999" in err
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_reruns_are_byte_identical(self, tmp_path, synth_factory):
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=71)
         out = tmp_path / "r.csv"

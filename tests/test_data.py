@@ -7,6 +7,9 @@ from hypothesis import strategies as st
 
 from hdpmf.data import (
     RatingDataset,
+    _dense_remap,
+    _read_bulk,
+    _read_lines,
     kfold_splits,
     load_csv,
     load_movielens_100k,
@@ -21,6 +24,37 @@ def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return path
+
+
+class Format:
+    """One file format: how a rating line is written, how the file is
+    loaded, and the arguments of its bulk parse and line loop."""
+
+    def __init__(self, filename, sep, n_fields, header, load):
+        self.filename, self.sep, self.n_fields, self.header, self.load = filename, sep, n_fields, header, load
+        self.first_line_no = 2 if header else 1
+
+    def line(self, u, i, r):
+        return self.sep.join([str(u), str(i), str(r)] + ["881250949"] * (self.n_fields - 3))
+
+    def text(self, lines):
+        return ("user,item,rating\n" if self.header else "") + "".join(f"{line}\n" for line in lines)
+
+    def write(self, tmp_path, lines):
+        return write(tmp_path, self.filename, self.text(lines))
+
+    def bulk(self, path):
+        return _read_bulk(path, self.sep, self.n_fields, 1.0, 5.0, self.header)
+
+    def loop(self, path):
+        return _read_lines(path, self.sep, self.n_fields, 1.0, 5.0, self.header)
+
+
+FORMATS = {
+    "csv": Format("r.csv", ",", 3, True, lambda p: load_csv(p, 1.0, 5.0)),
+    "ml-100k": Format("u.data", "\t", 4, False, load_movielens_100k),
+    "ml-1m": Format("r.dat", "::", 4, False, load_movielens_1m),
+}
 
 
 class TestRatingDataset:
@@ -61,6 +95,55 @@ class TestRatingDataset:
         for j in range(tiny_dataset.n_items):
             raters = tiny_dataset.users[order[ptr[j] : ptr[j + 1]]]
             assert raters.tolist() == sorted(raters.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=40, unique=True),
+        data=st.data(),
+    )
+    def test_any_order_gives_the_lexsort_order(self, pairs, data):
+        users, items = np.array(pairs, dtype=np.int64).T
+        ratings = np.linspace(1, 5, len(pairs))
+        perm = np.array(data.draw(st.permutations(range(len(pairs)))), dtype=np.int64)
+        ds = RatingDataset(users[perm], items[perm], ratings[perm], 10, 10, 1, 5)
+        ref = np.lexsort((items, users))
+        for got, want in ((ds.users, users), (ds.items, items), (ds.ratings, ratings)):
+            assert got.tobytes() == want[ref].tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), min_size=1, max_size=30, unique=True),
+        data=st.data(),
+    )
+    def test_duplicate_names_the_smallest_repeated_pair(self, pairs, data):
+        repeats = data.draw(st.lists(st.sampled_from(pairs), min_size=1, max_size=3))
+        rows = data.draw(st.permutations(pairs + repeats))
+        users, items = np.array(rows, dtype=np.int64).T
+        u, i = min(repeats)
+        with pytest.raises(ValueError, match=f"^duplicate rating for user {u}, item {i}$"):
+            RatingDataset(users, items, np.full(len(rows), 3.0), 10, 10, 1, 5)
+
+    @pytest.mark.parametrize("n_users,n_items,branch", [
+        (2**31, 2**31 - 1, "argsort"),
+        (2**31, 2**31, "lexsort"),
+        (2, 2**61 - 1, "argsort"),
+        (3, 2**61, "lexsort"),
+    ])
+    def test_wide_keys_take_lexsort(self, monkeypatch, n_users, n_items, branch):
+        # packed keys user * n_items + item need n_users * n_items < 2**62
+        calls = []
+        for name in ("argsort", "lexsort"):
+            def counted(*args, _sort=getattr(np, name), _name=name, **kwargs):
+                calls.append(_name)
+                return _sort(*args, **kwargs)
+            monkeypatch.setattr(np, name, counted)
+        users = np.array([n_users - 1, 0, n_users - 1, 0])
+        items = np.array([0, n_items - 1, n_items - 1, 0])
+        ds = RatingDataset(users, items, np.array([1.0, 2.0, 3.0, 4.0]), n_users, n_items, 1, 5)
+        assert calls == [branch]
+        assert ds.users.tolist() == [0, 0, n_users - 1, n_users - 1]
+        assert ds.items.tolist() == [0, n_items - 1, 0, n_items - 1]
+        assert ds.ratings.tolist() == [4.0, 2.0, 1.0, 3.0]
 
 
 class TestLoaders:
@@ -131,6 +214,29 @@ class TestLoaders:
         assert sorted(set(ds.users.tolist())) == [0, 1]
         assert sorted(set(ds.items.tolist())) == [0, 1]
 
+    @pytest.mark.parametrize("fmt", ["csv", "ml-100k", "ml-1m"])
+    @pytest.mark.parametrize("huge", ["99999999999999999999", "9223372036854775808", "-9223372036854775809"])
+    def test_id_beyond_int64_names_its_line(self, tmp_path, fmt, huge):
+        f = FORMATS[fmt]
+        line_no = f.first_line_no + 1
+        path = f.write(tmp_path, [f.line(1, 1, 3.0), f.line(huge, 2, 4.0), f.line(3, 3, 5.0), "bad line"])
+        with pytest.raises(ParseError, match=f":{line_no}: id {huge} does not fit in 64 bits$"):
+            f.load(path)
+        path = f.write(tmp_path, [f.line(1, 1, 3.0), f.line(2, huge, 4.0)])
+        with pytest.raises(ParseError, match=f":{line_no}: id {huge} does not fit in 64 bits$"):
+            f.load(path)
+        # an earlier bad line is still named first
+        path = f.write(tmp_path, ["bad line", f.line(huge, 2, 4.0)])
+        with pytest.raises(ParseError, match=f":{line_no - 1}: expected {f.n_fields} fields, got 1"):
+            f.load(path)
+
+    @pytest.mark.parametrize("fmt", ["csv", "ml-100k", "ml-1m"])
+    def test_int64_limits_load(self, tmp_path, fmt):
+        f = FORMATS[fmt]
+        ds = f.load(f.write(tmp_path, [f.line(-(2**63), 2**63 - 1, 3.0), f.line(2**63 - 1, -(2**63), 4.0)]))
+        assert ds.users.tolist() == [0, 1] and ds.items.tolist() == [1, 0]
+
+
 
 @st.composite
 def rating_triples(draw):
@@ -144,6 +250,94 @@ def rating_triples(draw):
         min_size=1, max_size=20, unique=True,
     ))
     return [(u, i, draw(st.integers(2, 10)) / 2) for u, i in draw(st.permutations(pairs))]
+
+
+class TestDenseRemap:
+    @settings(max_examples=200, deadline=None)
+    @given(raw=st.one_of(
+        st.lists(st.integers(-5, 5), min_size=1, max_size=30),
+        st.lists(st.integers(-(2**63), 2**63 - 1), min_size=1, max_size=30),
+        st.builds(
+            lambda base, offsets: [base + o for o in offsets],
+            st.integers(-(2**63), 2**63 - 1 - 3000),
+            st.lists(st.integers(0, 3000), min_size=1, max_size=60),
+        ),
+    ))
+    def test_matches_unique(self, raw):
+        raw = np.array(raw, dtype=np.int64)
+        dense, count = _dense_remap(raw)
+        uniq, inverse = np.unique(raw, return_inverse=True)
+        assert dense.dtype == np.int64 and count == len(uniq)
+        assert np.array_equal(dense, inverse)
+
+    def test_dense_span_is_ranked_without_a_sort(self, monkeypatch):
+        table = np.zeros(5, dtype=[("user", np.int64), ("rating", np.float64)])
+        table["user"] = [1005, 1000, 1003, 1000, 1005]
+
+        def no_sort(*args, **kwargs):
+            raise AssertionError("np.unique called")
+
+        monkeypatch.setattr(np, "unique", no_sort)
+        dense, count = _dense_remap(table["user"])
+        assert dense.tolist() == [2, 0, 1, 0, 2] and count == 3
+
+    @pytest.mark.parametrize("raw", [[7], [-(2**63)], [2**63 - 1], []])
+    def test_single_and_no_ids(self, raw):
+        dense, count = _dense_remap(np.array(raw, dtype=np.int64))
+        assert dense.tolist() == [0] * len(raw) and count == len(raw)
+
+
+# Field values and stray text for the mutated files. The loop accepts some
+# (`+7`, ` 7 `, `07`, `1e0`, non-ASCII digits), rejects others (`1.0` as an
+# id, `1_000` past the scale, NaN); the bulk parse must agree or decline.
+BAD_IDS = ["x", "1.0", "1e3", "1_000", "\u0661\u0662", "+7", "-7", " 7 ", "07", "", "0x1F",
+           "99999999999999999999", "-9223372036854775809", "9223372036854775807"]
+BAD_RATINGS = ["nan", "NaN", "inf", "-inf", "0", "6", "5.0000001", "4_0", "1e0", "4e-0",
+               ".5e1", "3.", "+2", "", "x", "1e400", "-0", " 3 ", "3 3", "2.5e", "\u0663"]
+STRAY = [" ", "  ", "\t", "#", "# x", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
+         ":", ":::", "::::", ",", "\n", "e", "+", "-", ".", "_", "\r"]
+
+
+@st.composite
+def mutated_files(draw):
+    """A format and the text of a file of it with one to three lines
+    mutated: a field added or dropped, an id or rating replaced, or stray
+    text inserted into a field."""
+    f = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
+    lines = [f.line(u, i, r) for u, i, r in draw(rating_triples())]
+    for _ in range(draw(st.integers(1, 3))):
+        k = draw(st.integers(0, len(lines) - 1))
+        fields = lines[k].split(f.sep)
+        kind = draw(st.sampled_from(["drop", "add", "user", "item", "rating", "stray"]))
+        if kind == "drop":
+            fields.pop()
+        elif kind == "add":
+            fields.append("7")
+        elif kind in ("user", "item") and len(fields) > 1:
+            fields[kind == "item"] = draw(st.sampled_from(BAD_IDS))
+        elif kind == "rating" and len(fields) > 2:
+            fields[2] = draw(st.sampled_from(BAD_RATINGS))
+        elif kind == "stray":
+            # most often at either end of a field, where a parser may skip it
+            j = draw(st.integers(0, len(fields) - 1))
+            n = len(fields[j])
+            pos = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+            fields[j] = fields[j][:pos] + draw(st.sampled_from(STRAY)) + fields[j][pos:]
+        lines[k] = f.sep.join(fields)
+    return f, f.text(lines)
+
+
+def outcome(load, path):
+    """What loading gives: the ParseError message, None when the bulk parse
+    declines, or the dataset's shape and raw array bytes."""
+    try:
+        ds = load(path)
+    except ParseError as exc:
+        return str(exc)
+    if ds is None:
+        return None
+    arrays = (ds.users, ds.items, ds.ratings)
+    return ds.n_users, ds.n_items, [(a.dtype.str, a.tobytes()) for a in arrays]
 
 
 class TestLoaderRoundTrip:
@@ -165,6 +359,52 @@ class TestLoaderRoundTrip:
             assert (ds.scale_min, ds.scale_max) == (1.0, 5.0)
             got = list(zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()))
             assert got == expected
+
+    @settings(max_examples=50, deadline=None)
+    @given(triples=rating_triples())
+    def test_clean_files_take_the_bulk_path(self, tmp_path_factory, triples):
+        tmp = tmp_path_factory.mktemp("bulk")
+        for f in FORMATS.values():
+            path = f.write(tmp, [f.line(u, i, r) for u, i, r in triples])
+            bulk = f.bulk(path)
+            assert bulk is not None, f.filename
+            assert outcome(lambda p: bulk, path) == outcome(f.loop, path)
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=mutated_files())
+    def test_mutated_files_load_as_the_line_loop_does(self, tmp_path_factory, case):
+        f, text = case
+        path = tmp_path_factory.mktemp("mutated") / f.filename
+        path.write_text(text, encoding="utf-8")
+        loop = outcome(f.loop, path)
+        bulk = outcome(f.bulk, path)
+        # the bulk parse may decline, but never accepts a file the loop
+        # rejects or reads a value differently
+        assert bulk is None or bulk == loop
+        assert outcome(f.load, path) == loop
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", "user,item,rating\n", "user,item,rating\n\n", "user, item, rating"])
+    def test_empty_and_header_only_files(self, tmp_path, fmt, text):
+        f = FORMATS[fmt]
+        path = write(tmp_path, f.filename, text)
+        loop = outcome(f.loop, path)
+        assert outcome(f.bulk, path) is None
+        assert outcome(f.load, path) == loop
+
+    @pytest.mark.parametrize("fmt", sorted(FORMATS))
+    def test_non_utf8_bytes_go_to_the_loop(self, tmp_path, fmt):
+        f = FORMATS[fmt]
+        good = [f.line(u, 1, 3.0) for u in range(2000)]
+        path = f.write(tmp_path, good)
+        # a bad line 2 is reported before bad bytes 2000 lines later
+        text = f.text([good[0], "1"] + good[1:]).encode() + b"\xff\n"
+        path.write_bytes(text)
+        with pytest.raises(ParseError, match=f":{f.first_line_no + 1}: expected {f.n_fields} fields, got 1"):
+            f.load(path)
+        path.write_bytes(f.text(good).encode() + b"\xff\n")
+        with pytest.raises(UnicodeDecodeError):
+            f.load(path)
 
 
 class TestSplits:
