@@ -2,11 +2,13 @@
  * and the keyed Philox4x64-10 uniforms of the noise plan.
  *
  * The epoch runs the item phase, then the user phase; each is a Jacobi
- * sweep, run here one row at a time. hdpmf._fallback.run_epoch runs the same
- * sweeps in NumPy blocks of rows; the backends agree to reduction order. The
- * loops follow the scalar reference `oracle_epoch` in tests/test_kernels.py
- * statement for statement, so where the compiler does not contract to FMA
- * they match it bit for bit.
+ * sweep over the rows. Both phases form a row's data term in one routine,
+ * which computes the dot products of four ratings side by side.
+ * hdpmf._fallback.run_epoch runs the same sweeps in NumPy blocks of rows; the
+ * backends agree to reduction order. Each dot and each gradient entry still
+ * takes the additions and multiplications of the scalar reference
+ * `oracle_epoch` in tests/test_kernels.py, in its order, so where the
+ * compiler does not contract to FMA the kernel matches it bit for bit.
  *
  * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
  * maps them to doubles exactly, so both backends draw the same bits.
@@ -126,8 +128,56 @@ check_shapes(const Py_buffer *b)
     return check_csr(b, USER_PTR, n_users, n_items);
 }
 
-/* acc is this call's own scratch row, so it aliases nothing; U and V may
-   overlap the other arrays for all that is checked, so they are not restrict. */
+/* acc = the sum over p in [s, e) of 2 (a . B[cols[p]] - vals[p]) B[cols[p]]:
+   the data term of one row's gradient, row a against the rows of B it is
+   rated with. Each dot is summed in ascending k and the terms are added to
+   acc in ascending p, as in oracle_epoch. The dots of four ratings run as
+   four independent chains, so one chain's add latency overlaps the others';
+   a dot reads only a and B, never acc, so this changes no operation and no
+   order. acc is the call's own scratch row and aliases nothing. */
+static inline void
+row_gradient(const double *a, const double *B, const int64_t *cols, const double *vals, int64_t s,
+             int64_t e, Py_ssize_t K, double *restrict acc)
+{
+    Py_ssize_t k;
+    int64_t p;
+
+    for (k = 0; k < K; k++)
+        acc[k] = 0.0;
+    for (p = s; p + 4 <= e; p += 4) {
+        const double *b0 = B + cols[p] * K, *b1 = B + cols[p + 1] * K;
+        const double *b2 = B + cols[p + 2] * K, *b3 = B + cols[p + 3] * K;
+        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
+        for (k = 0; k < K; k++) {
+            d0 += a[k] * b0[k];
+            d1 += a[k] * b1[k];
+            d2 += a[k] * b2[k];
+            d3 += a[k] * b3[k];
+        }
+        d0 = 2.0 * (d0 - vals[p]);
+        d1 = 2.0 * (d1 - vals[p + 1]);
+        d2 = 2.0 * (d2 - vals[p + 2]);
+        d3 = 2.0 * (d3 - vals[p + 3]);
+        for (k = 0; k < K; k++) {
+            acc[k] += d0 * b0[k];
+            acc[k] += d1 * b1[k];
+            acc[k] += d2 * b2[k];
+            acc[k] += d3 * b3[k];
+        }
+    }
+    for (; p < e; p++) {
+        const double *b0 = B + cols[p] * K;
+        double d0 = 0.0;
+        for (k = 0; k < K; k++)
+            d0 += a[k] * b0[k];
+        d0 = 2.0 * (d0 - vals[p]);
+        for (k = 0; k < K; k++)
+            acc[k] += d0 * b0[k];
+    }
+}
+
+/* U and V may overlap the other arrays for all that is checked, so they are
+   not restrict. */
 static void
 epoch(const Py_buffer *b, double lam, double eta, int project, double *restrict acc)
 {
@@ -138,27 +188,14 @@ epoch(const Py_buffer *b, double lam, double eta, int project, double *restrict 
     const double *user_vals = b[USER_VALS].buf;
     Py_ssize_t n_users = b[U_].shape[0], K = b[U_].shape[1], n_items = b[V_].shape[0];
     Py_ssize_t i, j, k;
-    int64_t p, s, e;
-    double dot, resid, norm, g;
+    double norm, g;
 
     for (j = 0; j < n_items; j++) {
         double *v = V + j * K;
         const double *noise = item_noise + j * K;
-        s = item_ptr[j];
-        e = item_ptr[j + 1];
-        if (s == e)
+        if (item_ptr[j] == item_ptr[j + 1])
             continue; /* no raters: no update, no noise */
-        for (k = 0; k < K; k++)
-            acc[k] = 0.0;
-        for (p = s; p < e; p++) {
-            const double *u = U + item_users[p] * K;
-            dot = 0.0;
-            for (k = 0; k < K; k++)
-                dot += u[k] * v[k];
-            resid = 2.0 * (dot - item_vals[p]);
-            for (k = 0; k < K; k++)
-                acc[k] += resid * u[k];
-        }
+        row_gradient(v, U, item_users, item_vals, item_ptr[j], item_ptr[j + 1], K, acc);
         for (k = 0; k < K; k++) {
             g = acc[k] + noise[k] + 2.0 * lam * v[k];
             v[k] = v[k] - eta * g;
@@ -167,19 +204,7 @@ epoch(const Py_buffer *b, double lam, double eta, int project, double *restrict 
 
     for (i = 0; i < n_users; i++) {
         double *u = U + i * K;
-        s = user_ptr[i];
-        e = user_ptr[i + 1];
-        for (k = 0; k < K; k++)
-            acc[k] = 0.0;
-        for (p = s; p < e; p++) {
-            const double *v = V + user_items[p] * K;
-            dot = 0.0;
-            for (k = 0; k < K; k++)
-                dot += u[k] * v[k];
-            resid = 2.0 * (dot - user_vals[p]);
-            for (k = 0; k < K; k++)
-                acc[k] += resid * v[k];
-        }
+        row_gradient(u, V, user_items, user_vals, user_ptr[i], user_ptr[i + 1], K, acc);
         norm = 0.0;
         for (k = 0; k < K; k++) {
             g = acc[k] + 2.0 * lam * u[k];

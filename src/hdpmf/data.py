@@ -157,7 +157,7 @@ _INT64_MIN, _INT64_MAX = -(2**63), 2**63 - 1
 
 def _header_ok(line: str) -> bool:
     """An empty first line, or the CSV header up to spaces."""
-    line = line.rstrip("\n")
+    line = line.rstrip("\r\n")
     return not line or line.replace(" ", "") == _CSV_HEADER
 
 
@@ -256,8 +256,10 @@ def _read_bulk(
     """Parse the whole file with one `np.loadtxt` call, or return None
     when that parse cannot be sure to match `_read_lines`.
 
-    The decision is made on the raw bytes: every byte after the header
-    must be in `_BULK_BYTES` or the separator. A multi-character separator
+    The decision is made on the raw bytes: once each CRLF line end is
+    made LF, as the loop's universal newlines read it, every byte after the
+    header must be in `_BULK_BYTES` or the separator; a lone CR, which the
+    loop reads as a line end, declines. A multi-character separator
     becomes one comma, and a separator character left over declines. The
     parse, the field count and the scale are then checked in bulk (NaN
     fails the scale check); an error or any warning declines, as does an
@@ -268,6 +270,7 @@ def _read_bulk(
         if header and not _header_ok(fh.readline().decode("latin-1")):
             return None
         body = fh.read()
+    body = body.replace(b"\r\n", b"\n")  # the same object when there is none
     if body.translate(None, _BULK_BYTES + sep.encode()):
         return None
     if len(sep) > 1:
@@ -307,8 +310,9 @@ def _read_ratings(
     header: bool = False,
 ) -> RatingDataset:
     """Load a ratings file: the bulk parse when every byte after the header
-    is a digit, sign, point, exponent, space, newline or separator and the
-    parse succeeds; otherwise the line loop on the same file.
+    is a digit, sign, point, exponent, space, newline (LF or CRLF) or
+    separator and the parse succeeds; otherwise the line loop on the same
+    file.
 
     Either way the arrays, and every ParseError message, are the line
     loop's.

@@ -37,11 +37,13 @@ class Format:
     def line(self, u, i, r):
         return self.sep.join([str(u), str(i), str(r)] + ["881250949"] * (self.n_fields - 3))
 
-    def text(self, lines):
-        return ("user,item,rating\n" if self.header else "") + "".join(f"{line}\n" for line in lines)
+    def text(self, lines, eol="\n"):
+        return ("user,item,rating" + eol if self.header else "") + "".join(f"{line}{eol}" for line in lines)
 
-    def write(self, tmp_path, lines):
-        return write(tmp_path, self.filename, self.text(lines))
+    def write(self, tmp_path, lines, eol="\n"):
+        path = tmp_path / self.filename
+        path.write_bytes(self.text(lines, eol).encode())
+        return path
 
     def bulk(self, path):
         return _read_bulk(path, self.sep, self.n_fields, 1.0, 5.0, self.header)
@@ -295,14 +297,17 @@ BAD_IDS = ["x", "1.0", "1e3", "1_000", "\u0661\u0662", "+7", "-7", " 7 ", "07", 
 BAD_RATINGS = ["nan", "NaN", "inf", "-inf", "0", "6", "5.0000001", "4_0", "1e0", "4e-0",
                ".5e1", "3.", "+2", "", "x", "1e400", "-0", " 3 ", "3 3", "2.5e", "\u0663"]
 STRAY = [" ", "  ", "\t", "#", "# x", "\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x1f",
-         ":", ":::", "::::", ",", "\n", "e", "+", "-", ".", "_", "\r"]
+         ":", ":::", "::::", ",", "\n", "e", "+", "-", ".", "_", "\r", "\r\n"]
+# Line ends of a whole file; a stray CR at the end of a field makes lone CRs,
+# CR CR LF and mixed line ends.
+LINE_ENDS = ["\n", "\r\n", "\r"]
 
 
 @st.composite
 def mutated_files(draw):
-    """A format and the text of a file of it with one to three lines
-    mutated: a field added or dropped, an id or rating replaced, or stray
-    text inserted into a field."""
+    """A format and the text of a file of it, with any of LINE_ENDS, and one
+    to three lines mutated: a field added or dropped, an id or rating
+    replaced, or stray text inserted into a field."""
     f = FORMATS[draw(st.sampled_from(sorted(FORMATS)))]
     lines = [f.line(u, i, r) for u, i, r in draw(rating_triples())]
     for _ in range(draw(st.integers(1, 3))):
@@ -324,7 +329,7 @@ def mutated_files(draw):
             pos = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
             fields[j] = fields[j][:pos] + draw(st.sampled_from(STRAY)) + fields[j][pos:]
         lines[k] = f.sep.join(fields)
-    return f, f.text(lines)
+    return f, f.text(lines, draw(st.sampled_from(LINE_ENDS)))
 
 
 def outcome(load, path):
@@ -361,11 +366,11 @@ class TestLoaderRoundTrip:
             assert got == expected
 
     @settings(max_examples=50, deadline=None)
-    @given(triples=rating_triples())
-    def test_clean_files_take_the_bulk_path(self, tmp_path_factory, triples):
+    @given(triples=rating_triples(), eol=st.sampled_from(["\n", "\r\n"]))
+    def test_clean_files_take_the_bulk_path(self, tmp_path_factory, triples, eol):
         tmp = tmp_path_factory.mktemp("bulk")
         for f in FORMATS.values():
-            path = f.write(tmp, [f.line(u, i, r) for u, i, r in triples])
+            path = f.write(tmp, [f.line(u, i, r) for u, i, r in triples], eol)
             bulk = f.bulk(path)
             assert bulk is not None, f.filename
             assert outcome(lambda p: bulk, path) == outcome(f.loop, path)
@@ -375,7 +380,7 @@ class TestLoaderRoundTrip:
     def test_mutated_files_load_as_the_line_loop_does(self, tmp_path_factory, case):
         f, text = case
         path = tmp_path_factory.mktemp("mutated") / f.filename
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode())
         loop = outcome(f.loop, path)
         bulk = outcome(f.bulk, path)
         # the bulk parse may decline, but never accepts a file the loop
@@ -384,7 +389,8 @@ class TestLoaderRoundTrip:
         assert outcome(f.load, path) == loop
 
     @pytest.mark.parametrize("fmt", sorted(FORMATS))
-    @pytest.mark.parametrize("text", ["", "\n", "\n\n", "user,item,rating\n", "user,item,rating\n\n", "user, item, rating"])
+    @pytest.mark.parametrize("text", ["", "\n", "\n\n", "user,item,rating\n", "user,item,rating\n\n", "user, item, rating",
+                                      "user,item,rating\r\n"])
     def test_empty_and_header_only_files(self, tmp_path, fmt, text):
         f = FORMATS[fmt]
         path = write(tmp_path, f.filename, text)

@@ -7,6 +7,7 @@ entry points reject malformed arguments before writing anything."""
 import importlib
 import inspect
 import os
+import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -25,9 +26,10 @@ from hdpmf.model import init_model
 
 def oracle_epoch(U, V, item_ptr, item_users, item_vals, item_noise,
                  user_ptr, user_items, user_vals, lam, eta, project):
-    """Scalar reference for one epoch. `_native.c` runs these loops
-    statement for statement; the NumPy fallback runs the same sweeps in
-    blocks, so both are checked against this function."""
+    """Scalar reference for one epoch. `_native.c` runs these operations in
+    this order, with the dots of four ratings interleaved; the NumPy
+    fallback runs the same sweeps in blocks, so both are checked against
+    this function."""
     n_items = len(item_ptr) - 1
     n_users = len(user_ptr) - 1
     K = U.shape[1]
@@ -256,6 +258,27 @@ def test_native_matches_oracle_property(native, inst, epochs):
     U_n, V_n = _epochs(native.run_epoch, inst, epochs)
     np.testing.assert_allclose(U_n, U_o, rtol=0, atol=1e-12)
     np.testing.assert_allclose(V_n, V_o, rtol=0, atol=1e-12)
+
+
+@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
+                    reason="bit-identity needs a compiler that does not contract to FMA, as on x86-64")
+@pytest.mark.parametrize("project", [True, False])
+@pytest.mark.parametrize("K", [1, 3, 10])
+def test_native_is_bit_identical_to_oracle(native, K, project):
+    # user i rates items 14 - i .. 13, so rows of every length 0..13 occur
+    # on both sides: each remainder mod 4 of the kernel's groups of four
+    # ratings, and several whole groups
+    n = 14
+    users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
+    rng = np.random.default_rng(K)
+    ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
+    inst = dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
+                item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=0.05, project=project,
+                **_kernel_args(ds))
+    U_o, V_o = _epochs(oracle_epoch, inst, 3)
+    U_n, V_n = _epochs(native.run_epoch, inst, 3)
+    assert np.array_equal(U_n, U_o)
+    assert np.array_equal(V_n, V_o)
 
 
 def test_native_takes_arguments_by_position_and_keyword(native):
