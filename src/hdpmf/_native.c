@@ -1,5 +1,5 @@
 /* Compiled kernels: one full-batch training epoch over CSR rating arrays,
- * and the keyed Philox4x64-10 uniforms of the noise plan.
+ * and the keyed Philox4x64-10 uniforms and normals of every seeded draw.
  *
  * The epoch runs the item phase, then the user phase; each is a Jacobi
  * sweep over the rows. Both phases form a row's data term in one routine,
@@ -7,11 +7,20 @@
  * hdpmf._fallback.run_epoch runs the same sweeps in NumPy blocks of rows; the
  * backends agree to reduction order. Each dot and each gradient entry still
  * takes the additions and multiplications of the scalar reference
- * `oracle_epoch` in tests/test_kernels.py, in its order, so where the
- * compiler does not contract to FMA the kernel matches it bit for bit.
+ * `oracle_epoch` in tests/test_kernels.py, in its order, so the kernel
+ * matches it bit for bit.
  *
  * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
  * maps them to doubles exactly, so both backends draw the same bits.
+ * keyed_normal runs Box-Muller on those uniforms (box_muller, on uniforms
+ * given) with the operations of hdpmf._fallback.box_muller, in its order:
+ * fdlibm's log, sin and cos polynomials, made of +, -, *, /, sqrt and exact
+ * bit operations only.
+ *
+ * Each of those operations is rounded once: the pragma below keeps the
+ * compiler from contracting a*b + c into one fused multiply-add, whatever
+ * flags it is given, so the results are the same bits on every IEEE-754
+ * machine.
  *
  * Arrays arrive through the buffer protocol, so the module needs only
  * Python.h; every argument is checked before anything is written.
@@ -20,6 +29,13 @@
 #include <Python.h>
 #include <math.h>
 #include <stdint.h>
+#include <string.h>
+
+#if defined(__clang__)
+#pragma clang fp contract(off)
+#elif defined(__GNUC__)
+#pragma GCC optimize("fp-contract=off")
+#endif
 
 /* run_epoch's nine array arguments, in call order: float64 ('d') or int64
    ('q'), with their number of dimensions. Only U and V are written. */
@@ -303,25 +319,182 @@ philox4x64(uint64_t x[4], uint64_t k0, uint64_t k1)
     }
 }
 
+/* The uniforms of counter (j, i, b, 0): word w of its block keeps its top 52
+   bits and becomes the midpoint of its bin, both steps exact in double. */
+static inline void
+philox_uniforms(uint64_t j, uint64_t i, uint64_t b, uint64_t k0, uint64_t k1, double u[4])
+{
+    uint64_t x[4] = {j, i, b, 0};
+    int w;
+    philox4x64(x, k0, k1);
+    for (w = 0; w < 4; w++)
+        u[w] = ((double)(x[w] >> 12) + 0.5) * 0x1p-52;
+}
+
 /* Row r of out (n x size) holds the blocks for counters (j[r], i[r], b, 0),
-   b = 0, 1, ..., word w of block b in column 4b + w. A word keeps its top 52
-   bits and becomes the midpoint of its bin: both steps are exact in double. */
+   b = 0, 1, ..., word w of block b in column 4b + w. */
 static void
 fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
              double *out, Py_ssize_t size)
 {
-    uint64_t x[4];
+    double u[4];
     Py_ssize_t r, c, w;
     for (r = 0; r < n; r++, out += size)
         for (c = 0; c < size; c += 4) {
-            x[0] = j[r];
-            x[1] = i[r];
-            x[2] = (uint64_t)(c / 4);
-            x[3] = 0;
-            philox4x64(x, k0, k1);
+            philox_uniforms(j[r], i[r], (uint64_t)(c / 4), k0, k1, u);
             for (w = 0; w < 4 && c + w < size; w++)
-                out[c + w] = ((double)(x[w] >> 12) + 0.5) * 0x1p-52;
+                out[c + w] = u[w];
         }
+}
+
+/* fdlibm 5.3 (Sun Microsystems, 1993): the log polynomial of e_log.c and
+   the sin and cos polynomials of k_sin.c and k_cos.c on [-pi/4, pi/4]. */
+static const double LN2_HI = 0x1.62e42fee00000p-1, LN2_LO = 0x1.a39ef35793c76p-33;
+static const double LG1 = 0x1.5555555555593p-1, LG2 = 0x1.999999997fa04p-2,
+                    LG3 = 0x1.2492494229359p-2, LG4 = 0x1.c71c51d8e78afp-3,
+                    LG5 = 0x1.7466496cb03dep-3, LG6 = 0x1.39a09d078c69fp-3,
+                    LG7 = 0x1.2f112df3e5244p-3;
+static const double S1 = -0x1.5555555555549p-3, S2 = 0x1.111111110f8a6p-7,
+                    S3 = -0x1.a01a019c161d5p-13, S4 = 0x1.71de357b1fe7dp-19,
+                    S5 = -0x1.ae5e68a2b9cebp-26, S6 = 0x1.5d93a5acfd57cp-33;
+static const double C1 = 0x1.555555555554cp-5, C2 = -0x1.6c16c16c15177p-10,
+                    C3 = 0x1.a01a019cb1590p-16, C4 = -0x1.27e4f809c52adp-22,
+                    C5 = 0x1.1ee9ebdb4b1c4p-29, C6 = -0x1.8fae9be8838d4p-37;
+static const double TWO_PI = 0x1.921fb54442d18p+2;
+
+static inline uint64_t
+bits_of(double x)
+{
+    uint64_t b;
+    memcpy(&b, &x, sizeof b);
+    return b;
+}
+
+static inline double
+double_of(uint64_t b)
+{
+    double x;
+    memcpy(&x, &b, sizeof x);
+    return x;
+}
+
+/* a where `pick` is 1, else b. The select is made of bit operations, since
+   gcc turns a ?: between doubles into a branch, and these branches would
+   mispredict on random input. */
+static inline double
+pick_bits(int pick, double a, double b)
+{
+    uint64_t mask = -(uint64_t)pick;
+    return double_of((bits_of(a) & mask) | (bits_of(b) & ~mask));
+}
+
+/* log x for a positive normal double, as hdpmf._fallback.log_unit: x =
+   2^k (1 + f) with 1 + f in [sqrt(2)/2, sqrt(2)), then log(1 + f) from
+   s = f / (2 + f) and its polynomial. */
+static inline double
+log_unit(double x)
+{
+    uint64_t bits = bits_of(x);
+    int64_t hx = (int64_t)(bits >> 32), k = (hx >> 20) - 1023, i;
+    double f, s, z, w, R, hfsq, dk, far, near;
+
+    hx &= 0x000fffff;
+    i = (hx + 0x95f64) & 0x100000;
+    k += i >> 20;
+    /* x or x / 2 by its exponent field, whichever lies in [sqrt(2)/2, sqrt(2)) */
+    f = double_of(((uint64_t)(hx | (i ^ 0x3ff00000)) << 32) | (bits & UINT64_C(0xffffffff))) - 1.0;
+    s = f / (2.0 + f);
+    dk = (double)k;
+    z = s * s;
+    w = z * z;
+    R = z * (LG1 + w * (LG3 + w * (LG5 + w * LG7))) + w * (LG2 + w * (LG4 + w * LG6));
+    hfsq = 0.5 * f * f;
+    far = dk * LN2_HI - ((hfsq - (s * (hfsq + R) + dk * LN2_LO)) - f);
+    near = dk * LN2_HI - ((s * (f - R) - dk * LN2_LO) - f);
+    return pick_bits(hx >= 0x6147a && hx <= 0x6b851, far, near);
+}
+
+/* sin and cos of 2 pi u for u in (0, 1), as hdpmf._fallback.sincos_turn:
+   the quarter turn q = rint(4u) and r = u - q/4 in [-1/8, 1/8] are exact,
+   x = 2 pi r is rounded once, and the quadrant q mod 4 swaps and negates
+   the polynomials' results. (t + 2^52) - 2^52 is rint for t in [0, 4]. */
+static inline void
+sincos_turn(double u, double *sin_out, double *cos_out)
+{
+    double q = (4.0 * u + 0x1p52) - 0x1p52;
+    double x = (u - 0.25 * q) * TWO_PI, z = x * x, v = z * x, r, qx, s, c, near, far;
+    int64_t ix = (int64_t)(bits_of(x) >> 32) & 0x7fffffff, quadrant = (int64_t)q;
+
+    r = S2 + z * (S3 + z * (S4 + z * (S5 + z * S6)));
+    s = x + v * (S1 + z * r);
+    r = z * (C1 + z * (C2 + z * (C3 + z * (C4 + z * (C5 + z * C6)))));
+    /* cos x = 1 - z/2 + z r, with z/2 split as qx + (z/2 - qx) once
+       |x| >= 0.3; qx is 0.28125 above 0.78125, else x/4 cut to its high
+       word */
+    qx = pick_bits(ix > 0x3fe90000, 0.28125, double_of((uint64_t)(ix - 0x00200000) << 32));
+    near = 1.0 - (0.5 * z - z * r);
+    far = (1.0 - qx) - ((0.5 * z - qx) - z * r);
+    c = pick_bits(ix < 0x3fd33333, near, far);
+    /* the quadrant swaps the two and flips sign bits */
+    *sin_out = double_of(bits_of(pick_bits(quadrant & 1, c, s)) ^ (uint64_t)(quadrant & 2) << 62);
+    *cos_out = double_of(bits_of(pick_bits(quadrant & 1, s, c)) ^ (uint64_t)((quadrant + 1) & 2) << 62);
+}
+
+/* Box-Muller in place over `pairs` pairs of uniforms (u_2m, u_2m+1) in v:
+   they become sqrt(-2 log u_2m) times the cos and the sin of 2 pi u_2m+1.
+   Each stage runs as its own loop: short loops of independent iterations
+   keep more of the long dependency chains of log and sin in flight than
+   one fused loop does. */
+static void
+box_muller_pairs(double *v, Py_ssize_t pairs)
+{
+    Py_ssize_t p;
+    double s, c;
+    for (p = 0; p < pairs; p++)
+        v[2 * p] = sqrt(-2.0 * log_unit(v[2 * p]));
+    for (p = 0; p < pairs; p++) {
+        sincos_turn(v[2 * p + 1], &s, &c);
+        v[2 * p + 1] = v[2 * p] * s;
+        v[2 * p] = v[2 * p] * c;
+    }
+}
+
+/* Doubles of out that fill_normal draws and transforms per pass, in L1. */
+#define NORMAL_CHUNK 512
+
+/* Row r of out (n x size) holds box_muller_pairs of the uniforms that
+   fill_uniform would write there, plus one more for an odd size, whose
+   last sin is dropped. */
+static void
+fill_normal(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
+            double *out, Py_ssize_t size)
+{
+    /* the uniform after each row's last, for an odd size */
+    double u[4], tail[NORMAL_CHUNK], s, c, *o;
+    Py_ssize_t rows = size < NORMAL_CHUNK ? NORMAL_CHUNK / (size ? size : 1) : 1;
+    Py_ssize_t r0, r, col, w, nr;
+
+    for (r0 = 0; r0 < n; r0 += rows) {
+        nr = n - r0 < rows ? n - r0 : rows;
+        o = out + r0 * size;
+        for (r = 0; r < nr; r++)
+            for (col = 0; col < size; col += 4) {
+                philox_uniforms(j[r0 + r], i[r0 + r], (uint64_t)(col / 4), k0, k1, u);
+                for (w = 0; w < 4 && col + w < size; w++)
+                    o[r * size + col + w] = u[w];
+                if (w < 4 && (size & 1))
+                    tail[r] = u[w];
+            }
+        if (!(size & 1)) {
+            box_muller_pairs(o, nr * size / 2);
+            continue;
+        }
+        for (r = 0; r < nr; r++, o += size) {
+            box_muller_pairs(o, size / 2);
+            sincos_turn(tail[r], &s, &c);
+            o[size - 1] = sqrt(-2.0 * log_unit(o[size - 1])) * c;
+        }
+    }
 }
 
 /* A key word: an integer in [0, 2^64), else OverflowError (TypeError for a
@@ -337,18 +510,25 @@ key_word(PyObject *obj, uint64_t *word)
     return *word == (uint64_t)-1 && PyErr_Occurred() ? -1 : 0;
 }
 
-static char *UNIFORM_KWLIST[] = {"j", "i", "key0", "key1", "out", NULL};
+static char *KEYED_KWLIST[] = {"j", "i", "key0", "key1", "out", NULL};
 
+typedef void (*keyed_fill)(const uint64_t *, const uint64_t *, Py_ssize_t, uint64_t, uint64_t,
+                           double *, Py_ssize_t);
+
+/* The one argument checker of keyed_uniform and keyed_normal (`format`
+   names the caller in errors): j and i are uint64 vectors of one length,
+   out a writable C-contiguous float64 matrix with that many rows, the keys
+   64-bit words. Then `fill` writes out. */
 static PyObject *
-keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
+keyed(PyObject *args, PyObject *kwds, const char *format, keyed_fill fill)
 {
     PyObject *j_obj, *i_obj, *k0_obj, *k1_obj, *out_obj, *result = NULL;
     Py_buffer j, i, out;
     uint64_t k0, k1;
     Py_ssize_t n;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO:keyed_uniform", UNIFORM_KWLIST, &j_obj,
-                                     &i_obj, &k0_obj, &k1_obj, &out_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, KEYED_KWLIST, &j_obj, &i_obj, &k0_obj,
+                                     &k1_obj, &out_obj))
         return NULL;
     if (key_word(k0_obj, &k0) < 0 || key_word(k1_obj, &k1) < 0)
         return NULL;
@@ -365,7 +545,7 @@ keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
     else if (out.shape[0] != n)
         PyErr_Format(PyExc_ValueError, "out must have len(j) = %zd rows, got %zd", n, out.shape[0]);
     else {
-        fill_uniform(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]);
+        fill(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]);
         result = Py_NewRef(Py_None);
     }
     PyBuffer_Release(&out);
@@ -373,6 +553,50 @@ release_i:
     PyBuffer_Release(&i);
 release_j:
     PyBuffer_Release(&j);
+    return result;
+}
+
+static PyObject *
+keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    return keyed(args, kwds, "OOOOO:keyed_uniform", fill_uniform);
+}
+
+static PyObject *
+keyed_normal(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    return keyed(args, kwds, "OOOOO:keyed_normal", fill_normal);
+}
+
+static char *BOX_MULLER_KWLIST[] = {"u", "out", NULL};
+
+static PyObject *
+box_muller(PyObject *self, PyObject *args, PyObject *kwds)
+{
+    PyObject *u_obj, *out_obj, *result = NULL;
+    Py_buffer u, out;
+
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OO:box_muller", BOX_MULLER_KWLIST, &u_obj,
+                                     &out_obj))
+        return NULL;
+    if (get_array(u_obj, &u, "u", 'd', 2, 0) < 0)
+        return NULL;
+    if (get_array(out_obj, &out, "out", 'd', 2, 1) < 0)
+        goto release_u;
+    if (u.shape[1] % 2)
+        PyErr_Format(PyExc_ValueError, "u must have an even number of columns, got %zd", u.shape[1]);
+    else if (out.shape[0] != u.shape[0] || out.shape[1] != u.shape[1])
+        PyErr_Format(PyExc_ValueError, "out must have u's shape (%zd, %zd), got (%zd, %zd)",
+                     u.shape[0], u.shape[1], out.shape[0], out.shape[1]);
+    else {
+        if (out.buf != u.buf)
+            memmove(out.buf, u.buf, (size_t)u.len);
+        box_muller_pairs(out.buf, u.shape[0] * u.shape[1] / 2);
+        result = Py_NewRef(Py_None);
+    }
+    PyBuffer_Release(&out);
+release_u:
+    PyBuffer_Release(&u);
     return result;
 }
 
@@ -386,6 +610,18 @@ static PyMethodDef methods[] = {
      "Fill out, shape (len(j), size), with doubles in (0, 1): column 4b + w of\n"
      "row r is word w of the Philox4x64-10 block for key (key0, key1) and\n"
      "counter (j[r], i[r], b, 0), as ((word >> 12) + 0.5) * 2**-52."},
+    {"keyed_normal", (PyCFunction)(void (*)(void))keyed_normal, METH_VARARGS | METH_KEYWORDS,
+     "keyed_normal($module, /, j, i, key0, key1, out)\n--\n\n"
+     "Fill out, shape (len(j), size), with standard normals: columns 2m and\n"
+     "2m + 1 of row r are Box-Muller's pair from the keyed uniforms 2m and\n"
+     "2m + 1 of row r, by the portable log, sin and cos of\n"
+     "hdpmf._fallback.keyed_normal."},
+    {"box_muller", (PyCFunction)(void (*)(void))box_muller, METH_VARARGS | METH_KEYWORDS,
+     "box_muller($module, /, u, out)\n--\n\n"
+     "Fill out with the standard normals of the uniforms u, both of one shape\n"
+     "with an even number of columns: columns 2m and 2m + 1 are\n"
+     "sqrt(-2 log u_2m) times the cos and the sin of 2 pi u_2m+1, the\n"
+     "transform of keyed_normal. out may be u itself."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -401,7 +637,7 @@ static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_native",
     .m_doc = "Compiled kernels: one training epoch over CSR rating arrays, and keyed\n"
-              "Philox4x64-10 uniforms.",
+              "Philox4x64-10 uniforms and normals.",
     .m_methods = methods,
     .m_slots = slots,
 };

@@ -2,9 +2,9 @@
 
 Exit codes: 0 on success, 1 on run failure (divergence, failed noise
 check), 2 on invalid arguments, on configuration errors (including input
-files that are missing or cannot be read and an output directory that does
-not exist), on malformed data rows and on data whose split leaves nothing
-to score.
+files that are missing or cannot be read, and an output path that is a
+directory or whose directory does not exist), on malformed data rows and on
+data whose split leaves nothing to score.
 """
 
 from __future__ import annotations
@@ -31,9 +31,9 @@ SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
 
 def _provenance(cfg: ExperimentConfig, extra: list[str] | None = None) -> list[str]:
     """Header lines of a results file: the effective config, then what ran
-    it. The backend trains and draws the noise words, and the keyed normals
-    go through NumPy's transcendental functions, so both can change the
-    last bits of a result."""
+    it. The backend trains, and its epoch sums in its own order, so it can
+    change the last bits of a result; every seeded draw is the same bits on
+    either backend and any NumPy build."""
     lines = [f"{key} = {value}" for key, value in cfg.effective_items()]
     lines += [f"backend = {backend_name()}", f"hdpmf = {__version__}", f"numpy = {np.__version__}"]
     return lines + (extra or [])
@@ -50,12 +50,15 @@ def _utf8_text(path):
 
 def _parse_checked(config_path: str) -> ExperimentConfig:
     """Parse the config and check, before any data is loaded, that the
-    results file can be written where it says."""
+    results file can be written where it says: in a directory that exists,
+    and not over a directory."""
     with _utf8_text(config_path):
         cfg = parse_config(config_path)
-    directory = Path(cfg.output).parent
-    if not directory.is_dir():
-        raise ConfigError("output", f"directory not found: {directory}")
+    output = Path(cfg.output)
+    if not output.parent.is_dir():
+        raise ConfigError("output", f"directory not found: {output.parent}")
+    if output.is_dir():
+        raise ConfigError("output", f"names a directory, not a file: {output}")
     return cfg
 
 

@@ -94,8 +94,8 @@ class ExperimentConfig:
             raise ConfigError("scale_max", "rating scale must have positive range")
         if self.split not in ("leave-n-out", "leave-one-out"):
             raise ConfigError("split", f"must be leave-n-out or leave-one-out, got {self.split!r}")
-        if self.n_test < 1:
-            raise ConfigError("n_test", f"must be >= 1, got {self.n_test}")
+        if not 1 <= self.n_test < 1 << 63:
+            raise ConfigError("n_test", f"must be in [1, 2**63), the range of int64, got {self.n_test}")
         if not (0.0 < self.fraction <= 1.0):
             raise ConfigError("fraction", f"must be in (0, 1], got {self.fraction}")
         if not self.seeds:

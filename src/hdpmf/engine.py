@@ -24,7 +24,7 @@ def run_epochs(
     epoch: Callable[[int, float], None],
     dataset: RatingDataset,
     targets: np.ndarray,
-    noise_totals: np.ndarray,
+    noise_totals: np.ndarray | None,
     cfg: ExperimentConfig,
     loss_log: list[float] | None = None,
 ) -> FactorModel:
@@ -34,7 +34,8 @@ def run_epochs(
 
     Overflow stays silent: the first epoch that leaves a non-finite factor
     raises DivergedRunError naming it. With a `loss_log`, the objective of
-    the model on `targets` and `noise_totals` is appended after each epoch.
+    the model on `targets` and `noise_totals` is appended after each epoch;
+    only then are `noise_totals` read.
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.epochs):

@@ -8,6 +8,11 @@ by per-item Laplace noise of scale 2*sqrt(K)*delta/eps, assembled from
 per-device shares: a shared exponential vector h_j times per-rater Gaussian
 draws whose variances sum to one. Predictions divide by w_ij to undo the
 stretch (`protocol.predict_all`).
+
+The noise plan holds h and the shares' scales, never the shares: a share
+is a keyed draw, so whoever needs it draws it from its key. The kernel
+engine reduces the shares to per-item totals a block at a time; each
+message-engine device draws its own.
 """
 
 from __future__ import annotations
@@ -19,6 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from ._fallback import row_blocks
 from .data import RatingDataset
 from .rng import keyed_exponential, keyed_normal, keyed_uniform
 
@@ -96,6 +102,15 @@ def laplace_scale(K: int, delta: float, epsilon: float) -> float:
     return 2.0 * math.sqrt(K) * delta / epsilon
 
 
+# By-item slots whose c shares are drawn per vectorized call. Any value
+# gives the same shares and totals, since every draw depends only on its
+# key and each item is reduced within one block. Blocks keep the draws
+# under a megabyte for K = 10 instead of growing with nnz; the NumPy
+# backend bounds its Philox and Box-Muller temporaries itself
+# (`_fallback.PHILOX_CHUNK_BLOCKS`).
+NOISE_BLOCK_SLOTS = 4096
+
+
 @dataclass
 class NoisePlan:
     """Once-per-run objective-perturbation noise, decomposed into shares.
@@ -103,34 +118,71 @@ class NoisePlan:
     For every rated item j the recommender draws h_j ~ Exp(1)^K and each
     rater i contributes x_j^i = (2*delta/eps) * sqrt(2K*h_j) * c_j^i with
     c_j^i ~ N(0, 1/|raters(j)|)^K, so the per-item aggregate is Laplace of
-    scale 2*sqrt(K)*delta/eps per coordinate. Shares are stored in
-    item-major order aligned with the dataset's by-item layout, so each
-    item's slots are sorted by user.
+    scale 2*sqrt(K)*delta/eps per coordinate.
+
+    The plan holds no share. It keeps h, the two factors of each item's
+    scale and the by-item layout, each item's slots sorted by user; c_j^i
+    is the keyed normal of `noise-c` under key (j, i), drawn whenever a
+    share is needed (`draw_shares`). So the plan costs O(n_items * K + nnz)
+    memory, never nnz x K.
     """
 
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray  # (nnz,), user per slot
-    shares: np.ndarray  # (nnz, K)
     h: np.ndarray  # (n_items, K); rows of unrated items stay zero
+    basis: np.ndarray  # (n_items, K): (2*delta/eps) * sqrt(2K*h_j)
+    sigma: np.ndarray  # (n_items,): 1/sqrt(|raters(j)|), zero where unrated
     delta: float
     epsilon: float
     K: int
+    master_seed: int | None  # None: the noise-free plan, whose shares are zero
 
     @classmethod
     def zeros(cls, dataset: RatingDataset, K: int) -> "NoisePlan":
         """All-zero shares; the noise-free limit used by plain MF and
-        reduction tests. The shares are a read-only zero-stride view, so
-        the plan costs no nnz x K memory."""
+        reduction tests."""
         ptr, order = dataset.by_item
         return cls(
             item_ptr=ptr,
             item_users=dataset.users[order],
-            shares=np.broadcast_to(0.0, (len(dataset), K)),
             h=np.zeros((dataset.n_items, K)),
+            basis=np.zeros((dataset.n_items, K)),
+            sigma=np.zeros(dataset.n_items),
             delta=dataset.delta,
             epsilon=math.inf,
             K=K,
+            master_seed=None,
         )
+
+    def draw_shares(self, items, users) -> np.ndarray:
+        """The shares x_j^i, shape (len(items), K), of parallel arrays of
+        rated (item, user) pairs, in their order.
+
+        Each block of NOISE_BLOCK_SLOTS pairs is drawn into its rows of the
+        result and scaled there: basis_j * (sigma_j * c_j^i).
+        """
+        items = np.asarray(items, dtype=np.int64)
+        users = np.asarray(users, dtype=np.int64)
+        if self.master_seed is None:
+            return np.zeros((len(items), self.K))
+        out = np.empty((len(items), self.K))
+        for s in range(0, len(items), NOISE_BLOCK_SLOTS):
+            j = items[s : s + NOISE_BLOCK_SLOTS]
+            c = keyed_normal(self.master_seed, "noise-c", j, users[s : s + NOISE_BLOCK_SLOTS], self.K,
+                             out=out[s : s + NOISE_BLOCK_SLOTS])
+            c *= self.sigma.take(j)[:, None]
+            c *= self.basis.take(j, axis=0)
+        return out
+
+    @property
+    def shares(self) -> np.ndarray:
+        """Every share, (nnz, K), in by-item slot order, drawn anew on each
+        access and not kept. The noise-free plan's is a read-only
+        zero-stride view, which costs no nnz x K memory."""
+        if self.master_seed is None:
+            return np.broadcast_to(0.0, (len(self.item_users), self.K))
+        items = np.repeat(np.arange(len(self.item_ptr) - 1), np.diff(self.item_ptr))
+        return self.draw_shares(items, self.item_users)
 
     def share(self, i: int, j: int) -> np.ndarray:
         """The share x_j^i contributed by user i to item j; KeyError if i
@@ -141,61 +193,62 @@ class NoisePlan:
         p = s + np.searchsorted(self.item_users[s:e], i)
         if p == e or self.item_users[p] != i:
             raise KeyError((i, j))
-        return self.shares[p]
+        return self.draw_shares([j], [i])[0]
 
     @cached_property
     def item_totals(self) -> np.ndarray:
-        """(n_items, K) aggregated noise per item; zero rows where unrated."""
-        totals = np.zeros((len(self.item_ptr) - 1, self.K))
-        rated = np.flatnonzero(np.diff(self.item_ptr))
-        if len(rated):
-            totals[rated] = np.add.reduceat(self.shares, self.item_ptr[rated], axis=0)
+        """(n_items, K) aggregated noise per item; zero rows where unrated.
+
+        The shares are drawn and summed a block of whole items at a time
+        (about NOISE_BLOCK_SLOTS slots; an item with more raters is a block
+        of its own), so no nnz x K array is ever held. Each item's total is
+        the sum of its shares in slot order, the bits that one
+        `np.add.reduceat` over all of `shares` gives.
+        """
+        totals = np.zeros(self.h.shape)
+        if self.master_seed is None:
+            return totals
+        ptr = self.item_ptr
+        for r0, r1 in row_blocks(ptr, NOISE_BLOCK_SLOTS):
+            s, e = ptr[r0], ptr[r1]
+            counts = np.diff(ptr[r0 : r1 + 1])
+            shares = self.draw_shares(np.repeat(np.arange(r0, r1), counts), self.item_users[s:e])
+            rated = r0 + np.flatnonzero(counts)
+            if len(rated):
+                totals[rated] = np.add.reduceat(shares, ptr[rated] - s, axis=0)
         return totals
-
-
-# By-item slots whose c shares are drawn per vectorized call. Any value
-# gives the same plan, since every draw depends only on its key. Blocks keep
-# the uniforms and the Box-Muller temporaries under a megabyte for K = 10
-# instead of growing with nnz; the NumPy backend bounds its Philox counter
-# and word arrays itself (`_fallback.PHILOX_CHUNK_BLOCKS`).
-NOISE_BLOCK_SLOTS = 1024
 
 
 def build_noise_plan(
     dataset: RatingDataset, K: int, delta: float, epsilon: float, master_seed: int
 ) -> NoisePlan:
-    """Draw the run's noise shares, keyed so that neither item nor rater
-    iteration order can change any draw.
+    """The run's noise plan: h_j for every rated item, and the scales of
+    its shares. Items with no raters get no entry.
 
-    Both parts are keyed Philox draws (`rng.keyed_normal`,
-    `rng.keyed_exponential`): h_j under purpose `noise-h` and key (j, 0);
-    c_j^i under `noise-c` and key (j, i), so a share that survives a
-    subset of the data keeps its draw and only its 1/sqrt(|raters(j)|)
-    scale changes. Items with no raters get no entry.
+    Both parts are keyed Philox draws, so neither item nor rater iteration
+    order can change any draw: h_j under purpose `noise-h` and key (j, 0)
+    (`rng.keyed_exponential`), drawn here; c_j^i under `noise-c` and key
+    (j, i) (`rng.keyed_normal`), drawn when a share is needed. A share that
+    survives a subset of the data keeps its draw, and only its
+    1/sqrt(|raters(j)|) scale changes.
     """
     if epsilon <= 0 or delta <= 0:
         raise ValueError("epsilon and delta must be > 0")
     ptr, order = dataset.by_item
-    users_by_item = dataset.users[order]
-    items_by_slot = dataset.items[order]
     counts = np.diff(ptr)
     rated = np.flatnonzero(counts)
     h = np.zeros((dataset.n_items, K))
     h[rated] = keyed_exponential(master_seed, "noise-h", rated, np.zeros_like(rated), K)
-    basis = (2.0 * delta / epsilon) * np.sqrt(2.0 * K * h)
     sigma = np.zeros(dataset.n_items)
     sigma[rated] = 1.0 / np.sqrt(counts[rated])
-    shares = np.empty((len(dataset), K))
-    for s in range(0, len(dataset), NOISE_BLOCK_SLOTS):
-        j = items_by_slot[s : s + NOISE_BLOCK_SLOTS]
-        c = keyed_normal(master_seed, "noise-c", j, users_by_item[s : s + NOISE_BLOCK_SLOTS], K)
-        shares[s : s + NOISE_BLOCK_SLOTS] = basis[j] * (sigma[j, None] * c)
     return NoisePlan(
         item_ptr=ptr,
-        item_users=users_by_item,
-        shares=shares,
+        item_users=dataset.users[order],
         h=h,
+        basis=(2.0 * delta / epsilon) * np.sqrt(2.0 * K * h),
+        sigma=sigma,
         delta=delta,
         epsilon=epsilon,
         K=K,
+        master_seed=master_seed,
     )

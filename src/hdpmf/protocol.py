@@ -195,13 +195,12 @@ def _build_devices(
 ) -> list[UserDevice]:
     """One device per user, holding views of its by-user CSR row of the
     entries, of `targets` (w_ij * r_ij) and of `U`: device i's `u` is row i
-    of U. The plan's shares are in by-item slot order, so they are gathered
-    into entry order through the inverse of the by-item permutation."""
+    of U. Each device's noise shares are drawn from their own (j, i) keys,
+    as a device draws them in the protocol, given h_j: in entry order, a
+    block at a time into one array whose rows the devices view
+    (`NoisePlan.draw_shares`)."""
     user_ptr, _ = dataset.by_user
-    _, item_order = dataset.by_item
-    slot = np.empty_like(item_order)
-    slot[item_order] = np.arange(len(item_order))
-    shares = plan.shares[slot]
+    shares = plan.draw_shares(dataset.items, dataset.users)
     return [
         UserDevice(i, dataset.items[s:e], targets[s:e], shares[s:e], U[i])
         for i, (s, e) in enumerate(zip(user_ptr[:-1].tolist(), user_ptr[1:].tolist()))
@@ -249,7 +248,9 @@ def _train_messages(
             if trace is not None:
                 trace.write(f"{t},user,{i},0,{norm!r}\n")
 
-    return engine.run_epochs(model, epoch, dataset, targets, plan.item_totals, cfg, loss_log)
+    # the devices hold the shares; their totals only score the loss log
+    totals = plan.item_totals if loss_log is not None else None
+    return engine.run_epochs(model, epoch, dataset, targets, totals, cfg, loss_log)
 
 
 def train(

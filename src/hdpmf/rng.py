@@ -10,8 +10,13 @@ model init (user, 0) and (item, 1), and the noise plan's `noise-h` and
 `noise-c` draws (item, 0) and (item, user). The selected kernel backend
 makes the words: the C extension, or NumPy without it
 (`HDPMF_BACKEND=python`). Both give the same words and map them to doubles
-exactly, so the draws are the same bits either way; the Box-Muller and
-`-log` transforms on top run in NumPy on both.
+exactly, so the draws are the same bits either way. The normals come from
+the backend too (`kernels.keyed_normal`), by a Box-Muller transform built
+from +, -, *, /, sqrt and exact bit operations only, which the C extension
+and NumPy run in the same order; `keyed_exponential` takes the same
+portable log in NumPy. No draw goes through libm or NumPy's
+transcendental functions, so seeded results are the same bits on every
+IEEE-754 machine and NumPy build.
 
 Draws for different keys are mutually independent, so neither parallel
 execution, entity iteration order, the arrays' layout nor how keys are
@@ -29,6 +34,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import kernels
+from ._fallback import log_unit
 
 # Fixed purpose ids; never renumber, or seeded results change.
 _PURPOSES = {
@@ -61,6 +67,22 @@ def stream(master_seed: int, purpose: str, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
+def _keyed(fill, master_seed: int, purpose: str, j, i, size: int, out=None) -> np.ndarray:
+    """The (len(j), size) array that the backend's `fill` writes: `out`, or
+    a new one."""
+    _check_seed(master_seed)
+    if master_seed >= 1 << 64:
+        raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
+    j = np.ascontiguousarray(j, dtype=np.uint64)
+    i = np.ascontiguousarray(i, dtype=np.uint64)
+    if out is None:
+        out = np.empty((len(j), size))
+    elif out.shape != (len(j), size):
+        raise ValueError(f"out must have shape ({len(j)}, {size}), got {out.shape}")
+    fill(j, i, master_seed, _PURPOSES[purpose], out)
+    return out
+
+
 def keyed_uniform(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
     """Doubles in (0, 1), shape (len(j), size), for parallel key arrays j, i.
 
@@ -73,28 +95,22 @@ def keyed_uniform(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray
     the C extension, or `_fallback.philox4x64` in NumPy); both compute the
     same words and map them exactly, so the draws are the same bits.
     """
-    _check_seed(master_seed)
-    if master_seed >= 1 << 64:
-        raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
-    j = np.ascontiguousarray(j, dtype=np.uint64)
-    i = np.ascontiguousarray(i, dtype=np.uint64)
-    out = np.empty((len(j), size))
-    kernels.keyed_uniform(j, i, master_seed, _PURPOSES[purpose], out)
-    return out
+    return _keyed(kernels.keyed_uniform, master_seed, purpose, j, i, size)
 
 
-def keyed_normal(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
+def keyed_normal(master_seed: int, purpose: str, j, i, size: int, out=None) -> np.ndarray:
     """Standard normals, shape (len(j), size), by Box-Muller on
-    `keyed_uniform`: columns 2m and 2m+1 come from uniforms 2m and 2m+1."""
-    u = keyed_uniform(master_seed, purpose, j, i, size + size % 2)
-    radius = np.sqrt(-2.0 * np.log(u[:, 0::2]))
-    angle = 2.0 * np.pi * u[:, 1::2]
-    # the uniforms are spent, so the normals overwrite them in place
-    np.multiply(radius, np.cos(angle), out=u[:, 0::2])
-    np.multiply(radius, np.sin(angle), out=u[:, 1::2])
-    return u[:, :size]
+    `keyed_uniform`: columns 2m and 2m+1 come from uniforms 2m and 2m+1.
+    They fill `out`, a C-contiguous float64 array of that shape, if given.
+
+    The selected backend draws them in one pass (`kernels.keyed_normal`);
+    both backends run the portable transform of `_fallback.keyed_normal`,
+    so the draws are the same bits.
+    """
+    return _keyed(kernels.keyed_normal, master_seed, purpose, j, i, size, out)
 
 
 def keyed_exponential(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
-    """Exp(1) draws, shape (len(j), size), as -log of `keyed_uniform`."""
-    return -np.log(keyed_uniform(master_seed, purpose, j, i, size))
+    """Exp(1) draws, shape (len(j), size), as minus the portable log
+    (`_fallback.log_unit`) of `keyed_uniform`."""
+    return -log_unit(keyed_uniform(master_seed, purpose, j, i, size))

@@ -54,6 +54,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="seeds"):
             parse_config(write_config(tmp_path, seeds=2**64))
 
+    def test_n_test_must_fit_int64(self, tmp_path):
+        assert parse_config(write_config(tmp_path, n_test=2**63 - 1)).n_test == 2**63 - 1
+        for value in (2**63, 10**23):
+            with pytest.raises(ConfigError, match="n_test"):
+                parse_config(write_config(tmp_path, n_test=value))
+
     def test_unknown_key_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="unknown key"):
             parse_config(write_config(tmp_path, learning="fast"))
@@ -380,11 +386,15 @@ class TestCmdSweep:
         assert not out.exists() and not trace.exists()
 
 
-@pytest.mark.parametrize("argv", [
+_RUN_AND_SWEEP = pytest.mark.parametrize("argv", [
     pytest.param(["run"], id="run"),
     pytest.param(["sweep", "--key", "eps_uc", "--values", "0.1,0.2"], id="sweep"),
 ])
-def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
+
+
+def _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output) -> str:
+    """Run `argv` on a config whose output is `output`, with loading and
+    training refused; return its one stderr line."""
     import hdpmf.cli as cli
 
     def never(*args, **kwargs):
@@ -393,12 +403,26 @@ def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factor
     monkeypatch.setattr(cli, "load_dataset", never)
     monkeypatch.setattr(cli, "run_experiment", never)
     data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
-    cfg = write_config(tmp_path, dataset=data, output=tmp_path / "no_such_dir" / "res.csv", **BASE)
+    cfg = write_config(tmp_path, dataset=data, output=output, **BASE)
     assert main([argv[0], str(cfg), *argv[1:]]) == 2
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("config error: config key 'output':")
-    assert "no_such_dir" in err[0]
+    return err[0]
+
+
+@_RUN_AND_SWEEP
+def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
+    output = tmp_path / "no_such_dir" / "res.csv"
+    assert "no_such_dir" in _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output)
     assert not (tmp_path / "no_such_dir").exists()
+
+
+@_RUN_AND_SWEEP
+def test_output_naming_a_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
+    output = tmp_path / "results"
+    output.mkdir()
+    assert "names a directory" in _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output)
+    assert not any(output.iterdir())
 
 
 class TestCmdCheckNoise:
@@ -468,6 +492,7 @@ class TestCmdCheckNoise:
     ["run", "{dir}/lam-nan.cfg"],
     ["run", "{dir}/eta0-inf.cfg"],
     ["run", "{dir}/scale_max-inf.cfg"],
+    ["run", "{dir}/n_test-1e23.cfg"],
 ], ids=lambda argv: " ".join(argv).replace("{dir}", "DIR"))
 def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
     ratings = tmp_path / "ratings.csv"
@@ -483,6 +508,9 @@ def test_bad_input_exits_2_without_traceback(tmp_path, capsys, argv):
             f"dataset = {ratings}\nformat = csv\nn_test = 1\nepochs = 2\n"
             f"output = {tmp_path / 'r.csv'}\n{key} = {value}\n"
         )
+    (tmp_path / "n_test-1e23.cfg").write_text(
+        f"dataset = {ratings}\nformat = csv\nn_test = {10**23}\nepochs = 2\noutput = {tmp_path / 'r.csv'}\n"
+    )
     argv = [arg.replace("{dir}", str(tmp_path)) for arg in argv]
     try:
         code = main(argv)

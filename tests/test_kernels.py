@@ -2,12 +2,12 @@
 compiled kernels (the `native` fixture: imported, or built from `_native.c`
 when a C compiler exists) also match the fallback, the keyed uniforms of
 both backends are the same bits as `numpy.random.Philox`, and the compiled
-entry points reject malformed arguments before writing anything."""
+entry points reject malformed arguments before writing anything. The keyed
+normals' transform has its own tests in test_transform.py."""
 
 import importlib
 import inspect
 import os
-import platform
 import subprocess
 import sys
 from pathlib import Path
@@ -173,15 +173,19 @@ def test_selected_backend_matches_module():
         impl = importlib.import_module("hdpmf._native")
     assert kernels.run_epoch is impl.run_epoch
     assert kernels.keyed_uniform is impl.keyed_uniform
+    assert kernels.keyed_normal is impl.keyed_normal
 
 
-@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ImportError")])
-def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
-    # an extension built from an older _native.c has run_epoch only
+def _select_with_stale_extension(requested: str, entry_points: list[str]) -> str:
+    """What a fresh `hdpmf.kernels` selects when `hdpmf._native` is a stale
+    extension with only `entry_points`: the backend name, or the
+    ImportError's message."""
     code = (
         "import sys, types\n"
         "stale = types.ModuleType('hdpmf._native')\n"
-        "stale.NAME, stale.run_epoch = 'native', None\n"
+        "stale.NAME = 'native'\n"
+        f"for name in {entry_points!r}:\n"
+        "    setattr(stale, name, None)\n"
         "sys.modules['hdpmf._native'] = stale\n"
         "try:\n"
         "    from hdpmf import kernels\n"
@@ -192,7 +196,20 @@ def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
     env = dict(os.environ, HDPMF_BACKEND=requested)
     env["PYTHONPATH"] = os.pathsep.join([str(Path(hdpmf.__file__).parents[1]), env.get("PYTHONPATH", "")])
     done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert done.stdout.split()[0] == selected, done.stderr
+    assert done.stdout, done.stderr
+    return done.stdout
+
+
+@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ImportError")])
+def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
+    # an extension built from an older _native.c has run_epoch only
+    assert _select_with_stale_extension(requested, ["run_epoch"]).split()[0] == selected
+
+
+def test_extension_without_keyed_normal_is_refused():
+    # an extension built before keyed_normal existed draws the uniforms only
+    out = _select_with_stale_extension("native", ["run_epoch", "keyed_uniform"])
+    assert out.startswith("ImportError") and "rebuild it" in out, out
 
 
 def test_empty_items_skipped(impl):
@@ -252,16 +269,14 @@ def test_fallback_matches_oracle(inst, epochs, block):
 @settings(max_examples=60, deadline=None)
 @given(inst=csr_instances(), epochs=st.integers(1, 3))
 def test_native_matches_oracle_property(native, inst, epochs):
-    # bit for bit where the compiler does not contract to FMA (x86-64
-    # default); the tolerance admits platforms that do
+    # bit for bit (test_native_is_bit_identical_to_oracle); this checks the
+    # tolerance over random shapes
     U_o, V_o = _epochs(oracle_epoch, inst, epochs)
     U_n, V_n = _epochs(native.run_epoch, inst, epochs)
     np.testing.assert_allclose(U_n, U_o, rtol=0, atol=1e-12)
     np.testing.assert_allclose(V_n, V_o, rtol=0, atol=1e-12)
 
 
-@pytest.mark.skipif(platform.machine().lower() not in ("x86_64", "amd64"),
-                    reason="bit-identity needs a compiler that does not contract to FMA, as on x86-64")
 @pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("K", [1, 3, 10])
 def test_native_is_bit_identical_to_oracle(native, K, project):
@@ -387,7 +402,7 @@ def test_native_uniforms_match_numpy_philox(native, j, i, key0, key1, size):
     assert np.all((expected > 0) & (expected < 1))
 
 
-@pytest.mark.parametrize("error, name, bad", [
+_KEYED_BAD_ARGUMENTS = pytest.mark.parametrize("error, name, bad", [
     (TypeError, "j", lambda a: a["j"].astype(np.int64)),
     (TypeError, "i", lambda a: a["i"].astype(np.float64)),
     (ValueError, "j", lambda a: a["j"].reshape(2, 2)),
@@ -403,12 +418,45 @@ def test_native_uniforms_match_numpy_philox(native, j, i, key0, key1, size):
     (TypeError, "key0", lambda a: 1.5),
 ], ids=["int64-j", "float64-i", "2d-j", "short-i", "strided-i", "float32-out", "fortran-out",
         "read-only-out", "short-out", "1d-out", "negative-key0", "key1-2to64", "float-key0"])
-def test_native_uniform_rejects_malformed_arguments(native, error, name, bad):
+
+
+def _rejects(entry, error, name, bad):
     args = dict(j=np.arange(4, dtype=np.uint64), i=np.arange(4, 8, dtype=np.uint64),
                 key0=9, key1=5, out=np.zeros((4, 6)))
     args[name] = bad(args)
     out = args["out"]
     before = out.tobytes()
     with pytest.raises(error):
-        native.keyed_uniform(**args)
+        entry(**args)
+    assert out.tobytes() == before
+
+
+@_KEYED_BAD_ARGUMENTS
+def test_native_uniform_rejects_malformed_arguments(native, error, name, bad):
+    _rejects(native.keyed_uniform, error, name, bad)
+
+
+@_KEYED_BAD_ARGUMENTS
+def test_native_normal_rejects_malformed_arguments(native, error, name, bad):
+    _rejects(native.keyed_normal, error, name, bad)
+
+
+@pytest.mark.parametrize("error, name, bad", [
+    (TypeError, "u", lambda a: a["u"].astype(np.float32)),
+    (ValueError, "u", lambda a: a["u"].ravel()),
+    (ValueError, "u", lambda a: np.asfortranarray(a["u"])),
+    (ValueError, "u", lambda a: np.ascontiguousarray(a["u"][:, :3])),
+    (TypeError, "out", lambda a: a["out"].astype(np.float32)),
+    (ValueError, "out", lambda a: _read_only(a["out"])),
+    (ValueError, "out", lambda a: a["out"][:-1].copy()),
+    (ValueError, "out", lambda a: np.zeros((4, 2))),
+], ids=["float32-u", "1d-u", "fortran-u", "odd-u", "float32-out", "read-only-out", "short-out",
+        "narrow-out"])
+def test_native_box_muller_rejects_malformed_arguments(native, error, name, bad):
+    args = dict(u=np.full((4, 4), 0.25), out=np.zeros((4, 4)))
+    args[name] = bad(args)
+    out = args["out"]
+    before = out.tobytes()
+    with pytest.raises(error):
+        native.box_muller(**args)
     assert out.tobytes() == before

@@ -212,12 +212,46 @@ class TestNoisePlan:
         assert np.array_equal(plan.h, reference.h)
 
     def test_plan_is_the_same_bits_on_either_backend(self, monkeypatch, native, small_synth):
-        plans = []
+        drawn = []
         for impl in (_fallback, native):
             monkeypatch.setattr(kernels, "keyed_uniform", impl.keyed_uniform)
-            plans.append(build_noise_plan(small_synth, 10, 4.0, 0.5, master_seed=13))
-        assert np.array_equal(plans[0].shares, plans[1].shares)
-        assert np.array_equal(plans[0].h, plans[1].h)
+            monkeypatch.setattr(kernels, "keyed_normal", impl.keyed_normal)
+            plan = build_noise_plan(small_synth, 10, 4.0, 0.5, master_seed=13)
+            drawn.append((plan.shares, plan.h, plan.item_totals))
+        for a, b in zip(*drawn):
+            assert a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("K", [1, 4])
+    @pytest.mark.parametrize("block", [1, 3, 64])
+    def test_streamed_item_totals_equal_one_reduceat(self, monkeypatch, K, block):
+        # item 0 has 100 raters, more than any of these blocks hold; items 1
+        # and 4 have none; the rest have a few each
+        users = np.concatenate([np.arange(100), [0, 1, 2, 3, 5, 8, 9, 7]])
+        items = np.concatenate([np.zeros(100, int), [2, 2, 3, 5, 5, 5, 3, 6]])
+        ds = RatingDataset(users, items, np.full(len(users), 3.0), 100, 7, 1, 5)
+        plan = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12)
+        rated = np.flatnonzero(np.diff(plan.item_ptr))
+        expected = np.zeros((ds.n_items, K))
+        expected[rated] = np.add.reduceat(plan.shares, plan.item_ptr[rated], axis=0)
+        monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
+        streamed = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12).item_totals
+        assert streamed.tobytes() == expected.tobytes()
+
+    def test_item_totals_never_hold_the_shares(self):
+        import tracemalloc
+
+        # 150,000 ratings: all shares take 19.2 MB at K = 16, the by-item
+        # layout a few MB and one block's draws about 1 MB
+        ds = _complete_dataset(500, 300)
+        K = 16
+        shares_bytes = len(ds) * K * 8
+        tracemalloc.start()
+        try:
+            build_noise_plan(ds, K, 4.0, 1.0, master_seed=5).item_totals
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < shares_bytes / 2
 
     def test_item_totals_sum_of_shares(self):
         ds = _complete_dataset(5, 2)
