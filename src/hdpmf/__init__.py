@@ -62,7 +62,6 @@ from .privacy import (
     laplace_scale,
 )
 from .protocol import (
-    GradientMessage,
     GradientUpload,
     MessageChannel,
     RecommenderState,
@@ -81,7 +80,6 @@ __all__ = [
     "ExperimentConfig",
     "ExperimentResult",
     "FactorModel",
-    "GradientMessage",
     "GradientUpload",
     "HdpmfError",
     "MessageChannel",

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import os
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -20,7 +21,7 @@ from .data import (
     split_leave_n_out,
     subsample_per_user,
 )
-from .exceptions import DivergedRunError, EmptySplitError
+from .exceptions import ConfigError, DivergedRunError, EmptySplitError
 from .privacy import allocate_weights
 from .protocol import predict_all, train
 
@@ -28,6 +29,8 @@ RESULT_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae"
 AGGREGATE_COLUMNS = "method,dataset,K,eps,f_uc,eps_uc,fraction,n_seeds,mse_mean,mse_std,mae_mean,mae_std"
 # The line that opens the aggregate section; header lines echo free text.
 AGGREGATE_MARKER = "# aggregate: mean and sample standard deviation over seeds"
+# How `read_results` reads a column back; every other column is a float.
+_COLUMN_TYPES = {"method": str, "dataset": str, "K": int, "seed": int, "n_seeds": int}
 
 
 def _errors(predictions, truths) -> np.ndarray:
@@ -113,6 +116,15 @@ def load_dataset(cfg: ExperimentConfig) -> RatingDataset:
     return load_csv(cfg.dataset, cfg.scale_min, cfg.scale_max)
 
 
+def _check_k_fits(cfg: ExperimentConfig, dataset: RatingDataset) -> None:
+    """Reject a K whose factors U and V alone, in float64, would exceed the
+    machine's physical memory, before anything K-sized is allocated."""
+    memory = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    shape = f"{dataset.n_users} users and {dataset.n_items} items"
+    if 8 * cfg.k * (dataset.n_users + dataset.n_items) > memory:
+        raise ConfigError("k", f"K = {cfg.k} with {shape} needs more than {memory:.3g} bytes of physical memory")
+
+
 def run_single_seed(
     cfg: ExperimentConfig,
     dataset: RatingDataset,
@@ -160,6 +172,7 @@ def run_experiment(
     """
     if dataset is None:
         dataset = load_dataset(cfg)
+    _check_k_fits(cfg, dataset)
     result = ExperimentResult(method=cfg.method, config=cfg)
     for seed in cfg.seeds:
         loss_log: list[float] | None = [] if loss_trace is not None else None
@@ -189,6 +202,7 @@ def grid_search_cv(
     Optional: the shipped defaults were pinned with this and acceptance
     runs use them directly. Diverged folds score as infinity.
     """
+    _check_k_fits(cfg, dataset)
     weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, master_seed)
     folds = kfold_splits(dataset, n_folds, master_seed)
     fold_inputs = [
@@ -241,12 +255,28 @@ def paired_t_test(a, b) -> tuple[float, str]:
         t = math.inf if mean > 0 else -math.inf
     else:
         t = mean / (sd / math.sqrt(n))
-    from scipy import stats  # deferred: about 1 s to import, most of `import hdpmf`
-
+    # t > ppf(p) exactly when cdf(t) > p, the CDF being strictly increasing
+    cdf = _t_cdf(t, n - 1)
     for level, p in (("99%", 0.99), ("95%", 0.95), ("90%", 0.90)):
-        if t > float(stats.t.ppf(p, n - 1)):
+        if cdf > p:
             return t, level
     return t, "none"
+
+
+def _t_cdf(t: float, nu: int) -> float:
+    """Student-t CDF for integer nu >= 1 in theta = atan(t / sqrt(nu)):
+    Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4 (even nu)."""
+    if math.isinf(t):
+        return float(t > 0)
+    theta = math.atan(t / math.sqrt(nu))
+    odd = nu % 2
+    cos2 = math.cos(theta) ** 2
+    term, total = (math.cos(theta) if odd else 1.0), 0.0
+    for k in range(1, nu // 2 + 1):
+        total += term
+        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
+    a = math.sin(theta) * total
+    return 0.5 + 0.5 * ((theta + a) * 2.0 / math.pi if odd else a)
 
 
 def _fmt(value: float) -> str:
@@ -312,31 +342,14 @@ def read_results(path: str | Path) -> tuple[list[dict], list[dict]]:
     """Parse a results file back into (seed rows, aggregate rows)."""
     import csv
 
-    seed_rows: list[dict] = []
-    agg_rows: list[dict] = []
-    section = "seed"
-    seed_fields = RESULT_COLUMNS.split(",")
-    agg_fields = AGGREGATE_COLUMNS.split(",")
+    rows: tuple[list[dict], list[dict]] = ([], [])
+    section = 0  # 1 from the aggregate marker on
     for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if line.startswith("#"):
-            if line == AGGREGATE_MARKER:
-                section = "aggregate"
+        if line == AGGREGATE_MARKER:
+            section = 1
+        if line.startswith("#") or line in (RESULT_COLUMNS, AGGREGATE_COLUMNS):
             continue
-        if line in (RESULT_COLUMNS, AGGREGATE_COLUMNS):
-            continue
-        parts = next(csv.reader([line]))
-        if section == "seed":
-            row = dict(zip(seed_fields, parts))
-            for key in ("K", "seed"):
-                row[key] = int(row[key])
-            for key in ("eps", "f_uc", "eps_uc", "fraction", "mse", "mae"):
-                row[key] = float(row[key])
-            seed_rows.append(row)
-        else:
-            row = dict(zip(agg_fields, parts))
-            row["K"] = int(row["K"])
-            row["n_seeds"] = int(row["n_seeds"])
-            for key in ("eps", "f_uc", "eps_uc", "fraction", "mse_mean", "mse_std", "mae_mean", "mae_std"):
-                row[key] = float(row[key])
-            agg_rows.append(row)
-    return seed_rows, agg_rows
+        names = (RESULT_COLUMNS, AGGREGATE_COLUMNS)[section].split(",")
+        values = next(csv.reader([line]))
+        rows[section].append({key: _COLUMN_TYPES.get(key, float)(raw) for key, raw in zip(names, values)})
+    return rows

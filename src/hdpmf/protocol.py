@@ -51,15 +51,6 @@ from .privacy import NoisePlan, WeightAssignment
 
 
 @dataclass
-class GradientMessage:
-    """One device's contribution to one item update: one row of an upload."""
-
-    item_index: int
-    sender: int
-    payload: np.ndarray  # (K,)
-
-
-@dataclass
 class GradientUpload:
     """One device's item-phase upload: a payload row for each rated item."""
 
@@ -71,8 +62,8 @@ class GradientUpload:
 class MessageChannel:
     """Instrumented transport between devices and the recommender.
 
-    Counts every gradient row and, when capture is on, keeps each row as a
-    GradientMessage so a test can audit exactly what crossed the boundary.
+    Counts every gradient row and, when capture is on, keeps a copy of each
+    upload so a test can audit exactly what crossed the boundary.
     """
 
     def __init__(self, capture: bool = False):
@@ -80,7 +71,7 @@ class MessageChannel:
         self.n_registrations = 0
         self.n_gradient_messages = 0
         self.n_broadcasts = 0  # recommender -> devices (V or h distribution)
-        self.gradient_log: list[GradientMessage] = []
+        self.gradient_log: list[GradientUpload] = []
 
     def register_rater(self, user: int, item: int) -> None:
         self.n_registrations += 1
@@ -91,9 +82,8 @@ class MessageChannel:
     def deliver_gradient(self, upload: GradientUpload) -> GradientUpload:
         self.n_gradient_messages += len(upload.items)
         if self.capture:
-            self.gradient_log.extend(
-                GradientMessage(j, upload.sender, row.copy())
-                for j, row in zip(upload.items.tolist(), upload.payload)
+            self.gradient_log.append(
+                GradientUpload(upload.sender, upload.items.copy(), upload.payload.copy())
             )
         return upload
 

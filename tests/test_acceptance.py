@@ -239,17 +239,17 @@ def test_criterion_9_information_flow(synth_factory):
     }
     private_values |= set(model0.U.ravel().tolist())
 
+    rows = [row for upload in channel.gradient_log for row in upload.payload]
     payload_ok = all(
-        isinstance(m.payload, np.ndarray)
-        and m.payload.shape == (cfg.k,)
-        and m.payload.dtype == np.float64
-        for m in channel.gradient_log
+        isinstance(row, np.ndarray)
+        and row.shape == (cfg.k,)
+        and row.dtype == np.float64
+        for row in rows
     )
-    leak_free = all(
-        not (set(m.payload.tolist()) & private_values) for m in channel.gradient_log
-    )
+    leak_free = all(not (set(row.tolist()) & private_values) for row in rows)
     counts_ok = (
-        channel.n_gradient_messages == cfg.epochs * len(ds)
+        len(rows) == channel.n_gradient_messages
+        and channel.n_gradient_messages == cfg.epochs * len(ds)
         and channel.n_registrations == len(ds)
     )
     ok = payload_ok and leak_free and counts_ok

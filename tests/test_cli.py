@@ -425,6 +425,44 @@ def test_output_naming_a_directory_rejected_before_any_run(tmp_path, synth_facto
     assert not any(output.iterdir())
 
 
+@_RUN_AND_SWEEP
+@pytest.mark.parametrize("k", [10**22, 10**12])
+def test_huge_k_rejected_before_anything_k_sized(tmp_path, synth_factory, capsys, monkeypatch, argv, k):
+    # a K whose factors alone exceed physical memory is a config error on
+    # `k`; nothing K-sized may be reached, so NumPy never sees the size
+    import hdpmf.baselines
+    import hdpmf.engine
+    import hdpmf.evaluation
+    import hdpmf.protocol
+
+    def never(*args, **kwargs):
+        raise AssertionError("a K-sized allocation was reached before k was checked")
+
+    for module, name in (
+        (hdpmf.engine, "init_model"), (hdpmf.protocol, "init_model"),
+        (hdpmf.baselines, "build_noise_plan"), (hdpmf.evaluation, "allocate_weights"),
+    ):
+        monkeypatch.setattr(module, name, never)
+    data = write_csv_dataset(tmp_path, synth_factory, master_seed=98)
+    cfg = write_config(tmp_path, dataset=data, output=tmp_path / "res.csv", **{**BASE, "k": k})
+    assert main([argv[0], str(cfg), *argv[1:]]) == 2
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: config key 'k': K = {k} with ")
+    assert not (tmp_path / "res.csv").exists()
+
+
+def test_k_limit_follows_physical_memory(synth_factory, monkeypatch):
+    # the bound is U and V in float64: (n_users + n_items) * K * 8 bytes
+    import hdpmf.evaluation as evaluation
+
+    ds = synth_factory(n_users=25, n_items=20, mean_per_user=8, master_seed=99)
+    pages = {"SC_PAGE_SIZE": 64, "SC_PHYS_PAGES": ds.n_users + ds.n_items}
+    monkeypatch.setattr(evaluation.os, "sysconf", pages.__getitem__)
+    evaluation._check_k_fits(ExperimentConfig(k=8), ds)
+    with pytest.raises(ConfigError, match="config key 'k'"):
+        evaluation._check_k_fits(ExperimentConfig(k=9), ds)
+
+
 class TestCmdCheckNoise:
     def test_small_check_passes(self, capsys):
         code = main([
@@ -449,6 +487,18 @@ class TestCmdCheckNoise:
         report = check_noise_composition(10, 4.0, 1.0, 1, 150_000, 1)
         assert report.passed
         assert report.variance == pytest.approx(report.target_variance, rel=0.03)
+
+    def test_ks_statistic_matches_scipy(self):
+        # SciPy as the oracle: the same double as scipy.stats.kstest
+        from scipy import stats
+
+        from hdpmf.diagnostics import check_noise_composition, sample_aggregate_noise
+
+        for raters, seed in ((1, 0), (5, 3), (50, 1)):
+            report = check_noise_composition(10, 4.0, 1.0, raters, 20_000, seed)
+            draws = sample_aggregate_noise(10, 4.0, 1.0, raters, 20_000, seed)
+            oracle = stats.kstest(draws, stats.laplace(scale=report.scale).cdf).statistic
+            assert report.ks_distance == float(oracle)
 
     def test_too_few_samples_rejected(self):
         from hdpmf.diagnostics import MIN_SAMPLES, check_noise_composition

@@ -16,6 +16,7 @@ from hdpmf.config import ExperimentConfig
 from hdpmf.evaluation import (
     ExperimentResult,
     SeedResult,
+    _t_cdf,
     emit_results,
     mae,
     mse,
@@ -107,16 +108,64 @@ class TestPairedTTest:
             paired_t_test([1.0, 2.0], [1.0])
 
 
-def test_import_does_not_load_scipy_stats():
-    # scipy.stats takes most of the import time of the package and only the
-    # significance test and the noise check need it
+class TestStudentCdf:
+    """The closed-form t CDF against SciPy, the tests' oracle."""
+
+    def test_matches_scipy_on_a_dense_grid(self):
+        from scipy import stats
+
+        # near t = 0, SciPy's nu = 1 branch drifts from the exact
+        # 1/2 + atan(t)/pi by about 1e-11, so the grid steps by 0.05
+        t = np.concatenate([np.linspace(-12.0, 12.0, 481), [-300.0, 300.0]])
+        for nu in range(1, 60):
+            ours = np.array([_t_cdf(float(x), nu) for x in t])
+            np.testing.assert_allclose(ours, stats.t.cdf(t, nu), rtol=0, atol=5e-15)
+
+    def test_infinities_and_zero(self):
+        for nu in (1, 2, 3, 4, 59, 200):
+            assert _t_cdf(math.inf, nu) == 1.0
+            assert _t_cdf(-math.inf, nu) == 0.0
+            assert _t_cdf(0.0, nu) == 0.5
+
+    def test_level_agrees_with_the_ppf_decision(self):
+        from scipy import stats
+
+        def ppf_level(t, n):
+            for level, p in (("99%", 0.99), ("95%", 0.95), ("90%", 0.90)):
+                if t > stats.t.ppf(p, n - 1):
+                    return level
+            return "none"
+
+        rng = np.random.default_rng(5)
+        for n in range(2, 41):
+            critical = stats.t.ppf([0.9, 0.95, 0.99], n - 1)
+            targets = np.concatenate([
+                critical * (1 + 1e-9), critical * (1 - 1e-9), rng.normal(1.5, 2.0, size=10),
+            ])
+            base = np.zeros(n)
+            d = np.linspace(-1.0, 1.0, n)
+            d = d / d.std(ddof=1)
+            for target in targets:
+                t, level = paired_t_test(base, d + target / math.sqrt(n))
+                assert level == ppf_level(t, n)
+
+
+def test_runs_with_scipy_blocked():
+    # numpy is the only runtime dependency: with every scipy import made to
+    # fail, the package imports and both statistics run
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(hdpmf.__file__).parents[1]), env.get("PYTHONPATH", "")]
     )
-    code = "import sys, hdpmf; sys.exit('scipy.stats' in sys.modules)"
-    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120)
-    assert done.returncode == 0
+    code = (
+        "import sys; sys.modules['scipy'] = None\n"
+        "import hdpmf\n"
+        "from hdpmf.diagnostics import MIN_SAMPLES\n"
+        "assert hdpmf.paired_t_test([1.0, 2.0, 3.0], [2.0, 3.5, 4.0])[1] == '99%'\n"
+        "assert hdpmf.check_noise_composition(10, 4.0, 1.0, 5, MIN_SAMPLES).passed\n"
+    )
+    done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
 
 
 def _csv_config(tmp_path, ds, **overrides):

@@ -420,11 +420,13 @@ class TestInformationFlow:
         assert channel.n_registrations == len(ds)
         assert channel.n_gradient_messages == cfg.epochs * len(ds)
         assert channel.n_broadcasts == rated_items + cfg.epochs
-        assert len(channel.gradient_log) == channel.n_gradient_messages
-        for msg in channel.gradient_log:
-            assert isinstance(msg.payload, np.ndarray)
-            assert msg.payload.shape == (cfg.k,)
-            assert msg.payload.dtype == np.float64
+        rows = [row for upload in channel.gradient_log for row in upload.payload]
+        assert len(rows) == channel.n_gradient_messages
+        assert all(len(upload.items) == len(upload.payload) for upload in channel.gradient_log)
+        for row in rows:
+            assert isinstance(row, np.ndarray)
+            assert row.shape == (cfg.k,)
+            assert row.dtype == np.float64
 
     def test_raw_ratings_never_appear_in_payloads(self):
         # ratings on a [100, 105] scale cannot coincide with gradient-scale
@@ -444,8 +446,9 @@ class TestInformationFlow:
             weights.weight(i, j) for i, j in zip(ds.users.tolist(), ds.items.tolist())
         }
         forbidden = rating_values | weight_values
-        for msg in channel.gradient_log:
-            assert not (set(msg.payload.tolist()) & forbidden)
+        for upload in channel.gradient_log:
+            for row in upload.payload:
+                assert not (set(row.tolist()) & forbidden)
 
 
 class TestPredictAll:
