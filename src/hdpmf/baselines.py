@@ -19,10 +19,12 @@ are rescaled is `BaselineKind.rescales`.
 from __future__ import annotations
 
 import enum
+import math
 
 import numpy as np
 
 from .data import RatingDataset
+from .exceptions import ConfigError
 from .privacy import NoisePlan, WeightAssignment, build_noise_plan
 from .rng import keyed_uniform
 
@@ -70,7 +72,14 @@ def pdp_sample_ratings(
     budgets = np.asarray(budgets, dtype=np.float64)
     if budgets.shape != (len(dataset),):
         raise ValueError("budgets must align with dataset entries")
-    pi = np.where(budgets >= threshold, 1.0, np.expm1(budgets) / np.expm1(threshold))
+    # e^threshold may overflow, and e^budget where np.where keeps 1 instead
+    with np.errstate(over="ignore"):
+        scale = np.expm1(threshold)
+        if np.isfinite(scale):
+            pi = np.where(budgets >= threshold, 1.0, np.expm1(budgets) / scale)
+        else:  # the same ratio, as e^(b - t) (1 - e^-b) / (1 - e^-t)
+            ratio = np.exp(budgets - threshold) * np.expm1(-budgets) / np.expm1(-threshold)
+            pi = np.where(budgets >= threshold, 1.0, ratio)
     draws = keyed_uniform(master_seed, "pdp-sample", dataset.items, dataset.users, 1)[:, 0]
     return dataset.subset(draws < pi)
 
@@ -92,6 +101,9 @@ def method_inputs(
     users whose ratings all sampled out still take their (regularization
     only) user updates, and items with no surviving raters are skipped.
     hdpmf and hdpmf_r stretch ratings by w_ij and draw the plan at epsilon.
+
+    Raises ConfigError on `epsilon` when the noise scale 2 * delta / budget
+    of the budget a plan is calibrated to is not a finite number > 0.
     """
     if method is BaselineKind.MF:
         return dataset, np.ones(len(dataset)), NoisePlan.zeros(dataset, K)
@@ -100,6 +112,11 @@ def method_inputs(
     elif method is BaselineKind.PDPMF:
         budgets = epsilon * weights.matrix_entries(dataset.users, dataset.items)
         dataset = pdp_sample_ratings(dataset, budgets, epsilon, master_seed)
+    if not (epsilon > 0 and 0 < 2.0 * dataset.delta / epsilon < math.inf):
+        raise ConfigError(
+            "epsilon", f"{method.value} calibrates its noise to the budget {epsilon!r}, and the "
+            f"noise scale 2 * delta / budget with delta = {dataset.delta!r} is not a finite number > 0"
+        )
     plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
     if method in (BaselineKind.HDPMF, BaselineKind.HDPMF_R):
         return dataset, weights.matrix_entries(dataset.users, dataset.items), plan

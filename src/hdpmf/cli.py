@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import errno
 import math
+import os
 import sys
 from contextlib import ExitStack, contextmanager
 from dataclasses import replace
@@ -48,17 +49,38 @@ def _utf8_text(path):
         raise OSError(errno.EILSEQ, f"not UTF-8 text ({exc.reason})", str(path)) from None
 
 
+def _same_file(a: str, b: str) -> bool:
+    """Whether two paths name one file: through links, or by inode."""
+    if os.path.realpath(a) == os.path.realpath(b):
+        return True
+    try:
+        return os.path.samefile(a, b)
+    except OSError:  # either file is missing
+        return False
+
+
 def _parse_checked(config_path: str) -> ExperimentConfig:
-    """Parse the config and check, before any data is loaded, that the
-    results file can be written where it says: in a directory that exists,
-    and not over a directory."""
+    """Parse the config and check, before any data is loaded, that each file
+    the run writes (`output`, `trace`, `loss_trace`) can be written where it
+    says: in a directory that exists, not over a directory, and not over
+    the dataset, the config file or another written file. A clash is
+    reported on the later key."""
     with _utf8_text(config_path):
         cfg = parse_config(config_path)
-    output = Path(cfg.output)
-    if not output.parent.is_dir():
-        raise ConfigError("output", f"directory not found: {output.parent}")
-    if output.is_dir():
-        raise ConfigError("output", f"names a directory, not a file: {output}")
+    taken = {"the dataset": cfg.dataset, "the config file": config_path}
+    for key in ("output", "trace", "loss_trace"):
+        value = getattr(cfg, key)
+        if value is None:
+            continue
+        path = Path(value)
+        if not path.parent.is_dir():
+            raise ConfigError(key, f"directory not found: {path.parent}")
+        if path.is_dir():
+            raise ConfigError(key, f"names a directory, not a file: {path}")
+        for name, other in taken.items():
+            if _same_file(value, other):
+                raise ConfigError(key, f"is the same file as {name}: {value}")
+        taken[f"`{key}`"] = value
     return cfg
 
 
@@ -217,6 +239,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except HdpmfError as exc:
         print(f"run failed: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"run failed: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

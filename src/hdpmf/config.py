@@ -18,6 +18,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .baselines import BaselineKind
+from .data import MOVIELENS_SCALE
 from .exceptions import ConfigError
 
 # Best-found training defaults, the same for every method (5-fold CV over
@@ -92,6 +93,10 @@ class ExperimentConfig:
             raise ConfigError("lam", f"must be >= 0, got {self.lam}")
         if self.scale_max <= self.scale_min:
             raise ConfigError("scale_max", "rating scale must have positive range")
+        if self.format != "csv":
+            for name, fixed in zip(("scale_min", "scale_max"), MOVIELENS_SCALE):
+                if getattr(self, name) != fixed:
+                    raise ConfigError(name, f"the {self.format} scale is fixed: must be {fixed}, got {getattr(self, name)}")
         if self.split not in ("leave-n-out", "leave-one-out"):
             raise ConfigError("split", f"must be leave-n-out or leave-one-out, got {self.split!r}")
         if not 1 <= self.n_test < 1 << 63:
@@ -126,6 +131,11 @@ class ExperimentConfig:
                     raise ConfigError(
                         name, f"weight ranges must satisfy 0 < {' <= '.join(names)} <= 1, got {(lo, mid, hi)}"
                     )
+        # every weight w_ij = beta_i * gamma_j is at least eps_uc * eps_ic
+        if self.eps_uc * self.eps_ic == 0:
+            raise ConfigError(
+                "eps_ic", f"the smallest weight eps_uc * eps_ic = {self.eps_uc} * {self.eps_ic} underflows to 0"
+            )
 
     @property
     def effective_eta0(self) -> float:

@@ -19,6 +19,9 @@ import numpy as np
 from .exceptions import ParseError
 from .rng import keyed_uniform
 
+# The rating scale of both MovieLens formats, which their files do not state.
+MOVIELENS_SCALE = (1.0, 5.0)
+
 
 @dataclass
 class RatingDataset:
@@ -328,14 +331,14 @@ def load_movielens_100k(path: str | Path) -> RatingDataset:
     """Parse the tab-separated `user \\t item \\t rating \\t timestamp` format.
 
     Raw ids are remapped to dense 0-based indices (ascending raw id); the
-    scale is fixed to [1, 5].
+    scale is fixed to MOVIELENS_SCALE, [1, 5].
     """
-    return _read_ratings(path, "\t", 4, 1.0, 5.0)
+    return _read_ratings(path, "\t", 4, *MOVIELENS_SCALE)
 
 
 def load_movielens_1m(path: str | Path) -> RatingDataset:
     """Parse the `user::item::rating::timestamp` format, scale [1, 5]."""
-    return _read_ratings(path, "::", 4, 1.0, 5.0)
+    return _read_ratings(path, "::", 4, *MOVIELENS_SCALE)
 
 
 def load_csv(path: str | Path, scale_min: float, scale_max: float) -> RatingDataset:

@@ -1,9 +1,9 @@
-"""The training loop of both engines, and the batch engine.
+"""The training loop of both engines, and the batch engine's epoch.
 
-`run_epochs` holds the learning-rate schedule, the divergence check and the
-loss trace. `fit`, the batch engine that experiments run, calls
-`kernels.run_epoch` in it; the message engine in hdpmf.protocol runs its
-item and user phases in it.
+`run_epochs` holds the learning-rate schedule and the divergence check.
+`fit`, the batch engine that experiments run, calls `kernels.run_epoch` in
+it; the message engine in hdpmf.protocol runs its item and user phases in
+it. `protocol.train` draws the model and builds the loss hook for both.
 """
 
 from __future__ import annotations
@@ -16,48 +16,43 @@ from . import kernels
 from .config import ExperimentConfig
 from .data import RatingDataset
 from .exceptions import DivergedRunError
-from .model import FactorModel, init_model, learning_rate, objective_value
+from .model import FactorModel, learning_rate
 
 
 def run_epochs(
     model: FactorModel,
     epoch: Callable[[int, float], None],
-    dataset: RatingDataset,
-    targets: np.ndarray,
-    noise_totals: np.ndarray | None,
     cfg: ExperimentConfig,
-    loss_log: list[float] | None = None,
+    after_epoch: Callable[[], None] | None = None,
 ) -> FactorModel:
     """Call `epoch(t, eta)` for each of the `cfg.epochs` epochs, with eta
     from the schedule of `cfg.effective_eta0`; the epoch updates `model.U`
     and `model.V` in place.
 
     Overflow stays silent: the first epoch that leaves a non-finite factor
-    raises DivergedRunError naming it. With a `loss_log`, the objective of
-    the model on `targets` and `noise_totals` is appended after each epoch;
-    only then are `noise_totals` read.
+    raises DivergedRunError naming it. `after_epoch`, if given, is called
+    after each epoch that stays finite (the loss trace).
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.epochs):
             epoch(t, learning_rate(t, cfg.epochs, cfg.effective_eta0))
             if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
                 raise DivergedRunError(t)
-            if loss_log is not None:
-                loss_log.append(objective_value(model, dataset, targets, noise_totals))
+            if after_epoch is not None:
+                after_epoch()
     return model
 
 
 def fit(
+    model: FactorModel,
     dataset: RatingDataset,
     train_vals: np.ndarray,
     noise_totals: np.ndarray,
     cfg: ExperimentConfig,
-    seed: int,
-    loss_log: list[float] | None = None,
+    after_epoch: Callable[[], None] | None = None,
 ) -> FactorModel:
-    """Train a factor model on (possibly stretched) target values, with
-    the `k`, `epochs`, `effective_eta0` and `lam` of `cfg` and the model
-    initialization drawn from `seed`.
+    """Train `model` in place on (possibly stretched) target values, with
+    the `epochs`, `effective_eta0` and `lam` of `cfg`.
 
     `train_vals` are the per-entry regression targets in the dataset's
     canonical entry order (raw ratings for plain MF, w_ij * r_ij when
@@ -73,10 +68,9 @@ def fit(
     if train_vals.shape != (len(dataset),):
         raise ValueError("train_vals must align with dataset entries")
     noise_totals = np.ascontiguousarray(noise_totals, dtype=np.float64)
-    if noise_totals.shape != (dataset.n_items, cfg.k):
-        raise ValueError(f"noise_totals must have shape ({dataset.n_items}, {cfg.k})")
+    if noise_totals.shape != model.V.shape:
+        raise ValueError(f"noise_totals must have shape {model.V.shape}")
 
-    model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
     user_ptr, _ = dataset.by_user
     item_ptr, item_order = dataset.by_item
     item_users = np.ascontiguousarray(dataset.users[item_order])
@@ -90,4 +84,4 @@ def fit(
             cfg.lam, eta, True,
         )
 
-    return run_epochs(model, epoch, dataset, train_vals, noise_totals, cfg, loss_log)
+    return run_epochs(model, epoch, cfg, after_epoch)

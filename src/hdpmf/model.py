@@ -35,7 +35,6 @@ class FactorModel:
 
     U: np.ndarray  # (n_users, K)
     V: np.ndarray  # (n_items, K)
-    K: int
     lam: float = 0.0
 
 
@@ -51,7 +50,7 @@ def init_model(n_users: int, n_items: int, K: int, master_seed: int, lam: float 
     U = keyed_uniform(master_seed, "model-init", np.arange(n_users), np.full(n_users, 0), K)
     V = keyed_uniform(master_seed, "model-init", np.arange(n_items), np.full(n_items, 1), K)
     hi = 1.0 / np.sqrt(K)
-    return FactorModel(hi * U, hi * V, K, lam)
+    return FactorModel(hi * U, hi * V, lam)
 
 
 def item_gradient(

@@ -7,8 +7,9 @@ traffic is rater registration and, once per device per item phase, a
 gradient upload whose rows are one K-vector per rated item (residual term
 plus the device's noise share).
 
-The config's `engine` key picks how an epoch is computed; both engines run
-it in the one training loop, `engine.run_epochs`:
+`train` draws the model and builds the loss-log hook once for either
+engine; the config's `engine` key picks how an epoch is computed, and both
+run it in the one training loop, `engine.run_epochs`:
 
 * ``kernel`` — the batch engine (hdpmf.engine) computing the same
   per-entity updates over CSR arrays. This is the reference mode used by
@@ -16,7 +17,8 @@ it in the one training loop, `engine.run_epochs`:
 * ``messages`` — explicit device/recommender objects exchanging
   GradientUpload values through a MessageChannel, which counts and audits
   them row by row, used for protocol audits, traces, and tests. Only this
-  path takes a channel or a trace.
+  path takes a channel or a trace. Set-up traffic (a registration per
+  rating, an h_j distribution per rated item) is counted from the plan.
 
 A device holds arrays: its rated items in ascending order, their targets
 w_ij * r_ij, its noise share for each, and its user vector `u`, which is
@@ -38,7 +40,7 @@ order, not bit for bit.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import IO, Iterable
+from typing import IO, Callable, Iterable
 
 import numpy as np
 
@@ -46,7 +48,7 @@ from . import engine
 from .config import ExperimentConfig
 from .data import RatingDataset
 from .exceptions import ProtocolError
-from .model import FactorModel, init_model, project_unit_ball, user_gradient
+from .model import FactorModel, init_model, objective_value, project_unit_ball, user_gradient
 from .privacy import NoisePlan, WeightAssignment
 
 
@@ -72,9 +74,6 @@ class MessageChannel:
         self.n_gradient_messages = 0
         self.n_broadcasts = 0  # recommender -> devices (V or h distribution)
         self.gradient_log: list[GradientUpload] = []
-
-    def register_rater(self, user: int, item: int) -> None:
-        self.n_registrations += 1
 
     def broadcast(self) -> None:
         self.n_broadcasts += 1
@@ -121,18 +120,21 @@ class RecommenderState:
     """What the untrusted recommender is allowed to hold: the item factors
     and the rater registry, item j's registered raters being
     item_users[item_ptr[j]:item_ptr[j + 1]] in ascending order (membership
-    only)."""
+    only). `rated` lists the items with at least one rater, ascending."""
 
     V: np.ndarray
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray
+    rated: np.ndarray = field(init=False, repr=False)
     # the registry by sender: each registered rater's items, ascending
     _registered: dict[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
+        counts = np.diff(self.item_ptr)
+        self.rated = np.flatnonzero(counts)
         by_user = np.argsort(self.item_users, kind="stable")
         senders, starts = np.unique(self.item_users[by_user], return_index=True)
-        slot_items = np.repeat(np.arange(len(self.item_ptr) - 1), np.diff(self.item_ptr))
+        slot_items = np.repeat(np.arange(len(counts)), counts)
         self._registered = dict(zip(senders.tolist(), np.split(slot_items[by_user], starts[1:])))
 
     def update_item(self, uploads: Iterable[GradientUpload], lam: float, eta: float) -> np.ndarray:
@@ -173,10 +175,9 @@ class RecommenderState:
                 folded += 1
         if folded < len(senders):
             raise ProtocolError(f"no upload from {len(senders) - folded} registered raters")
-        rated = np.flatnonzero(np.diff(self.item_ptr))
-        g = grad[rated]
-        g += 2.0 * lam * self.V[rated]
-        self.V[rated] = self.V[rated] - eta * g
+        g = grad[self.rated]
+        g += 2.0 * lam * self.V[self.rated]
+        self.V[self.rated] = self.V[self.rated] - eta * g
         return g
 
 
@@ -198,25 +199,22 @@ def _build_devices(
 
 
 def _train_messages(
+    model: FactorModel,
     dataset: RatingDataset,
     targets: np.ndarray,
     plan: NoisePlan,
     cfg: ExperimentConfig,
-    seed: int,
     channel: MessageChannel,
     trace: IO[str] | None,
-    loss_log: list[float] | None,
+    after_epoch: Callable[[], None] | None,
 ) -> FactorModel:
-    model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
     devices = _build_devices(dataset, targets, plan, model.U)
     # the plan's by-item slots, which train matched to the dataset
     recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
-    rated = np.flatnonzero(np.diff(plan.item_ptr))
-    counts = np.diff(plan.item_ptr)[rated].tolist()
-    for j, s, e in zip(rated.tolist(), plan.item_ptr[rated].tolist(), plan.item_ptr[rated + 1].tolist()):
-        channel.broadcast()  # h_j distribution to the rater set
-        for i in plan.item_users[s:e].tolist():
-            channel.register_rater(i, j)
+    rated = recommender.rated.tolist()
+    counts = np.diff(plan.item_ptr)[recommender.rated].tolist()
+    channel.n_registrations += len(plan.item_users)
+    channel.n_broadcasts += len(rated)
     raters = [device for device in devices if len(device.items)]
     # devices read V through this; it changes only between the phases
     V_ro = recommender.V.view()
@@ -230,7 +228,7 @@ def _train_messages(
         if trace is not None:
             norms = np.sqrt(np.einsum("ij,ij->i", grad, grad)).tolist()
             trace.write("".join(
-                f"{t},item,{j},{n},{norm!r}\n" for j, n, norm in zip(rated.tolist(), counts, norms)
+                f"{t},item,{j},{n},{norm!r}\n" for j, n, norm in zip(rated, counts, norms)
             ))
         channel.broadcast()  # end-of-item-phase V distribution
         for i, device in enumerate(devices):
@@ -238,9 +236,7 @@ def _train_messages(
             if trace is not None:
                 trace.write(f"{t},user,{i},0,{norm!r}\n")
 
-    # the devices hold the shares; their totals only score the loss log
-    totals = plan.item_totals if loss_log is not None else None
-    return engine.run_epochs(model, epoch, dataset, targets, totals, cfg, loss_log)
+    return engine.run_epochs(model, epoch, cfg, after_epoch)
 
 
 def train(
@@ -262,7 +258,8 @@ def train(
     `baselines.method_inputs` gives it, so all share initialization,
     schedule, and the unit-ball projection of user vectors. The plan must
     be drawn for this dataset's ratings and `cfg.k`, else ValueError. A
-    `channel` or `trace` needs the messages engine, else ValueError.
+    `channel` or `trace` needs the messages engine, else ValueError. A
+    `loss_log` gets the training objective after each epoch.
     """
     entry_weights = np.ascontiguousarray(entry_weights, dtype=np.float64)
     if entry_weights.shape != (len(dataset),):
@@ -273,16 +270,22 @@ def train(
     if not (np.array_equal(plan.item_ptr, item_ptr)
             and np.array_equal(plan.item_users, dataset.users[item_order])):
         raise ValueError("noise plan was drawn for other ratings than the dataset's")
+    if cfg.engine != "messages" and (channel is not None or trace is not None):
+        raise ValueError("a message channel or trace needs engine = messages")
     targets = entry_weights * dataset.ratings
+    model = init_model(dataset.n_users, dataset.n_items, cfg.k, seed, cfg.lam)
+
+    def log_loss() -> None:  # the message engine sums the plan's noise only here
+        loss_log.append(objective_value(model, dataset, targets, plan.item_totals))
+
+    after_epoch = log_loss if loss_log is not None else None
     if cfg.engine == "messages":
         return _train_messages(
-            dataset, targets, plan, cfg, seed,
+            model, dataset, targets, plan, cfg,
             channel if channel is not None else MessageChannel(),
-            trace, loss_log,
+            trace, after_epoch,
         )
-    if channel is not None or trace is not None:
-        raise ValueError("a message channel or trace needs engine = messages")
-    return engine.fit(dataset, targets, plan.item_totals, cfg, seed, loss_log=loss_log)
+    return engine.fit(model, dataset, targets, plan.item_totals, cfg, after_epoch)
 
 
 def predict_all(
@@ -298,7 +301,8 @@ def predict_all(
     rating scale.
 
     With `rescale`, raw inner products are divided by w_ij to undo
-    stretching; `rescale=False` gives the ablation variant.
+    stretching (a quotient past the float range is clamped like any other);
+    `rescale=False` gives the ablation variant.
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)
@@ -307,5 +311,6 @@ def predict_all(
         w = weights.matrix_entries(users, items)
         if np.any(w <= 0):
             raise ValueError("privacy weights must be > 0")
-        raw = raw / w
+        with np.errstate(over="ignore"):
+            raw = raw / w
     return np.clip(raw, scale_min, scale_max)

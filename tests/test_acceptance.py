@@ -149,7 +149,7 @@ def test_criterion_6_gradient_oracle():
 
         ds = RatingDataset(users, items, rng.uniform(1, 5, n_entries), n, m, 1.0, 5.0)
         model = FactorModel(
-            rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)), K,
+            rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)),
             lam=float(rng.uniform(0, 0.1)),
         )
         weights = WeightAssignment(rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m))

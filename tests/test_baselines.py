@@ -14,6 +14,7 @@ from hdpmf.baselines import (
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset, split_leave_n_out
 from hdpmf.evaluation import mse, paired_t_test
+from hdpmf.exceptions import ConfigError
 from hdpmf.privacy import WeightAssignment, allocate_weights
 from hdpmf.protocol import predict_all, train
 
@@ -68,6 +69,16 @@ class TestPdpSampling:
         b = pdp_sample_ratings(small_synth, budgets, 1.0, master_seed=4)
         assert np.array_equal(a.users, b.users) and np.array_equal(a.items, b.items)
 
+    @pytest.mark.parametrize("threshold,gap", [(800.0, 1.5), (1e308, 0.0)])
+    def test_threshold_past_exp_overflow_keeps_at_e_to_the_gap(self, threshold, gap):
+        # e^threshold overflows, so pi is e^(budget - threshold) in closed
+        # form; pytest turns an overflow warning into an error
+        ds, budgets = _uniform_budget_dataset(100_000, threshold - gap)
+        out = pdp_sample_ratings(ds, budgets, threshold, master_seed=1)
+        assert len(out) / len(ds) == pytest.approx(math.exp(-gap), rel=0.02)
+        half = pdp_sample_ratings(ds, budgets / 2, threshold, master_seed=1)
+        assert len(half) == 0
+
     def test_threshold_must_be_positive(self, small_synth):
         with pytest.raises(ValueError):
             pdp_sample_ratings(small_synth, np.full(len(small_synth), 0.5), 0.0, 0)
@@ -87,6 +98,33 @@ class TestDpmfBudget:
     def test_uniform_weights_match_hdpmf_scale(self, tiny_dataset):
         w = WeightAssignment.uniform(5, 4)
         assert min_observed_budget(tiny_dataset, w, 1.0) == 1.0
+
+
+class TestCalibratedBudget:
+    """A plan is calibrated only to a budget whose noise scale 2 * delta /
+    budget is a finite number > 0; mf draws no plan and checks none."""
+
+    @pytest.mark.parametrize("method,weight,epsilon", [
+        (BaselineKind.DPMF, 1e-200, 1e-200),  # epsilon * min w underflows to 0
+        (BaselineKind.HDPMF, 1.0, 5e-324),  # 2 * delta / epsilon overflows
+        (BaselineKind.PDPMF, 1.0, 5e-324),
+        (BaselineKind.DPMF, 1.0, 5e-324),
+    ])
+    def test_unusable_budget_is_a_config_error_on_epsilon(self, tiny_dataset, method, weight, epsilon):
+        w = WeightAssignment(np.full(5, weight), np.full(4, weight))
+        with pytest.raises(ConfigError, match="not a finite number > 0") as info:
+            method_inputs(method, tiny_dataset, w, epsilon, 2, 0)
+        assert info.value.key == "epsilon"
+
+    def test_noise_scale_that_underflows_is_a_config_error(self):
+        ds = RatingDataset(np.array([0]), np.array([0]), np.array([0.0]), 1, 1, 0.0, 5e-324)
+        with pytest.raises(ConfigError, match="not a finite number > 0"):  # 2 * delta / 1e308 is 0
+            method_inputs(BaselineKind.HDPMF, ds, WeightAssignment.uniform(1, 1), 1e308, 2, 0)
+
+    def test_mf_draws_no_plan_whatever_the_budget(self, tiny_dataset):
+        w = WeightAssignment.uniform(5, 4)
+        _, _, plan = method_inputs(BaselineKind.MF, tiny_dataset, w, 5e-324, 2, 0)
+        assert plan.master_seed is None
 
 
 class TestReductions:

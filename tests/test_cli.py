@@ -392,28 +392,36 @@ _RUN_AND_SWEEP = pytest.mark.parametrize("argv", [
 ])
 
 
-def _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output) -> str:
-    """Run `argv` on a config whose output is `output`, with loading and
-    training refused; return its one stderr line."""
+def _written_path_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, key, **keys) -> str:
+    """Run `argv` on a config with `keys`, whose values may name "{data}",
+    "{config}", "{out}" or "{dir}", with loading and training refused; check
+    that it fails on `key` and leaves the rating file as it was, and return
+    its one stderr line."""
     import hdpmf.cli as cli
 
     def never(*args, **kwargs):
-        raise AssertionError("the data was loaded or a run started before the output was checked")
+        raise AssertionError("the data was loaded or a run started before the written paths were checked")
 
     monkeypatch.setattr(cli, "load_dataset", never)
     monkeypatch.setattr(cli, "run_experiment", never)
     data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
-    cfg = write_config(tmp_path, dataset=data, output=output, **BASE)
+    before = data.read_bytes()
+    names = {"data": data, "config": tmp_path / "exp.cfg", "out": tmp_path / "res.csv", "dir": tmp_path}
+    keys = {"output": "{out}", **keys}
+    cfg = write_config(tmp_path, dataset=data, **{k: str(v).format(**names) for k, v in keys.items()}, **BASE)
     assert main([argv[0], str(cfg), *argv[1:]]) == 2
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 1 and err[0].startswith("config error: config key 'output':")
+    assert len(err) == 1 and err[0].startswith(f"config error: config key '{key}':")
+    assert data.read_bytes() == before
     return err[0]
 
 
 @_RUN_AND_SWEEP
 def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
     output = tmp_path / "no_such_dir" / "res.csv"
-    assert "no_such_dir" in _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output)
+    assert "no_such_dir" in _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, argv, "output", output=output
+    )
     assert not (tmp_path / "no_such_dir").exists()
 
 
@@ -421,8 +429,123 @@ def test_missing_output_directory_rejected_before_any_run(tmp_path, synth_factor
 def test_output_naming_a_directory_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv):
     output = tmp_path / "results"
     output.mkdir()
-    assert "names a directory" in _output_error_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, output)
+    assert "names a directory" in _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, argv, "output", output=output
+    )
     assert not any(output.iterdir())
+
+
+@_RUN_AND_SWEEP
+@pytest.mark.parametrize("value,message", [
+    ("{data}", "is the same file as the dataset"),
+    ("{config}", "is the same file as the config file"),
+    ("./ratings.csv", "is the same file as the dataset"),  # relative, run from tmp_path
+    ("{data}/../ratings.csv", "directory not found"),  # the dataset, named through a file
+])
+def test_output_over_an_input_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, argv, value, message):
+    monkeypatch.chdir(tmp_path)
+    err = _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, argv, "output", output=value
+    )
+    assert message in err
+
+
+@pytest.mark.parametrize("key", ["trace", "loss_trace"])
+@pytest.mark.parametrize("value,message", [
+    ("{data}", "is the same file as the dataset"),
+    ("{config}", "is the same file as the config file"),
+    ("{out}", "is the same file as `output`"),
+    ("{dir}/nodir/x.csv", "directory not found"),
+    ("{dir}", "names a directory"),
+])
+def test_trace_path_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, key, value, message):
+    err = _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, ["run"], key, engine="messages", **{key: value}
+    )
+    assert message in err
+    assert not (tmp_path / "res.csv").exists() and not (tmp_path / "nodir").exists()
+
+
+def test_two_traces_on_one_file_rejected_on_the_later_key(tmp_path, synth_factory, capsys, monkeypatch):
+    err = _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, ["run"], "loss_trace",
+        engine="messages", trace="{out}.log", loss_trace="{out}.log",
+    )
+    assert "is the same file as `trace`" in err
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_output_linked_to_the_dataset_rejected_before_any_run(tmp_path, synth_factory, capsys, monkeypatch, link):
+    data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
+    alias = tmp_path / "alias.csv"
+    (alias.symlink_to if link == "symlink" else alias.hardlink_to)(data)
+    err = _written_path_error_before_any_run(
+        tmp_path, synth_factory, capsys, monkeypatch, ["run"], "output", output=alias
+    )
+    assert "is the same file as the dataset" in err
+
+
+@pytest.mark.parametrize("fmt", ["ml-100k", "ml-1m"])
+@pytest.mark.parametrize("key,value", [("scale_min", 0.0), ("scale_max", 10.0)])
+def test_movielens_scale_is_fixed(tmp_path, capsys, fmt, key, value):
+    with pytest.raises(ConfigError, match="scale is fixed") as info:
+        ExperimentConfig(format=fmt, **{key: value})
+    assert info.value.key == key
+    assert main(["run", str(write_config(tmp_path, format=fmt, **{key: value}))]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key '{key}':") and err.count("\n") == 1
+    assert ExperimentConfig(format="csv", scale_min=0.0, scale_max=10.0).scale_max == 10.0
+
+
+@pytest.mark.parametrize("make", [
+    pytest.param(lambda **kw: ExperimentConfig(**kw), id="direct"),
+    pytest.param(lambda **kw: replace(ExperimentConfig(), **kw), id="replace"),
+])
+@pytest.mark.parametrize("lo", [1e-200, 5e-324])
+def test_weight_bounds_whose_product_underflows_rejected(make, lo):
+    # a privacy weight of 0 would stop hdpmf's rescaled prediction
+    with pytest.raises(ConfigError, match="underflows to 0") as info:
+        make(eps_uc=lo, eps_um=lo, eps_ic=lo, eps_im=lo)
+    assert info.value.key == "eps_ic"
+    assert make(eps_uc=1e-150, eps_ic=1e-150).eps_ic == 1e-150
+
+
+_TINY_WEIGHTS = dict(eps_uc=1e-100, eps_um=1e-100, eps_ic=1e-100, eps_im=1e-100)
+
+
+@pytest.mark.parametrize("keys,key", [
+    # weights of 1e-200, a dpmf budget of epsilon * 1e-200 = 0
+    pytest.param(dict(method="dpmf", epsilon=1e-200, **_TINY_WEIGHTS), "epsilon", id="dpmf-budget-underflow"),
+    pytest.param(dict(epsilon=5e-324), "epsilon", id="epsilon-5e-324"),
+    # weights of 0: the weight-range check fires before any budget is formed
+    pytest.param(dict(method="dpmf", eps_uc=1e-200, eps_um=1e-200, eps_ic=1e-200, eps_im=1e-200),
+                 "eps_ic", id="dpmf-weight-underflow"),
+])
+def test_unusable_budget_exits_2_with_one_line(tmp_path, synth_factory, capsys, keys, key):
+    data = write_csv_dataset(tmp_path, synth_factory, master_seed=67)
+    out = tmp_path / "res.csv"
+    cfg = write_config(tmp_path, dataset=data, output=out, **{**BASE, "seeds": 0, **keys})
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: config key '{key}':") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("message,line", [
+    ("Unable to allocate 8.00 EiB for an array", "run failed: Unable to allocate 8.00 EiB for an array"),
+    ("", "run failed: out of memory"),
+])
+def test_memory_error_is_a_run_failure(tmp_path, synth_factory, capsys, monkeypatch, message, line):
+    import hdpmf.cli as cli
+
+    def exhausted(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr(cli, "run_experiment", exhausted)
+    data = write_csv_dataset(tmp_path, synth_factory, master_seed=67)
+    cfg = write_config(tmp_path, dataset=data, output=tmp_path / "res.csv", **BASE)
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.splitlines() == [line]
 
 
 @_RUN_AND_SWEEP
@@ -431,7 +554,6 @@ def test_huge_k_rejected_before_anything_k_sized(tmp_path, synth_factory, capsys
     # a K whose factors alone exceed physical memory is a config error on
     # `k`; nothing K-sized may be reached, so NumPy never sees the size
     import hdpmf.baselines
-    import hdpmf.engine
     import hdpmf.evaluation
     import hdpmf.protocol
 
@@ -439,7 +561,7 @@ def test_huge_k_rejected_before_anything_k_sized(tmp_path, synth_factory, capsys
         raise AssertionError("a K-sized allocation was reached before k was checked")
 
     for module, name in (
-        (hdpmf.engine, "init_model"), (hdpmf.protocol, "init_model"),
+        (hdpmf.protocol, "init_model"),
         (hdpmf.baselines, "build_noise_plan"), (hdpmf.evaluation, "allocate_weights"),
     ):
         monkeypatch.setattr(module, name, never)

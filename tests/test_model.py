@@ -51,15 +51,15 @@ def _raw(m):
 
 class TestPredictRaw:
     def test_hand_inner_product(self):
-        m = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), 2)
+        m = FactorModel(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]))
         assert _raw(m) == 0.5
 
     def test_zero_vector(self):
-        m = FactorModel(np.zeros((1, 2)), np.array([[0.7, -0.3]]), 2)
+        m = FactorModel(np.zeros((1, 2)), np.array([[0.7, -0.3]]))
         assert _raw(m) == 0.0
 
     def test_unit_pair(self):
-        m = FactorModel(np.array([[0.6, 0.8]]), np.array([[0.6, 0.8]]), 2)
+        m = FactorModel(np.array([[0.6, 0.8]]), np.array([[0.6, 0.8]]))
         assert _raw(m) == pytest.approx(1.0)
 
 
@@ -97,7 +97,7 @@ def _random_instance(seed, K):
     ratings = rng.uniform(1, 5, size=n_entries)
     ds = RatingDataset(users, items, ratings, int(n), int(m), 1.0, 5.0)
     model = FactorModel(
-        rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)), K, lam=float(rng.uniform(0, 0.1))
+        rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)), lam=float(rng.uniform(0, 0.1))
     )
     weights = WeightAssignment(rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m))
     plan = build_noise_plan(ds, K, ds.delta, 1.0, int(seed))
@@ -149,7 +149,7 @@ def _objective(model, ds, weights, plan):
 
 class TestObjective:
     def test_zero_model_zero_noise(self, tiny_dataset):
-        model = FactorModel(np.zeros((5, 2)), np.zeros((4, 2)), 2, lam=0.0)
+        model = FactorModel(np.zeros((5, 2)), np.zeros((4, 2)), lam=0.0)
         w = WeightAssignment(np.full(5, 0.5), np.full(4, 0.8))
         plan = NoisePlan.zeros(tiny_dataset, 2)
         expected = sum(

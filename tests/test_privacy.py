@@ -30,7 +30,7 @@ from hdpmf.rng import keyed_normal, keyed_uniform
 def _predict_one(raw, w_ij, scale_min, scale_max):
     """`predict_all` on one (user, item) pair whose inner product is `raw`
     and whose privacy weight is `w_ij`."""
-    model = FactorModel(np.array([[raw]]), np.array([[1.0]]), 1)
+    model = FactorModel(np.array([[raw]]), np.array([[1.0]]))
     weights = WeightAssignment(np.array([w_ij]), np.array([1.0]))
     return predict_all(model, weights, [0], [0], scale_min, scale_max)[0]
 
@@ -130,6 +130,11 @@ class TestRescalePrediction:
     def test_invalid_weight(self):
         with pytest.raises(ValueError):
             _predict_one(1.0, 0.0, 1.0, 5.0)
+
+    @pytest.mark.parametrize("raw,clamped", [(2.0, 5.0), (-2.0, 1.0)])
+    def test_quotient_past_the_float_range_is_clamped_silently(self, raw, clamped):
+        # pytest turns an overflow warning into an error
+        assert _predict_one(raw, 5e-324, 1.0, 5.0) == clamped
 
 
 def _complete_dataset(n_users, n_items, rating=3.0):

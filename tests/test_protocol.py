@@ -399,8 +399,8 @@ class TestProjectionInvariant:
         cfg = ExperimentConfig(epochs=10, eta0=0.05, lam=0.01, k=4)
         entry_w = weights.matrix_entries(ds.users, ds.items)
         engine.fit(
-            ds, entry_w * ds.ratings,
-            build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg, 5,
+            init_model(ds.n_users, ds.n_items, cfg.k, 5, cfg.lam), ds, entry_w * ds.ratings,
+            build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg,
         )
         assert len(seen) == 10
         assert max(seen) <= 1.0 + 1e-12
@@ -453,7 +453,7 @@ class TestInformationFlow:
 
 class TestPredictAll:
     def test_rescale_division(self):
-        model = FactorModel(np.array([[0.6, 0.0]]), np.array([[1.0, 0.0]]), 2)
+        model = FactorModel(np.array([[0.6, 0.0]]), np.array([[1.0, 0.0]]))
         w = WeightAssignment(np.array([0.5]), np.array([1.0]))
         out = predict_all(model, w, [0], [0], 1.0, 5.0, rescale=True)
         assert out[0] == pytest.approx(1.2)
