@@ -14,7 +14,8 @@ import errno
 import math
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+import tempfile
+from contextlib import ExitStack, contextmanager, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -84,6 +85,30 @@ def _parse_checked(config_path: str) -> ExperimentConfig:
     return cfg
 
 
+@contextmanager
+def _replace_on_success(path: str, header: str):
+    """Write a text file that replaces `path` only if the block completes.
+
+    It is written as a temporary file in `path`'s directory, moved over
+    `path` with `os.replace` once the block returns and removed on any
+    exception, so a run that fails leaves an earlier file at `path` as it
+    was."""
+    fd, tmp = tempfile.mkstemp(prefix=f".{os.path.basename(path)}.", suffix=".tmp",
+                               dir=os.path.dirname(path) or ".")
+    try:
+        mask = os.umask(0)
+        os.umask(mask)
+        os.fchmod(fd, 0o666 & ~mask)  # the mode `open` gives a new file
+        with open(fd, "w", encoding="utf-8") as fh:
+            fh.write(header)
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(tmp)
+        raise
+
+
 def _load_checked(cfg: ExperimentConfig):
     if not Path(cfg.dataset).exists():
         raise ConfigError("dataset", f"file not found: {cfg.dataset}")
@@ -97,12 +122,11 @@ def cmd_run(config_path: str) -> int:
     with ExitStack() as stack:
         trace = None
         if cfg.trace is not None:
-            trace = stack.enter_context(open(cfg.trace, "w", encoding="utf-8"))
-            trace.write("# epoch,kind,index,message_count,gradient_norm\n")
+            trace = stack.enter_context(
+                _replace_on_success(cfg.trace, "# epoch,kind,index,message_count,gradient_norm\n"))
         loss_trace = None
         if cfg.loss_trace is not None:
-            loss_trace = stack.enter_context(open(cfg.loss_trace, "w", encoding="utf-8"))
-            loss_trace.write("# seed,epoch,objective\n")
+            loss_trace = stack.enter_context(_replace_on_success(cfg.loss_trace, "# seed,epoch,objective\n"))
         result = run_experiment(cfg, dataset=dataset, trace=trace, loss_trace=loss_trace)
     emit_results([result], cfg.output, provenance=_provenance(cfg))
     print(f"method={cfg.method.value} dataset={cfg.dataset} seeds={len(cfg.seeds)}")

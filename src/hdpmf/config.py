@@ -93,6 +93,9 @@ class ExperimentConfig:
             raise ConfigError("lam", f"must be >= 0, got {self.lam}")
         if self.scale_max <= self.scale_min:
             raise ConfigError("scale_max", "rating scale must have positive range")
+        if not math.isfinite(self.scale_max - self.scale_min):
+            # the range is the sensitivity behind every noise scale
+            raise ConfigError("scale_max", f"rating scale [{self.scale_min}, {self.scale_max}] has a range past the float maximum")
         if self.format != "csv":
             for name, fixed in zip(("scale_min", "scale_max"), MOVIELENS_SCALE):
                 if getattr(self, name) != fixed:

@@ -23,6 +23,13 @@ from .rng import keyed_uniform
 MOVIELENS_SCALE = (1.0, 5.0)
 
 
+def _stable_order(ids: np.ndarray, n: int) -> np.ndarray:
+    """`np.argsort(ids, kind="stable")` for ids in [0, n), sorted as the
+    narrowest unsigned type that holds n - 1: the permutation is the same,
+    and NumPy radix-sorts keys of 16 bits or fewer instead of merging."""
+    return np.argsort(ids.astype(np.min_scalar_type(max(n - 1, 0))), kind="stable")
+
+
 @dataclass
 class RatingDataset:
     """Sparse user-item ratings with a declared scale.
@@ -98,7 +105,7 @@ class RatingDataset:
     def by_item(self) -> tuple[np.ndarray, np.ndarray]:
         """CSR layout over items: (ptr, entry order). Within an item, the
         stable sort keeps users ascending."""
-        order = np.argsort(self.items, kind="stable")
+        order = _stable_order(self.items, self.n_items)
         counts = np.bincount(self.items, minlength=self.n_items)
         ptr = np.zeros(self.n_items + 1, dtype=np.int64)
         np.cumsum(counts, out=ptr[1:])

@@ -46,7 +46,7 @@ import numpy as np
 
 from . import engine
 from .config import ExperimentConfig
-from .data import RatingDataset
+from .data import RatingDataset, _stable_order
 from .exceptions import ProtocolError
 from .model import FactorModel, init_model, objective_value, project_unit_ball, user_gradient
 from .privacy import NoisePlan, WeightAssignment
@@ -132,7 +132,7 @@ class RecommenderState:
     def __post_init__(self):
         counts = np.diff(self.item_ptr)
         self.rated = np.flatnonzero(counts)
-        by_user = np.argsort(self.item_users, kind="stable")
+        by_user = _stable_order(self.item_users, int(self.item_users.max(initial=-1)) + 1)
         senders, starts = np.unique(self.item_users[by_user], return_index=True)
         slot_items = np.repeat(np.arange(len(counts)), counts)
         self._registered = dict(zip(senders.tolist(), np.split(slot_items[by_user], starts[1:])))

@@ -138,10 +138,12 @@ class TestConfigChecks:
         ("f_im", 1.5),
         ("eps_uc", 0.0),
         ("eps_il", 1.5),
+        # a value that is a dict sets several keys; `key` is the one at fault
+        pytest.param("scale_max", dict(format="csv", scale_min=-1e308, scale_max=1e308), id="scale-range-overflows"),
     ])
     def test_invalid_value_names_its_key(self, make, key, value):
         with pytest.raises(ConfigError, match=rf"\b{key}\b") as info:
-            make(**{key: value})
+            make(**(value if isinstance(value, dict) else {key: value}))
         assert info.value.key == key
 
     @pytest.mark.parametrize("changes,key", [
@@ -333,6 +335,26 @@ class TestCmdRun:
         assert lines[0].startswith("#")
         assert any(",item," in line for line in lines)
         assert any(",user," in line for line in lines)
+
+    def test_failed_run_keeps_earlier_traces(self, tmp_path, synth_factory, capsys):
+        # the epsilon check fails after the load, when the traces are open:
+        # both earlier files keep their bytes, and no temporary file is left
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=79)
+        trace, loss = tmp_path / "t.csv", tmp_path / "l.csv"
+        trace.write_text("earlier trace\n")
+        loss.write_text("earlier loss trace\n")
+        keys = dict(dataset=data, output=tmp_path / "r.csv", engine="messages", trace=trace, loss_trace=loss, **BASE)
+        before = {p.name for p in tmp_path.iterdir()}
+        assert main(["run", str(write_config(tmp_path, epsilon=5e-324, **keys))]) == 2
+        assert capsys.readouterr().err.startswith("config error: config key 'epsilon':")
+        assert trace.read_text() == "earlier trace\n"
+        assert loss.read_text() == "earlier loss trace\n"
+        assert {p.name for p in tmp_path.iterdir()} == before | {"exp.cfg"}
+
+        assert main(["run", str(write_config(tmp_path, **keys))]) == 0
+        assert trace.read_text().startswith("# epoch,kind,index,message_count,gradient_norm\n")
+        assert loss.read_text().startswith("# seed,epoch,objective\n")
+        assert {p.name for p in tmp_path.iterdir()} == before | {"exp.cfg", "r.csv"}
 
 
 class TestCmdSweep:

@@ -10,6 +10,7 @@ from hdpmf.data import (
     _dense_remap,
     _read_bulk,
     _read_lines,
+    _stable_order,
     kfold_splits,
     load_csv,
     load_movielens_100k,
@@ -97,6 +98,23 @@ class TestRatingDataset:
         for j in range(tiny_dataset.n_items):
             raters = tiny_dataset.users[order[ptr[j] : ptr[j + 1]]]
             assert raters.tolist() == sorted(raters.tolist())
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        n=st.sampled_from([1, 2**8 - 1, 2**8, 2**8 + 1, 2**16 - 1, 2**16, 2**16 + 1]),
+        data=st.data(),
+    )
+    def test_stable_order_is_the_int64_stable_argsort(self, n, data):
+        # the narrow key type changes the sort NumPy runs (radix up to 16
+        # bits), never the permutation; keys near n - 1 and many ties occur
+        values = st.one_of(st.integers(0, n - 1), st.integers(max(0, n - 3), n - 1), st.integers(0, 2))
+        ids = np.array(data.draw(st.lists(values, max_size=60)), dtype=np.int64)
+        assert np.array_equal(_stable_order(ids, n), np.argsort(ids.astype(np.int64), kind="stable"))
+
+    def test_by_item_of_an_empty_dataset(self):
+        for n_items in (0, 3):
+            ptr, order = RatingDataset([], [], [], 2, n_items, 1, 5).by_item
+            assert ptr.tolist() == [0] * (n_items + 1) and order.tolist() == []
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -250,7 +250,7 @@ def csr_instances(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(inst=csr_instances(), epochs=st.integers(1, 3), block=st.sampled_from([1, 3, 4096]))
+@given(inst=csr_instances(), epochs=st.integers(1, 3), block=st.sampled_from([1, 3, 4096, 8192]))
 def test_fallback_matches_oracle(inst, epochs, block):
     def check_ball(U, V):
         if inst["project"]:
@@ -264,6 +264,47 @@ def test_fallback_matches_oracle(inst, epochs, block):
 
     unrated = np.diff(inst["item_ptr"]) == 0
     assert np.array_equal(V_p[unrated], inst["V"][unrated])
+
+
+def test_fallback_scratch_memory_is_bounded_by_the_block():
+    # one shape, one dataset with four times the ratings of the other: the
+    # epoch's peak allocation stays under a bound set by the block, K and
+    # the factor sizes, which the larger dataset's nnz x K doubles exceed
+    import tracemalloc
+
+    n_users, n_items, K = 500, 400, 4
+    longest = max(n_users, n_items)  # a block exceeds BLOCK_ENTRIES by less than one row
+    gathers = (2 * K + 1) * (_fallback.BLOCK_ENTRIES + longest)  # both sides' factors, residuals
+    factors = 8 * K * (n_users + n_items)  # K-major copies, gradients, step temporaries
+    bound = 8 * (gathers + factors) + (64 << 10)  # bytes, plus index arrays and Python objects
+    sizes = (25_000, 100_000)
+    assert sizes[-1] * K * 8 > bound
+    peaks = []
+    for nnz in sizes:
+        rng = np.random.default_rng(nnz)
+        users, items = np.divmod(rng.choice(n_users * n_items, size=nnz, replace=False), n_items)
+        ds = RatingDataset(users, items, rng.integers(1, 6, size=nnz).astype(np.float64), n_users, n_items, 1.0, 5.0)
+        inst = dict(U=np.full((n_users, K), 0.1), V=np.full((n_items, K), 0.1), item_noise=np.zeros((n_items, K)),
+                    lam=0.01, eta=0.01, project=True, **_kernel_args(ds))
+        _epochs(_fallback.run_epoch, inst, 1)  # NumPy's one-time allocations
+        tracemalloc.start()
+        try:
+            _fallback.run_epoch(**inst)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert max(peaks) < bound, (peaks, bound)
+
+
+def test_fallback_rejects_a_column_index_out_of_range_before_writing():
+    ds, model, noise = _instance(5)
+    args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **_kernel_args(ds))
+    for name, n in (("item_users", len(model.U)), ("user_items", len(model.V))):
+        for bad in (-1, n):
+            U, V = model.U.copy(), model.V.copy()
+            with pytest.raises(IndexError, match=rf"\[0, {n}\)"):
+                _fallback.run_epoch(U, V, **{**args, name: _replaced(args[name], 0, bad)})
+            assert np.array_equal(U, model.U) and np.array_equal(V, model.V)
 
 
 @settings(max_examples=60, deadline=None)
