@@ -5,48 +5,72 @@ uniforms behind every seeded draw (`keyed_uniform`) and the keyed normals
 of the noise plan (`keyed_normal`); all come from the same module. The
 compiled extension is preferred when importable; the NumPy fallback is
 always available. Set HDPMF_BACKEND=python (or =native) to force a choice —
-forcing `native` raises if the extension did not build, and any other value
-raises too.
+forcing `native` is refused if the extension did not build, and any other
+value is refused too.
+
+The backend is chosen on first use, when one of the three names or
+`backend_name` is first looked up, not while `import hdpmf` runs, so a
+refused HDPMF_BACKEND raises ConfigError where the CLI reports it.
 """
 
 from __future__ import annotations
 
 import importlib
 import os
+from types import ModuleType
 
 from . import _fallback
+from .exceptions import ConfigError
 
-_requested = os.environ.get("HDPMF_BACKEND", "").strip().lower()
+_ENTRY_POINTS = ("run_epoch", "keyed_uniform", "keyed_normal")
+_impl: ModuleType | None = None
 
-if _requested not in ("", "python", "native"):
-    raise ImportError(
-        f"HDPMF_BACKEND={os.environ['HDPMF_BACKEND']!r} is not a backend: "
-        "leave it unset, or set it to 'python' or 'native'"
-    )
 
-if _requested == "python":
-    _impl = _fallback
-else:
+def _select() -> ModuleType:
+    raw = os.environ.get("HDPMF_BACKEND", "")
+    requested = raw.strip().lower()
+    if requested not in ("", "python", "native"):
+        raise ConfigError(
+            "HDPMF_BACKEND",
+            f"the environment variable is {raw!r}, not a backend: "
+            "leave it unset, or set it to 'python' or 'native'",
+        )
+    if requested == "python":
+        return _fallback
     try:
         # import_module, unlike `from . import _native`, names the missing
         # module in its error rather than blaming a circular import
-        _impl = importlib.import_module("._native", __package__)
-
-        if not all(hasattr(_impl, name) for name in ("keyed_uniform", "keyed_normal")):
+        impl = importlib.import_module("._native", __package__)
+        if not all(hasattr(impl, name) for name in ("keyed_uniform", "keyed_normal")):
             raise ImportError("it was built from an older _native.c; rebuild it")
     except ImportError as exc:
-        if _requested == "native":
-            raise ImportError(
-                f"HDPMF_BACKEND=native but the compiled extension is not available: {exc}"
+        if requested == "native":
+            raise ConfigError(
+                "HDPMF_BACKEND", f"native, but the compiled extension is not available: {exc}"
             ) from None
-        _impl = _fallback
+        return _fallback
+    return impl
 
-run_epoch = _impl.run_epoch
-keyed_uniform = _impl.keyed_uniform
-keyed_normal = _impl.keyed_normal
+
+def _backend() -> ModuleType:
+    """The selected backend, chosen on the first call; its entry points are
+    then bound as this module's attributes."""
+    global _impl
+    if _impl is None:
+        impl = _select()
+        globals().update({name: getattr(impl, name) for name in _ENTRY_POINTS})
+        _impl = impl
+    return _impl
+
+
+def __getattr__(name: str):
+    if name in _ENTRY_POINTS:
+        _backend()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def backend_name() -> str:
     """Which kernel implementation is active, 'native' or 'python': it runs
     the training epochs and draws the keyed uniforms and normals."""
-    return _impl.NAME
+    return _backend().NAME

@@ -10,10 +10,12 @@ the aggregated noise; user gradients are noise-free because user vectors
 never leave the device. User vectors are kept inside the unit L2 ball,
 which the calibration of the noise scale relies on.
 
-`item_gradient` and `user_gradient` are the one row-vectorized definition
-of the gradients: the message engine's devices take their user step with
-`user_gradient`, and the finite-difference tests check both against the
-objective. The epoch kernels compute the same updates over CSR arrays.
+`item_gradient` and `user_gradient` are the one-entity definition of the
+gradients, and `project_unit_ball` of the projection: the finite-difference
+tests check the gradients against the objective, and the tests check the
+message engine's devices, which step every entity in one array pass,
+against all three. The epoch kernels compute the same updates over CSR
+arrays.
 
 The hyperparameters of a run (`k`, `epochs`, `eta0`, `lam`) are fields of
 `config.ExperimentConfig`; the functions here take them as plain values.

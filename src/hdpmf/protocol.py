@@ -2,10 +2,14 @@
 
 An untrusted recommender holds only the item factors and a per-item rater
 registry. Ratings, privacy weights, user vectors, and raw noise shares live
-on user devices and never cross the boundary: the only device-to-recommender
-traffic is rater registration and, once per device per item phase, a
-gradient upload whose rows are one K-vector per rated item (residual term
-plus the device's noise share).
+on user devices and are never sent: the only device-to-recommender traffic
+is rater registration and, once per device per item phase, a gradient
+upload whose rows are one K-vector per rated item (residual term plus the
+device's noise share). Never being sent them is not the same as never
+learning them: a device adds the same noise share to its row for an item
+in every epoch, so the recommender, which computes V, can solve a few
+epochs' uploads for the stretched ratings w_ij * r_ij. Objective
+perturbation protects the trained factors, not the per-epoch uploads.
 
 `train` draws the model and builds the loss-log hook once for either
 engine; the config's `engine` key picks how an epoch is computed, and both
@@ -20,13 +24,17 @@ run it in the one training loop, `engine.run_epochs`:
   path takes a channel or a trace. Set-up traffic (a registration per
   rating, an h_j distribution per rated item) is counted from the plan.
 
-A device holds arrays: its rated items in ascending order, their targets
-w_ij * r_ij, its noise share for each, and its user vector `u`, which is
-its row of the model's U and which it alone writes. Its upload's row for
-item j is the one rater's summand of `model.item_gradient`, the residuals
-of all its rows coming from one matrix-vector product, and its user step
-calls `model.user_gradient`, a vectorized sum over its rated items. The
-recommender checks that the rows it receives are its registry exactly and
+`UserDevices` simulates every device at once, as one array pass per phase.
+It holds each device's private state in the by-user CSR order: its rated
+items in ascending order, their targets w_ij * r_ij, its noise share for
+each, and its user vector, its row of the model's U. Each device's results
+read only its own rows and the broadcast V. An item phase computes every
+payload row, the one rater's summand of `model.item_gradient`, in one
+pass and hands out one upload per device, which holds that device's rows
+only; a user phase steps every user's vector and projects it onto the unit
+ball. The channel counts, and with capture on copies, every row of every
+upload. The recommender reads the uploads it is given, never the devices'
+arrays: it checks that the rows it receives are its registry exactly and
 folds the uploads in ascending sender order, whatever the delivery order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
@@ -48,7 +56,7 @@ from . import engine
 from .config import ExperimentConfig
 from .data import RatingDataset, _stable_order
 from .exceptions import ProtocolError
-from .model import FactorModel, init_model, objective_value, project_unit_ball, user_gradient
+from .model import FactorModel, init_model, objective_value
 from .privacy import NoisePlan, WeightAssignment
 
 
@@ -88,31 +96,102 @@ class MessageChannel:
 
 
 @dataclass
-class UserDevice:
-    """Private per-user state: the rated items (ascending), their targets
-    w_ij * r_ij, the device's noise share for each, and the user vector,
-    which the user step overwrites in place."""
+class UserDevices:
+    """Every device's private state: device i holds entries
+    ptr[i]:ptr[i + 1] of `items` (its rated items, ascending), of `wr`
+    (their targets w_ij * r_ij) and of `shares` (its noise share for each),
+    and row i of `U`, its user vector, which only its own user step
+    writes."""
 
-    user_index: int
-    items: np.ndarray  # (n,)
-    wr: np.ndarray  # (n,)
-    shares: np.ndarray  # (n, K)
-    u: np.ndarray
+    ptr: np.ndarray  # (n_users + 1,)
+    items: np.ndarray  # (nnz,)
+    wr: np.ndarray  # (nnz,)
+    shares: np.ndarray  # (nnz, K)
+    U: np.ndarray  # (n_users, K)
+    _owner: np.ndarray = field(init=False, repr=False)  # each entry's user
+    _rated: np.ndarray = field(init=False, repr=False)  # users with a rating
+    _raters: list[tuple[int, int, int]] = field(init=False, repr=False)  # (user, start, end)
+    # (nnz, K) buffers that every phase reuses, since a fresh array of this
+    # size is mapped and faulted in anew each time: the entries' rows of V,
+    # and the payload, which the user phase overwrites with their rows of U
+    _rows: np.ndarray = field(init=False, repr=False)
+    _payload: np.ndarray = field(init=False, repr=False)
 
-    def emit_gradient(self, V: np.ndarray) -> GradientUpload:
-        """Local item-gradient contributions plus this device's noise
-        shares: row r is the one rater's summand of `model.item_gradient`
-        for item items[r]."""
-        residual = V[self.items] @ self.u - self.wr
-        payload = (2.0 * residual)[:, None] * self.u + self.shares
-        return GradientUpload(self.user_index, self.items, payload)
+    def __post_init__(self):
+        if not (len(self.ptr) == len(self.U) + 1 and self.ptr[-1] == len(self.items) == len(self.wr)
+                and self.shares.shape == (len(self.items), self.U.shape[1])):
+            raise ValueError("device arrays do not align with ptr and U")
+        if len(self.items) and self.items.min() < 0:
+            raise ValueError("item indices must be >= 0")
+        counts = np.diff(self.ptr)
+        self._owner = np.repeat(np.arange(len(counts)), counts)
+        self._rated = np.flatnonzero(counts)
+        self._raters = list(zip(
+            self._rated.tolist(), self.ptr[self._rated].tolist(), self.ptr[self._rated + 1].tolist()
+        ))
+        self._rows, self._payload = np.empty(self.shares.shape), np.empty(self.shares.shape)
 
-    def update_user(self, V: np.ndarray, lam: float, eta: float) -> float:
-        """Local gradient step against the shared item factors, then
-        projection onto the unit ball. Returns the gradient norm."""
-        grad = user_gradient(self.u, V[self.items], self.wr, lam)
-        self.u[:] = project_unit_ball(self.u - eta * grad)
-        return float(np.sqrt(grad @ grad))
+    @classmethod
+    def from_dataset(
+        cls, dataset: RatingDataset, targets: np.ndarray, plan: NoisePlan, U: np.ndarray
+    ) -> "UserDevices":
+        """The devices of `dataset`'s users, holding `targets` (w_ij * r_ij,
+        in entry order) and writing `U`. Each device's noise shares are
+        drawn from their own (j, i) keys, as a device draws them in the
+        protocol, given h_j (`NoisePlan.draw_shares`)."""
+        user_ptr, _ = dataset.by_user
+        return cls(user_ptr, dataset.items, targets, plan.draw_shares(dataset.items, dataset.users), U)
+
+    def _residuals(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries' rows of V and of U, gathered into the two buffers,
+        and u_i . v_j - w_ij * r_ij for every entry."""
+        if len(self.items) and self.items.max() >= len(V):
+            raise IndexError(f"an item index exceeds V's {len(V)} rows")
+        # "clip" gathers straight into the buffer, where "raise" would copy
+        # through a temporary; the indices are in range
+        rows = V.take(self.items, axis=0, out=self._rows, mode="clip")
+        own = self.U.take(self._owner, axis=0, out=self._payload, mode="clip")
+        residual = np.einsum("pk,pk->p", rows, own)
+        residual -= self.wr
+        return rows, own, residual
+
+    def emit_gradient(self, V: np.ndarray) -> list[GradientUpload]:
+        """Every device's upload, in ascending sender order, from each
+        device with a rating: row r of device i's payload is its summand
+        2(u_i . v_j - w_ij r_ij) u_i + x_j^i of `model.item_gradient` for
+        item j = items[r].
+
+        An upload's items and payload are views of the device's rows; the
+        payloads stay valid until the devices' next step overwrites them."""
+        _, payload, residual = self._residuals(V)
+        residual *= 2.0
+        payload *= residual[:, None]
+        payload += self.shares
+        items = self.items
+        return [GradientUpload(i, items[s:e], payload[s:e]) for i, s, e in self._raters]
+
+    def update_user(self, V: np.ndarray, lam: float, eta: float) -> np.ndarray:
+        """Every device's local gradient step against the shared item
+        factors, then projection onto the unit ball; a user with no rating
+        takes the regularization step alone. Returns each user's gradient
+        norm."""
+        rows, _, residual = self._residuals(V)
+        rows *= residual[:, None]
+        grad = 2.0 * lam * self.U
+        if len(self._rated):
+            # only the rated users' segments: reduceat gives an empty one
+            # the next row instead of zero
+            grad[self._rated] += 2.0 * np.add.reduceat(rows, self.ptr[self._rated], axis=0)
+        U = self.U
+        U -= eta * grad
+        sq = np.einsum("ik,ik->i", U, U)
+        out = sq > 1.0
+        U[out] /= np.sqrt(sq[out])[:, None]
+        return np.sqrt(np.einsum("ik,ik->i", grad, grad))
+
+
+# `perfbench` binds the device methods through this name
+UserDevice = UserDevices
 
 
 @dataclass
@@ -126,16 +205,29 @@ class RecommenderState:
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray
     rated: np.ndarray = field(init=False, repr=False)
-    # the registry by sender: each registered rater's items, ascending
-    _registered: dict[int, np.ndarray] = field(init=False, repr=False)
+    # the registry by sender: the registered raters, ascending, and each
+    # one's items, ascending, sender k's being _items[_ptr[k]:_ptr[k + 1]]
+    _senders: list[int] = field(init=False, repr=False)
+    _registered: frozenset[int] = field(init=False, repr=False)
+    _ptr: np.ndarray = field(init=False, repr=False)
+    _items: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.diff(self.item_ptr)
         self.rated = np.flatnonzero(counts)
         by_user = _stable_order(self.item_users, int(self.item_users.max(initial=-1)) + 1)
         senders, starts = np.unique(self.item_users[by_user], return_index=True)
-        slot_items = np.repeat(np.arange(len(counts)), counts)
-        self._registered = dict(zip(senders.tolist(), np.split(slot_items[by_user], starts[1:])))
+        self._senders = senders.tolist()
+        self._registered = frozenset(self._senders)
+        self._ptr = np.append(starts, len(by_user))
+        self._items = np.repeat(np.arange(len(counts)), counts)[by_user]
+
+    def _misfit(self, k: int) -> ProtocolError:
+        n = int(self._ptr[k + 1] - self._ptr[k])
+        return ProtocolError(
+            f"upload from sender {self._senders[k]} does not hold one K-vector "
+            f"for each of the {n} items it registered"
+        )
 
     def update_item(self, uploads: Iterable[GradientUpload], lam: float, eta: float) -> np.ndarray:
         """The item phase: take one upload from each registered rater, in
@@ -145,57 +237,45 @@ class RecommenderState:
         An upload must hold a row for exactly the items its sender
         registered, so the rows received are the registry exactly; a
         missing, duplicated, extra or wrong-item row raises ProtocolError
-        and leaves V untouched. Uploads are folded in as they arrive, in
-        ascending sender order, so each item sums its rows in ascending
-        rater order; one that arrives early waits for the senders before it.
+        and leaves V untouched. Uploads are taken as they arrive into
+        ascending sender order, one that arrives early waiting for the
+        senders before it, and are folded in that order, so each item sums
+        its rows in ascending rater order.
         """
-        registered = self._registered
-        senders = list(registered)  # ascending
-        grad = np.zeros_like(self.V)
+        senders, registered, ptr = self._senders, self._registered, self._ptr
+        K = self.V.shape[1]
         pending: dict[int, GradientUpload] = {}
-        folded = 0
+        ordered: list[GradientUpload] = []
         for upload in uploads:
             s = upload.sender
             if s not in registered:
                 raise ProtocolError(f"upload from sender {s}, who registered no rating")
-            if s in pending or folded == len(senders) or s < senders[folded]:
+            if s in pending or len(ordered) == len(senders) or s < senders[len(ordered)]:
                 raise ProtocolError(f"second upload from sender {s}")
             pending[s] = upload
-            while folded < len(senders) and senders[folded] in pending:
-                sender = senders[folded]
-                ready, items = pending.pop(sender), registered[sender]
-                if not (np.array_equal(ready.items, items)
-                        and ready.payload.shape == (len(items), grad.shape[1])):
-                    raise ProtocolError(
-                        f"upload from sender {sender} does not hold one K-vector "
-                        f"for each of the {len(items)} items it registered"
-                    )
-                # one addition per element, as a running `grad[j] += row` makes
-                np.add.at(grad, items, ready.payload)
-                folded += 1
-        if folded < len(senders):
-            raise ProtocolError(f"no upload from {len(senders) - folded} registered raters")
+            while len(ordered) < len(senders) and senders[len(ordered)] in pending:
+                k = len(ordered)
+                ready = pending.pop(senders[k])
+                n = int(ptr[k + 1] - ptr[k])
+                if ready.items.shape != (n,) or ready.payload.shape != (n, K):
+                    raise self._misfit(k)
+                ordered.append(ready)
+        if len(ordered) < len(senders):
+            raise ProtocolError(f"no upload from {len(senders) - len(ordered)} registered raters")
+        if ordered:
+            received = np.concatenate([upload.items for upload in ordered])
+            wrong = np.flatnonzero(received != self._items)
+            if len(wrong):
+                raise self._misfit(int(np.searchsorted(ptr, wrong[0], side="right")) - 1)
+        grad = np.zeros_like(self.V)
+        for upload in ordered:
+            # an upload's items are unique, so this adds each row once, as
+            # a running `grad[j] += row` does
+            grad[upload.items] += upload.payload
         g = grad[self.rated]
         g += 2.0 * lam * self.V[self.rated]
         self.V[self.rated] = self.V[self.rated] - eta * g
         return g
-
-
-def _build_devices(
-    dataset: RatingDataset, targets: np.ndarray, plan: NoisePlan, U: np.ndarray
-) -> list[UserDevice]:
-    """One device per user, holding views of its by-user CSR row of the
-    entries, of `targets` (w_ij * r_ij) and of `U`: device i's `u` is row i
-    of U. Each device's noise shares are drawn from their own (j, i) keys,
-    as a device draws them in the protocol, given h_j: in entry order, a
-    block at a time into one array whose rows the devices view
-    (`NoisePlan.draw_shares`)."""
-    user_ptr, _ = dataset.by_user
-    shares = plan.draw_shares(dataset.items, dataset.users)
-    return [
-        UserDevice(i, dataset.items[s:e], targets[s:e], shares[s:e], U[i])
-        for i, (s, e) in enumerate(zip(user_ptr[:-1].tolist(), user_ptr[1:].tolist()))
-    ]
 
 
 def _train_messages(
@@ -208,21 +288,20 @@ def _train_messages(
     trace: IO[str] | None,
     after_epoch: Callable[[], None] | None,
 ) -> FactorModel:
-    devices = _build_devices(dataset, targets, plan, model.U)
+    devices = UserDevices.from_dataset(dataset, targets, plan, model.U)
     # the plan's by-item slots, which train matched to the dataset
     recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
     rated = recommender.rated.tolist()
     counts = np.diff(plan.item_ptr)[recommender.rated].tolist()
     channel.n_registrations += len(plan.item_users)
     channel.n_broadcasts += len(rated)
-    raters = [device for device in devices if len(device.items)]
     # devices read V through this; it changes only between the phases
     V_ro = recommender.V.view()
     V_ro.flags.writeable = False
 
     def epoch(t: int, eta: float) -> None:
         grad = recommender.update_item(
-            (channel.deliver_gradient(device.emit_gradient(V_ro)) for device in raters),
+            (channel.deliver_gradient(upload) for upload in devices.emit_gradient(V_ro)),
             cfg.lam, eta,
         )
         if trace is not None:
@@ -231,10 +310,9 @@ def _train_messages(
                 f"{t},item,{j},{n},{norm!r}\n" for j, n, norm in zip(rated, counts, norms)
             ))
         channel.broadcast()  # end-of-item-phase V distribution
-        for i, device in enumerate(devices):
-            norm = device.update_user(V_ro, cfg.lam, eta)
-            if trace is not None:
-                trace.write(f"{t},user,{i},0,{norm!r}\n")
+        norms = devices.update_user(V_ro, cfg.lam, eta)
+        if trace is not None:
+            trace.write("".join(f"{t},user,{i},0,{norm!r}\n" for i, norm in enumerate(norms.tolist())))
 
     return engine.run_epochs(model, epoch, cfg, after_epoch)
 

@@ -10,7 +10,7 @@ import hdpmf
 from hdpmf.baselines import BaselineKind
 from hdpmf.cli import main
 from hdpmf.config import ExperimentConfig, parse_config
-from hdpmf.evaluation import read_results
+from hdpmf.evaluation import load_dataset, read_results
 from hdpmf.exceptions import ConfigError
 
 
@@ -334,7 +334,15 @@ class TestCmdRun:
         lines = trace.read_text().splitlines()
         assert lines[0].startswith("#")
         assert any(",item," in line for line in lines)
-        assert any(",user," in line for line in lines)
+        # each seed's run writes one user line per user per epoch
+        n_users, n_seeds = load_dataset(parse_config(cfg)).n_users, len(BASE["seeds"].split(","))
+        users = [line.split(",")[:3] for line in lines if ",user," in line]
+        assert sorted((int(t), int(i)) for t, _, i in users) == sorted(
+            (t, i) for t in range(BASE["epochs"]) for i in range(n_users) for _ in range(n_seeds))
+        # and a rerun writes the same bytes to both files
+        first = trace.read_bytes(), (tmp_path / "r.csv").read_bytes()
+        assert main(["run", str(cfg)]) == 0
+        assert (trace.read_bytes(), (tmp_path / "r.csv").read_bytes()) == first
 
     def test_failed_run_keeps_earlier_traces(self, tmp_path, synth_factory, capsys):
         # the epsilon check fails after the load, when the traces are open:

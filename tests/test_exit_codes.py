@@ -1,7 +1,8 @@
 """The exit-code contract of `hdpmf run` as a property: whatever the config
 file and rating file hold, `main` returns 0, 1 or 2, nothing escapes, an
 exit 2 prints one `config error:` or `data error:` line, and the run never
-writes over its own rating file.
+writes over its own rating file. A refused kernel backend is an exit 2
+with one `config error:` line too.
 
 The strategy is bounded only to keep each example to milliseconds and
 little memory: `epochs` is 1 or 2, at most two seeds, and `k` is 1-8 or at
@@ -20,12 +21,17 @@ extremes meet: every weight bound at 1e-200, say.
 import contextlib
 import io
 import os
+import shutil
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hdpmf
 from hdpmf.cli import main
 
 # 1e-160 squared is subnormal, 1e-200 squared underflows to 0
@@ -190,3 +196,23 @@ def test_every_run_exits_0_1_or_2_and_leaves_its_data_alone(drawn):
             out = err.getvalue().splitlines()
             assert len(out) == 1 and out[0].startswith(("config error:", "data error:")), out
         assert data.read_bytes() == before
+
+
+@pytest.mark.parametrize("backend", ["pyhton", "native"])
+def test_refused_backend_exits_2_with_one_line(tmp_path, backend):
+    # the package's sources without any compiled extension, so that forcing
+    # `native` is refused as well as a misspelt backend
+    (tmp_path / "hdpmf").mkdir()
+    for source in Path(hdpmf.__file__).parent.glob("*.py"):
+        shutil.copy(source, tmp_path / "hdpmf" / source.name)
+    data, output = tmp_path / "data.csv", tmp_path / "results.csv"
+    data.write_bytes(_rating_file("csv", set()))
+    config = tmp_path / "run.cfg"
+    config.write_text(f"dataset = {data}\nformat = csv\nk = 2\nepochs = 1\nseeds = 0\noutput = {output}\n")
+    env = dict(os.environ, HDPMF_BACKEND=backend, PYTHONPATH=str(tmp_path))
+    done = subprocess.run([sys.executable, "-m", "hdpmf.cli", "run", str(config)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 2, done.stderr
+    out = done.stderr.splitlines()
+    assert len(out) == 1 and out[0].startswith("config error: config key 'HDPMF_BACKEND':"), out
+    assert not output.exists()

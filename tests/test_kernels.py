@@ -180,13 +180,15 @@ def test_selected_backend_matches_module():
 def _select(requested: str, src_dir: Path, prelude: str = "") -> str:
     """What a fresh `hdpmf.kernels`, imported from `src_dir` after `prelude`
     runs, selects under HDPMF_BACKEND=`requested`: the backend name, or the
-    ImportError's message."""
+    ConfigError's message. The import itself must succeed: the choice is
+    made on first use."""
     code = prelude + (
+        "from hdpmf import kernels\n"
+        "from hdpmf.exceptions import ConfigError\n"
         "try:\n"
-        "    from hdpmf import kernels\n"
         "    print(kernels.backend_name())\n"
-        "except ImportError as exc:\n"
-        "    print('ImportError', exc)\n"
+        "except ConfigError as exc:\n"
+        "    print('ConfigError', exc)\n"
     )
     env = dict(os.environ, HDPMF_BACKEND=requested)
     env["PYTHONPATH"] = os.pathsep.join([str(src_dir), env.get("PYTHONPATH", "")])
@@ -212,7 +214,7 @@ def _select_with_stale_extension(requested: str, entry_points: list[str]) -> str
 def test_unknown_backend_is_refused():
     # a typo must not fall through to whichever backend imports
     out = _select("pyhton", Path(hdpmf.__file__).parents[1])
-    assert out.startswith("ImportError") and "'python'" in out and "'native'" in out, out
+    assert out.startswith("ConfigError") and "'python'" in out and "'native'" in out, out
 
 
 def test_missing_extension_is_named(tmp_path):
@@ -221,12 +223,12 @@ def test_missing_extension_is_named(tmp_path):
     for source in Path(hdpmf.__file__).parent.glob("*.py"):
         shutil.copy(source, tmp_path / "hdpmf" / source.name)
     out = _select("native", tmp_path)
-    assert out.startswith("ImportError") and "No module named 'hdpmf._native'" in out, out
+    assert out.startswith("ConfigError") and "No module named 'hdpmf._native'" in out, out
     assert "circular" not in out
     assert _select("", tmp_path).strip() == "python"
 
 
-@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ImportError")])
+@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ConfigError")])
 def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
     # an extension built from an older _native.c has run_epoch only
     assert _select_with_stale_extension(requested, ["run_epoch"]).split()[0] == selected
@@ -235,7 +237,7 @@ def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
 def test_extension_without_keyed_normal_is_refused():
     # an extension built before keyed_normal existed draws the uniforms only
     out = _select_with_stale_extension("native", ["run_epoch", "keyed_uniform"])
-    assert out.startswith("ImportError") and "rebuild it" in out, out
+    assert out.startswith("ConfigError") and "rebuild it" in out, out
 
 
 def test_empty_items_skipped(impl):

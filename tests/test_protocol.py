@@ -6,38 +6,37 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.exceptions import ProtocolError
-from hdpmf.model import FactorModel, init_model, item_gradient, user_gradient
+from hdpmf.model import FactorModel, init_model, item_gradient, project_unit_ball, user_gradient
 from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
 from hdpmf.protocol import (
     GradientUpload,
     MessageChannel,
     RecommenderState,
-    UserDevice,
-    _build_devices,
+    UserDevices,
     predict_all,
     train,
 )
 
 
 def make_device(u, ratings, weights, shares=None):
-    """Device 0 from {item: rating}, {item: weight} and {item: share};
-    unlisted shares are zero."""
+    """Devices of one user, user 0, from its vector, {item: rating},
+    {item: weight} and {item: share}; unlisted shares are zero."""
     u = np.asarray(u, dtype=float)
     items = sorted(ratings)
     shares = shares or {}
-    return UserDevice(
-        0,
+    return UserDevices(
+        np.array([0, len(items)]),
         np.array(items, dtype=np.int64),
         np.array([weights[j] * ratings[j] for j in items]),
         np.array([shares.get(j, np.zeros_like(u)) for j in items]).reshape(len(items), len(u)),
-        u,
+        u[None, :].copy(),
     )
 
 
@@ -64,7 +63,7 @@ class TestDeviceEmit:
         dev = make_device([1.0, 0.0], {3: 4.0}, {3: 0.5})
         V = np.zeros((4, 2))
         V[3] = [0.5, 0.0]
-        up = dev.emit_gradient(V)
+        [up] = dev.emit_gradient(V)
         assert up.sender == 0 and up.items.tolist() == [3]
         assert up.payload.tolist() == [[-3.0, 0.0]]
 
@@ -73,7 +72,7 @@ class TestDeviceEmit:
         V = np.array([[0.0, 0.0], [0.5, 0.0]])
         residual_term = 2.0 * (u @ V[1] - 2.0) * u
         dev = make_device(u, {1: 4.0}, {1: 0.5}, shares={1: -residual_term})
-        up = dev.emit_gradient(V)
+        [up] = dev.emit_gradient(V)
         assert np.allclose(up.payload, 0.0)
 
 
@@ -89,9 +88,9 @@ class TestRecommenderUpdate:
         assert state.V[0].tolist() == [0.0, 3.0]
 
     @staticmethod
-    def _rejected(state, uploads):
+    def _rejected(state, uploads, match=None):
         before = state.V.copy()
-        with pytest.raises(ProtocolError):
+        with pytest.raises(ProtocolError, match=match):
             state.update_item(uploads, 0.0, 0.1)
         assert state.V.tobytes() == before.tobytes()
 
@@ -105,7 +104,17 @@ class TestRecommenderUpdate:
 
     def test_wrong_item_rejected(self):
         state = make_state([[0.1, 0.2], [0.3, 0.4]], {1: [0]})
-        self._rejected(state, [upload(0, {0: [1.0, 1.0]})])
+        self._rejected(state, [upload(0, {0: [1.0, 1.0]})], match="sender 0 ")
+
+    @pytest.mark.parametrize("wrong", [0, 1, 2])
+    def test_wrong_item_rejection_names_its_sender(self, wrong):
+        # senders 0, 1 and 2 registered items [0], [0, 1] and [1]; the
+        # wrong sender puts a row on item 2 in place of its last item
+        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        registered = {0: [0], 1: [0, 1], 2: [1]}
+        registered[wrong] = registered[wrong][:-1] + [2]
+        uploads = [upload(s, dict.fromkeys(items, [1.0, 1.0])) for s, items in registered.items()]
+        self._rejected(state, uploads, match=f"sender {wrong} ")
 
     def test_unregistered_item_rejected(self):
         # sender 0 rated item 0 only; a row for item 1 is an extra row even
@@ -121,17 +130,15 @@ class TestDeviceUpdateUser:
         dev = make_device([0.5, 0.0], {0: 0.5}, {0: 1.0})
         V = np.array([[1.0, 0.0]])
         dev.update_user(V, lam=0.0, eta=0.1)
-        assert dev.u.tolist() == [0.5, 0.0]
+        assert dev.U[0].tolist() == [0.5, 0.0]
 
     def test_projection_applied(self):
         dev = make_device([1.0, 0.0], {0: 5.0}, {0: 1.0})
         V = np.array([[-10.0, 0.0]])
         dev.update_user(V, lam=0.0, eta=1.0)
-        assert np.linalg.norm(dev.u) <= 1.0 + 1e-12
+        assert np.linalg.norm(dev.U[0]) <= 1.0 + 1e-12
 
     def test_step_matches_centralized_user_gradient(self):
-        from hdpmf.model import project_unit_ball
-
         rng = np.random.default_rng(3)
         K, m = 3, 6
         V = rng.normal(0, 0.5, (m, K))
@@ -145,7 +152,7 @@ class TestDeviceUpdateUser:
         items = sorted(ratings)
         grad = user_gradient(u, V[items], np.array([weights[j] * ratings[j] for j in items]), lam)
         expected = project_unit_ball(u - eta * grad)
-        assert np.allclose(dev.u, expected, rtol=1e-12, atol=1e-15)
+        assert np.allclose(dev.U[0], expected, rtol=1e-12, atol=1e-15)
 
 
 class TestAggregationEquivalence:
@@ -156,18 +163,11 @@ class TestAggregationEquivalence:
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1, lam=0.02)
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
         totals = np.zeros((ds.n_items, 3))
-        for i in range(ds.n_users):
-            rated = ds.users == i
-            items = ds.items[rated]
-            dev = UserDevice(
-                i,
-                items,
-                targets[rated],
-                np.array([plan.share(i, int(j)) for j in items]).reshape(len(items), 3),
-                model.U[i].copy(),
-            )
-            up = dev.emit_gradient(model.V)
-            assert up.items.tolist() == items.tolist()
+        devices = UserDevices.from_dataset(ds, targets, plan, model.U.copy())
+        uploads = devices.emit_gradient(model.V)
+        assert [up.sender for up in uploads] == np.unique(ds.users).tolist()
+        for up in uploads:
+            assert up.items.tolist() == ds.items[ds.users == up.sender].tolist()
             for j, row in zip(up.items, up.payload):
                 totals[j] += row
         for j in range(ds.n_items):
@@ -207,18 +207,60 @@ class TestDeviceConstruction:
         weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
         train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
         U0 = init_model(train_set.n_users, train_set.n_items, K, seed).U
-        devices = _build_devices(train_set, entry_weights * train_set.ratings, plan, U0)
-        assert len(devices) == train_set.n_users
-        for i, dev in enumerate(devices):
+        devices = UserDevices.from_dataset(train_set, entry_weights * train_set.ratings, plan, U0)
+        assert len(devices.ptr) == train_set.n_users + 1 and devices.U is U0
+        assert devices.shares.shape == (len(train_set), K)
+        for i in range(train_set.n_users):
             rated = train_set.users == i
-            assert dev.user_index == i
-            assert np.all(np.diff(dev.items) > 0)
-            assert np.array_equal(dev.items, train_set.items[rated])
-            assert np.array_equal(dev.wr, entry_weights[rated] * train_set.ratings[rated])
-            assert dev.shares.shape == (len(dev.items), K)
-            for row, j in zip(dev.shares, dev.items.tolist()):
+            s, e = devices.ptr[i], devices.ptr[i + 1]
+            assert np.all(np.diff(devices.items[s:e]) > 0)
+            assert np.array_equal(devices.items[s:e], train_set.items[rated])
+            assert np.array_equal(devices.wr[s:e], entry_weights[rated] * train_set.ratings[rated])
+            for row, j in zip(devices.shares[s:e], devices.items[s:e].tolist()):
                 assert row.tobytes() == plan.share(i, j).tobytes()
-            assert np.array_equal(dev.u, U0[i])
+
+
+class TestDeviceOracle:
+    """Each device's rows and step, computed in one pass for all devices,
+    against the model's one-entity gradients, to reduction-order
+    tolerance."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=engine_cases(), eta=st.sampled_from([0.05, 0.5]))
+    # user 1 rated nothing and item 2 has no rater
+    @example(case=(RatingDataset(np.array([0, 0, 2]), np.array([0, 1, 1]), np.array([3.0, 4.0, 5.0]),
+                                 3, 3, 1.0, 5.0), 2, BaselineKind.HDPMF, 7), eta=0.5)
+    def test_uploads_and_steps_match_the_model_gradients(self, case, eta):
+        ds, K, method, seed = case
+        lam = 0.01
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
+        train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
+        targets = entry_weights * train_set.ratings
+        # factors off the initial draw, so that residuals take either sign
+        # and some steps leave the unit ball
+        rng = np.random.default_rng(seed)
+        U0 = rng.normal(0.0, 0.7, (train_set.n_users, K))
+        V = rng.normal(0.0, 1.0, (train_set.n_items, K))
+        devices = UserDevices.from_dataset(train_set, targets, plan, U0.copy())
+        ptr = devices.ptr.tolist()
+
+        uploads = devices.emit_gradient(V)
+        assert [up.sender for up in uploads] == [i for i in range(train_set.n_users) if ptr[i + 1] > ptr[i]]
+        for up in uploads:
+            i, s = up.sender, ptr[up.sender]
+            assert np.array_equal(up.items, train_set.items[s:ptr[i + 1]])
+            for r, j in enumerate(up.items.tolist()):
+                # the one rater's summand: its residual term plus its share
+                summand = item_gradient(V[j], U0[i][None], targets[s + r : s + r + 1], plan.share(i, j), 0.0)
+                np.testing.assert_allclose(up.payload[r], summand, rtol=1e-12, atol=1e-12)
+
+        norms = devices.update_user(V, lam, eta)
+        assert norms.shape == (train_set.n_users,)
+        for i in range(train_set.n_users):
+            s, e = ptr[i], ptr[i + 1]
+            grad = user_gradient(U0[i], V[train_set.items[s:e]], targets[s:e], lam)
+            np.testing.assert_allclose(devices.U[i], project_unit_ball(U0[i] - eta * grad), rtol=1e-12, atol=1e-12)
+            assert norms[i] == pytest.approx(np.linalg.norm(grad), rel=1e-12, abs=1e-12)
 
 
 def item_phase(case):
@@ -230,9 +272,8 @@ def item_phase(case):
     if len(train_set) == 0:
         return None
     model = init_model(train_set.n_users, train_set.n_items, K, seed)
-    devices = _build_devices(train_set, entry_weights * train_set.ratings, plan, model.U)
-    uploads = [dev.emit_gradient(model.V) for dev in devices if len(dev.items)]
-    return model.V, plan, uploads
+    devices = UserDevices.from_dataset(train_set, entry_weights * train_set.ratings, plan, model.U)
+    return model.V, plan, devices.emit_gradient(model.V)
 
 
 class TestItemPhaseProperties:
