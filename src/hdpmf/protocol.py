@@ -34,8 +34,14 @@ pass and hands out one upload per device, which holds that device's rows
 only; a user phase steps every user's vector and projects it onto the unit
 ball. The channel counts, and with capture on copies, every row of every
 upload. The recommender reads the uploads it is given, never the devices'
-arrays: it checks that the rows it receives are its registry exactly and
-folds the uploads in ascending sender order, whatever the delivery order.
+arrays, in three passes: it receives them, rejecting an unregistered
+sender or a second upload in arrival order; it puts them in ascending
+sender order and checks that every registered rater sent one, that each
+is an integer item array and a real floating payload of its registered
+size, and that the rows are its registry exactly; then it folds each
+coordinate in one `np.bincount` over the rows in that order, whatever the
+delivery order, so each item adds its raters' rows one at a time in
+ascending rater order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
@@ -194,6 +200,15 @@ class UserDevices:
 UserDevice = UserDevices
 
 
+def _holds_rows(upload: GradientUpload, n: int, K: int) -> bool:
+    """Whether `upload` has the form of n rows: an (n,) integer item array
+    and an (n, K) real floating payload."""
+    items, payload = upload.items, upload.payload
+    return (isinstance(items, np.ndarray) and items.dtype.kind in "iu" and items.shape == (n,)
+            and isinstance(payload, np.ndarray) and payload.dtype.kind == "f"
+            and payload.shape == (n, K))
+
+
 @dataclass
 class RecommenderState:
     """What the untrusted recommender is allowed to hold: the item factors
@@ -205,12 +220,18 @@ class RecommenderState:
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray
     rated: np.ndarray = field(init=False, repr=False)
-    # the registry by sender: the registered raters, ascending, and each
-    # one's items, ascending, sender k's being _items[_ptr[k]:_ptr[k + 1]]
+    # the registry by sender: the registered raters, ascending, each one's
+    # number of items, and its items, ascending, sender k's being
+    # _items[_ptr[k]:_ptr[k + 1]]; then each of those rows' index in `rated`
     _senders: list[int] = field(init=False, repr=False)
     _registered: frozenset[int] = field(init=False, repr=False)
+    _sizes: list[int] = field(init=False, repr=False)
     _ptr: np.ndarray = field(init=False, repr=False)
     _items: np.ndarray = field(init=False, repr=False)
+    _slots: np.ndarray = field(init=False, repr=False)
+    # (K, nnz): the received payloads, one coordinate per row, so that each
+    # coordinate is contiguous; every item phase reuses it
+    _payload: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         counts = np.diff(self.item_ptr)
@@ -220,13 +241,15 @@ class RecommenderState:
         self._senders = senders.tolist()
         self._registered = frozenset(self._senders)
         self._ptr = np.append(starts, len(by_user))
+        self._sizes = np.diff(self._ptr).tolist()
         self._items = np.repeat(np.arange(len(counts)), counts)[by_user]
+        self._slots = np.searchsorted(self.rated, self._items)
+        self._payload = np.empty((self.V.shape[1], len(self._items)))
 
     def _misfit(self, k: int) -> ProtocolError:
-        n = int(self._ptr[k + 1] - self._ptr[k])
         return ProtocolError(
             f"upload from sender {self._senders[k]} does not hold one K-vector "
-            f"for each of the {n} items it registered"
+            f"for each of the {self._sizes[k]} items it registered"
         )
 
     def update_item(self, uploads: Iterable[GradientUpload], lam: float, eta: float) -> np.ndarray:
@@ -234,45 +257,47 @@ class RecommenderState:
         any order, then step every rated item. Returns the rated items'
         aggregated gradients, in ascending item order (for traces).
 
-        An upload must hold a row for exactly the items its sender
-        registered, so the rows received are the registry exactly; a
-        missing, duplicated, extra or wrong-item row raises ProtocolError
-        and leaves V untouched. Uploads are taken as they arrive into
-        ascending sender order, one that arrives early waiting for the
-        senders before it, and are folded in that order, so each item sums
-        its rows in ascending rater order.
+        An upload must hold an integer item array and a real floating
+        payload with a row for exactly the items its sender registered, so
+        the rows received are the registry exactly. Any other upload raises
+        ProtocolError and leaves V untouched. The checks run in this order:
+        an unregistered sender or a second upload from one sender, in
+        arrival order; then registered raters that sent nothing; then an
+        upload of the wrong shape or type, in ascending sender order; then a
+        row for an item its sender did not register, naming the first such
+        sender.
+
+        The rows are folded in ascending sender order, whatever the
+        delivery order. Each coordinate is one `np.bincount` over them,
+        which adds each item's rows one at a time in input order, starting
+        from zero, so each item sums its raters' rows in ascending rater
+        order. `np.sum` and `np.add.reduceat` sum pairwise past 8 rows,
+        which would change the bits.
         """
-        senders, registered, ptr = self._senders, self._registered, self._ptr
-        K = self.V.shape[1]
-        pending: dict[int, GradientUpload] = {}
-        ordered: list[GradientUpload] = []
+        registered = self._registered
+        received: dict[int, GradientUpload] = {}
         for upload in uploads:
             s = upload.sender
             if s not in registered:
                 raise ProtocolError(f"upload from sender {s}, who registered no rating")
-            if s in pending or len(ordered) == len(senders) or s < senders[len(ordered)]:
+            if s in received:
                 raise ProtocolError(f"second upload from sender {s}")
-            pending[s] = upload
-            while len(ordered) < len(senders) and senders[len(ordered)] in pending:
-                k = len(ordered)
-                ready = pending.pop(senders[k])
-                n = int(ptr[k + 1] - ptr[k])
-                if ready.items.shape != (n,) or ready.payload.shape != (n, K):
-                    raise self._misfit(k)
-                ordered.append(ready)
-        if len(ordered) < len(senders):
-            raise ProtocolError(f"no upload from {len(senders) - len(ordered)} registered raters")
+            received[s] = upload
+        if len(received) < len(self._senders):
+            raise ProtocolError(f"no upload from {len(self._senders) - len(received)} registered raters")
+        ordered = [received[s] for s in self._senders]
+        K = self.V.shape[1]
+        for k, (upload, n) in enumerate(zip(ordered, self._sizes)):
+            if not _holds_rows(upload, n, K):
+                raise self._misfit(k)
         if ordered:
-            received = np.concatenate([upload.items for upload in ordered])
-            wrong = np.flatnonzero(received != self._items)
+            wrong = np.flatnonzero(np.concatenate([upload.items for upload in ordered]) != self._items)
             if len(wrong):
-                raise self._misfit(int(np.searchsorted(ptr, wrong[0], side="right")) - 1)
-        grad = np.zeros_like(self.V)
-        for upload in ordered:
-            # an upload's items are unique, so this adds each row once, as
-            # a running `grad[j] += row` does
-            grad[upload.items] += upload.payload
-        g = grad[self.rated]
+                raise self._misfit(int(np.searchsorted(self._ptr, wrong[0], side="right")) - 1)
+            np.concatenate([upload.payload for upload in ordered], out=self._payload.T)
+        g = np.empty((len(self.rated), K))
+        for k, column in enumerate(self._payload):
+            g[:, k] = np.bincount(self._slots, weights=column, minlength=len(self.rated))
         g += 2.0 * lam * self.V[self.rated]
         self.V[self.rated] = self.V[self.rated] - eta * g
         return g
@@ -291,10 +316,12 @@ def _train_messages(
     devices = UserDevices.from_dataset(dataset, targets, plan, model.U)
     # the plan's by-item slots, which train matched to the dataset
     recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
-    rated = recommender.rated.tolist()
     counts = np.diff(plan.item_ptr)[recommender.rated].tolist()
+    # every trace line but its epoch number: ",item,{j},{raters}," or ",user,{i},0,"
+    item_lines = [f",item,{j},{n}," for j, n in zip(recommender.rated.tolist(), counts)]
+    user_lines = [f",user,{i},0," for i in range(dataset.n_users)]
     channel.n_registrations += len(plan.item_users)
-    channel.n_broadcasts += len(rated)
+    channel.n_broadcasts += len(recommender.rated)
     # devices read V through this; it changes only between the phases
     V_ro = recommender.V.view()
     V_ro.flags.writeable = False
@@ -306,13 +333,11 @@ def _train_messages(
         )
         if trace is not None:
             norms = np.sqrt(np.einsum("ij,ij->i", grad, grad)).tolist()
-            trace.write("".join(
-                f"{t},item,{j},{n},{norm!r}\n" for j, n, norm in zip(rated, counts, norms)
-            ))
+            trace.write("".join(f"{t}{line}{norm!r}\n" for line, norm in zip(item_lines, norms)))
         channel.broadcast()  # end-of-item-phase V distribution
         norms = devices.update_user(V_ro, cfg.lam, eta)
         if trace is not None:
-            trace.write("".join(f"{t},user,{i},0,{norm!r}\n" for i, norm in enumerate(norms.tolist())))
+            trace.write("".join(f"{t}{line}{norm!r}\n" for line, norm in zip(user_lines, norms.tolist())))
 
     return engine.run_epochs(model, epoch, cfg, after_epoch)
 

@@ -124,6 +124,59 @@ class TestRecommenderUpdate:
             state, [upload(0, {0: [1.0, 1.0], 1: [1.0, 1.0]}), upload(1, {1: [1.0, 1.0]})]
         )
 
+    # senders 0, 1 and 2 registered items [0], [0, 1] and [1]; each case
+    # lists its uploads in delivery order, "ok" being a good upload, "shape"
+    # one with K = 3 columns, "item" one with a row on item 2 in place of
+    # its last item, and sender 9 being unregistered
+    @pytest.mark.parametrize("uploads, match", [
+        ([(0, "shape"), (1, "ok"), (2, "ok"), (9, "ok")], "sender 9, who registered no rating"),
+        ([(0, "shape"), (0, "shape"), (1, "ok"), (2, "ok")], "second upload from sender 0"),
+        ([(0, "ok"), (0, "ok"), (9, "ok")], "second upload from sender 0"),
+        ([(9, "ok"), (0, "ok"), (0, "ok")], "sender 9, who registered no rating"),
+        ([(0, "shape"), (1, "ok")], "no upload from 1 registered raters"),
+        ([(0, "ok"), (2, "shape"), (1, "shape")], "sender 1 "),
+        ([(0, "item"), (1, "ok"), (2, "shape")], "sender 2 "),
+        ([(2, "item"), (1, "item"), (0, "ok")], "sender 1 "),
+    ], ids=["unregistered-before-shape", "duplicate-of-misshaped", "duplicate-then-unregistered",
+            "unregistered-then-duplicate", "missing-before-shape", "shape-in-sender-order",
+            "shape-before-items", "items-in-sender-order"])
+    def test_rejection_order(self, uploads, match):
+        # arrival-order sender errors first, then missing raters, then the
+        # form of each upload in sender order, then its items
+        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        registered = {0: [0], 1: [0, 1], 2: [1], 9: [0]}
+        made = []
+        for s, kind in uploads:
+            items = registered[s][:-1] + [2] if kind == "item" else registered[s]
+            made.append(upload(s, dict.fromkeys(items, [1.0] * (3 if kind == "shape" else 2))))
+        self._rejected(state, made, match=match)
+
+    @pytest.mark.parametrize("items, payload", [
+        (np.array([0.0, 1.0]), np.ones((2, 2))),
+        (np.array([False, True]), np.ones((2, 2))),
+        (np.array([0, 1]), np.ones((2, 2), dtype=complex)),
+        (np.array([0, 1]), np.ones((2, 2), dtype=object)),
+        ([0, 1], np.ones((2, 2))),
+    ], ids=["float-items", "bool-items", "complex-payload", "object-payload", "list-items"])
+    def test_mistyped_upload_rejected(self, items, payload):
+        # sender 1 registered items [0, 1]; each of these equals that
+        # registry row by row under ==, but is no integer item array with a
+        # real floating payload
+        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        uploads = [upload(0, {0: [1.0, 1.0]}), GradientUpload(1, items, payload), upload(2, {1: [1.0, 1.0]})]
+        self._rejected(state, uploads, match="sender 1 ")
+
+    def test_narrow_integer_and_float_dtypes_accepted(self):
+        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        wide = [upload(0, {0: [1.0, 2.0]}), upload(1, {0: [0.5, 0.25], 1: [3.0, -1.0]}),
+                upload(2, {1: [4.0, 8.0]})]
+        narrow = [GradientUpload(up.sender, up.items.astype(np.uint16), up.payload.astype(np.float32))
+                  for up in wide]
+        expected = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        expected.update_item(wide, 0.01, 0.1)
+        state.update_item(narrow, 0.01, 0.1)
+        assert state.V.tobytes() == expected.V.tobytes()
+
 
 class TestDeviceUpdateUser:
     def test_zero_residual_no_reg_unchanged(self):
@@ -304,6 +357,30 @@ class TestItemPhaseProperties:
             grad += 2.0 * self.LAM * V0[j]
             expected[j] = V0[j] - self.ETA * grad
         assert ends[0].tobytes() == ends[1].tobytes() == expected.tobytes()
+
+    def test_items_with_many_raters_keep_the_rater_order(self):
+        # engine_cases draws at most 6 users, and up to 8 rows a pairwise
+        # sum (np.sum, np.add.reduceat) equals a sequential one; items 0, 1
+        # and 2 here have 9, 64 and 200 raters
+        rng = np.random.default_rng(11)
+        K = 3
+        raters = {j: np.sort(rng.choice(200, n, replace=False)).tolist() for j, n in enumerate((9, 64, 200))}
+        # rows over six orders of magnitude, so that the order of a sum
+        # shows in its bits
+        rows = {(i, j): rng.normal(size=K) * 10.0 ** rng.integers(-3, 4)
+                for j, users in raters.items() for i in users}
+        uploads = [upload(i, {j: rows[i, j] for j in raters if i in raters[j]}) for i in range(200)]
+        V0 = rng.normal(size=(3, K))
+        state = make_state(V0.copy(), raters)
+        state.update_item([uploads[k] for k in rng.permutation(len(uploads))], self.LAM, self.ETA)
+        expected = V0.copy()
+        for j, users in raters.items():
+            grad = np.zeros(K)
+            for i in users:  # ascending rater
+                grad += rows[i, j]
+            grad += 2.0 * self.LAM * V0[j]
+            expected[j] = V0[j] - self.ETA * grad
+        assert state.V.tobytes() == expected.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(case=engine_cases(), data=st.data())
