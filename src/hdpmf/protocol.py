@@ -32,16 +32,20 @@ read only its own rows and the broadcast V. An item phase computes every
 payload row, the one rater's summand of `model.item_gradient`, in one
 pass and hands out one upload per device, which holds that device's rows
 only; a user phase steps every user's vector and projects it onto the unit
-ball. The channel counts, and with capture on copies, every row of every
-upload. The recommender reads the uploads it is given, never the devices'
-arrays, in three passes: it receives them, rejecting an unregistered
-sender or a second upload in arrival order; it puts them in ascending
-sender order and checks that every registered rater sent one, that each
-is an integer item array and a real floating payload of its registered
-size, and that the rows are its registry exactly; then it folds each
-coordinate in one `np.bincount` over the rows in that order, whatever the
-delivery order, so each item adds its raters' rows one at a time in
-ascending rater order.
+ball. Each device has one upload for the whole run, built with the
+devices: its items and payload are read-only views of the device's items
+and of its rows of the payload buffer that every phase reuses, so a
+payload holds the current item phase's rows until the devices' next step
+overwrites them. The channel counts, and with capture on copies, every
+row of every upload. The recommender reads the uploads it is given, never
+the devices' arrays, in three passes: it receives them, rejecting an
+unregistered sender or a second upload in arrival order; it checks that
+every registered rater sent one, then, in one pass in ascending sender
+order, that each is an integer item array and a real floating payload of
+its registered size, then that the rows are its registry exactly; then
+it folds each coordinate in one `np.bincount` over the rows in that
+order, whatever the delivery order, so each item adds its raters' rows
+one at a time in ascending rater order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
@@ -66,7 +70,7 @@ from .model import FactorModel, init_model, objective_value
 from .privacy import NoisePlan, WeightAssignment
 
 
-@dataclass
+@dataclass(frozen=True, slots=True)
 class GradientUpload:
     """One device's item-phase upload: a payload row for each rated item."""
 
@@ -116,12 +120,14 @@ class UserDevices:
     U: np.ndarray  # (n_users, K)
     _owner: np.ndarray = field(init=False, repr=False)  # each entry's user
     _rated: np.ndarray = field(init=False, repr=False)  # users with a rating
-    _raters: list[tuple[int, int, int]] = field(init=False, repr=False)  # (user, start, end)
     # (nnz, K) buffers that every phase reuses, since a fresh array of this
     # size is mapped and faulted in anew each time: the entries' rows of V,
     # and the payload, which the user phase overwrites with their rows of U
     _rows: np.ndarray = field(init=False, repr=False)
     _payload: np.ndarray = field(init=False, repr=False)
+    # each rated device's one upload of the run, in ascending sender order:
+    # read-only views of its items and of its rows of the payload buffer
+    _uploads: list[GradientUpload] = field(init=False, repr=False)
 
     def __post_init__(self):
         if not (len(self.ptr) == len(self.U) + 1 and self.ptr[-1] == len(self.items) == len(self.wr)
@@ -132,10 +138,14 @@ class UserDevices:
         counts = np.diff(self.ptr)
         self._owner = np.repeat(np.arange(len(counts)), counts)
         self._rated = np.flatnonzero(counts)
-        self._raters = list(zip(
-            self._rated.tolist(), self.ptr[self._rated].tolist(), self.ptr[self._rated + 1].tolist()
-        ))
         self._rows, self._payload = np.empty(self.shares.shape), np.empty(self.shares.shape)
+        items, payload = self.items.view(), self._payload.view()
+        items.flags.writeable = payload.flags.writeable = False
+        self._uploads = [
+            GradientUpload(i, items[s:e], payload[s:e])
+            for i, s, e in zip(self._rated.tolist(), self.ptr[self._rated].tolist(),
+                               self.ptr[self._rated + 1].tolist())
+        ]
 
     @classmethod
     def from_dataset(
@@ -167,14 +177,15 @@ class UserDevices:
         2(u_i . v_j - w_ij r_ij) u_i + x_j^i of `model.item_gradient` for
         item j = items[r].
 
-        An upload's items and payload are views of the device's rows; the
+        Each device has one upload for the whole run, and every call
+        refills it and returns the same objects in a new list. An upload's
+        items and payload are read-only views of the device's rows; the
         payloads stay valid until the devices' next step overwrites them."""
         _, payload, residual = self._residuals(V)
         residual *= 2.0
         payload *= residual[:, None]
         payload += self.shares
-        items = self.items
-        return [GradientUpload(i, items[s:e], payload[s:e]) for i, s, e in self._raters]
+        return self._uploads.copy()
 
     def update_user(self, V: np.ndarray, lam: float, eta: float) -> np.ndarray:
         """Every device's local gradient step against the shared item
@@ -200,15 +211,6 @@ class UserDevices:
 UserDevice = UserDevices
 
 
-def _holds_rows(upload: GradientUpload, n: int, K: int) -> bool:
-    """Whether `upload` has the form of n rows: an (n,) integer item array
-    and an (n, K) real floating payload."""
-    items, payload = upload.items, upload.payload
-    return (isinstance(items, np.ndarray) and items.dtype.kind in "iu" and items.shape == (n,)
-            and isinstance(payload, np.ndarray) and payload.dtype.kind == "f"
-            and payload.shape == (n, K))
-
-
 @dataclass
 class RecommenderState:
     """What the untrusted recommender is allowed to hold: the item factors
@@ -220,12 +222,12 @@ class RecommenderState:
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray
     rated: np.ndarray = field(init=False, repr=False)
-    # the registry by sender: the registered raters, ascending, each one's
-    # number of items, and its items, ascending, sender k's being
+    # the registry by sender: the registered raters, ascending, each with
+    # the shapes of the item array and payload of its n items, (n,) and
+    # (n, K), and their items, ascending, sender k's being
     # _items[_ptr[k]:_ptr[k + 1]]; then each of those rows' index in `rated`
-    _senders: list[int] = field(init=False, repr=False)
+    _forms: list[tuple[int, tuple[int], tuple[int, int]]] = field(init=False, repr=False)
     _registered: frozenset[int] = field(init=False, repr=False)
-    _sizes: list[int] = field(init=False, repr=False)
     _ptr: np.ndarray = field(init=False, repr=False)
     _items: np.ndarray = field(init=False, repr=False)
     _slots: np.ndarray = field(init=False, repr=False)
@@ -238,18 +240,19 @@ class RecommenderState:
         self.rated = np.flatnonzero(counts)
         by_user = _stable_order(self.item_users, int(self.item_users.max(initial=-1)) + 1)
         senders, starts = np.unique(self.item_users[by_user], return_index=True)
-        self._senders = senders.tolist()
-        self._registered = frozenset(self._senders)
+        self._registered = frozenset(senders.tolist())
         self._ptr = np.append(starts, len(by_user))
-        self._sizes = np.diff(self._ptr).tolist()
+        K = self.V.shape[1]
+        self._forms = [(s, (n,), (n, K)) for s, n in zip(senders.tolist(), np.diff(self._ptr).tolist())]
         self._items = np.repeat(np.arange(len(counts)), counts)[by_user]
         self._slots = np.searchsorted(self.rated, self._items)
-        self._payload = np.empty((self.V.shape[1], len(self._items)))
+        self._payload = np.empty((K, len(self._items)))
 
     def _misfit(self, k: int) -> ProtocolError:
+        s, (n,), _ = self._forms[k]
         return ProtocolError(
-            f"upload from sender {self._senders[k]} does not hold one K-vector "
-            f"for each of the {self._sizes[k]} items it registered"
+            f"upload from sender {s} does not hold one K-vector "
+            f"for each of the {n} items it registered"
         )
 
     def update_item(self, uploads: Iterable[GradientUpload], lam: float, eta: float) -> np.ndarray:
@@ -271,8 +274,11 @@ class RecommenderState:
         delivery order. Each coordinate is one `np.bincount` over them,
         which adds each item's rows one at a time in input order, starting
         from zero, so each item sums its raters' rows in ascending rater
-        order. `np.sum` and `np.add.reduceat` sum pairwise past 8 rows,
-        which would change the bits.
+        order. `np.add.reduceat` would change the bits from 3 rows on: it
+        adds a segment's first row to NumPy's pairwise sum of the rest,
+        which folds from 0.0 below 8 rows, keeps eight accumulators up to
+        128 and halves the rows above that. `np.sum` over a coordinate's
+        rows is that pairwise sum, so it can differ from 8 rows on.
         """
         registered = self._registered
         received: dict[int, GradientUpload] = {}
@@ -283,19 +289,24 @@ class RecommenderState:
             if s in received:
                 raise ProtocolError(f"second upload from sender {s}")
             received[s] = upload
-        if len(received) < len(self._senders):
-            raise ProtocolError(f"no upload from {len(self._senders) - len(received)} registered raters")
-        ordered = [received[s] for s in self._senders]
-        K = self.V.shape[1]
-        for k, (upload, n) in enumerate(zip(ordered, self._sizes)):
-            if not _holds_rows(upload, n, K):
+        if len(received) < len(registered):
+            raise ProtocolError(f"no upload from {len(registered) - len(received)} registered raters")
+        items, payloads = [], []
+        ndarray = np.ndarray
+        for k, (s, row, block) in enumerate(self._forms):
+            upload = received[s]
+            a, p = upload.items, upload.payload
+            if not (isinstance(a, ndarray) and a.dtype.kind in "iu" and a.shape == row
+                    and isinstance(p, ndarray) and p.dtype.kind == "f" and p.shape == block):
                 raise self._misfit(k)
-        if ordered:
-            wrong = np.flatnonzero(np.concatenate([upload.items for upload in ordered]) != self._items)
+            items.append(a)
+            payloads.append(p)
+        if items:
+            wrong = np.flatnonzero(np.concatenate(items) != self._items)
             if len(wrong):
                 raise self._misfit(int(np.searchsorted(self._ptr, wrong[0], side="right")) - 1)
-            np.concatenate([upload.payload for upload in ordered], out=self._payload.T)
-        g = np.empty((len(self.rated), K))
+            np.concatenate(payloads, out=self._payload.T)
+        g = np.empty((len(self.rated), self.V.shape[1]))
         for k, column in enumerate(self._payload):
             g[:, k] = np.bincount(self._slots, weights=column, minlength=len(self.rated))
         g += 2.0 * lam * self.V[self.rated]
@@ -317,9 +328,10 @@ def _train_messages(
     # the plan's by-item slots, which train matched to the dataset
     recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
     counts = np.diff(plan.item_ptr)[recommender.rated].tolist()
-    # every trace line but its epoch number: ",item,{j},{raters}," or ",user,{i},0,"
-    item_lines = [f",item,{j},{n}," for j, n in zip(recommender.rated.tolist(), counts)]
-    user_lines = [f",user,{i},0," for i in range(dataset.n_users)]
+    # every trace line of an epoch but its epoch number, the item phase's
+    # then the user phase's: ",item,{j},{raters}," or ",user,{i},0,"
+    lines = ([f",item,{j},{n}," for j, n in zip(recommender.rated.tolist(), counts)]
+             + [f",user,{i},0," for i in range(dataset.n_users)])
     channel.n_registrations += len(plan.item_users)
     channel.n_broadcasts += len(recommender.rated)
     # devices read V through this; it changes only between the phases
@@ -328,16 +340,14 @@ def _train_messages(
 
     def epoch(t: int, eta: float) -> None:
         grad = recommender.update_item(
-            (channel.deliver_gradient(upload) for upload in devices.emit_gradient(V_ro)),
-            cfg.lam, eta,
+            map(channel.deliver_gradient, devices.emit_gradient(V_ro)), cfg.lam, eta
         )
-        if trace is not None:
-            norms = np.sqrt(np.einsum("ij,ij->i", grad, grad)).tolist()
-            trace.write("".join(f"{t}{line}{norm!r}\n" for line, norm in zip(item_lines, norms)))
         channel.broadcast()  # end-of-item-phase V distribution
-        norms = devices.update_user(V_ro, cfg.lam, eta)
+        user_norms = devices.update_user(V_ro, cfg.lam, eta)
         if trace is not None:
-            trace.write("".join(f"{t}{line}{norm!r}\n" for line, norm in zip(user_lines, norms.tolist())))
+            norms = np.concatenate((np.sqrt(np.einsum("ij,ij->i", grad, grad)), user_norms)).tolist()
+            ts = str(t)
+            trace.write("".join([f"{ts}{line}{norm!r}\n" for line, norm in zip(lines, norms)]))
 
     return engine.run_epochs(model, epoch, cfg, after_epoch)
 

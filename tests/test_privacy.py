@@ -137,6 +137,29 @@ class TestRescalePrediction:
         assert _predict_one(raw, 5e-324, 1.0, 5.0) == clamped
 
 
+def _pairwise_sum(rows):
+    """NumPy's pairwise sum of (n, K) rows, one coordinate at a time: a fold
+    from 0.0 below 8 rows, eight interleaved accumulators up to 128 rows,
+    else the two halves at a multiple of 8, each summed so."""
+    n = len(rows)
+    if n < 8:
+        total = np.zeros(rows.shape[1])
+        for row in rows:
+            total = total + row
+        return total
+    if n <= 128:
+        acc = list(rows[:8])
+        end = n - n % 8
+        for i in range(8, end, 8):
+            acc = [a + row for a, row in zip(acc, rows[i : i + 8])]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for row in rows[end:]:
+            total = total + row
+        return total
+    half = n // 2 - n // 2 % 8
+    return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
+
+
 def _complete_dataset(n_users, n_items, rating=3.0):
     users, items = np.meshgrid(np.arange(n_users), np.arange(n_items), indexing="ij")
     return RatingDataset(
@@ -241,6 +264,32 @@ class TestNoisePlan:
         monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
         streamed = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12).item_totals
         assert streamed.tobytes() == expected.tobytes()
+
+    def test_item_totals_follow_reduceat_order(self):
+        # each item's total is its first share plus NumPy's pairwise sum of
+        # the rest, the order of np.add.reduceat, not a fold in slot order;
+        # a pass that sums the shares elsewhere must keep this order to keep
+        # the bits. The counts cover the pairwise sum's three regimes: a
+        # fold from 0.0 below 8 rows, eight accumulators up to 128 and
+        # halving above that; item 13 has no rater
+        counts = [1, 2, 3, 7, 8, 9, 16, 17, 64, 128, 129, 136, 300, 0]
+        users = np.concatenate([np.arange(n) for n in counts])
+        items = np.repeat(np.arange(len(counts)), counts)
+        ds = RatingDataset(users, items, np.full(len(users), 3.0), max(counts), len(counts), 1, 5)
+        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=17)
+        shares = plan.shares
+        expected = np.zeros((len(counts), 3))
+        folded = 0
+        for j, n in enumerate(counts):
+            if n:
+                rows = shares[plan.item_ptr[j] : plan.item_ptr[j + 1]]
+                expected[j] = rows[0] + _pairwise_sum(rows[1:])
+                fold = rows[0]
+                for row in rows[1:]:
+                    fold = fold + row
+                folded += fold.tobytes() != expected[j].tobytes()
+        assert plan.item_totals.tobytes() == expected.tobytes()
+        assert folded  # the oracle is not a fold in disguise
 
     def test_item_totals_never_hold_the_shares(self):
         import tracemalloc

@@ -2,7 +2,8 @@
 the centralized gradients, engine agreement, and the information-flow
 contract."""
 
-from dataclasses import replace
+import io
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -176,6 +177,80 @@ class TestRecommenderUpdate:
         expected.update_item(wide, 0.01, 0.1)
         state.update_item(narrow, 0.01, 0.1)
         assert state.V.tobytes() == expected.V.tobytes()
+
+
+class TestUploadLifetime:
+    """Each device has one upload for the whole run: read-only views of its
+    items and of its rows of the payload buffer, which every item phase
+    refills."""
+
+    @staticmethod
+    def _inputs(synth_factory, epochs):
+        ds = synth_factory(n_users=12, n_items=10, mean_per_user=5, master_seed=21)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=1)
+        cfg = ExperimentConfig(epochs=epochs, eta0=0.05, lam=0.01, k=3, engine="messages")
+        return method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 1), cfg
+
+    def test_each_call_returns_a_new_list_of_the_same_uploads(self, synth_factory):
+        (train_set, entry_weights, plan), cfg = self._inputs(synth_factory, 1)
+        U = init_model(train_set.n_users, train_set.n_items, cfg.k, 1).U
+        devices = UserDevices.from_dataset(train_set, entry_weights * train_set.ratings, plan, U)
+        V = np.ones((train_set.n_items, cfg.k))
+        first, second = devices.emit_gradient(V), devices.emit_gradient(V)
+        assert first is not second
+        assert all(a is b for a, b in zip(first, second)) and len(first) == len(second)
+
+    def test_writing_to_an_upload_raises_and_changes_nothing(self, synth_factory):
+        inputs, cfg = self._inputs(synth_factory, 3)
+        tried = []
+
+        class Tampering(MessageChannel):
+            # recommender-side code that tries to rewrite every upload it
+            # is handed, in place and by reassigning its fields
+            def deliver_gradient(self, upload):
+                for name in ("items", "payload"):
+                    array = getattr(upload, name)
+                    with pytest.raises(ValueError, match="read-only"):
+                        array[0] = array[0] + 1
+                    with pytest.raises(FrozenInstanceError):
+                        setattr(upload, name, array.copy())
+                tried.append(upload.sender)
+                return super().deliver_gradient(upload)
+
+        runs = []
+        for channel in (MessageChannel(), Tampering()):
+            trace = io.StringIO()
+            model = train(*inputs, cfg, 1, channel=channel, trace=trace)
+            runs.append((model.U.tobytes(), model.V.tobytes(), trace.getvalue()))
+        assert len(tried) == cfg.epochs * len(np.unique(inputs[0].users))
+        assert runs[0] == runs[1]
+
+    def test_capture_logs_each_epochs_own_payloads(self, synth_factory, monkeypatch):
+        (train_set, entry_weights, plan), cfg = self._inputs(synth_factory, 3)
+        seen = []  # U and V as the devices saw them at each item phase
+        emit = UserDevices.emit_gradient
+
+        def recording(devices, V):
+            seen.append((devices.U.copy(), V.copy()))
+            return emit(devices, V)
+
+        monkeypatch.setattr(UserDevices, "emit_gradient", recording)
+        channel = MessageChannel(capture=True)
+        train(train_set, entry_weights, plan, cfg, 1, channel=channel)
+        monkeypatch.undo()
+
+        n = len(np.unique(train_set.users))
+        assert len(seen) == cfg.epochs and len(channel.gradient_log) == cfg.epochs * n
+        for t, (U, V) in enumerate(seen):
+            devices = UserDevices.from_dataset(train_set, entry_weights * train_set.ratings, plan, U)
+            for logged, sent in zip(channel.gradient_log[t * n : (t + 1) * n], devices.emit_gradient(V)):
+                assert logged.sender == sent.sender
+                assert logged.items.tobytes() == sent.items.tobytes()
+                assert logged.payload.tobytes() == sent.payload.tobytes()
+        # the epochs' payloads differ, so a log that kept views of the
+        # devices' one payload buffer would hold one epoch's values thrice
+        first, last = channel.gradient_log[0], channel.gradient_log[-n]
+        assert first.payload.tobytes() != last.payload.tobytes()
 
 
 class TestDeviceUpdateUser:
@@ -359,9 +434,12 @@ class TestItemPhaseProperties:
         assert ends[0].tobytes() == ends[1].tobytes() == expected.tobytes()
 
     def test_items_with_many_raters_keep_the_rater_order(self):
-        # engine_cases draws at most 6 users, and up to 8 rows a pairwise
-        # sum (np.sum, np.add.reduceat) equals a sequential one; items 0, 1
-        # and 2 here have 9, 64 and 200 raters
+        # engine_cases draws at most 6 users, and below 8 rows NumPy's
+        # pairwise sum of a coordinate's rows (np.sum) is a fold from 0.0,
+        # so only more raters tell it from this one; items 0, 1 and 2 here
+        # have 9, 64 and 200, which take its eight accumulators and its
+        # halving above 128 rows (np.add.reduceat differs from 3 rows on:
+        # it adds a segment's first row to the pairwise sum of the rest)
         rng = np.random.default_rng(11)
         K = 3
         raters = {j: np.sort(rng.choice(200, n, replace=False)).tolist() for j, n in enumerate((9, 64, 200))}
