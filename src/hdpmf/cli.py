@@ -24,9 +24,10 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, parse_config
 from .diagnostics import MIN_SAMPLES, check_noise_composition
-from .evaluation import emit_results, load_dataset, run_experiment
+from .evaluation import LOSS_TRACE_HEADER, emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
 from .kernels import backend_name
+from .protocol import TRACE_HEADER
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
 
@@ -122,11 +123,10 @@ def cmd_run(config_path: str) -> int:
     with ExitStack() as stack:
         trace = None
         if cfg.trace is not None:
-            trace = stack.enter_context(
-                _replace_on_success(cfg.trace, "# epoch,kind,index,message_count,gradient_norm\n"))
+            trace = stack.enter_context(_replace_on_success(cfg.trace, TRACE_HEADER))
         loss_trace = None
         if cfg.loss_trace is not None:
-            loss_trace = stack.enter_context(_replace_on_success(cfg.loss_trace, "# seed,epoch,objective\n"))
+            loss_trace = stack.enter_context(_replace_on_success(cfg.loss_trace, LOSS_TRACE_HEADER))
         result = run_experiment(cfg, dataset=dataset, trace=trace, loss_trace=loss_trace)
     emit_results([result], cfg.output, provenance=_provenance(cfg))
     print(f"method={cfg.method.value} dataset={cfg.dataset} seeds={len(cfg.seeds)}")

@@ -17,6 +17,7 @@ from .config import ExperimentConfig
 from .data import RatingDataset
 from .exceptions import DivergedRunError
 from .model import FactorModel, learning_rate
+from .privacy import NoisePlan
 
 
 def run_epochs(
@@ -47,7 +48,7 @@ def fit(
     model: FactorModel,
     dataset: RatingDataset,
     train_vals: np.ndarray,
-    noise_totals: np.ndarray,
+    plan: NoisePlan,
     cfg: ExperimentConfig,
     after_epoch: Callable[[], None] | None = None,
 ) -> FactorModel:
@@ -56,30 +57,25 @@ def fit(
 
     `train_vals` are the per-entry regression targets in the dataset's
     canonical entry order (raw ratings for plain MF, w_ij * r_ij when
-    stretching). `noise_totals` holds the fixed per-item noise vectors
-    (zero rows for the noise-free limit). Each epoch is an item phase, then
-    a user phase, each a Jacobi sweep: every step of a phase reads only the
+    stretching). `plan` is the run's noise plan, which `protocol.train`
+    has checked against the dataset: the item phase reads its by-item
+    layout, and its `item_totals` as the fixed per-item noise vectors (zero
+    rows for the noise-free plan). Each epoch is an item phase, then a user
+    phase, each a Jacobi sweep: every step of a phase reads only the
     factors as they were when the phase began, so the result is a pure
     function of the inputs. User vectors are projected onto the unit ball
     after every user step. The loop is `run_epochs`, so the first epoch that
     leaves a non-finite factor raises DivergedRunError.
     """
-    train_vals = np.ascontiguousarray(train_vals, dtype=np.float64)
-    if train_vals.shape != (len(dataset),):
-        raise ValueError("train_vals must align with dataset entries")
-    noise_totals = np.ascontiguousarray(noise_totals, dtype=np.float64)
-    if noise_totals.shape != model.V.shape:
-        raise ValueError(f"noise_totals must have shape {model.V.shape}")
-
     user_ptr, _ = dataset.by_user
-    item_ptr, item_order = dataset.by_item
-    item_users = np.ascontiguousarray(dataset.users[item_order])
-    item_vals = np.ascontiguousarray(train_vals[item_order])
+    _, item_order = dataset.by_item
+    item_vals = train_vals[item_order]
+    noise_totals = plan.item_totals
 
     def epoch(t: int, eta: float) -> None:
         kernels.run_epoch(
             model.U, model.V,
-            item_ptr, item_users, item_vals, noise_totals,
+            plan.item_ptr, plan.item_users, item_vals, noise_totals,
             user_ptr, dataset.items, train_vals,
             cfg.lam, eta, True,
         )

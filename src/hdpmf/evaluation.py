@@ -157,6 +157,10 @@ def run_single_seed(
     return SeedResult(seed, mse(preds, truths), mae(preds, truths))
 
 
+# the first line of a loss trace; `run_experiment` writes the rest
+LOSS_TRACE_HEADER = "# seed,epoch,objective\n"
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     dataset: RatingDataset | None = None,

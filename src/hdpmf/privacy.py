@@ -184,17 +184,6 @@ class NoisePlan:
         items = np.repeat(np.arange(len(self.item_ptr) - 1), np.diff(self.item_ptr))
         return self.draw_shares(items, self.item_users)
 
-    def share(self, i: int, j: int) -> np.ndarray:
-        """The share x_j^i contributed by user i to item j; KeyError if i
-        did not rate j."""
-        if not 0 <= j < len(self.item_ptr) - 1:
-            raise KeyError((i, j))
-        s, e = self.item_ptr[j], self.item_ptr[j + 1]
-        p = s + np.searchsorted(self.item_users[s:e], i)
-        if p == e or self.item_users[p] != i:
-            raise KeyError((i, j))
-        return self.draw_shares([j], [i])[0]
-
     @cached_property
     def item_totals(self) -> np.ndarray:
         """(n_items, K) aggregated noise per item; zero rows where unrated.

@@ -22,7 +22,8 @@ run it in the one training loop, `engine.run_epochs`:
   GradientUpload values through a MessageChannel, which counts and audits
   them row by row, used for protocol audits, traces, and tests. Only this
   path takes a channel or a trace. Set-up traffic (a registration per
-  rating, an h_j distribution per rated item) is counted from the plan.
+  rating, an h_j distribution per rated item) is counted from the
+  devices' registrations, which are the recommender's registry.
 
 `UserDevices` simulates every device at once, as one array pass per phase.
 It holds each device's private state in the by-user CSR order: its rated
@@ -37,15 +38,16 @@ devices: its items and payload are read-only views of the device's items
 and of its rows of the payload buffer that every phase reuses, so a
 payload holds the current item phase's rows until the devices' next step
 overwrites them. The channel counts, and with capture on copies, every
-row of every upload. The recommender reads the uploads it is given, never
-the devices' arrays, in three passes: it receives them, rejecting an
-unregistered sender or a second upload in arrival order; it checks that
-every registered rater sent one, then, in one pass in ascending sender
-order, that each is an integer item array and a real floating payload of
-its registered size, then that the rows are its registry exactly; then
-it folds each coordinate in one `np.bincount` over the rows in that
-order, whatever the delivery order, so each item adds its raters' rows
-one at a time in ascending rater order.
+row of every upload. Apart from the registrations, which it holds as
+read-only views, the recommender reads only the uploads it is given, in
+three passes: it receives them, rejecting an unregistered sender or a
+second upload in arrival order; it checks that every registered rater
+sent one, then, in one pass in ascending sender order, that each is an
+integer item array and a real floating payload of its registered size,
+then that the rows are its registry exactly; then it folds each
+coordinate in one `np.bincount` over the rows in that order, whatever the
+delivery order, so each item adds its raters' rows one at a time in
+ascending rater order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
@@ -64,7 +66,7 @@ import numpy as np
 
 from . import engine
 from .config import ExperimentConfig
-from .data import RatingDataset, _stable_order
+from .data import RatingDataset
 from .exceptions import ProtocolError
 from .model import FactorModel, init_model, objective_value
 from .privacy import NoisePlan, WeightAssignment
@@ -214,42 +216,39 @@ UserDevice = UserDevices
 @dataclass
 class RecommenderState:
     """What the untrusted recommender is allowed to hold: the item factors
-    and the rater registry, item j's registered raters being
-    item_users[item_ptr[j]:item_ptr[j + 1]] in ascending order (membership
-    only). `rated` lists the items with at least one rater, ascending."""
+    and the rater registry as the devices registered it, sender i's items
+    being sender_items[sender_ptr[i]:sender_ptr[i + 1]] in ascending order
+    (membership only). `rated` lists the items with at least one rater,
+    ascending, and `n_raters` how many each has."""
 
     V: np.ndarray
-    item_ptr: np.ndarray  # (n_items + 1,)
-    item_users: np.ndarray
+    sender_ptr: np.ndarray  # (n_senders + 1,)
+    sender_items: np.ndarray  # (n_registrations,)
     rated: np.ndarray = field(init=False, repr=False)
-    # the registry by sender: the registered raters, ascending, each with
-    # the shapes of the item array and payload of its n items, (n,) and
-    # (n, K), and their items, ascending, sender k's being
-    # _items[_ptr[k]:_ptr[k + 1]]; then each of those rows' index in `rated`
+    n_raters: np.ndarray = field(init=False, repr=False)
+    # the registered raters, ascending, each with the shapes of the item
+    # array and payload of its n items, (n,) and (n, K); then each
+    # registration's index in `rated`
     _forms: list[tuple[int, tuple[int], tuple[int, int]]] = field(init=False, repr=False)
     _registered: frozenset[int] = field(init=False, repr=False)
-    _ptr: np.ndarray = field(init=False, repr=False)
-    _items: np.ndarray = field(init=False, repr=False)
     _slots: np.ndarray = field(init=False, repr=False)
-    # (K, nnz): the received payloads, one coordinate per row, so that each
-    # coordinate is contiguous; every item phase reuses it
+    # (K, n_registrations): the received payloads, one coordinate per row,
+    # so that each coordinate is contiguous; every item phase reuses it
     _payload: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        counts = np.diff(self.item_ptr)
-        self.rated = np.flatnonzero(counts)
-        by_user = _stable_order(self.item_users, int(self.item_users.max(initial=-1)) + 1)
-        senders, starts = np.unique(self.item_users[by_user], return_index=True)
+        self.rated, self._slots, self.n_raters = np.unique(
+            self.sender_items, return_inverse=True, return_counts=True
+        )
+        counts = np.diff(self.sender_ptr)
+        senders = np.flatnonzero(counts)
         self._registered = frozenset(senders.tolist())
-        self._ptr = np.append(starts, len(by_user))
         K = self.V.shape[1]
-        self._forms = [(s, (n,), (n, K)) for s, n in zip(senders.tolist(), np.diff(self._ptr).tolist())]
-        self._items = np.repeat(np.arange(len(counts)), counts)[by_user]
-        self._slots = np.searchsorted(self.rated, self._items)
-        self._payload = np.empty((K, len(self._items)))
+        self._forms = [(s, (n,), (n, K)) for s, n in zip(senders.tolist(), counts[senders].tolist())]
+        self._payload = np.empty((K, len(self.sender_items)))
 
-    def _misfit(self, k: int) -> ProtocolError:
-        s, (n,), _ = self._forms[k]
+    def _misfit(self, s: int) -> ProtocolError:
+        n = int(self.sender_ptr[s + 1] - self.sender_ptr[s])
         return ProtocolError(
             f"upload from sender {s} does not hold one K-vector "
             f"for each of the {n} items it registered"
@@ -293,18 +292,18 @@ class RecommenderState:
             raise ProtocolError(f"no upload from {len(registered) - len(received)} registered raters")
         items, payloads = [], []
         ndarray = np.ndarray
-        for k, (s, row, block) in enumerate(self._forms):
+        for s, row, block in self._forms:
             upload = received[s]
             a, p = upload.items, upload.payload
             if not (isinstance(a, ndarray) and a.dtype.kind in "iu" and a.shape == row
                     and isinstance(p, ndarray) and p.dtype.kind == "f" and p.shape == block):
-                raise self._misfit(k)
+                raise self._misfit(s)
             items.append(a)
             payloads.append(p)
         if items:
-            wrong = np.flatnonzero(np.concatenate(items) != self._items)
+            wrong = np.flatnonzero(np.concatenate(items) != self.sender_items)
             if len(wrong):
-                raise self._misfit(int(np.searchsorted(self._ptr, wrong[0], side="right")) - 1)
+                raise self._misfit(int(np.searchsorted(self.sender_ptr, wrong[0], side="right")) - 1)
             np.concatenate(payloads, out=self._payload.T)
         g = np.empty((len(self.rated), self.V.shape[1]))
         for k, column in enumerate(self._payload):
@@ -312,6 +311,10 @@ class RecommenderState:
         g += 2.0 * lam * self.V[self.rated]
         self.V[self.rated] = self.V[self.rated] - eta * g
         return g
+
+
+# the first line of a message trace; `_train_messages` writes the rest
+TRACE_HEADER = "# epoch,kind,index,message_count,gradient_norm\n"
 
 
 def _train_messages(
@@ -325,18 +328,18 @@ def _train_messages(
     after_epoch: Callable[[], None] | None,
 ) -> FactorModel:
     devices = UserDevices.from_dataset(dataset, targets, plan, model.U)
-    # the plan's by-item slots, which train matched to the dataset
-    recommender = RecommenderState(model.V, plan.item_ptr, plan.item_users)
-    counts = np.diff(plan.item_ptr)[recommender.rated].tolist()
+    # each side reads the other's arrays through read-only views: the
+    # recommender the devices' registrations, the devices V, which changes
+    # only between the phases
+    sender_ptr, sender_items, V_ro = devices.ptr.view(), devices.items.view(), model.V.view()
+    sender_ptr.flags.writeable = sender_items.flags.writeable = V_ro.flags.writeable = False
+    recommender = RecommenderState(model.V, sender_ptr, sender_items)
     # every trace line of an epoch but its epoch number, the item phase's
     # then the user phase's: ",item,{j},{raters}," or ",user,{i},0,"
-    lines = ([f",item,{j},{n}," for j, n in zip(recommender.rated.tolist(), counts)]
-             + [f",user,{i},0," for i in range(dataset.n_users)])
-    channel.n_registrations += len(plan.item_users)
+    rated = zip(recommender.rated.tolist(), recommender.n_raters.tolist())
+    lines = [f",item,{j},{n}," for j, n in rated] + [f",user,{i},0," for i in range(dataset.n_users)]
+    channel.n_registrations += len(sender_items)
     channel.n_broadcasts += len(recommender.rated)
-    # devices read V through this; it changes only between the phases
-    V_ro = recommender.V.view()
-    V_ro.flags.writeable = False
 
     def epoch(t: int, eta: float) -> None:
         grad = recommender.update_item(
@@ -398,7 +401,7 @@ def train(
             channel if channel is not None else MessageChannel(),
             trace, after_epoch,
         )
-    return engine.fit(model, dataset, targets, plan.item_totals, cfg, after_epoch)
+    return engine.fit(model, dataset, targets, plan, cfg, after_epoch)
 
 
 def predict_all(

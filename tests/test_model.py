@@ -177,7 +177,7 @@ class TestObjective:
         expected = model.lam * (np.sum(model.U**2) + np.sum(model.V**2))
         for i, j, r in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()):
             resid = weights.weight(i, j) * r - model.U[i] @ model.V[j]
-            expected += resid**2 + model.V[j] @ plan.share(i, j)
+            expected += resid**2 + model.V[j] @ plan.draw_shares([j], [i])[0]
         assert _objective(model, ds, weights, plan) == pytest.approx(expected, rel=1e-10)
 
 

@@ -180,7 +180,7 @@ class TestNoisePlan:
             for i in raters:
                 c = sigma * keyed_normal(11, "noise-c", [j], [i], 4)[0]
                 expected = (2.0 * 4.0 / 1.0) * np.sqrt(2.0 * 4 * h) * c
-                assert np.array_equal(plan.share(int(i), j), expected)
+                assert np.array_equal(plan.draw_shares([j], [i])[0], expected)
 
     def test_rebuild_bitwise_identical(self):
         ds = _complete_dataset(4, 3)
@@ -203,17 +203,7 @@ class TestNoisePlan:
         plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=7)
         c = keyed_normal(7, "noise-c", [0], [0], 3)[0]
         expected = 8.0 * np.sqrt(6.0 * plan.h[0]) * c
-        assert np.allclose(plan.share(0, 0), expected, rtol=1e-12)
-
-    def test_share_of_unrated_pair_raises(self):
-        ds = RatingDataset(
-            np.array([0, 2, 1]), np.array([0, 0, 1]), np.array([3.0, 4.0, 5.0]), 3, 3, 1, 5
-        )
-        plan = build_noise_plan(ds, 2, 4.0, 1.0, master_seed=0)
-        assert np.array_equal(plan.share(2, 0), plan.shares[1])
-        for i, j in ((1, 0), (3, 0), (0, 1), (0, 2), (0, 3), (0, -1)):
-            with pytest.raises(KeyError):
-                plan.share(i, j)
+        assert np.allclose(plan.draw_shares([0], [0])[0], expected, rtol=1e-12)
 
     def test_item_totals_match_per_item_loop(self):
         ds = RatingDataset(
@@ -311,7 +301,7 @@ class TestNoisePlan:
         ds = _complete_dataset(5, 2)
         plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=2)
         for j in range(2):
-            total = sum(plan.share(i, j) for i in range(5))
+            total = sum(plan.draw_shares([j], [i])[0] for i in range(5))
             assert np.allclose(plan.item_totals[j], total, rtol=1e-12)
 
     def test_rater_c_variances_compose_to_one(self):
@@ -424,7 +414,7 @@ class TestKeyedDraws:
 
         def unit_draw(plan, i, j):
             n_j = plan.item_ptr[j + 1] - plan.item_ptr[j]
-            return plan.share(i, j) / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
+            return plan.draw_shares([j], [i])[0] / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
 
         for i, j in zip(sub.users, sub.items):
             assert np.array_equal(part.h[j], full.h[j])

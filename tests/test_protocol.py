@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from hdpmf import protocol
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
@@ -41,14 +42,16 @@ def make_device(u, ratings, weights, shares=None):
     )
 
 
-def make_state(V, raters):
-    """A recommender holding V, with {item: ascending raters} as its
-    registry."""
+def make_state(V, registered):
+    """A recommender holding V, with {sender: ascending items} as its
+    registry, held by sender as the devices register it; a sender below
+    the largest that is not listed registered nothing."""
     V = np.asarray(V, dtype=float)
-    counts = [len(raters.get(j, ())) for j in range(len(V))]
-    ptr = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-    users = np.array([i for j in range(len(V)) for i in raters.get(j, ())], dtype=np.int64)
-    return RecommenderState(V, ptr, users)
+    counts = [len(registered.get(i, ())) for i in range(max(registered, default=-1) + 1)]
+    items = [j for i in range(len(counts)) for j in registered.get(i, ())]
+    return RecommenderState(
+        V, np.concatenate(([0], np.cumsum(counts))).astype(np.int64), np.array(items, dtype=np.int64)
+    )
 
 
 def upload(sender, rows):
@@ -79,7 +82,7 @@ class TestDeviceEmit:
 
 class TestRecommenderUpdate:
     def test_zero_payloads_no_reg(self):
-        state = make_state([[0.4, 0.2]], {0: [0, 1]})
+        state = make_state([[0.4, 0.2]], {0: [0], 1: [0]})
         state.update_item([upload(0, {0: [0.0, 0.0]}), upload(1, {0: [0.0, 0.0]})], lam=0.0, eta=0.1)
         assert state.V[0].tolist() == [0.4, 0.2]
 
@@ -96,23 +99,22 @@ class TestRecommenderUpdate:
         assert state.V.tobytes() == before.tobytes()
 
     def test_missing_rater_rejected(self):
-        state = make_state([[0.1, 0.2]], {0: [0, 1]})
+        state = make_state([[0.1, 0.2]], {0: [0], 1: [0]})
         self._rejected(state, [upload(0, {0: [1.0, 1.0]})])
 
     def test_duplicate_rater_rejected(self):
-        state = make_state([[0.1, 0.2]], {0: [0, 1]})
+        state = make_state([[0.1, 0.2]], {0: [0], 1: [0]})
         self._rejected(state, [upload(0, {0: [1.0, 1.0]}), upload(0, {0: [1.0, 1.0]})])
 
     def test_wrong_item_rejected(self):
-        state = make_state([[0.1, 0.2], [0.3, 0.4]], {1: [0]})
+        state = make_state([[0.1, 0.2], [0.3, 0.4]], {0: [1]})
         self._rejected(state, [upload(0, {0: [1.0, 1.0]})], match="sender 0 ")
 
     @pytest.mark.parametrize("wrong", [0, 1, 2])
     def test_wrong_item_rejection_names_its_sender(self, wrong):
-        # senders 0, 1 and 2 registered items [0], [0, 1] and [1]; the
-        # wrong sender puts a row on item 2 in place of its last item
-        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        # the wrong sender puts a row on item 2 in place of its last item
         registered = {0: [0], 1: [0, 1], 2: [1]}
+        state = make_state(np.zeros((3, 2)), registered)
         registered[wrong] = registered[wrong][:-1] + [2]
         uploads = [upload(s, dict.fromkeys(items, [1.0, 1.0])) for s, items in registered.items()]
         self._rejected(state, uploads, match=f"sender {wrong} ")
@@ -144,8 +146,9 @@ class TestRecommenderUpdate:
     def test_rejection_order(self, uploads, match):
         # arrival-order sender errors first, then missing raters, then the
         # form of each upload in sender order, then its items
-        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
-        registered = {0: [0], 1: [0, 1], 2: [1], 9: [0]}
+        registered = {0: [0], 1: [0, 1], 2: [1]}
+        state = make_state(np.zeros((3, 2)), registered)
+        registered[9] = [0]
         made = []
         for s, kind in uploads:
             items = registered[s][:-1] + [2] if kind == "item" else registered[s]
@@ -163,17 +166,17 @@ class TestRecommenderUpdate:
         # sender 1 registered items [0, 1]; each of these equals that
         # registry row by row under ==, but is no integer item array with a
         # real floating payload
-        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        state = make_state(np.zeros((3, 2)), {0: [0], 1: [0, 1], 2: [1]})
         uploads = [upload(0, {0: [1.0, 1.0]}), GradientUpload(1, items, payload), upload(2, {1: [1.0, 1.0]})]
         self._rejected(state, uploads, match="sender 1 ")
 
     def test_narrow_integer_and_float_dtypes_accepted(self):
-        state = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        state = make_state(np.zeros((3, 2)), {0: [0], 1: [0, 1], 2: [1]})
         wide = [upload(0, {0: [1.0, 2.0]}), upload(1, {0: [0.5, 0.25], 1: [3.0, -1.0]}),
                 upload(2, {1: [4.0, 8.0]})]
         narrow = [GradientUpload(up.sender, up.items.astype(np.uint16), up.payload.astype(np.float32))
                   for up in wide]
-        expected = make_state(np.zeros((3, 2)), {0: [0, 1], 1: [1, 2]})
+        expected = make_state(np.zeros((3, 2)), {0: [0], 1: [0, 1], 2: [1]})
         expected.update_item(wide, 0.01, 0.1)
         state.update_item(narrow, 0.01, 0.1)
         assert state.V.tobytes() == expected.V.tobytes()
@@ -345,7 +348,7 @@ class TestDeviceConstruction:
             assert np.array_equal(devices.items[s:e], train_set.items[rated])
             assert np.array_equal(devices.wr[s:e], entry_weights[rated] * train_set.ratings[rated])
             for row, j in zip(devices.shares[s:e], devices.items[s:e].tolist()):
-                assert row.tobytes() == plan.share(i, j).tobytes()
+                assert row.tobytes() == plan.draw_shares([j], [i])[0].tobytes()
 
 
 class TestDeviceOracle:
@@ -379,7 +382,8 @@ class TestDeviceOracle:
             assert np.array_equal(up.items, train_set.items[s:ptr[i + 1]])
             for r, j in enumerate(up.items.tolist()):
                 # the one rater's summand: its residual term plus its share
-                summand = item_gradient(V[j], U0[i][None], targets[s + r : s + r + 1], plan.share(i, j), 0.0)
+                share = plan.draw_shares([j], [i])[0]
+                summand = item_gradient(V[j], U0[i][None], targets[s + r : s + r + 1], share, 0.0)
                 np.testing.assert_allclose(up.payload[r], summand, rtol=1e-12, atol=1e-12)
 
         norms = devices.update_user(V, lam, eta)
@@ -392,8 +396,8 @@ class TestDeviceOracle:
 
 
 def item_phase(case):
-    """The registry and one epoch's uploads for an engine case, from the
-    model's initial V; None when nobody rated anything."""
+    """The model's initial V, the plan, the devices and one epoch's uploads
+    for an engine case; None when nobody rated anything."""
     ds, K, method, seed = case
     weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, seed)
     train_set, entry_weights, plan = method_inputs(method, ds, weights, 1.0, K, seed)
@@ -401,7 +405,7 @@ def item_phase(case):
         return None
     model = init_model(train_set.n_users, train_set.n_items, K, seed)
     devices = UserDevices.from_dataset(train_set, entry_weights * train_set.ratings, plan, model.U)
-    return model.V, plan, devices.emit_gradient(model.V)
+    return model.V, plan, devices, devices.emit_gradient(model.V)
 
 
 class TestItemPhaseProperties:
@@ -413,11 +417,11 @@ class TestItemPhaseProperties:
         phase = item_phase(case)
         if phase is None:
             return
-        V0, plan, uploads = phase
+        V0, plan, devices, uploads = phase
         order = data.draw(st.permutations(range(len(uploads))))
         ends = []
         for batch in (uploads, [uploads[k] for k in order]):
-            state = RecommenderState(V0.copy(), plan.item_ptr, plan.item_users)
+            state = RecommenderState(V0.copy(), devices.ptr, devices.items)
             state.update_item(iter(batch), self.LAM, self.ETA)
             ends.append(state.V)
         # the reference: each item adds its rows one at a time in ascending
@@ -449,7 +453,7 @@ class TestItemPhaseProperties:
                 for j, users in raters.items() for i in users}
         uploads = [upload(i, {j: rows[i, j] for j in raters if i in raters[j]}) for i in range(200)]
         V0 = rng.normal(size=(3, K))
-        state = make_state(V0.copy(), raters)
+        state = make_state(V0.copy(), {i: [j for j in raters if i in raters[j]] for i in range(200)})
         state.update_item([uploads[k] for k in rng.permutation(len(uploads))], self.LAM, self.ETA)
         expected = V0.copy()
         for j, users in raters.items():
@@ -466,7 +470,7 @@ class TestItemPhaseProperties:
         phase = item_phase(case)
         if phase is None:
             return
-        V0, plan, uploads = phase
+        V0, _, devices, uploads = phase
         k = data.draw(st.integers(0, len(uploads) - 1))
         up = uploads[k]
         r = data.draw(st.integers(0, len(up.items) - 1))
@@ -477,10 +481,9 @@ class TestItemPhaseProperties:
         elif kind == "duplicate":
             items, payload = np.insert(items, r, items[r]), np.insert(payload, r, payload[r], axis=0)
         else:
-            n_items = len(plan.item_ptr) - 1
-            items[r] = data.draw(st.integers(-1, n_items).filter(lambda j: j != up.items[r]))
+            items[r] = data.draw(st.integers(-1, len(V0)).filter(lambda j: j != up.items[r]))
         uploads[k] = GradientUpload(up.sender, items, payload)
-        state = RecommenderState(V0.copy(), plan.item_ptr, plan.item_users)
+        state = RecommenderState(V0.copy(), devices.ptr, devices.items)
         with pytest.raises(ProtocolError):
             state.update_item(uploads, self.LAM, self.ETA)
         assert state.V.tobytes() == V0.tobytes()
@@ -499,6 +502,62 @@ class TestItemPhaseProperties:
         counts = [int(line.split(",")[3]) for line in buf.getvalue().splitlines()
                   if line.split(",")[1] == "item"]
         assert sum(counts) == len(inputs[0]) * epochs == channel.n_gradient_messages
+
+
+class TestRecommenderRegistry:
+    """The recommender holds the devices' registrations as they sent them,
+    by sender, and reads them without writing them."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=engine_cases())
+    # user 1 rated nothing and item 2 has no rater
+    @example(case=(RatingDataset(np.array([0, 0, 2]), np.array([0, 1, 1]), np.array([3.0, 4.0, 5.0]),
+                                 3, 3, 1.0, 5.0), 2, BaselineKind.HDPMF, 7))
+    def test_registry_is_the_plans_by_item_registry(self, case):
+        phase = item_phase(case)
+        if phase is None:
+            return
+        V0, plan, devices, uploads = phase
+        state = RecommenderState(V0.copy(), devices.ptr, devices.items)
+        counts = np.diff(plan.item_ptr)
+        assert np.array_equal(state.rated, np.flatnonzero(counts))
+        assert np.array_equal(state.n_raters, counts[state.rated])
+        # regrouped by item, the registrations are the plan's slots
+        senders = np.repeat(np.arange(len(state.sender_ptr) - 1), np.diff(state.sender_ptr))
+        by_item = np.argsort(state.sender_items, kind="stable")
+        assert np.array_equal(senders[by_item], plan.item_users)
+        assert np.array_equal(state.sender_items[by_item], np.repeat(np.arange(len(counts)), counts))
+
+        # a sender with no rating, wherever it sits in sender_ptr, sends
+        # nothing and is refused if it uploads
+        silent = np.flatnonzero(np.diff(state.sender_ptr) == 0).tolist()
+        assert not {up.sender for up in uploads} & set(silent)
+        K = V0.shape[1]
+        for i in silent:
+            extra = GradientUpload(i, np.empty(0, dtype=np.int64), np.empty((0, K)))
+            with pytest.raises(ProtocolError, match=f"sender {i}, who registered no rating"):
+                state.update_item([*uploads, extra], 0.01, 0.05)
+            assert state.V.tobytes() == V0.tobytes()
+        state.update_item(uploads, 0.01, 0.05)
+
+    def test_recommender_cannot_write_the_devices_registrations(self, synth_factory, monkeypatch):
+        (train_set, entry_weights, plan), cfg = TestUploadLifetime._inputs(synth_factory, 1)
+        held = []
+
+        class Recording(RecommenderState):
+            def __post_init__(self):
+                super().__post_init__()
+                held.append(self)
+
+        monkeypatch.setattr(protocol, "RecommenderState", Recording)
+        train(train_set, entry_weights, plan, cfg, 1)
+        [state] = held
+        user_ptr, _ = train_set.by_user
+        assert np.array_equal(state.sender_ptr, user_ptr)
+        assert np.array_equal(state.sender_items, train_set.items)
+        for array in (state.sender_ptr, state.sender_items):
+            with pytest.raises(ValueError, match="read-only"):
+                array[-1] = array[-1] + 1
 
 
 class TestPlanAlignment:
@@ -596,7 +655,7 @@ class TestProjectionInvariant:
         entry_w = weights.matrix_entries(ds.users, ds.items)
         engine.fit(
             init_model(ds.n_users, ds.n_items, cfg.k, 5, cfg.lam), ds, entry_w * ds.ratings,
-            build_noise_plan(ds, 4, ds.delta, 1.0, 5).item_totals, cfg,
+            build_noise_plan(ds, 4, ds.delta, 1.0, 5), cfg,
         )
         assert len(seen) == 10
         assert max(seen) <= 1.0 + 1e-12
