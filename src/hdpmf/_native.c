@@ -7,8 +7,8 @@
  * hdpmf._fallback.run_epoch runs the same sweeps in NumPy blocks of rows; the
  * backends agree to reduction order. Each dot and each gradient entry still
  * takes the additions and multiplications of the scalar reference
- * `oracle_epoch` in tests/test_kernels.py, in its order, so the kernel
- * matches it bit for bit.
+ * `oracle_epoch` in tests/oracles.py, in its order, so the kernel matches
+ * it bit for bit.
  *
  * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
  * maps them to doubles exactly, so both backends draw the same bits.

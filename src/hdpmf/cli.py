@@ -23,10 +23,11 @@ import numpy as np
 
 from . import __version__
 from .config import ExperimentConfig, parse_config
-from .diagnostics import MIN_SAMPLES, check_noise_composition
+from .diagnostics import MIN_SAMPLES, SCALE_RANGE, check_noise_composition
 from .evaluation import LOSS_TRACE_HEADER, emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
 from .kernels import backend_name
+from .privacy import laplace_scale
 from .protocol import TRACE_HEADER
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
@@ -172,6 +173,16 @@ def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
 
 
 def cmd_check_noise(K: int, delta: float, epsilon: float, raters: list[int], samples: int, seed: int) -> int:
+    try:
+        scale = laplace_scale(K, delta, epsilon)
+    except OverflowError:  # a K beyond any float
+        scale = math.inf
+    lo, hi = SCALE_RANGE
+    if not lo <= scale <= hi:
+        raise ConfigError(
+            "eps", f"the Laplace scale 2 * sqrt(K) * delta / eps with K = {K}, delta = {delta!r} and "
+            f"eps = {epsilon!r} is {scale!r}; the check holds for scales in [{lo:g}, {hi:g}]"
+        )
     ok = True
     for r in raters:
         report = check_noise_composition(K, delta, epsilon, r, samples, seed)

@@ -20,6 +20,10 @@ _CHUNK = 200_000
 # and at 1,000 samples they are already 32% of the variance and 0.062 in KS
 # distance; with fewer, no sampler could fail.
 MIN_SAMPLES = 1_000
+# Laplace scales b whose check holds in float64: the draws reach tens of b,
+# and the variance sums their squares over up to 10^12 samples, so b^2 must
+# stay far from overflow and underflow. `hdpmf check-noise` refuses others.
+SCALE_RANGE = (1e-100, 1e100)
 
 
 @dataclass

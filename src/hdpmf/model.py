@@ -1,21 +1,41 @@
-"""Latent-factor model: initialization, gradients, objective, schedule.
+"""Latent-factor model: initialization, objective, schedule.
 
 The private training objective is
 
-    sum over observed (i, j) of (w_ij * r_ij - u_i . v_j)^2 + v_j . x_j^i
-    + lam * (||U||_F^2 + ||V||_F^2)
+    J = sum over observed (i, j) of (w_ij * r_ij - u_i . v_j)^2 + v_j . x_j^i
+        + lam * (||U||_F^2 + ||V||_F^2)
 
-where x_j^i are fixed noise shares drawn once per run. Item gradients carry
-the aggregated noise; user gradients are noise-free because user vectors
-never leave the device. User vectors are kept inside the unit L2 ball,
-which the calibration of the noise scale relies on.
+where x_j^i are fixed noise shares drawn once per run; their sum x_j is
+item j's Laplace-distributed noise. The update rule is one gradient step
+on J per phase, with step size eta: the item phase, then the user phase,
+each a Jacobi sweep,
 
-`item_gradient` and `user_gradient` are the one-entity definition of the
-gradients, and `project_unit_ball` of the projection: the finite-difference
-tests check the gradients against the objective, and the tests check the
-message engine's devices, which step every entity in one array pass,
-against all three. The epoch kernels compute the same updates over CSR
-arrays.
+    v_j <- v_j - eta (2 sum_i (u_i . v_j - w_ij r_ij) u_i + x_j + 2 lam v_j)
+    u_i <- P(u_i - eta (2 sum_j (u_i . v_j - w_ij r_ij) v_j + 2 lam u_i))
+
+for each item j with a rater (an item with none is not stepped) and every
+user i, each sum over the rated pairs, the user step against the stepped
+V. P projects onto the unit L2 ball, which the calibration of the noise
+scale relies on. User gradients are noise-free because user vectors never
+leave the device. Both kernels and the message engine compute this rule.
+Its one reference is the scalar oracle in tests/oracles.py: the tests
+check both kernels against it (the compiled one bit for bit), the message
+engine's devices and recommender, and its gradients against finite
+differences of J (`objective_value`).
+
+What the noise covers, as reasoning rather than proof: with U fixed, T
+item phases from a data-independent V_0 give
+
+    v_j,T = M_T v_j,0 + L_T (2 b_j - x_j),    b_j = sum_i w_ij r_ij u_i,
+
+where M_T and L_T depend only on U, j's raters, eta and lam
+(tests/test_kernels.py checks this form on both kernels). So the released
+V is post-processing of one Laplace-perturbed sum per item and keeps each
+rating's budget w_ij * eps for any T. The channel through U is not
+covered: u_i depends on r_ij and feeds every other item that i rated. The
+objective-perturbation argument (Chaudhuri, Monteleoni and Sarwate, JMLR
+2011) is about J's minimizer, which training at the default schedule
+does not get near.
 
 The hyperparameters of a run (`k`, `epochs`, `eta0`, `lam`) are fields of
 `config.ExperimentConfig`; the functions here take them as plain values.
@@ -55,30 +75,6 @@ def init_model(n_users: int, n_items: int, K: int, master_seed: int, lam: float 
     return FactorModel(hi * U, hi * V, lam)
 
 
-def item_gradient(
-    v_j: np.ndarray,
-    raters_U: np.ndarray,
-    wr: np.ndarray,
-    noise: np.ndarray,
-    lam: float,
-) -> np.ndarray:
-    """Gradient of the private objective w.r.t. v_j.
-
-    `raters_U` holds the rows u_i of j's raters, `wr` their targets
-    w_ij * r_ij in the same order, and `noise` the item's aggregated noise.
-    """
-    return 2.0 * ((raters_U @ v_j - wr) @ raters_U) + noise + 2.0 * lam * v_j
-
-
-def user_gradient(u_i: np.ndarray, rated_V: np.ndarray, wr: np.ndarray, lam: float) -> np.ndarray:
-    """Gradient of the private objective w.r.t. u_i (noise-free).
-
-    `rated_V` holds the rows v_j of the items i rated and `wr` the targets
-    w_ij * r_ij in the same order.
-    """
-    return 2.0 * ((rated_V @ u_i - wr) @ rated_V) + 2.0 * lam * u_i
-
-
 def learning_rate(t: int, epochs: int, eta0: float) -> float:
     """Step size at 0-based epoch t: eta0 for the first quarter of the
     epochs, eta0/5 until three quarters, eta0/25 after."""
@@ -93,15 +89,6 @@ def learning_rate(t: int, epochs: int, eta0: float) -> float:
     return eta0 / 25.0
 
 
-def project_unit_ball(u: np.ndarray) -> np.ndarray:
-    """Project onto the unit L2 ball; identity inside, rescale outside."""
-    u = np.asarray(u, dtype=np.float64)
-    norm = float(np.sqrt(u @ u))
-    if norm <= 1.0:
-        return u
-    return u / norm
-
-
 def objective_value(
     model: FactorModel,
     dataset: RatingDataset,
@@ -114,7 +101,8 @@ def objective_value(
     (w_ij * r_ij, or raw ratings for the unstretched methods);
     `noise_totals` holds each item's summed shares, since the share terms
     of the objective add up to v_j . sum_i x_j^i per item. Used by the
-    loss trace and the gradient-check oracles; training never needs it.
+    loss trace and the tests' finite-difference check; training never
+    needs it.
     """
     preds = np.einsum("ik,ik->i", model.U[dataset.users], model.V[dataset.items])
     resid = train_vals - preds

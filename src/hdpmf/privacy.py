@@ -39,17 +39,9 @@ class WeightAssignment:
     beta: np.ndarray  # (n_users,), values in (0, 1]
     gamma: np.ndarray  # (n_items,), values in (0, 1]
 
-    def weight(self, i: int, j: int) -> float:
-        return float(self.beta[i] * self.gamma[j])
-
     def matrix_entries(self, users: np.ndarray, items: np.ndarray) -> np.ndarray:
-        """Vectorized w for parallel (user, item) index arrays."""
+        """w_ij for parallel (user, item) index arrays."""
         return self.beta[users] * self.gamma[items]
-
-    @classmethod
-    def uniform(cls, n_users: int, n_items: int) -> "WeightAssignment":
-        """All weights 1 (no stretching, maximum budget everywhere)."""
-        return cls(np.ones(n_users), np.ones(n_items))
 
 
 def _allocate_group_weights(

@@ -30,7 +30,7 @@ It holds each device's private state in the by-user CSR order: its rated
 items in ascending order, their targets w_ij * r_ij, its noise share for
 each, and its user vector, its row of the model's U. Each device's results
 read only its own rows and the broadcast V. An item phase computes every
-payload row, the one rater's summand of `model.item_gradient`, in one
+payload row, the one rater's summand of the item gradient, in one
 pass and hands out one upload per device, which holds that device's rows
 only; a user phase steps every user's vector and projects it onto the unit
 ball. Each device has one upload for the whole run, built with the
@@ -176,8 +176,8 @@ class UserDevices:
     def emit_gradient(self, V: np.ndarray) -> list[GradientUpload]:
         """Every device's upload, in ascending sender order, from each
         device with a rating: row r of device i's payload is its summand
-        2(u_i . v_j - w_ij r_ij) u_i + x_j^i of `model.item_gradient` for
-        item j = items[r].
+        2(u_i . v_j - w_ij r_ij) u_i + x_j^i of the gradient of item
+        j = items[r] (the rule is stated in `hdpmf.model`).
 
         Each device has one upload for the whole run, and every call
         refills it and returns the same objects in a new list. An upload's

@@ -15,10 +15,10 @@ import pytest
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.cli import main
 from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT, ExperimentConfig
-from hdpmf.data import split_leave_n_out
+from hdpmf.data import RatingDataset, split_leave_n_out
 from hdpmf.diagnostics import check_noise_composition
 from hdpmf.evaluation import mae, mse, paired_t_test
-from hdpmf.model import init_model, item_gradient, objective_value, user_gradient
+from hdpmf.model import FactorModel, init_model
 from hdpmf.privacy import (
     NoisePlan,
     WeightAssignment,
@@ -26,6 +26,7 @@ from hdpmf.privacy import (
     build_noise_plan,
 )
 from hdpmf.protocol import MessageChannel, predict_all, train
+from oracles import fd_gradient_error
 
 SEEDS = (0, 1, 2, 3, 4)
 EPOCHS = 100
@@ -144,9 +145,6 @@ def test_criterion_6_gradient_oracle():
         n_entries = int(rng.integers(3, n * m + 1))
         flat = rng.choice(n * m, size=n_entries, replace=False)
         users, items = np.unravel_index(flat, (n, m))
-        from hdpmf.data import RatingDataset
-        from hdpmf.model import FactorModel
-
         ds = RatingDataset(users, items, rng.uniform(1, 5, n_entries), n, m, 1.0, 5.0)
         model = FactorModel(
             rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)),
@@ -155,34 +153,7 @@ def test_criterion_6_gradient_oracle():
         weights = WeightAssignment(rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m))
         plan = build_noise_plan(ds, K, ds.delta, 1.0, int(rng.integers(10_000)))
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
-
-        def objective():
-            return objective_value(model, ds, targets, plan.item_totals)
-
-        def fd(vec):
-            g = np.zeros_like(vec)
-            h = 1e-6
-            for k in range(len(vec)):
-                vec[k] += h
-                up = objective()
-                vec[k] -= 2 * h
-                down = objective()
-                vec[k] += h
-                g[k] = (up - down) / (2 * h)
-            return g
-
-        for j in range(m):
-            raters = ds.items == j
-            analytic = item_gradient(
-                model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
-            )
-            err = np.linalg.norm(analytic - fd(model.V[j])) / max(1.0, np.linalg.norm(analytic))
-            worst = max(worst, err)
-        for i in range(n):
-            rated = ds.users == i
-            analytic = user_gradient(model.U[i], model.V[ds.items[rated]], targets[rated], model.lam)
-            err = np.linalg.norm(analytic - fd(model.U[i])) / max(1.0, np.linalg.norm(analytic))
-            worst = max(worst, err)
+        worst = max(worst, fd_gradient_error(model, ds, targets, plan.item_totals))
         checked += 1
     ok = checked >= 100 and worst < 1e-5
     _report(6, "analytic gradients match finite differences", ok,
@@ -192,7 +163,7 @@ def test_criterion_6_gradient_oracle():
 def test_criterion_7_reduction_bitwise(synth_factory):
     ds = synth_factory(n_users=50, n_items=50, mean_per_user=12, master_seed=101)
     cfg = ExperimentConfig(epochs=EPOCHS, eta0=0.001, lam=LAMBDA_DEFAULT, k=10)
-    uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+    uniform = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
     mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, EPSILON, cfg.k, 0), cfg, 0)
     hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, EPSILON, cfg.k, 0)
     hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.k), cfg, 0)
@@ -234,9 +205,7 @@ def test_criterion_9_information_flow(synth_factory):
     train(*inputs, cfg, 0, channel=channel)
 
     private_values = set(ds.ratings.tolist())
-    private_values |= {
-        weights.weight(int(i), int(j)) for i, j in zip(ds.users, ds.items)
-    }
+    private_values |= set(weights.matrix_entries(ds.users, ds.items).tolist())
     private_values |= set(model0.U.ravel().tolist())
 
     rows = [row for upload in channel.gradient_log for row in upload.payload]

@@ -91,12 +91,12 @@ class TestDpmfBudget:
         )
         # minimum over observed pairs only
         observed = [
-            w.weight(i, j) for i, j in zip(tiny_dataset.users, tiny_dataset.items)
+            w.beta[i] * w.gamma[j] for i, j in zip(tiny_dataset.users, tiny_dataset.items)
         ]
         assert min_observed_budget(tiny_dataset, w, 2.0) == pytest.approx(2.0 * min(observed))
 
     def test_uniform_weights_match_hdpmf_scale(self, tiny_dataset):
-        w = WeightAssignment.uniform(5, 4)
+        w = WeightAssignment(np.ones(5), np.ones(4))
         assert min_observed_budget(tiny_dataset, w, 1.0) == 1.0
 
 
@@ -119,10 +119,10 @@ class TestCalibratedBudget:
     def test_noise_scale_that_underflows_is_a_config_error(self):
         ds = RatingDataset(np.array([0]), np.array([0]), np.array([0.0]), 1, 1, 0.0, 5e-324)
         with pytest.raises(ConfigError, match="not a finite number > 0"):  # 2 * delta / 1e308 is 0
-            method_inputs(BaselineKind.HDPMF, ds, WeightAssignment.uniform(1, 1), 1e308, 2, 0)
+            method_inputs(BaselineKind.HDPMF, ds, WeightAssignment(np.ones(1), np.ones(1)), 1e308, 2, 0)
 
     def test_mf_draws_no_plan_whatever_the_budget(self, tiny_dataset):
-        w = WeightAssignment.uniform(5, 4)
+        w = WeightAssignment(np.ones(5), np.ones(4))
         _, _, plan = method_inputs(BaselineKind.MF, tiny_dataset, w, 5e-324, 2, 0)
         assert plan.master_seed is None
 
@@ -133,7 +133,7 @@ class TestReductions:
 
         ds = synth_factory(n_users=20, n_items=15, mean_per_user=6, master_seed=53)
         cfg = ExperimentConfig(epochs=10, eta0=0.005, lam=0.01, k=3)
-        uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        uniform = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
         mf = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, 3, 1), cfg, 1)
         hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, 3, 1)
         hd = train(hd_ds, hd_weights, NoisePlan.zeros(ds, 3), cfg, 1)
@@ -143,7 +143,7 @@ class TestReductions:
         # all personal budgets at the threshold: nothing is sampled out and
         # the uniform budget equals the threshold
         ds = synth_factory(n_users=18, n_items=14, mean_per_user=6, master_seed=59)
-        w = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        w = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
         cfg = ExperimentConfig(epochs=8, eta0=0.005, lam=0.01, k=3)
         a = train(*method_inputs(BaselineKind.PDPMF, ds, w, 1.0, 3, 2), cfg, 2)
         b = train(*method_inputs(BaselineKind.DPMF, ds, w, 1.0, 3, 2), cfg, 2)

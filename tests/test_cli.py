@@ -1,5 +1,6 @@
 """Config parsing and the CLI subcommands end to end."""
 
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
@@ -651,6 +652,23 @@ class TestCmdCheckNoise:
             draws = sample_aggregate_noise(10, 4.0, 1.0, raters, 20_000, seed)
             oracle = stats.kstest(draws, stats.laplace(scale=report.scale).cdf).statistic
             assert report.ks_distance == float(oracle)
+
+    @pytest.mark.parametrize("argv, scale", [
+        (["--raters", "1", "--samples", "1000", "--eps", "1e-320"], "inf"),
+        (["--delta", "1e-300", "--eps", "1e300"], "0.0"),
+        (["--raters", "1", "--samples", "1000", "--eps", "1e-200"], "2.5298221281347035e+201"),
+    ], ids=["overflow", "underflow", "variance-overflow"])
+    def test_out_of_range_scale_is_refused_before_sampling(self, capsys, argv, scale):
+        # each flag is valid alone; the scale 2 * sqrt(K) * delta / eps is
+        # not one the check's statistics hold for
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["check-noise", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and caught == []
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("config error: config key 'eps': "), lines
+        assert f" is {scale}; " in lines[0]
 
     def test_too_few_samples_rejected(self):
         from hdpmf.diagnostics import MIN_SAMPLES, check_noise_composition

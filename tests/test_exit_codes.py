@@ -2,7 +2,9 @@
 file and rating file hold, `main` returns 0, 1 or 2, nothing escapes, an
 exit 2 prints one `config error:` or `data error:` line, and the run never
 writes over its own rating file. A refused kernel backend is an exit 2
-with one `config error:` line too.
+with one `config error:` line too. `hdpmf sweep` and `hdpmf check-noise`
+keep the same contract whatever their arguments, except that an argument
+argparse refuses by itself ends in its usage and one `error:` line.
 
 The strategy is bounded only to keep each example to milliseconds and
 little memory: `epochs` is 1 or 2, at most two seeds, and `k` is 1-8 or at
@@ -28,11 +30,12 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import hdpmf
-from hdpmf.cli import main
+from hdpmf.cli import SWEEP_KEYS, main
+from hdpmf.diagnostics import MIN_SAMPLES
 
 # 1e-160 squared is subnormal, 1e-200 squared underflows to 0
 EXTREMES = ["nan", "inf", "-inf", "0", "1", "1e308", "-1e308", "5e-324", "1e-160", "1e-200", "-1"]
@@ -196,6 +199,119 @@ def test_every_run_exits_0_1_or_2_and_leaves_its_data_alone(drawn):
             out = err.getvalue().splitlines()
             assert len(out) == 1 and out[0].startswith(("config error:", "data error:")), out
         assert data.read_bytes() == before
+
+
+def _exit_of(argv: list[str]) -> tuple[int, bool, list[str]]:
+    """main's exit code for argv, whether argparse refused an argument
+    (and exited), and the stderr lines."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        try:
+            code, refused = main(argv), False
+        except SystemExit as exc:
+            code, refused = exc.code, True
+    return code, refused, err.getvalue().splitlines()
+
+
+def _assert_contract(argv: list[str]) -> None:
+    code, refused, lines = _exit_of(argv)
+    assert not any(line.startswith("Traceback") for line in lines), lines
+    if refused:
+        assert code == 2 and lines[-1].startswith(f"hdpmf {argv[0]}: error: "), (code, lines)
+        return
+    assert code in (0, 1, 2), (code, lines)
+    if code == 2:
+        assert len(lines) == 1 and lines[0].startswith(("config error:", "data error:")), lines
+
+
+def _comma_joined(values: st.SearchStrategy[str]) -> st.SearchStrategy[str]:
+    return st.lists(values, min_size=1, max_size=3).map(",".join)
+
+
+def _either(calm: bool, valid: st.SearchStrategy, wild: st.SearchStrategy) -> st.SearchStrategy:
+    """A valid value in a calm example, else a valid or a wild one."""
+    return valid if calm else st.one_of(valid, wild)
+
+
+# the extremes that argparse takes as numbers, and those that are positive
+FINITE = [v for v in EXTREMES if v not in ("nan", "inf", "-inf")]
+POSITIVE = [v for v in FINITE if not v.startswith(("-", "0"))]
+# valid values of each sweep key among them, and the finite extremes
+SWEEP_VALUES = _comma_joined(st.sampled_from(["0.05", "0.1", "0.25", "0.5", "0.7", "1", *FINITE]))
+WILD_SWEEP_VALUES = st.one_of(_comma_joined(st.sampled_from(EXTREMES)),
+                              st.sampled_from(["", ",", "x", "1,,x", "0.5,abc"]))
+
+
+@st.composite
+def sweeps(draw):
+    """A sweep's config lines (a small valid run, which outside a calm
+    example may ask for a trace) and its key and values."""
+    calm = draw(st.booleans())
+    lines = [
+        "format = csv", f"k = {draw(st.integers(1, 4))}", "epochs = 1", "seeds = 0", "n_test = 2",
+        f"method = {draw(VALID['method'])}", f"engine = {draw(VALID['engine'])}", "output = results.csv",
+    ]
+    if not calm and draw(_rarely(6)):
+        lines.append(draw(st.sampled_from(["trace", "loss_trace"])) + " = trace.out")
+    key = draw(_either(calm, st.sampled_from(SWEEP_KEYS), st.sampled_from(["epsilon", "EPS_UC", ""])))
+    return lines, key, draw(_either(calm, SWEEP_VALUES, WILD_SWEEP_VALUES))
+
+
+@settings(max_examples=60, deadline=None)
+@given(sweeps())
+def test_every_sweep_exits_0_1_or_2(drawn):
+    lines, key, values = drawn
+    with tempfile.TemporaryDirectory() as tmp:
+        root = Path(tmp)
+        data, before = root / "data.csv", _rating_file("csv", set())
+        data.write_bytes(before)
+        config = root / "sweep.cfg"
+        config.write_text("".join(line + "\n" for line in [f"dataset = {data}", *lines]))
+        cwd = os.getcwd()
+        os.chdir(root)  # results.csv and trace.out land here
+        try:
+            _assert_contract(["sweep", str(config), "--key", key, "--values", values])
+        finally:
+            os.chdir(cwd)
+        assert data.read_bytes() == before
+
+
+def _flag(name: str, values: st.SearchStrategy[str]) -> st.SearchStrategy[list[str]]:
+    """The flag with a drawn value, or nothing (its default)."""
+    return st.one_of(st.just([]), values.map(lambda v: [name, v]))
+
+
+@st.composite
+def noise_checks(draw):
+    """check-noise's arguments. Samples and raters are always given and
+    stay small (at most 10^4 samples, 50 raters and three rater counts),
+    so that every drawn check is allocatable and fast. delta and eps draw
+    the positive extremes even in a calm example, so that the Laplace
+    scale 2 * sqrt(K) * delta / eps overflows or underflows while each
+    flag is valid."""
+    calm = draw(st.booleans())
+    dim = _either(calm, st.one_of(st.integers(1, 64).map(str), st.sampled_from([str(10**30), str(10**400)])),
+                  st.sampled_from(["0", "-1", "x", "1.5"]))
+    positive = _either(calm, st.sampled_from(["4", "0.5", "2.5", *POSITIVE]), st.sampled_from(EXTREMES))
+    raters = _either(calm, _comma_joined(st.integers(1, 50).map(str)), st.sampled_from(["", ",", "0", "x", "5,0"]))
+    samples = _either(calm, st.integers(MIN_SAMPLES, 10_000).map(str),
+                      st.sampled_from([str(MIN_SAMPLES - 1), "0", "-1", "x", "1e3"]))
+    seed = _either(calm, st.sampled_from(["0", "1", "3", str(2**64 - 1), str(2**64)]), st.sampled_from(["-1", "x"]))
+    return ["check-noise", *draw(_flag("--dim", dim)), *draw(_flag("--delta", positive)),
+            *draw(_flag("--eps", positive)), "--raters", draw(raters), "--samples", draw(samples),
+            *draw(_flag("--seed", seed))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(noise_checks())
+# the scale overflows to inf, underflows to 0, or is finite with a square
+# that overflows
+@example(["check-noise", "--raters", "1", "--samples", "1000", "--eps", "1e-320"])
+@example(["check-noise", "--delta", "1e-300", "--eps", "1e300", "--raters", "1", "--samples", "1000"])
+@example(["check-noise", "--eps", "1e-200", "--raters", "1", "--samples", "1000"])
+@example(["check-noise", "--dim", str(10**400), "--raters", "1", "--samples", "1000"])
+def test_every_noise_check_exits_0_1_or_2(argv):
+    _assert_contract(argv)
 
 
 @pytest.mark.parametrize("backend", ["pyhton", "native"])

@@ -1,9 +1,11 @@
-"""Kernel contracts: both epoch kernels match a scalar oracle, the
-compiled kernels (the `native` fixture: imported, or built from `_native.c`
-when a C compiler exists) also match the fallback, the keyed uniforms of
-both backends are the same bits as `numpy.random.Philox`, and the compiled
-entry points reject malformed arguments before writing anything. The keyed
-normals' transform has its own tests in test_transform.py."""
+"""Kernel contracts: both epoch kernels match the scalar oracle of
+oracles.py, the compiled kernels (the `native` fixture: imported, or built
+from `_native.c` when a C compiler exists) also match the fallback, a
+fixed U makes the released V a linear function of 2b - x on both, the
+keyed uniforms of both backends are the same bits as
+`numpy.random.Philox`, and the compiled entry points reject malformed
+arguments before writing anything. The keyed normals' transform has its
+own tests in test_transform.py."""
 
 import importlib
 import inspect
@@ -24,79 +26,10 @@ import hdpmf
 from hdpmf import _fallback, kernels
 from hdpmf.data import RatingDataset
 from hdpmf.model import init_model
-
-def oracle_epoch(U, V, item_ptr, item_users, item_vals, item_noise,
-                 user_ptr, user_items, user_vals, lam, eta, project):
-    """Scalar reference for one epoch. `_native.c` runs these operations in
-    this order, with the dots of four ratings interleaved; the NumPy
-    fallback runs the same sweeps in blocks, so both are checked against
-    this function."""
-    n_items = len(item_ptr) - 1
-    n_users = len(user_ptr) - 1
-    K = U.shape[1]
-    acc = [0.0] * K
-
-    for j in range(n_items):
-        s = item_ptr[j]
-        e = item_ptr[j + 1]
-        if s == e:
-            continue
-        for k in range(K):
-            acc[k] = 0.0
-        for p in range(s, e):
-            i = item_users[p]
-            dot = 0.0
-            for k in range(K):
-                dot += U[i, k] * V[j, k]
-            resid = 2.0 * (dot - item_vals[p])
-            for k in range(K):
-                acc[k] += resid * U[i, k]
-        for k in range(K):
-            g = acc[k] + item_noise[j, k] + 2.0 * lam * V[j, k]
-            V[j, k] = V[j, k] - eta * g
-
-    for i in range(n_users):
-        s = user_ptr[i]
-        e = user_ptr[i + 1]
-        for k in range(K):
-            acc[k] = 0.0
-        for p in range(s, e):
-            j = user_items[p]
-            dot = 0.0
-            for k in range(K):
-                dot += U[i, k] * V[j, k]
-            resid = 2.0 * (dot - user_vals[p])
-            for k in range(K):
-                acc[k] += resid * V[j, k]
-        norm = 0.0
-        for k in range(K):
-            g = acc[k] + 2.0 * lam * U[i, k]
-            acc[k] = U[i, k] - eta * g
-            norm += acc[k] * acc[k]
-        if project and norm > 1.0:
-            norm = np.sqrt(norm)
-            for k in range(K):
-                U[i, k] = acc[k] / norm
-        else:
-            for k in range(K):
-                U[i, k] = acc[k]
+from oracles import kernel_args, oracle_epoch
 
 
 ORACLE = SimpleNamespace(run_epoch=oracle_epoch)
-
-
-def _kernel_args(ds):
-    """The rating arguments of `run_epoch` for a dataset."""
-    user_ptr, _ = ds.by_user
-    item_ptr, order = ds.by_item
-    return dict(
-        item_ptr=item_ptr,
-        item_users=np.ascontiguousarray(ds.users[order]),
-        item_vals=np.ascontiguousarray(ds.ratings[order]),
-        user_ptr=user_ptr,
-        user_items=ds.items,
-        user_vals=ds.ratings,
-    )
 
 
 def _instance(seed, n=40, m=30, K=6, density=0.2):
@@ -112,7 +45,7 @@ def _instance(seed, n=40, m=30, K=6, density=0.2):
 
 def _run(impl, ds, model, noise, lam, eta, epochs, project=True):
     inst = dict(U=model.U, V=model.V, item_noise=noise, lam=lam, eta=eta,
-                project=project, **_kernel_args(ds))
+                project=project, **kernel_args(ds))
     return _epochs(impl.run_epoch, inst, epochs)
 
 
@@ -273,7 +206,7 @@ def csr_instances(draw):
         lam=draw(st.sampled_from([0.0, 0.01, 0.1])),
         eta=draw(st.sampled_from([0.001, 0.01, 0.05])),
         project=draw(st.booleans()),
-        **_kernel_args(ds),
+        **kernel_args(ds),
     )
 
 
@@ -313,7 +246,7 @@ def test_fallback_scratch_memory_is_bounded_by_the_block():
         users, items = np.divmod(rng.choice(n_users * n_items, size=nnz, replace=False), n_items)
         ds = RatingDataset(users, items, rng.integers(1, 6, size=nnz).astype(np.float64), n_users, n_items, 1.0, 5.0)
         inst = dict(U=np.full((n_users, K), 0.1), V=np.full((n_items, K), 0.1), item_noise=np.zeros((n_items, K)),
-                    lam=0.01, eta=0.01, project=True, **_kernel_args(ds))
+                    lam=0.01, eta=0.01, project=True, **kernel_args(ds))
         _epochs(_fallback.run_epoch, inst, 1)  # NumPy's one-time allocations
         tracemalloc.start()
         try:
@@ -326,7 +259,7 @@ def test_fallback_scratch_memory_is_bounded_by_the_block():
 
 def test_fallback_rejects_a_column_index_out_of_range_before_writing():
     ds, model, noise = _instance(5)
-    args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **_kernel_args(ds))
+    args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **kernel_args(ds))
     for name, n in (("item_users", len(model.U)), ("user_items", len(model.V))):
         for bad in (-1, n):
             U, V = model.U.copy(), model.V.copy()
@@ -358,11 +291,60 @@ def test_native_is_bit_identical_to_oracle(native, K, project):
     ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
     inst = dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
                 item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=0.05, project=project,
-                **_kernel_args(ds))
+                **kernel_args(ds))
     U_o, V_o = _epochs(oracle_epoch, inst, 3)
     U_n, V_n = _epochs(native.run_epoch, inst, 3)
     assert np.array_equal(U_n, U_o)
     assert np.array_equal(V_n, V_o)
+
+
+def _fixed_u_epochs(impl, inst, item_vals, item_noise, etas):
+    """V after one epoch per step size, with no user rating and lam = 0, so
+    that U stays fixed and each epoch is an item phase."""
+    V = inst["V"].copy()
+    for eta in etas:
+        impl.run_epoch(inst["U"].copy(), V, inst["item_ptr"], inst["item_users"], item_vals, item_noise,
+                       np.zeros(len(inst["U"]) + 1, dtype=np.int64), np.zeros(0, dtype=np.int64),
+                       np.zeros(0), 0.0, eta, True)
+    return V
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_fixed_u_releases_v_through_2b_minus_x_alone(impl, seed):
+    # T Jacobi steps give v_j,T = M_T v_j,0 + L_T (2 b_j - x_j), where
+    # b_j = sum_i w_ij r_ij u_i and M_T, L_T depend only on U, the raters
+    # and eta: two inputs with the same 2b - x release the same V, and
+    # V_T - V_T(0, 0) is additive in 2b - x
+    ds, model, _ = _instance(seed, n=12, m=9, K=3, density=0.4)
+    inst = dict(U=model.U, V=model.V, **kernel_args(ds))
+    rng = np.random.default_rng(seed)
+    etas = [0.05, 0.05, 0.01, 0.002][: 1 + seed]
+    owners = np.repeat(np.arange(ds.n_items), np.diff(inst["item_ptr"]))
+
+    def two_b(vals):
+        b = np.zeros(model.V.shape)
+        np.add.at(b, owners, vals[:, None] * model.U[inst["item_users"]])
+        return 2.0 * b
+
+    def draw():
+        vals = rng.uniform(0.1, 5.0, len(ds))
+        return vals, rng.normal(0.0, 2.0, model.V.shape)
+
+    def released(vals, noise):
+        return _fixed_u_epochs(impl, inst, vals, noise, etas)
+
+    (vals1, noise1), (vals2, noise2) = draw(), draw()
+    zero = released(np.zeros(len(ds)), np.zeros(model.V.shape))
+    base = released(vals1, noise1) - zero
+    # other ratings, and the noise that keeps 2b - x
+    vals3 = rng.uniform(0.1, 5.0, len(ds))
+    noise3 = two_b(vals3) - (two_b(vals1) - noise1)
+    tol = dict(rtol=1e-9, atol=1e-9 * np.abs(base).max())
+    np.testing.assert_allclose(released(vals3, noise3) - zero, base, **tol)
+    summed = released(vals1 + vals2, noise1 + noise2) - zero
+    np.testing.assert_allclose(summed, base + (released(vals2, noise2) - zero), **tol)
+    unrated = np.diff(inst["item_ptr"]) == 0
+    assert np.array_equal(zero[unrated], model.V[unrated])
 
 
 def test_native_takes_arguments_by_position_and_keyword(native):
@@ -370,7 +352,7 @@ def test_native_takes_arguments_by_position_and_keyword(native):
     assert list(inspect.signature(native.run_epoch).parameters) == names
     ds, model, noise = _instance(4)
     by_name = dict(U=model.U.copy(), V=model.V.copy(), item_noise=noise, lam=0.01, eta=0.05,
-                   project=True, **_kernel_args(ds))
+                   project=True, **kernel_args(ds))
     by_position = [by_name[n].copy() if n in ("U", "V") else by_name[n] for n in names]
     native.run_epoch(**by_name)
     native.run_epoch(*by_position)
@@ -404,7 +386,7 @@ def _read_only(array):
         "item_users-eq-n_users", "negative-user_items", "narrow-item_noise", "short-user_vals"])
 def test_native_rejects_malformed_arguments(native, error, name, bad):
     ds, model, noise = _instance(3, n=8, m=6, K=3, density=0.5)
-    args = dict(U=model.U.copy(), V=model.V.copy(), item_noise=noise, **_kernel_args(ds))
+    args = dict(U=model.U.copy(), V=model.V.copy(), item_noise=noise, **kernel_args(ds))
     args[name] = bad(args)
     U0, V0 = args["U"].copy(), args["V"].copy()
     with pytest.raises(error):

@@ -1,6 +1,6 @@
-"""Model operations: init, predictions, gradients, schedule, projection."""
-
-import math
+"""Model operations: init, predictions, objective and schedule; the
+oracle's gradients and projection (oracles.py) by hand, and its gradients
+against finite differences of the objective."""
 
 import numpy as np
 import pytest
@@ -8,18 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdpmf.data import RatingDataset
-from hdpmf.model import (
-    FactorModel,
-    init_model,
-    item_gradient,
-    learning_rate,
-    objective_value,
-    project_unit_ball,
-    user_gradient,
-)
+from hdpmf.model import FactorModel, init_model, learning_rate, objective_value
 from hdpmf.privacy import NoisePlan, WeightAssignment, build_noise_plan
 from hdpmf.protocol import predict_all
-from hdpmf.rng import stream
+from oracles import fd_gradient_error, item_gradients, user_gradients, user_step
 
 
 class TestInit:
@@ -46,7 +38,7 @@ class TestInit:
 
 def _raw(m):
     """The unrescaled prediction u_0 . v_0, clamped only far outside it."""
-    return predict_all(m, WeightAssignment.uniform(1, 1), [0], [0], -10.0, 10.0, rescale=False)[0]
+    return predict_all(m, WeightAssignment(np.ones(1), np.ones(1)), [0], [0], -10.0, 10.0, rescale=False)[0]
 
 
 class TestPredictRaw:
@@ -64,28 +56,29 @@ class TestPredictRaw:
 
 
 class TestGradients:
+    # for one rating of target 2 with u = (1, 0) and v = (0.5, 0), both
+    # gradients are 2 (0.5 - 2) (1, 0)
     def test_item_gradient_single_rater(self):
-        g = item_gradient(np.array([0.5, 0.0]), np.array([[1.0, 0.0]]), np.array([2.0]),
-                          np.zeros(2), 0.0)
-        assert g.tolist() == [-3.0, 0.0]
+        g = item_gradients(np.array([[1.0, 0.0]]), np.array([[0.5, 0.0]]), np.array([0, 1]), np.array([0]),
+                           np.array([2.0]), np.zeros((1, 2)), 0.0)
+        assert g == {0: [-3.0, 0.0]}
 
     def test_item_gradient_no_raters(self):
-        g = item_gradient(np.array([0.5, 0.0]), np.zeros((0, 2)), np.zeros(0), np.zeros(2), 0.0)
-        assert g.tolist() == [0.0, 0.0]
-
-    def test_item_gradient_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            item_gradient(np.zeros(2), np.zeros((0, 2)), np.zeros(0), np.zeros(3), 0.0)
+        # item 0 has no rater, so no gradient: it is never stepped
+        g = item_gradients(np.zeros((1, 2)), np.array([[0.5, 0.0], [0.5, 0.0]]), np.array([0, 0, 1]),
+                           np.array([0]), np.array([2.0]), np.ones((2, 2)), 0.1)
+        assert list(g) == [1]
 
     def test_user_gradient_single_item(self):
-        g = user_gradient(np.array([0.5, 0.0]), np.array([[1.0, 0.0]]), np.array([2.0]), 0.0)
-        assert g.tolist() == [-3.0, 0.0]
+        g = user_gradients(np.array([[0.5, 0.0]]), np.array([[1.0, 0.0]]), np.array([0, 1]), np.array([0]),
+                           np.array([2.0]), 0.0)
+        assert g == [[-3.0, 0.0]]
 
     def test_user_gradient_regularization_only(self):
         u = np.array([0.3, -0.4])
         # zero residual: wr equals the current prediction
-        g = user_gradient(u, np.array([[1.0, 0.0]]), np.array([0.3]), 1.0)
-        assert g == pytest.approx(2.0 * u)
+        g = user_gradients(u[None], np.array([[1.0, 0.0]]), np.array([0, 1]), np.array([0]), np.array([0.3]), 1.0)
+        assert g[0] == pytest.approx(2.0 * u)
 
 
 def _random_instance(seed, K):
@@ -104,42 +97,11 @@ def _random_instance(seed, K):
     return ds, model, weights, plan
 
 
-def _fd_gradient(fun, x, h=1e-6):
-    g = np.zeros_like(x)
-    for k in range(len(x)):
-        x[k] += h
-        up = fun()
-        x[k] -= 2 * h
-        down = fun()
-        x[k] += h
-        g[k] = (up - down) / (2 * h)
-    return g
-
-
-def _check_gradients_fd(seed, K):
-    """Analytic gradients vs central finite differences of the objective."""
-    ds, model, weights, plan = _random_instance(seed, K)
-    targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
-    obj = lambda: objective_value(model, ds, targets, plan.item_totals)
-
-    for j in range(ds.n_items):
-        raters = ds.items == j
-        analytic = item_gradient(
-            model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
-        )
-        fd = _fd_gradient(obj, model.V[j])
-        assert np.linalg.norm(analytic - fd) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
-
-    for i in range(ds.n_users):
-        rated = ds.users == i
-        analytic = user_gradient(model.U[i], model.V[ds.items[rated]], targets[rated], model.lam)
-        fd = _fd_gradient(obj, model.U[i])
-        assert np.linalg.norm(analytic - fd) <= 1e-5 * max(1.0, np.linalg.norm(analytic))
-
-
 @pytest.mark.parametrize("seed,K", [(s, k) for s in range(4) for k in (1, 2, 5)])
 def test_gradients_match_finite_differences(seed, K):
-    _check_gradients_fd(seed, K)
+    ds, model, weights, plan = _random_instance(seed, K)
+    targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
+    assert fd_gradient_error(model, ds, targets, plan.item_totals) <= 1e-5
 
 
 def _objective(model, ds, weights, plan):
@@ -159,7 +121,7 @@ class TestObjective:
 
     def test_reduces_to_nonprivate_loss(self, tiny_dataset):
         model = init_model(5, 4, 3, master_seed=2, lam=0.01)
-        w = WeightAssignment.uniform(5, 4)
+        w = WeightAssignment(np.ones(5), np.ones(4))
         plan = NoisePlan.zeros(tiny_dataset, 3)
         got = _objective(model, tiny_dataset, w, plan)
         resid = [
@@ -175,8 +137,9 @@ class TestObjective:
         # one v_j . x_j^i term per observed rating
         ds, model, weights, plan = _random_instance(seed, K=3)
         expected = model.lam * (np.sum(model.U**2) + np.sum(model.V**2))
-        for i, j, r in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist()):
-            resid = weights.weight(i, j) * r - model.U[i] @ model.V[j]
+        w = weights.matrix_entries(ds.users, ds.items)
+        for i, j, r, w_ij in zip(ds.users.tolist(), ds.items.tolist(), ds.ratings.tolist(), w.tolist()):
+            resid = w_ij * r - model.U[i] @ model.V[j]
             expected += resid**2 + model.V[j] @ plan.draw_shares([j], [i])[0]
         assert _objective(model, ds, weights, plan) == pytest.approx(expected, rel=1e-10)
 
@@ -206,17 +169,24 @@ class TestLearningRate:
 
 
 class TestProjection:
+    # the oracle's user step with a zero gradient is the projection alone
     def test_rescales_outside(self):
-        assert project_unit_ball(np.array([3.0, 4.0])).tolist() == [0.6, 0.8]
+        U = np.array([[3.0, 4.0]])
+        user_step(U, [[0.0, 0.0]], 0.5, project=True)
+        assert U.tolist() == [[0.6, 0.8]]
 
     def test_identity_inside(self):
-        u = np.array([0.1, 0.2])
-        assert project_unit_ball(u) is u
+        U = np.array([[0.1, 0.2]])
+        user_step(U, [[0.2, -0.4]], 0.5, project=True)
+        assert U.tolist() == [[0.1 - 0.5 * 0.2, 0.2 - 0.5 * -0.4]]
 
     @given(st.lists(st.floats(-100, 100), min_size=1, max_size=8))
     @settings(max_examples=100, deadline=None)
     def test_idempotent_and_bounded(self, coords):
-        u = np.array(coords)
-        once = project_unit_ball(u)
-        assert np.sqrt(once @ once) <= 1.0 + 1e-12
-        assert np.allclose(project_unit_ball(once.copy()), once)
+        U = np.array([coords])
+        zero = [[0.0] * len(coords)]
+        user_step(U, zero, 1.0, project=True)
+        once = U.copy()
+        assert np.sqrt(once[0] @ once[0]) <= 1.0 + 1e-12
+        user_step(U, zero, 1.0, project=True)
+        assert np.allclose(U, once)

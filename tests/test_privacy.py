@@ -73,11 +73,11 @@ class TestAllocateWeights:
 class TestWeightOps:
     def test_product(self):
         w = WeightAssignment(np.array([0.5]), np.array([0.8]))
-        assert w.weight(0, 0) == pytest.approx(0.4)
+        assert w.matrix_entries(np.array([0]), np.array([0])).tolist() == [pytest.approx(0.4)]
 
     def test_liberal_times_liberal(self):
         w = WeightAssignment(np.array([1.0]), np.array([1.0]))
-        assert w.weight(0, 0) == 1.0
+        assert w.matrix_entries(np.array([0]), np.array([0])).tolist() == [1.0]
 
     def test_rank_one_structure(self):
         w = allocate_weights(ExperimentConfig(), 30, 30, master_seed=3)
@@ -85,9 +85,8 @@ class TestWeightOps:
         for _ in range(50):
             i, i2 = rng.integers(30, size=2)
             j, j2 = rng.integers(30, size=2)
-            assert w.weight(i, j) * w.weight(i2, j2) == pytest.approx(
-                w.weight(i, j2) * w.weight(i2, j)
-            )
+            ij, i2j2, ij2, i2j = w.matrix_entries(np.array([i, i2, i, i2]), np.array([j, j2, j2, j]))
+            assert ij * i2j2 == pytest.approx(ij2 * i2j)
 
     def test_all_pairs_in_unit_interval(self):
         w = allocate_weights(ExperimentConfig(), 40, 40, master_seed=4)

@@ -15,7 +15,7 @@ from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.exceptions import ProtocolError
-from hdpmf.model import FactorModel, init_model, item_gradient, project_unit_ball, user_gradient
+from hdpmf.model import FactorModel, init_model
 from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
 from hdpmf.protocol import (
     GradientUpload,
@@ -25,6 +25,7 @@ from hdpmf.protocol import (
     predict_all,
     train,
 )
+from oracles import item_gradients, kernel_args, user_gradients, user_step
 
 
 def make_device(u, ratings, weights, shares=None):
@@ -281,9 +282,10 @@ class TestDeviceUpdateUser:
         dev.update_user(V, lam, eta)
 
         items = sorted(ratings)
-        grad = user_gradient(u, V[items], np.array([weights[j] * ratings[j] for j in items]), lam)
-        expected = project_unit_ball(u - eta * grad)
-        assert np.allclose(dev.U[0], expected, rtol=1e-12, atol=1e-15)
+        expected = u[None].copy()
+        grads = user_gradients(expected, V, [0, len(items)], items, [weights[j] * ratings[j] for j in items], lam)
+        user_step(expected, grads, eta, project=True)
+        assert np.allclose(dev.U, expected, rtol=1e-12, atol=1e-15)
 
 
 class TestAggregationEquivalence:
@@ -301,15 +303,13 @@ class TestAggregationEquivalence:
             assert up.items.tolist() == ds.items[ds.users == up.sender].tolist()
             for j, row in zip(up.items, up.payload):
                 totals[j] += row
-        for j in range(ds.n_items):
-            raters = ds.items == j
-            if not raters.any():
-                continue
+        args = kernel_args(ds, targets)
+        central = item_gradients(model.U, model.V, args["item_ptr"], args["item_users"], args["item_vals"],
+                                 plan.item_totals, model.lam)
+        assert list(central) == np.unique(ds.items).tolist()
+        for j, g in central.items():
             total = totals[j] + 2.0 * model.lam * model.V[j]
-            central = item_gradient(
-                model.V[j], model.U[ds.users[raters]], targets[raters], plan.item_totals[j], model.lam
-            )
-            assert np.allclose(total, central, rtol=1e-10, atol=1e-12)
+            assert np.allclose(total, g, rtol=1e-10, atol=1e-12)
 
 
 @st.composite
@@ -353,7 +353,7 @@ class TestDeviceConstruction:
 
 class TestDeviceOracle:
     """Each device's rows and step, computed in one pass for all devices,
-    against the model's one-entity gradients, to reduction-order
+    against the oracle's gradients and user step, to reduction-order
     tolerance."""
 
     @settings(max_examples=60, deadline=None)
@@ -381,17 +381,20 @@ class TestDeviceOracle:
             i, s = up.sender, ptr[up.sender]
             assert np.array_equal(up.items, train_set.items[s:ptr[i + 1]])
             for r, j in enumerate(up.items.tolist()):
-                # the one rater's summand: its residual term plus its share
+                # the one rater's summand: the gradient of item j with i as
+                # its only rater, its share as the noise and no regularization
                 share = plan.draw_shares([j], [i])[0]
-                summand = item_gradient(V[j], U0[i][None], targets[s + r : s + r + 1], share, 0.0)
+                summand = item_gradients(U0[i][None], V[j][None], [0, 1], [0], targets[s + r : s + r + 1],
+                                         share[None], 0.0)[0]
                 np.testing.assert_allclose(up.payload[r], summand, rtol=1e-12, atol=1e-12)
 
         norms = devices.update_user(V, lam, eta)
         assert norms.shape == (train_set.n_users,)
-        for i in range(train_set.n_users):
-            s, e = ptr[i], ptr[i + 1]
-            grad = user_gradient(U0[i], V[train_set.items[s:e]], targets[s:e], lam)
-            np.testing.assert_allclose(devices.U[i], project_unit_ball(U0[i] - eta * grad), rtol=1e-12, atol=1e-12)
+        grads = user_gradients(U0, V, ptr, train_set.items, targets, lam)
+        expected = U0.copy()
+        user_step(expected, grads, eta, project=True)
+        np.testing.assert_allclose(devices.U, expected, rtol=1e-12, atol=1e-12)
+        for i, grad in enumerate(grads):
             assert norms[i] == pytest.approx(np.linalg.norm(grad), rel=1e-12, abs=1e-12)
 
 
@@ -583,7 +586,7 @@ class TestKernelEngineTakesNoMessageArguments:
         import io
 
         handle = MessageChannel() if argument == "channel" else io.StringIO()
-        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, WeightAssignment.uniform(5, 4), 1.0, 2, 0)
+        inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, WeightAssignment(np.ones(5), np.ones(4)), 1.0, 2, 0)
         with pytest.raises(ValueError, match="engine = messages"):
             train(*inputs, ExperimentConfig(epochs=1, k=2), 0, **{argument: handle})
 
@@ -618,7 +621,7 @@ class TestReduction:
     def test_uniform_weights_zero_noise_reduces_to_mf(self, synth_factory):
         ds = synth_factory(n_users=25, n_items=20, mean_per_user=8, master_seed=29)
         cfg = ExperimentConfig(epochs=12, eta0=0.01, lam=0.01, k=3)
-        uniform = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        uniform = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
         mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, 1.0, cfg.k, 4), cfg, 4)
         hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, 1.0, cfg.k, 4)
         hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.k), cfg, 4)
@@ -697,9 +700,7 @@ class TestInformationFlow:
         inputs = method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 7)
         train(*inputs, cfg, 7, channel=channel)
         rating_values = set(ds.ratings.tolist())
-        weight_values = {
-            weights.weight(i, j) for i, j in zip(ds.users.tolist(), ds.items.tolist())
-        }
+        weight_values = set(weights.matrix_entries(ds.users, ds.items).tolist())
         forbidden = rating_values | weight_values
         for upload in channel.gradient_log:
             for row in upload.payload:
@@ -716,7 +717,7 @@ class TestPredictAll:
     def test_rescale_flag_irrelevant_for_unit_weights(self, synth_factory):
         ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=43)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=0)
-        w = WeightAssignment.uniform(ds.n_users, ds.n_items)
+        w = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
         on = predict_all(model, w, ds.users, ds.items, 1.0, 5.0, rescale=True)
         off = predict_all(model, w, ds.users, ds.items, 1.0, 5.0, rescale=False)
         assert np.array_equal(on, off)
@@ -729,7 +730,7 @@ class TestPredictAll:
         out = predict_all(model, w, ds.users, ds.items, 1.0, 5.0)
         for idx in range(len(ds)):
             i, j = int(ds.users[idx]), int(ds.items[idx])
-            expected = np.clip(model.U[i] @ model.V[j] / w.weight(i, j), 1.0, 5.0)
+            expected = np.clip(model.U[i] @ model.V[j] / (w.beta[i] * w.gamma[j]), 1.0, 5.0)
             assert out[idx] == pytest.approx(expected, rel=1e-12)
 
 
@@ -737,7 +738,7 @@ class TestTrace:
     def test_trace_lines_schema(self, tiny_dataset, tmp_path):
         import io
 
-        weights = WeightAssignment.uniform(5, 4)
+        weights = WeightAssignment(np.ones(5), np.ones(4))
         cfg = ExperimentConfig(epochs=2, eta0=0.01, lam=0.0, k=2, engine="messages")
         buf = io.StringIO()
         inputs = method_inputs(BaselineKind.HDPMF, tiny_dataset, weights, 1.0, cfg.k, 0)

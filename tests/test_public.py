@@ -1,7 +1,10 @@
 """The package's top level: exactly the names that the CLI, the benchmark
 and README's library use need, each importable from there, and README's
-library path runs on them alone."""
+library path runs on them alone. And `src/` holds only what a run, the CLI
+or the benchmark calls: every definition in the package is named in
+`src/` or `perfbench/`."""
 
+import ast
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +12,14 @@ import numpy as np
 import hdpmf
 from hdpmf.evaluation import run_single_seed
 
-DEMO_CSV = Path(__file__).resolve().parents[1] / "configs" / "demo-ratings.csv"
+ROOT = Path(__file__).resolve().parents[1]
+DEMO_CSV = ROOT / "configs" / "demo-ratings.csv"
+# Defined in `src/` without a caller there or in perfbench, each with why.
+UNCALLED = {
+    # the claims report (ROADMAP direction 5) is to run it on the per-seed
+    # gaps; if that report has not landed by the next re-anchor, it goes
+    "paired_t_test",
+}
 
 
 def test_top_level_is_the_documented_surface():
@@ -39,3 +49,23 @@ def test_readme_library_path_uses_top_level_names_only():
     assert len(predictions) == len(split.test) > 0
     errors = predictions - split.test.ratings
     assert np.mean(errors * errors) == run_single_seed(cfg, data, seed).mse
+
+
+def test_every_definition_in_the_package_is_named_by_src_or_perfbench():
+    # a name counts when it is read as a variable or attribute, or written as
+    # an identifier string (the tracer and the backend look names up by
+    # string); a definition does not name itself
+    defined, named = set(), set()
+    for path in sorted([*(ROOT / "src" / "hdpmf").glob("*.py"), *(ROOT / "perfbench").glob("*.py")]):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if path.parent.name == "hdpmf" and not (node.name.startswith("__") and node.name.endswith("__")):
+                    defined.add(node.name)
+            elif isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+                named.add(node.value)
+    assert sorted(defined - named - UNCALLED) == []
+    assert sorted(UNCALLED - (defined - named)) == []  # an entry that gained a caller leaves the list
