@@ -3,12 +3,15 @@
  *
  * The epoch runs the item phase, then the user phase; each is a Jacobi
  * sweep over the rows. Both phases form a row's data term in one routine,
- * which computes the dot products of four ratings side by side.
- * hdpmf._fallback.run_epoch runs the same sweeps in NumPy blocks of rows; the
- * backends agree to reduction order. Each dot and each gradient entry still
- * takes the additions and multiplications of the scalar reference
- * `oracle_epoch` in tests/oracles.py, in its order, so the kernel matches
- * it bit for bit.
+ * which computes the dot products of two ratings in each lane pair of a
+ * 128-bit vector, up to 16 ratings side by side. The vectors are GCC and
+ * Clang vector extensions, held by baseline SSE2 and NEON, so the
+ * extension needs one of those compilers; elsewhere its optional build
+ * fails and the NumPy fallback runs. hdpmf._fallback.run_epoch runs the
+ * same sweeps in NumPy blocks of rows; the backends agree to reduction
+ * order. Each dot and each gradient entry still takes the additions and
+ * multiplications of the scalar reference `oracle_epoch` in
+ * tests/oracles.py, in its order, so the kernel matches it bit for bit.
  *
  * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
  * maps them to doubles exactly, so both backends draw the same bits.
@@ -17,10 +20,10 @@
  * fdlibm's log, sin and cos polynomials, made of +, -, *, /, sqrt and exact
  * bit operations only.
  *
- * Each of those operations is rounded once: the pragma below keeps the
- * compiler from contracting a*b + c into one fused multiply-add, whatever
- * flags it is given, so the results are the same bits on every IEEE-754
- * machine.
+ * Each of those operations is rounded once, in a vector lane as in a
+ * scalar: the pragma below keeps the compiler from contracting a*b + c
+ * into one fused multiply-add, whatever flags it is given, so the results
+ * are the same bits on every IEEE-754 machine.
  *
  * Arrays arrive through the buffer protocol, so the module needs only
  * Python.h; every argument is checked before anything is written.
@@ -144,44 +147,113 @@ check_shapes(const Py_buffer *b)
     return check_csr(b, USER_PTR, n_users, n_items);
 }
 
+/* Two doubles in one 128-bit vector: a GCC and Clang vector extension that
+   baseline SSE2 and NEON registers hold, with no intrinsics header. Its
+   arithmetic is lane by lane, each lane rounded as the scalar operation is. */
+typedef double v2d __attribute__((vector_size(16)));
+
+/* Unaligned 16-byte load and store: rows of an odd K start at any 8 bytes. */
+static inline v2d
+load2(const double *x)
+{
+    v2d v;
+    memcpy(&v, x, sizeof v);
+    return v;
+}
+
+static inline void
+store2(double *x, v2d v)
+{
+    memcpy(x, &v, sizeof v);
+}
+
+/* The most lane pairs in one group: 16 ratings. */
+#define MAX_PAIRS 8
+
+/* Add to acc the terms of ratings p .. p + 2 n - 1, as n lane pairs: pair
+   g holds ratings p + 2g and p + 2g + 1 in lanes 0 and 1. A lane's dot takes
+   the oracle's multiply, then its add, in ascending k, so the n pairs are n
+   independent chains; each k pair of two rows is transposed from two loads.
+   Then each lane's residual, then acc[k] and acc[k + 1] take the terms in
+   ascending p. Every call passes a constant n, so b and d live in
+   registers. */
+static inline __attribute__((always_inline)) void
+add_pairs(const double *a, const double *B, const int64_t *cols, const double *vals, int64_t p,
+          Py_ssize_t K, double *restrict acc, int n)
+{
+    const double *b[2 * MAX_PAIRS];
+    v2d d[MAX_PAIRS], a0, a1, x, y, sum;
+    Py_ssize_t k;
+    int g;
+
+    for (g = 0; g < 2 * n; g++)
+        b[g] = B + cols[p + g] * K;
+    for (g = 0; g < n; g++)
+        d[g] = (v2d){0.0, 0.0};
+    for (k = 0; k + 2 <= K; k += 2) {
+        a0 = (v2d){a[k], a[k]};
+        a1 = (v2d){a[k + 1], a[k + 1]};
+        for (g = 0; g < n; g++) {
+            x = load2(b[2 * g] + k);
+            y = load2(b[2 * g + 1] + k);
+            d[g] = d[g] + a0 * (v2d){x[0], y[0]};
+            d[g] = d[g] + a1 * (v2d){x[1], y[1]};
+        }
+    }
+    if (k < K) {
+        a0 = (v2d){a[k], a[k]};
+        for (g = 0; g < n; g++)
+            d[g] = d[g] + a0 * (v2d){b[2 * g][k], b[2 * g + 1][k]};
+    }
+    for (g = 0; g < n; g++)
+        d[g] = 2.0 * (d[g] - load2(vals + p + 2 * g));
+    for (k = 0; k + 2 <= K; k += 2) {
+        sum = load2(acc + k);
+        for (g = 0; g < n; g++) {
+            sum = sum + (v2d){d[g][0], d[g][0]} * load2(b[2 * g] + k);
+            sum = sum + (v2d){d[g][1], d[g][1]} * load2(b[2 * g + 1] + k);
+        }
+        store2(acc + k, sum);
+    }
+    if (k < K)
+        for (g = 0; g < n; g++) {
+            acc[k] += d[g][0] * b[2 * g][k];
+            acc[k] += d[g][1] * b[2 * g + 1][k];
+        }
+}
+
 /* acc = the sum over p in [s, e) of 2 (a . B[cols[p]] - vals[p]) B[cols[p]]:
    the data term of one row's gradient, row a against the rows of B it is
    rated with. Each dot is summed in ascending k and the terms are added to
-   acc in ascending p, as in oracle_epoch. The dots of four ratings run as
-   four independent chains, so one chain's add latency overlaps the others';
-   a dot reads only a and B, never acc, so this changes no operation and no
-   order. acc is the call's own scratch row and aliases nothing. */
+   acc in ascending p, as in oracle_epoch. The ratings go in groups of 16,
+   then at most one group each of 8, 4 and 2 and one rating alone; a
+   group's dots run two to a vector (add_pairs). A dot reads only a and B,
+   never acc, so this changes no operation and no order. acc is the call's
+   own scratch row and aliases nothing. */
 static inline void
 row_gradient(const double *a, const double *B, const int64_t *cols, const double *vals, int64_t s,
              int64_t e, Py_ssize_t K, double *restrict acc)
 {
     Py_ssize_t k;
-    int64_t p;
+    int64_t p = s;
 
     for (k = 0; k < K; k++)
         acc[k] = 0.0;
-    for (p = s; p + 4 <= e; p += 4) {
-        const double *b0 = B + cols[p] * K, *b1 = B + cols[p + 1] * K;
-        const double *b2 = B + cols[p + 2] * K, *b3 = B + cols[p + 3] * K;
-        double d0 = 0.0, d1 = 0.0, d2 = 0.0, d3 = 0.0;
-        for (k = 0; k < K; k++) {
-            d0 += a[k] * b0[k];
-            d1 += a[k] * b1[k];
-            d2 += a[k] * b2[k];
-            d3 += a[k] * b3[k];
-        }
-        d0 = 2.0 * (d0 - vals[p]);
-        d1 = 2.0 * (d1 - vals[p + 1]);
-        d2 = 2.0 * (d2 - vals[p + 2]);
-        d3 = 2.0 * (d3 - vals[p + 3]);
-        for (k = 0; k < K; k++) {
-            acc[k] += d0 * b0[k];
-            acc[k] += d1 * b1[k];
-            acc[k] += d2 * b2[k];
-            acc[k] += d3 * b3[k];
-        }
+    for (; p + 16 <= e; p += 16)
+        add_pairs(a, B, cols, vals, p, K, acc, 8);
+    if (p + 8 <= e) {
+        add_pairs(a, B, cols, vals, p, K, acc, 4);
+        p += 8;
     }
-    for (; p < e; p++) {
+    if (p + 4 <= e) {
+        add_pairs(a, B, cols, vals, p, K, acc, 2);
+        p += 4;
+    }
+    if (p + 2 <= e) {
+        add_pairs(a, B, cols, vals, p, K, acc, 1);
+        p += 2;
+    }
+    if (p < e) {
         const double *b0 = B + cols[p] * K;
         double d0 = 0.0;
         for (k = 0; k < K; k++)

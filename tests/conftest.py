@@ -106,20 +106,22 @@ def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
 
 @pytest.fixture(scope="session")
 def native(pytestconfig, tmp_path_factory):
-    """The compiled kernels module: the installed extension if importable,
-    else `_native.c` compiled with the interpreter's own compiler and
-    flags (never into the source tree, which would switch every other test
-    to the native backend).
+    """The compiled kernels module. Under HDPMF_BACKEND=native it is the
+    built extension that every other test runs on too, so that a build
+    with its own flags (sanitizers, FMA, another compiler) is the one
+    checked. Otherwise it is the committed `_native.c` compiled with the
+    interpreter's own compiler and flags, since an importable extension
+    may have been built from an older source; the build never goes into
+    the source tree, which would switch every other test to the native
+    backend.
 
     The build is kept in the pytest cache under a key of the source's
     sha256 and the compile commands, so only the first session after a
     change to either pays the compile; without the cache plugin it goes to
     a temporary directory.
     """
-    try:
+    if os.environ.get("HDPMF_BACKEND", "").strip().lower() == "native":
         return importlib.import_module("hdpmf._native")
-    except ImportError:
-        pass
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("compiled kernel not built and no C compiler found")

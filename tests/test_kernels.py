@@ -1,11 +1,11 @@
 """Kernel contracts: both epoch kernels match the scalar oracle of
-oracles.py, the compiled kernels (the `native` fixture: imported, or built
-from `_native.c` when a C compiler exists) also match the fallback, a
-fixed U makes the released V a linear function of 2b - x on both, the
-keyed uniforms of both backends are the same bits as
-`numpy.random.Philox`, and the compiled entry points reject malformed
-arguments before writing anything. The keyed normals' transform has its
-own tests in test_transform.py."""
+oracles.py, the compiled kernels (the `native` fixture: the built extension
+under HDPMF_BACKEND=native, else `_native.c` compiled when a C compiler
+exists) also match the fallback, a fixed U makes the released V a linear
+function of 2b - x on both, the keyed uniforms of both backends are the
+same bits as `numpy.random.Philox`, and the compiled entry points reject
+malformed arguments before writing anything. The keyed normals' transform
+has its own tests in test_transform.py."""
 
 import importlib
 import inspect
@@ -185,12 +185,17 @@ def test_empty_items_skipped(impl):
 
 
 @st.composite
-def csr_instances(draw):
+def csr_instances(draw, long_rows=False):
     """Random small rating matrices in kernel form: any sparsity pattern
     (so items without raters and users without ratings occur), integer
-    ratings from 0, K down to 1, projection on or off."""
-    n_users = draw(st.integers(1, 7))
-    n_items = draw(st.integers(1, 7))
+    ratings from 0, K down to 1, projection on or off. With `long_rows`,
+    some are tall or wide, so that one side has rows longer than the
+    compiled kernel's groups of 16 ratings."""
+    shapes = [st.tuples(st.integers(1, 7), st.integers(1, 7))]
+    if long_rows:
+        shapes += [st.tuples(st.integers(17, 40), st.integers(1, 3)),
+                   st.tuples(st.integers(1, 3), st.integers(17, 40))]
+    n_users, n_items = draw(st.one_of(shapes))
     K = draw(st.integers(1, 4))
     mask = np.array(draw(st.lists(st.booleans(), min_size=n_users * n_items,
                                   max_size=n_users * n_items))).reshape(n_users, n_items)
@@ -269,23 +274,22 @@ def test_fallback_rejects_a_column_index_out_of_range_before_writing():
 
 
 @settings(max_examples=60, deadline=None)
-@given(inst=csr_instances(), epochs=st.integers(1, 3))
+@given(inst=csr_instances(long_rows=True), epochs=st.integers(1, 3))
 def test_native_matches_oracle_property(native, inst, epochs):
-    # bit for bit (test_native_is_bit_identical_to_oracle); this checks the
-    # tolerance over random shapes
     U_o, V_o = _epochs(oracle_epoch, inst, epochs)
     U_n, V_n = _epochs(native.run_epoch, inst, epochs)
-    np.testing.assert_allclose(U_n, U_o, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(V_n, V_o, rtol=0, atol=1e-12)
+    assert np.array_equal(U_n, U_o)
+    assert np.array_equal(V_n, V_o)
 
 
 @pytest.mark.parametrize("project", [True, False])
-@pytest.mark.parametrize("K", [1, 3, 10])
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 11])
 def test_native_is_bit_identical_to_oracle(native, K, project):
-    # user i rates items 14 - i .. 13, so rows of every length 0..13 occur
-    # on both sides: each remainder mod 4 of the kernel's groups of four
-    # ratings, and several whole groups
-    n = 14
+    # user i rates items 41 - i .. 40, so rows of every length 0..40 occur
+    # on both sides: every mix of the kernel's remainder groups of 8, 4, 2
+    # and 1 ratings, with up to two whole groups of 16 before them; an odd
+    # K leaves each lane pair a last k on its own
+    n = 41
     users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
     rng = np.random.default_rng(K)
     ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
