@@ -19,7 +19,6 @@ are rescaled is `BaselineKind.rescales`.
 from __future__ import annotations
 
 import enum
-import math
 
 import numpy as np
 
@@ -102,8 +101,10 @@ def method_inputs(
     only) user updates, and items with no surviving raters are skipped.
     hdpmf and hdpmf_r stretch ratings by w_ij and draw the plan at epsilon.
 
-    Raises ConfigError on `epsilon` when the noise scale 2 * delta / budget
-    of the budget a plan is calibrated to is not a finite number > 0.
+    Raises ConfigError on `epsilon` when the Laplace scale
+    2 * sqrt(K) * delta / budget of the budget a plan is calibrated to is
+    not a finite number > 0, or when it is so large that a share or an
+    item total of the plan would overflow (`build_noise_plan`).
     """
     if method is BaselineKind.MF:
         return dataset, np.ones(len(dataset)), NoisePlan.zeros(dataset, K)
@@ -112,12 +113,14 @@ def method_inputs(
     elif method is BaselineKind.PDPMF:
         budgets = epsilon * weights.matrix_entries(dataset.users, dataset.items)
         dataset = pdp_sample_ratings(dataset, budgets, epsilon, master_seed)
-    if not (epsilon > 0 and 0 < 2.0 * dataset.delta / epsilon < math.inf):
+    try:
+        plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
+    except ValueError:
         raise ConfigError(
-            "epsilon", f"{method.value} calibrates its noise to the budget {epsilon!r}, and the "
-            f"noise scale 2 * delta / budget with delta = {dataset.delta!r} is not a finite number > 0"
-        )
-    plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
+            "epsilon", f"{method.value} calibrates its noise to the budget {epsilon!r}, and the Laplace "
+            f"scale 2 * sqrt(K) * delta / budget with K = {K} and delta = {dataset.delta!r} is not a "
+            "finite number > 0 whose noise shares and totals stay finite"
+        ) from None
     if method in (BaselineKind.HDPMF, BaselineKind.HDPMF_R):
         return dataset, weights.matrix_entries(dataset.users, dataset.items), plan
     return dataset, np.ones(len(dataset)), plan

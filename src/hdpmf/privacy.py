@@ -4,15 +4,16 @@ distributed noise composition.
 Every rating (i, j) carries a privacy weight w_ij = beta_i * gamma_j in
 (0, 1], giving it a personal budget w_ij * eps. Training sees the stretched
 value w_ij * r_ij, and the item-side gradients are perturbed once per run
-by per-item Laplace noise of scale 2*sqrt(K)*delta/eps, assembled from
-per-device shares: a shared exponential vector h_j times per-rater Gaussian
-draws whose variances sum to one. Predictions divide by w_ij to undo the
-stretch (`protocol.predict_all`).
+by per-item Laplace noise of scale b = 2*sqrt(K)*delta/eps, assembled from
+per-device shares: rater i of item j adds a unit normal draw c_j^i times
+the item's one scale b * sqrt(2 h_j / |raters(j)|), with h_j a shared
+exponential vector. Predictions divide by w_ij to undo the stretch
+(`protocol.predict_all`).
 
-The noise plan holds h and the shares' scales, never the shares: a share
-is a keyed draw, so whoever needs it draws it from its key. The kernel
-engine reduces the shares to per-item totals a block at a time; each
-message-engine device draws its own.
+The noise plan holds h and the scales, never the shares: a unit draw is
+keyed, so whoever needs a share draws it from its key. The kernel engine
+sums each item's unit draws a block at a time and scales the sums once;
+each message-engine device draws its own shares.
 """
 
 from __future__ import annotations
@@ -108,24 +109,21 @@ class NoisePlan:
     """Once-per-run objective-perturbation noise, decomposed into shares.
 
     For every rated item j the recommender draws h_j ~ Exp(1)^K and each
-    rater i contributes x_j^i = (2*delta/eps) * sqrt(2K*h_j) * c_j^i with
-    c_j^i ~ N(0, 1/|raters(j)|)^K, so the per-item aggregate is Laplace of
-    scale 2*sqrt(K)*delta/eps per coordinate.
+    rater i contributes x_j^i = scale_j * c_j^i with c_j^i ~ N(0, 1)^K and
+    scale_j = b * sqrt(2 h_j / |raters(j)|), b = 2*sqrt(K)*delta/eps, so
+    the per-item aggregate is Laplace of scale b per coordinate.
 
-    The plan holds no share. It keeps h, the two factors of each item's
-    scale and the by-item layout, each item's slots sorted by user; c_j^i
-    is the keyed normal of `noise-c` under key (j, i), drawn whenever a
-    share is needed (`draw_shares`). So the plan costs O(n_items * K + nnz)
-    memory, never nnz x K.
+    The plan holds no share. It keeps h, each item's scale and the by-item
+    layout, each item's slots sorted by user; c_j^i is the keyed normal of
+    `noise-c` under key (j, i), drawn whenever a share is needed
+    (`draw_shares`). So the plan costs O(n_items * K + nnz) memory, never
+    nnz x K.
     """
 
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray  # (nnz,), user per slot
     h: np.ndarray  # (n_items, K); rows of unrated items stay zero
-    basis: np.ndarray  # (n_items, K): (2*delta/eps) * sqrt(2K*h_j)
-    sigma: np.ndarray  # (n_items,): 1/sqrt(|raters(j)|), zero where unrated
-    delta: float
-    epsilon: float
+    scale: np.ndarray  # (n_items, K): b * sqrt(2 h_j / |raters(j)|), zero where unrated
     K: int
     master_seed: int | None  # None: the noise-free plan, whose shares are zero
 
@@ -138,20 +136,15 @@ class NoisePlan:
             item_ptr=ptr,
             item_users=dataset.users[order],
             h=np.zeros((dataset.n_items, K)),
-            basis=np.zeros((dataset.n_items, K)),
-            sigma=np.zeros(dataset.n_items),
-            delta=dataset.delta,
-            epsilon=math.inf,
+            scale=np.zeros((dataset.n_items, K)),
             K=K,
             master_seed=None,
         )
 
     def draw_shares(self, items, users) -> np.ndarray:
-        """The shares x_j^i, shape (len(items), K), of parallel arrays of
-        rated (item, user) pairs, in their order.
-
-        Each block of NOISE_BLOCK_SLOTS pairs is drawn into its rows of the
-        result and scaled there: basis_j * (sigma_j * c_j^i).
+        """The shares x_j^i = scale_j * c_j^i, shape (len(items), K), of
+        parallel arrays of rated (item, user) pairs, in their order; each
+        block of NOISE_BLOCK_SLOTS pairs is drawn and scaled in its rows.
         """
         items = np.asarray(items, dtype=np.int64)
         users = np.asarray(users, dtype=np.int64)
@@ -162,8 +155,7 @@ class NoisePlan:
             j = items[s : s + NOISE_BLOCK_SLOTS]
             c = keyed_normal(self.master_seed, "noise-c", j, users[s : s + NOISE_BLOCK_SLOTS], self.K,
                              out=out[s : s + NOISE_BLOCK_SLOTS])
-            c *= self.sigma.take(j)[:, None]
-            c *= self.basis.take(j, axis=0)
+            c *= self.scale.take(j, axis=0)
         return out
 
     @property
@@ -180,13 +172,14 @@ class NoisePlan:
     def item_totals(self) -> np.ndarray:
         """(n_items, K) aggregated noise per item; zero rows where unrated.
 
-        The shares are drawn and summed a block of whole items at a time
-        (about NOISE_BLOCK_SLOTS slots; an item with more raters is a block
-        of its own), so no nnz x K array is ever held. Each item's total is
-        the bits that one `np.add.reduceat` over all of `shares` gives: its
-        first share plus NumPy's pairwise sum of the rest, which folds from
-        0.0 below 8 rows, keeps eight accumulators up to 128 and halves the
-        rows above that. A fold in slot order differs from 3 raters on.
+        The unit draws c_j^i are drawn and summed a block of whole items at
+        a time (about NOISE_BLOCK_SLOTS slots; an item with more raters is a
+        block of its own), so no nnz x K array is ever held, and the sums
+        are multiplied by `scale` once. Each item's sum is the bits that one
+        `np.add.reduceat` over all the unit draws gives: its first draw plus
+        NumPy's pairwise sum of the rest, which folds from 0.0 below 8 rows,
+        keeps eight accumulators up to 128 and halves the rows above that.
+        A fold in slot order differs from 3 raters on.
         """
         totals = np.zeros(self.h.shape)
         if self.master_seed is None:
@@ -195,43 +188,49 @@ class NoisePlan:
         for r0, r1 in row_blocks(ptr, NOISE_BLOCK_SLOTS):
             s, e = ptr[r0], ptr[r1]
             counts = np.diff(ptr[r0 : r1 + 1])
-            shares = self.draw_shares(np.repeat(np.arange(r0, r1), counts), self.item_users[s:e])
+            c = keyed_normal(self.master_seed, "noise-c", np.repeat(np.arange(r0, r1), counts),
+                             self.item_users[s:e], self.K)
             rated = r0 + np.flatnonzero(counts)
             if len(rated):
-                totals[rated] = np.add.reduceat(shares, ptr[rated] - s, axis=0)
+                totals[rated] = np.add.reduceat(c, ptr[rated] - s, axis=0)
+        totals *= self.scale
         return totals
 
 
 def build_noise_plan(
     dataset: RatingDataset, K: int, delta: float, epsilon: float, master_seed: int
 ) -> NoisePlan:
-    """The run's noise plan: h_j for every rated item, and the scales of
-    its shares. Items with no raters get no entry.
+    """The run's noise plan: h_j for every rated item, and its scale
+    b * sqrt(2 h_j / |raters(j)|) with b = `laplace_scale(K, delta,
+    epsilon)`. Items with no raters get zero rows.
 
-    Both parts are keyed Philox draws, so neither item nor rater iteration
-    order can change any draw: h_j under purpose `noise-h` and key (j, 0)
-    (`rng.keyed_exponential`), drawn here; c_j^i under `noise-c` and key
-    (j, i) (`rng.keyed_normal`), drawn when a share is needed. A share that
-    survives a subset of the data keeps its draw, and only its
-    1/sqrt(|raters(j)|) scale changes.
+    Both random parts are keyed Philox draws, so neither item nor rater
+    iteration order can change any draw: h_j under purpose `noise-h` and
+    key (j, 0) (`rng.keyed_exponential`), drawn here; c_j^i under `noise-c`
+    and key (j, i) (`rng.keyed_normal`), drawn when a share is needed. A
+    share that survives a subset of the data keeps its unit draw, and only
+    its item's scale changes.
+
+    Raises ValueError, as `laplace_scale` does, where b is not a number > 0
+    or a share or an item total could overflow.
     """
-    if epsilon <= 0 or delta <= 0:
-        raise ValueError("epsilon and delta must be > 0")
+    b = laplace_scale(K, delta, epsilon)
     ptr, order = dataset.by_item
     counts = np.diff(ptr)
     rated = np.flatnonzero(counts)
     h = np.zeros((dataset.n_items, K))
     h[rated] = keyed_exponential(master_seed, "noise-h", rated, np.zeros_like(rated), K)
-    sigma = np.zeros(dataset.n_items)
-    sigma[rated] = 1.0 / np.sqrt(counts[rated])
+    # A unit normal is below 9 in magnitude (Box-Muller reaches 8.58 at the
+    # least keyed uniform, 2**-53), so item j's shares and total stay within
+    # b * 9 * sqrt(2 h_j |raters(j)|)
+    reach = 9.0 * float(np.sqrt(2.0 * h.max(axis=1) * counts).max(initial=0.0))
+    if not (b > 0 and b * reach < math.inf):
+        raise ValueError(f"noise of scale {b!r} is zero or overflows")
     return NoisePlan(
         item_ptr=ptr,
         item_users=dataset.users[order],
         h=h,
-        basis=(2.0 * delta / epsilon) * np.sqrt(2.0 * K * h),
-        sigma=sigma,
-        delta=delta,
-        epsilon=epsilon,
+        scale=b * np.sqrt(2.0 * h / np.maximum(counts, 1)[:, None]),
         K=K,
         master_seed=master_seed,
     )

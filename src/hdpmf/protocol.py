@@ -154,9 +154,10 @@ class UserDevices:
         cls, dataset: RatingDataset, targets: np.ndarray, plan: NoisePlan, U: np.ndarray
     ) -> "UserDevices":
         """The devices of `dataset`'s users, holding `targets` (w_ij * r_ij,
-        in entry order) and writing `U`. Each device's noise shares are
-        drawn from their own (j, i) keys, as a device draws them in the
-        protocol, given h_j (`NoisePlan.draw_shares`)."""
+        in entry order) and writing `U`. Each device's noise share for
+        item j is its unit draw c_j^i, from its own (j, i) key, times the
+        item's scale, as a device draws it in the protocol given h_j
+        (`NoisePlan.draw_shares`)."""
         user_ptr, _ = dataset.by_user
         return cls(user_ptr, dataset.items, targets, plan.draw_shares(dataset.items, dataset.users), U)
 

@@ -101,12 +101,14 @@ class TestDpmfBudget:
 
 
 class TestCalibratedBudget:
-    """A plan is calibrated only to a budget whose noise scale 2 * delta /
-    budget is a finite number > 0; mf draws no plan and checks none."""
+    """A plan is calibrated only to a budget whose Laplace scale
+    2 * sqrt(K) * delta / budget is a finite number > 0 and keeps every
+    share and item total finite; mf draws no plan and checks none."""
 
     @pytest.mark.parametrize("method,weight,epsilon", [
         (BaselineKind.DPMF, 1e-200, 1e-200),  # epsilon * min w underflows to 0
         (BaselineKind.HDPMF, 1.0, 5e-324),  # 2 * delta / epsilon overflows
+        (BaselineKind.HDPMF, 1.0, 1e-307),  # 2 * delta / epsilon is finite, the plan's noise is not
         (BaselineKind.PDPMF, 1.0, 5e-324),
         (BaselineKind.DPMF, 1.0, 5e-324),
     ])

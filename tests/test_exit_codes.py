@@ -37,8 +37,9 @@ import hdpmf
 from hdpmf.cli import SWEEP_KEYS, main
 from hdpmf.diagnostics import MIN_SAMPLES
 
-# 1e-160 squared is subnormal, 1e-200 squared underflows to 0
-EXTREMES = ["nan", "inf", "-inf", "0", "1", "1e308", "-1e308", "5e-324", "1e-160", "1e-200", "-1"]
+# 1e-160 squared is subnormal, 1e-200 squared underflows to 0; as an epsilon,
+# 1e-307 leaves 2 * delta / epsilon finite and the noise plan's scale not
+EXTREMES = ["nan", "inf", "-inf", "0", "1", "1e308", "-1e308", "5e-324", "1e-160", "1e-200", "1e-307", "-1"]
 # a valid value for each float key (the eps_* ones in their group's order)
 FLOAT_KEYS = {
     "scale_min": "1", "scale_max": "5", "eta0": "0.01", "lam": "0.01", "epsilon": "1",
@@ -171,6 +172,8 @@ def _resolve(line: str, root: Path) -> str:
 
 @settings(max_examples=200, deadline=None)
 @given(runs())
+@example((["k = 2", "epochs = 1", "seeds = 0", "format = csv", "method = hdpmf", "epsilon = 1e-307"],
+          "csv", set()))
 def test_every_run_exits_0_1_or_2_and_leaves_its_data_alone(drawn):
     lines, layout, mutations = drawn
     with tempfile.TemporaryDirectory() as tmp:

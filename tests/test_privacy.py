@@ -159,6 +159,12 @@ def _pairwise_sum(rows):
     return _pairwise_sum(rows[:half]) + _pairwise_sum(rows[half:])
 
 
+def _unit_draws(plan):
+    """Every slot's unit draw c_j^i, (nnz, K), in by-item slot order."""
+    items = np.repeat(np.arange(len(plan.item_ptr) - 1), np.diff(plan.item_ptr))
+    return keyed_normal(plan.master_seed, "noise-c", items, plan.item_users, plan.K)
+
+
 def _complete_dataset(n_users, n_items, rating=3.0):
     users, items = np.meshgrid(np.arange(n_users), np.arange(n_items), indexing="ij")
     return RatingDataset(
@@ -173,13 +179,12 @@ class TestNoisePlan:
         plan = build_noise_plan(ds, K=4, delta=4.0, epsilon=1.0, master_seed=11)
         ptr, order = ds.by_item
         for j in range(2):
-            h = plan.h[j]
             raters = ds.users[order[ptr[j] : ptr[j + 1]]]
-            sigma = 1.0 / math.sqrt(len(raters))
+            scale = laplace_scale(4, 4.0, 1.0) * np.sqrt(2.0 * plan.h[j] / len(raters))
+            assert plan.scale[j].tobytes() == scale.tobytes()
             for i in raters:
-                c = sigma * keyed_normal(11, "noise-c", [j], [i], 4)[0]
-                expected = (2.0 * 4.0 / 1.0) * np.sqrt(2.0 * 4 * h) * c
-                assert np.array_equal(plan.draw_shares([j], [i])[0], expected)
+                c = keyed_normal(11, "noise-c", [j], [i], 4)[0]
+                assert plan.draw_shares([j], [i])[0].tobytes() == (scale * c).tobytes()
 
     def test_rebuild_bitwise_identical(self):
         ds = _complete_dataset(4, 3)
@@ -249,16 +254,17 @@ class TestNoisePlan:
         plan = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12)
         rated = np.flatnonzero(np.diff(plan.item_ptr))
         expected = np.zeros((ds.n_items, K))
-        expected[rated] = np.add.reduceat(plan.shares, plan.item_ptr[rated], axis=0)
+        expected[rated] = np.add.reduceat(_unit_draws(plan), plan.item_ptr[rated], axis=0)
+        expected *= plan.scale
         monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
         streamed = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12).item_totals
         assert streamed.tobytes() == expected.tobytes()
 
     def test_item_totals_follow_reduceat_order(self):
-        # each item's total is its first share plus NumPy's pairwise sum of
-        # the rest, the order of np.add.reduceat, not a fold in slot order;
-        # a pass that sums the shares elsewhere must keep this order to keep
-        # the bits. The counts cover the pairwise sum's three regimes: a
+        # each item's total is its scale times its first unit draw plus
+        # NumPy's pairwise sum of the rest, the order of np.add.reduceat, not
+        # a fold in slot order; a pass that sums the draws elsewhere must
+        # keep this order to keep the bits. The counts cover the pairwise sum's three regimes: a
         # fold from 0.0 below 8 rows, eight accumulators up to 128 and
         # halving above that; item 13 has no rater
         counts = [1, 2, 3, 7, 8, 9, 16, 17, 64, 128, 129, 136, 300, 0]
@@ -266,17 +272,17 @@ class TestNoisePlan:
         items = np.repeat(np.arange(len(counts)), counts)
         ds = RatingDataset(users, items, np.full(len(users), 3.0), max(counts), len(counts), 1, 5)
         plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=17)
-        shares = plan.shares
+        draws = _unit_draws(plan)
         expected = np.zeros((len(counts), 3))
         folded = 0
         for j, n in enumerate(counts):
             if n:
-                rows = shares[plan.item_ptr[j] : plan.item_ptr[j + 1]]
-                expected[j] = rows[0] + _pairwise_sum(rows[1:])
+                rows = draws[plan.item_ptr[j] : plan.item_ptr[j + 1]]
+                expected[j] = plan.scale[j] * (rows[0] + _pairwise_sum(rows[1:]))
                 fold = rows[0]
                 for row in rows[1:]:
                     fold = fold + row
-                folded += fold.tobytes() != expected[j].tobytes()
+                folded += (plan.scale[j] * fold).tobytes() != expected[j].tobytes()
         assert plan.item_totals.tobytes() == expected.tobytes()
         assert folded  # the oracle is not a fold in disguise
 
@@ -327,7 +333,7 @@ class TestNoisePlan:
         plan = NoisePlan.zeros(tiny_dataset, 3)
         assert not plan.shares.any()
         assert not plan.item_totals.any()
-        assert plan.epsilon == math.inf
+        assert not plan.scale.any() and plan.master_seed is None
 
     def test_mf_plan_holds_no_share_memory(self, tiny_dataset):
         _, _, plan = method_inputs(BaselineKind.MF, tiny_dataset, None, 1.0, 3, 0)  # mf reads no weights
@@ -407,13 +413,11 @@ class TestKeyedDraws:
     def test_subset_rescales_sigma_but_keeps_draw(self, ds, data):
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))), bool)
         sub = ds.subset(keep)
-        K, coef = 4, 2.0 * 4.0 / 0.5
-        full = build_noise_plan(ds, K, 4.0, 0.5, master_seed=6)
-        part = build_noise_plan(sub, K, 4.0, 0.5, master_seed=6)
+        full = build_noise_plan(ds, 4, 4.0, 0.5, master_seed=6)
+        part = build_noise_plan(sub, 4, 4.0, 0.5, master_seed=6)
 
         def unit_draw(plan, i, j):
-            n_j = plan.item_ptr[j + 1] - plan.item_ptr[j]
-            return plan.draw_shares([j], [i])[0] / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
+            return plan.draw_shares([j], [i])[0] / plan.scale[j]
 
         for i, j in zip(sub.users, sub.items):
             assert np.array_equal(part.h[j], full.h[j])
