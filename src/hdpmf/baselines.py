@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import RatingDataset
 from .exceptions import ConfigError
-from .privacy import NoisePlan, WeightAssignment, build_noise_plan
+from .privacy import NoisePlan, NoiseScaleError, WeightAssignment, build_noise_plan
 from .rng import keyed_uniform
 
 
@@ -115,7 +115,7 @@ def method_inputs(
         dataset = pdp_sample_ratings(dataset, budgets, epsilon, master_seed)
     try:
         plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
-    except ValueError:
+    except NoiseScaleError:
         raise ConfigError(
             "epsilon", f"{method.value} calibrates its noise to the budget {epsilon!r}, and the Laplace "
             f"scale 2 * sqrt(K) * delta / budget with K = {K} and delta = {dataset.delta!r} is not a "

@@ -27,7 +27,7 @@ import numpy as np
 
 from ._fallback import row_blocks
 from .data import RatingDataset
-from .rng import keyed_exponential, keyed_normal, keyed_uniform
+from .rng import NORMAL_BOUND, keyed_exponential, keyed_normal, keyed_uniform
 
 if TYPE_CHECKING:  # config imports this module through baselines
     from .config import ExperimentConfig
@@ -87,11 +87,17 @@ def allocate_weights(cfg: ExperimentConfig, n_users: int, n_items: int, master_s
     return WeightAssignment(beta, gamma)
 
 
+class NoiseScaleError(ValueError):
+    """A delta and budget whose noise scale is zero or would overflow."""
+
+
 def laplace_scale(K: int, delta: float, epsilon: float) -> float:
     """Noise scale 2*sqrt(K)*delta/epsilon that the item factors need for
     the heterogeneous guarantee."""
-    if K < 1 or delta <= 0 or epsilon <= 0:
-        raise ValueError("K, delta, epsilon must be positive")
+    if K < 1:
+        raise ValueError(f"K must be >= 1, got {K}")
+    if not (delta > 0 and epsilon > 0):
+        raise NoiseScaleError("delta and epsilon must be positive")
     return 2.0 * math.sqrt(K) * delta / epsilon
 
 
@@ -113,11 +119,10 @@ class NoisePlan:
     scale_j = b * sqrt(2 h_j / |raters(j)|), b = 2*sqrt(K)*delta/eps, so
     the per-item aggregate is Laplace of scale b per coordinate.
 
-    The plan holds no share. It keeps h, each item's scale and the by-item
-    layout, each item's slots sorted by user; c_j^i is the keyed normal of
-    `noise-c` under key (j, i), drawn whenever a share is needed
-    (`draw_shares`). So the plan costs O(n_items * K + nnz) memory, never
-    nnz x K.
+    The plan holds no share, only h, the scales and the by-item layout
+    (each item's slots sorted by user), so it costs O(n_items * K + nnz)
+    memory, never nnz x K; c_j^i is the keyed normal of `noise-c` under
+    key (j, i), drawn whenever a share is needed (`draw_shares`).
     """
 
     item_ptr: np.ndarray  # (n_items + 1,)
@@ -204,15 +209,12 @@ def build_noise_plan(
     b * sqrt(2 h_j / |raters(j)|) with b = `laplace_scale(K, delta,
     epsilon)`. Items with no raters get zero rows.
 
-    Both random parts are keyed Philox draws, so neither item nor rater
-    iteration order can change any draw: h_j under purpose `noise-h` and
-    key (j, 0) (`rng.keyed_exponential`), drawn here; c_j^i under `noise-c`
-    and key (j, i) (`rng.keyed_normal`), drawn when a share is needed. A
-    share that survives a subset of the data keeps its unit draw, and only
-    its item's scale changes.
-
-    Raises ValueError, as `laplace_scale` does, where b is not a number > 0
-    or a share or an item total could overflow.
+    Both random parts are keyed Philox draws, so no iteration order can
+    change a draw: h_j under purpose `noise-h` and key (j, 0), drawn here;
+    c_j^i under `noise-c` and key (j, i), drawn when a share is needed. A
+    share that survives a subset of the data keeps its unit draw; only its
+    item's scale changes. Raises NoiseScaleError, before any share is
+    drawn, where b is not > 0 or a share or an item total could overflow.
     """
     b = laplace_scale(K, delta, epsilon)
     ptr, order = dataset.by_item
@@ -220,12 +222,10 @@ def build_noise_plan(
     rated = np.flatnonzero(counts)
     h = np.zeros((dataset.n_items, K))
     h[rated] = keyed_exponential(master_seed, "noise-h", rated, np.zeros_like(rated), K)
-    # A unit normal is below 9 in magnitude (Box-Muller reaches 8.58 at the
-    # least keyed uniform, 2**-53), so item j's shares and total stay within
-    # b * 9 * sqrt(2 h_j |raters(j)|)
-    reach = 9.0 * float(np.sqrt(2.0 * h.max(axis=1) * counts).max(initial=0.0))
+    # item j's shares and total stay within b * NORMAL_BOUND * sqrt(2 h_j |raters(j)|)
+    reach = NORMAL_BOUND * float(np.sqrt(2.0 * h.max(axis=1) * counts).max(initial=0.0))
     if not (b > 0 and b * reach < math.inf):
-        raise ValueError(f"noise of scale {b!r} is zero or overflows")
+        raise NoiseScaleError(f"noise of scale {b!r} is zero or overflows")
     return NoisePlan(
         item_ptr=ptr,
         item_users=dataset.users[order],

@@ -52,6 +52,12 @@ _PURPOSES = {
 }
 
 
+# Every keyed normal is below this in magnitude: the least keyed uniform is
+# the lowest bin's midpoint 2**-53 (`keyed_uniform`), where the Box-Muller
+# radius sqrt(-2 log u) reaches 8.58.
+NORMAL_BOUND = 9.0
+
+
 def _check_seed(master_seed: int) -> None:
     if master_seed < 0:
         raise ValueError(f"master_seed must be non-negative, got {master_seed}")

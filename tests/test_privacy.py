@@ -413,11 +413,13 @@ class TestKeyedDraws:
     def test_subset_rescales_sigma_but_keeps_draw(self, ds, data):
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))), bool)
         sub = ds.subset(keep)
-        full = build_noise_plan(ds, 4, 4.0, 0.5, master_seed=6)
-        part = build_noise_plan(sub, 4, 4.0, 0.5, master_seed=6)
+        K, coef = 4, 2.0 * 4.0 / 0.5
+        full = build_noise_plan(ds, K, 4.0, 0.5, master_seed=6)
+        part = build_noise_plan(sub, K, 4.0, 0.5, master_seed=6)
 
         def unit_draw(plan, i, j):
-            return plan.draw_shares([j], [i])[0] / plan.scale[j]
+            n_j = plan.item_ptr[j + 1] - plan.item_ptr[j]
+            return plan.draw_shares([j], [i])[0] / (coef * np.sqrt(2.0 * K * plan.h[j])) * math.sqrt(n_j)
 
         for i, j in zip(sub.users, sub.items):
             assert np.array_equal(part.h[j], full.h[j])

@@ -58,6 +58,14 @@ def test_box_muller_of_the_edge_uniforms_is_the_same_bits_on_both_backends(nativ
         assert v.tobytes() == got.tobytes()
 
 
+def test_the_edge_uniforms_stay_below_the_normal_bound():
+    # the radius sqrt(-2 log u) is largest at 2**-53, the least keyed
+    # uniform, so every keyed normal is below the bound the noise plan's
+    # overflow check rests on
+    u = np.array(list(itertools.product(EDGES, EDGES)))
+    assert np.abs(_box_muller(_fallback, u)).max() < rng.NORMAL_BOUND
+
+
 @pytest.mark.parametrize("size", [0, 1, 4, 5, 10])
 def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, size):
     j, i = np.arange(50, dtype=np.uint64), np.arange(50, 100, dtype=np.uint64)
