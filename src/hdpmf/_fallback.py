@@ -6,7 +6,9 @@ time; the extension computes the same words and maps them the same exact
 way, so the two backends draw the same bits. `keyed_normal` turns them into
 normals by `box_muller`, whose log, sin and cos are fdlibm's polynomials in
 plain arithmetic (`log_unit`, `sincos_turn`); the extension runs the same
-operations in the same order, so the normals are the same bits too.
+operations in the same order in each vector lane, four pairs at a time where
+it took its AVX2 lanes and one otherwise, so the normals are the same bits
+too.
 
 One epoch of `run_epoch` is one full-batch sweep: every rated item gets one
 aggregated gradient step (raters' contributions plus the item's fixed noise
@@ -219,8 +221,9 @@ def keyed_uniform(j: np.ndarray, i: np.ndarray, key0: int, key1: int, out: np.nd
 # The transforms under the keyed normals and exponentials use only +, -, *,
 # /, sqrt and exact bit operations, each rounded once, so every IEEE-754
 # machine gives the same bits; `_native.c` runs the same operations in the
-# same order. The polynomials are fdlibm 5.3's (Sun Microsystems, 1993):
-# e_log.c for log, k_sin.c and k_cos.c for sin and cos on [-pi/4, pi/4].
+# same order in each lane of its vectors, whatever their width. The
+# polynomials are fdlibm 5.3's (Sun Microsystems, 1993): e_log.c for log,
+# k_sin.c and k_cos.c for sin and cos on [-pi/4, pi/4].
 _LN2_HI = float.fromhex("0x1.62e42fee00000p-1")
 _LN2_LO = float.fromhex("0x1.a39ef35793c76p-33")
 _LG = [float.fromhex(h) for h in (

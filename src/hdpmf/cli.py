@@ -26,7 +26,7 @@ from .config import ExperimentConfig, parse_config
 from .diagnostics import MIN_SAMPLES, SCALE_RANGE, check_noise_composition
 from .evaluation import LOSS_TRACE_HEADER, emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
-from .kernels import backend_name
+from .kernels import backend_path
 from .privacy import laplace_scale
 from .protocol import TRACE_HEADER
 
@@ -37,9 +37,10 @@ def _provenance(cfg: ExperimentConfig, extra: list[str] | None = None) -> list[s
     """Header lines of a results file: the effective config, then what ran
     it. The backend trains, and its epoch sums in its own order, so it can
     change the last bits of a result; every seeded draw is the same bits on
-    either backend and any NumPy build."""
+    either backend and any NumPy build. The native backend's line also
+    names its lane path, which changes no bit."""
     lines = [f"{key} = {value}" for key, value in cfg.effective_items()]
-    lines += [f"backend = {backend_name()}", f"hdpmf = {__version__}", f"numpy = {np.__version__}"]
+    lines += [f"backend = {backend_path()}", f"hdpmf = {__version__}", f"numpy = {np.__version__}"]
     return lines + (extra or [])
 
 

@@ -6,7 +6,8 @@ of the noise plan (`keyed_normal`); all come from the same module. The
 compiled extension is preferred when importable; the NumPy fallback is
 always available. Set HDPMF_BACKEND=python (or =native) to force a choice —
 forcing `native` is refused if the extension did not build, and any other
-value is refused too.
+value is refused too. An extension without the `ISA` that every current
+build exports was built from an older `_native.c`, and is not taken.
 
 The backend is chosen on first use, when one of the three names or
 `backend_name` is first looked up, not while `import hdpmf` runs, so a
@@ -41,7 +42,7 @@ def _select() -> ModuleType:
         # import_module, unlike `from . import _native`, names the missing
         # module in its error rather than blaming a circular import
         impl = importlib.import_module("._native", __package__)
-        if not all(hasattr(impl, name) for name in ("keyed_uniform", "keyed_normal")):
+        if not all(hasattr(impl, name) for name in ("keyed_uniform", "keyed_normal", "ISA")):
             raise ImportError("it was built from an older _native.c; rebuild it")
     except ImportError as exc:
         if requested == "native":
@@ -74,3 +75,11 @@ def backend_name() -> str:
     """Which kernel implementation is active, 'native' or 'python': it runs
     the training epochs and draws the keyed uniforms and normals."""
     return _backend().NAME
+
+
+def backend_path() -> str:
+    """The active backend with the code path it runs: 'python', or
+    'native/avx2' or 'native/baseline', the lane width that the compiled
+    kernels chose when they loaded. Either path gives the same bits."""
+    impl = _backend()
+    return f"{impl.NAME}/{impl.ISA}" if hasattr(impl, "ISA") else impl.NAME

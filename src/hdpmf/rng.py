@@ -12,8 +12,9 @@ makes the words: the C extension, or NumPy without it
 (`HDPMF_BACKEND=python`). Both give the same words and map them to doubles
 exactly, so the draws are the same bits either way. The normals come from
 the backend too (`kernels.keyed_normal`), by a Box-Muller transform built
-from +, -, *, /, sqrt and exact bit operations only, which the C extension
-and NumPy run in the same order; `keyed_exponential` takes the same
+from +, -, *, /, sqrt and exact bit operations only, which NumPy and the C
+extension run in the same order, the extension in each lane of its vectors
+on either lane path it picks at import; `keyed_exponential` takes the same
 portable log in NumPy. No draw goes through libm or NumPy's
 transcendental functions, so seeded results are the same bits on every
 IEEE-754 machine and NumPy build.

@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from hdpmf import _fallback
 from hdpmf.config import default_dataset_path
 from hdpmf.data import RatingDataset, load_movielens_100k
 from hdpmf.rng import stream
@@ -92,40 +93,44 @@ def ml100k() -> RatingDataset:
 
 NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
 
+# The builds of the committed `_native.c` that the native tests run on, with
+# their extra compile flags: the dispatched build takes the AVX2 lanes when
+# it loads on a CPU that has them, and the baseline build has them compiled
+# out, so that its two-lane path is tested on every machine.
+NATIVE_BUILDS = {"dispatched": [], "baseline": ["-DHDPMF_NO_AVX2"]}
 
-def _native_build_commands(src: Path, obj: Path, out: Path) -> list[list[str]]:
+# Under HDPMF_BACKEND=native the tests take the built extension as it is, so
+# that a build with its own flags (sanitizers, FMA, another compiler, the
+# baseline guard) is the one checked; it is one build, the dispatched one.
+INSTALLED = os.environ.get("HDPMF_BACKEND", "").strip().lower() == "native"
+
+# Every kernels module, for tests that run on each: the NumPy fallback, then
+# the native builds.
+KERNELS = ["python", "native"] + ([] if INSTALLED else ["native-baseline"])
+
+
+def _native_build_commands(src: Path, obj: Path, out: Path, flags=()) -> list[list[str]]:
     """Compile and link `_native.c` with the interpreter's own compiler and
-    flags."""
+    flags, plus `flags`."""
     cfg = sysconfig.get_config_var
     return [
-        shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED"))
+        shlex.split(cfg("CC")) + shlex.split(cfg("CFLAGS")) + shlex.split(cfg("CCSHARED")) + list(flags)
         + ["-I" + sysconfig.get_paths()["include"], "-c", str(src), "-o", str(obj)],
         shlex.split(cfg("LDSHARED")) + [str(obj), "-o", str(out)],
     ]
 
 
-@pytest.fixture(scope="session")
-def native(pytestconfig, tmp_path_factory):
-    """The compiled kernels module. Under HDPMF_BACKEND=native it is the
-    built extension that every other test runs on too, so that a build
-    with its own flags (sanitizers, FMA, another compiler) is the one
-    checked. Otherwise it is the committed `_native.c` compiled with the
-    interpreter's own compiler and flags, since an importable extension
-    may have been built from an older source; the build never goes into
-    the source tree, which would switch every other test to the native
-    backend.
-
-    The build is kept in the pytest cache under a key of the source's
-    sha256 and the compile commands, so only the first session after a
-    change to either pays the compile; without the cache plugin it goes to
-    a temporary directory.
-    """
-    if os.environ.get("HDPMF_BACKEND", "").strip().lower() == "native":
-        return importlib.import_module("hdpmf._native")
+def _compile_native(pytestconfig, tmp_path_factory, flags):
+    """The committed `_native.c` compiled with `flags` and loaded. The build
+    never goes into the source tree, which would switch every other test to
+    the native backend. It is kept in the pytest cache under a key of the
+    source's sha256 and the full compile commands, so only the first session
+    after a change to either pays the compile; without the cache plugin it
+    goes to a temporary directory."""
     cc = shlex.split(sysconfig.get_config_var("CC") or "")
     if not cc or shutil.which(cc[0]) is None:
         pytest.skip("compiled kernel not built and no C compiler found")
-    probe = _native_build_commands(NATIVE_C, Path("o"), Path("so"))
+    probe = _native_build_commands(NATIVE_C, Path("o"), Path("so"), flags)
     key = hashlib.sha256(NATIVE_C.read_bytes() + repr(probe).encode()).hexdigest()[:16]
     cache = getattr(pytestconfig, "cache", None)
     build_dir = cache.mkdir(f"hdpmf-native-{key}") if cache is not None else tmp_path_factory.mktemp("native")
@@ -134,9 +139,11 @@ def native(pytestconfig, tmp_path_factory):
     if not target.is_file():
         tmp = build_dir / f"_native.{os.getpid()}.tmp{suffix}"
         obj = build_dir / f"_native.{os.getpid()}.o"
+        # the compiler runs without a sanitizer runtime preloaded into the tests
+        env = {name: value for name, value in os.environ.items() if name != "LD_PRELOAD"}
         try:
-            for cmd in _native_build_commands(NATIVE_C, obj, tmp):
-                done = subprocess.run(cmd, capture_output=True, text=True, timeout=600)
+            for cmd in _native_build_commands(NATIVE_C, obj, tmp, flags):
+                done = subprocess.run(cmd, capture_output=True, text=True, timeout=600, env=env)
                 assert done.returncode == 0, f"{shlex.join(cmd)}\n{done.stderr[-4000:]}"
             os.replace(tmp, target)
         finally:
@@ -147,3 +154,53 @@ def native(pytestconfig, tmp_path_factory):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+@pytest.fixture(scope="session")
+def native_build(pytestconfig, tmp_path_factory):
+    """`native_build(name)`: the committed `_native.c` compiled as the build
+    `name` of NATIVE_BUILDS, whatever HDPMF_BACKEND says; each is compiled
+    at most once a session."""
+    built = {}
+
+    def build(name):
+        if name not in built:
+            built[name] = _compile_native(pytestconfig, tmp_path_factory, NATIVE_BUILDS[name])
+        return built[name]
+
+    return build
+
+
+@pytest.fixture(scope="session", params=["dispatched"] if INSTALLED else list(NATIVE_BUILDS))
+def native(request, native_build):
+    """The compiled kernels module: under HDPMF_BACKEND=native the built
+    extension that every other test runs on too, else each build of
+    NATIVE_BUILDS in turn."""
+    if INSTALLED:
+        return importlib.import_module("hdpmf._native")
+    return native_build(request.param)
+
+
+@pytest.fixture(params=KERNELS)
+def impl(request):
+    """Each kernels module of KERNELS in turn."""
+    if request.param == "python":
+        return _fallback
+    if INSTALLED:
+        return importlib.import_module("hdpmf._native")
+    build = {"native": "dispatched", "native-baseline": "baseline"}[request.param]
+    return request.getfixturevalue("native_build")(build)
+
+
+def pytest_collection_modifyitems(items):
+    """The dispatched build's cases keep the ids they had before the baseline
+    build joined: `test[0]` rather than `test[dispatched-0]`, and `test`
+    rather than `test[dispatched]`; only the baseline's carry their build."""
+    for item in items:
+        spec = getattr(item, "callspec", None)
+        if spec is None or spec.params.get("native") != "dispatched":
+            continue
+        ids = [part for part in spec.id.split("-") if part != "dispatched"]
+        name = item.originalname + (f"[{'-'.join(ids)}]" if ids else "")
+        item._nodeid = item.nodeid[: -len(item.name)] + name
+        item.name = name

@@ -16,11 +16,12 @@ an item phase, then a user phase, and each phase is a Jacobi sweep:
   leaves the unit ball, the projection back onto it.
 
 `oracle_epoch` runs them in that order. `_native.c` runs the same
-operations in the same order, with the dots of two ratings in the lanes
-of one vector and up to 16 ratings' dots side by side, so it matches bit
-for bit. `hdpmf._fallback` runs the same sweeps in NumPy
-blocks, and the message engine's devices and recommender split them
-between the two sides; both match to reduction order.
+operations in the same order, with the dots of two or, on its AVX2 path,
+four ratings in the lanes of one vector and up to 16 ratings' dots side by
+side, so it matches bit for bit on either path. `hdpmf._fallback` runs the
+same sweeps in NumPy blocks, and the message engine's devices and
+recommender split them between the two sides; both match to reduction
+order.
 """
 
 import numpy as np

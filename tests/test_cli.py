@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import hdpmf
+from hdpmf import kernels
 from hdpmf.baselines import BaselineKind
 from hdpmf.cli import main
 from hdpmf.config import ExperimentConfig, parse_config
@@ -187,7 +188,9 @@ class TestCmdRun:
         out = tmp_path / "res.csv"
         cfg = write_config(tmp_path, dataset=data, output=out, method="hdpmf", **BASE)
         assert main([argv[0], str(cfg), *argv[1:]]) == 0
-        ran_by = [f"# backend = {hdpmf.backend_name()}", f"# hdpmf = {hdpmf.__version__}",
+        # the native backend's line names the lane path it chose at import
+        assert kernels.backend_path() in ("python", "native/avx2", "native/baseline")
+        ran_by = [f"# backend = {kernels.backend_path()}", f"# hdpmf = {hdpmf.__version__}",
                   f"# numpy = {np.__version__}"]
         lines = out.read_text().splitlines()
         header = lines[: lines.index("method,dataset,K,eps,f_uc,eps_uc,fraction,seed,mse,mae")]

@@ -1,11 +1,12 @@
 """Kernel contracts: both epoch kernels match the scalar oracle of
 oracles.py, the compiled kernels (the `native` fixture: the built extension
 under HDPMF_BACKEND=native, else `_native.c` compiled when a C compiler
-exists) also match the fallback, a fixed U makes the released V a linear
-function of 2b - x on both, the keyed uniforms of both backends are the
-same bits as `numpy.random.Philox`, and the compiled entry points reject
-malformed arguments before writing anything. The keyed normals' transform
-has its own tests in test_transform.py."""
+exists, once as loaded and once with its AVX2 lanes compiled out) also
+match the fallback, the two lane paths give the same bits, a fixed U makes
+the released V a linear function of 2b - x on both, the keyed uniforms of
+both backends are the same bits as `numpy.random.Philox`, and the compiled
+entry points reject malformed arguments before writing anything. The keyed
+normals' transform has its own tests in test_transform.py."""
 
 import importlib
 import inspect
@@ -83,13 +84,6 @@ def test_native_matches_oracle(native):
     U_o, V_o = _run(ORACLE, ds, model, noise, lam=0.01, eta=0.05, epochs=2)
     assert np.allclose(U_n, U_o, rtol=0, atol=1e-12)
     assert np.allclose(V_n, V_o, rtol=0, atol=1e-12)
-
-
-@pytest.fixture(params=["python", "native"])
-def impl(request):
-    if request.param == "python":
-        return _fallback
-    return request.getfixturevalue("native")
 
 
 def test_projection_enforced(impl):
@@ -171,6 +165,15 @@ def test_extension_without_keyed_normal_is_refused():
     # an extension built before keyed_normal existed draws the uniforms only
     out = _select_with_stale_extension("native", ["run_epoch", "keyed_uniform"])
     assert out.startswith("ConfigError") and "rebuild it" in out, out
+
+
+@pytest.mark.parametrize("requested, selected", [("", "python"), ("native", "ConfigError")])
+def test_extension_without_isa_is_not_selected(requested, selected):
+    # an extension built before the AVX2 lanes has every entry point, but
+    # names no lane path
+    out = _select_with_stale_extension(requested, ["run_epoch", "keyed_uniform", "keyed_normal"])
+    assert out.split()[0] == selected, out
+    assert selected == "python" or "rebuild it" in out, out
 
 
 def test_empty_items_skipped(impl):
@@ -306,6 +309,45 @@ def test_native_is_bit_identical_to_oracle(native, K, project):
     U_n, V_n = _epochs(native.run_epoch, inst, 3)
     assert np.array_equal(U_n, U_o)
     assert np.array_equal(V_n, V_o)
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 10, 11])
+def test_lane_paths_give_the_same_bits(native_build, K):
+    # the dispatched build (AVX2 lanes where the CPU has them) against the
+    # baseline build, whatever HDPMF_BACKEND says: rows of every length
+    # 0..40 on both sides, 20 epochs, then K keyed normals for 10**5 keys
+    dispatched, baseline = native_build("dispatched"), native_build("baseline")
+    assert baseline.ISA == "baseline"
+    n = 41
+    users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
+    rng = np.random.default_rng(100 + K)
+    ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
+    inst = dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
+                item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=0.02, project=True,
+                **kernel_args(ds))
+    for got, want in zip(_epochs(dispatched.run_epoch, inst, 20), _epochs(baseline.run_epoch, inst, 20)):
+        assert got.tobytes() == want.tobytes()
+    j, i = rng.integers(0, 2**64, size=(2, 10**5), dtype=np.uint64)
+    normals = []
+    for build in (dispatched, baseline):
+        out = np.full((len(j), K), np.nan)
+        build.keyed_normal(j, i, 2**63 + K, 7, out)
+        normals.append(out.tobytes())
+    assert normals[0] == normals[1]
+
+
+@pytest.mark.skipif(not Path("/proc/cpuinfo").is_file(), reason="reads the CPU flags of Linux")
+def test_dispatched_build_takes_the_avx2_lanes_where_the_cpu_has_them(native_build):
+    # a guard that compiles the AVX2 lanes out, or a dispatch that never
+    # picks them, would keep every bit and quietly lose their speed
+    flags = set()
+    for line in Path("/proc/cpuinfo").read_text().splitlines():
+        if line.startswith("flags"):
+            flags.update(line.partition(":")[2].split())
+    expected = "avx2" if "avx2" in flags else "baseline"
+    assert native_build("dispatched").ISA == expected, (
+        "the AVX2 lanes need x86-64 and a compiler with __builtin_shufflevector (GCC 12 or later, or Clang)")
+    assert native_build("baseline").ISA == "baseline"
 
 
 def _fixed_u_epochs(impl, inst, item_vals, item_noise, etas):

@@ -149,9 +149,7 @@ EXPONENTIALS = [
 ]
 
 
-@pytest.mark.parametrize("backend", ["python", "native"])
-def test_pinned_draws(monkeypatch, request, backend):
-    impl = _fallback if backend == "python" else request.getfixturevalue("native")
+def test_pinned_draws(monkeypatch, impl):
     monkeypatch.setattr(kernels, "keyed_uniform", impl.keyed_uniform)
     monkeypatch.setattr(kernels, "keyed_normal", impl.keyed_normal)
     normals = rng.keyed_normal(5, "noise-c", [7, 1681, 2**40], [2, 0, 942], 3)
