@@ -291,20 +291,23 @@ def test_native_matches_oracle_property(native, inst, epochs):
     assert np.array_equal(V_n, V_o)
 
 
+def _staircase(K, rng, project=True, eta=0.05):
+    """A kernel instance where user i rates items 41 - i .. 40, so rows of
+    every length 0..40 occur on both sides: every mix of the kernel's
+    remainder groups of 8, 4, 2 and 1 ratings, with up to two whole groups
+    of 16 before them; an odd K leaves each lane pair a last k on its own."""
+    n = 41
+    users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
+    ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
+    return dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
+                item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=eta, project=project,
+                **kernel_args(ds))
+
+
 @pytest.mark.parametrize("project", [True, False])
 @pytest.mark.parametrize("K", [1, 2, 3, 10, 11])
 def test_native_is_bit_identical_to_oracle(native, K, project):
-    # user i rates items 41 - i .. 40, so rows of every length 0..40 occur
-    # on both sides: every mix of the kernel's remainder groups of 8, 4, 2
-    # and 1 ratings, with up to two whole groups of 16 before them; an odd
-    # K leaves each lane pair a last k on its own
-    n = 41
-    users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
-    rng = np.random.default_rng(K)
-    ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
-    inst = dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
-                item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=0.05, project=project,
-                **kernel_args(ds))
+    inst = _staircase(K, np.random.default_rng(K), project)
     U_o, V_o = _epochs(oracle_epoch, inst, 3)
     U_n, V_n = _epochs(native.run_epoch, inst, 3)
     assert np.array_equal(U_n, U_o)
@@ -318,13 +321,8 @@ def test_lane_paths_give_the_same_bits(native_build, K):
     # 0..40 on both sides, 20 epochs, then K keyed normals for 10**5 keys
     dispatched, baseline = native_build("dispatched"), native_build("baseline")
     assert baseline.ISA == "baseline"
-    n = 41
-    users, items = np.nonzero(np.add.outer(np.arange(n), np.arange(n)) >= n)
     rng = np.random.default_rng(100 + K)
-    ds = RatingDataset(users, items, rng.integers(1, 6, size=len(users)).astype(np.float64), n, n, 1.0, 5.0)
-    inst = dict(U=rng.normal(0.0, 0.5, size=(n, K)), V=rng.normal(0.0, 1.0, size=(n, K)),
-                item_noise=rng.normal(0.0, 2.0, size=(n, K)), lam=0.01, eta=0.02, project=True,
-                **kernel_args(ds))
+    inst = _staircase(K, rng, eta=0.02)
     for got, want in zip(_epochs(dispatched.run_epoch, inst, 20), _epochs(baseline.run_epoch, inst, 20)):
         assert got.tobytes() == want.tobytes()
     j, i = rng.integers(0, 2**64, size=(2, 10**5), dtype=np.uint64)
