@@ -498,7 +498,7 @@ philox_uniforms(uint64_t j, uint64_t i, uint64_t b, uint64_t k0, uint64_t k1, do
 
 /* Row r of out (n x size) holds the blocks for counters (j[r], i[r], b, 0),
    b = 0, 1, ..., word w of block b in column 4b + w. */
-static void
+static int
 fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
              double *out, Py_ssize_t size)
 {
@@ -510,6 +510,7 @@ fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, ui
             for (w = 0; w < 4 && c + w < size; w++)
                 out[c + w] = u[w];
         }
+    return 0;
 }
 
 /* fdlibm 5.3 (Sun Microsystems, 1993): the log polynomial of e_log.c and
@@ -763,42 +764,41 @@ done:
     return result;
 }
 
-/* Doubles of out that fill_normal draws and transforms per pass, in L1. */
+/* Doubles that fill_normal stages and transforms per pass, in L1. */
 #define NORMAL_CHUNK 512
 
 /* Row r of out (n x size) holds box_muller_pairs of the uniforms that
-   fill_uniform would write there, plus one more for an odd size, whose
-   last sin is dropped. */
-static void
+   fill_uniform would write there, drawn one wider for an odd size, whose
+   last sin is dropped. Each pass stages a chunk of rows w = size + size % 2
+   wide, in out for an even size, else in scratch, whose rows lose their
+   last column on the way out, and transforms it in one call. */
+static int
 fill_normal(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
             double *out, Py_ssize_t size)
 {
-    /* the uniform after each row's last, for an odd size */
-    double u[4], tail[NORMAL_CHUNK], s, c, *o;
-    Py_ssize_t rows = size < NORMAL_CHUNK ? NORMAL_CHUNK / (size ? size : 1) : 1;
-    Py_ssize_t r0, r, col, w, nr;
+    Py_ssize_t w = size + size % 2, rows = w < NORMAL_CHUNK ? NORMAL_CHUNK / (w ? w : 1) : 1;
+    Py_ssize_t r0, r, c, nr;
+    double *scratch = NULL, *stage;
 
-    for (r0 = 0; r0 < n; r0 += rows) {
-        nr = n - r0 < rows ? n - r0 : rows;
-        o = out + r0 * size;
-        for (r = 0; r < nr; r++)
-            for (col = 0; col < size; col += 4) {
-                philox_uniforms(j[r0 + r], i[r0 + r], (uint64_t)(col / 4), k0, k1, u);
-                for (w = 0; w < 4 && col + w < size; w++)
-                    o[r * size + col + w] = u[w];
-                if (w < 4 && (size & 1))
-                    tail[r] = u[w];
-            }
-        if (!(size & 1)) {
-            lanes->box_muller_pairs(o, nr * size / 2);
-            continue;
-        }
-        for (r = 0; r < nr; r++, o += size) {
-            lanes->box_muller_pairs(o, size / 2);
-            sincos_turn1(tail[r], &s, &c);
-            o[size - 1] = sqrt(-2.0 * log_unit1(o[size - 1])) * c;
-        }
+    /* an empty out may be wider than any scratch could be */
+    if (rows > n)
+        rows = n;
+    if (size % 2 && (scratch = PyMem_New(double, rows * w)) == NULL) {
+        PyErr_NoMemory();
+        return -1;
     }
+    for (r0 = 0; r0 < n; r0 += nr) {
+        nr = n - r0 < rows ? n - r0 : rows;
+        stage = scratch ? scratch : out + r0 * size;
+        fill_uniform(j + r0, i + r0, nr, k0, k1, stage, w);
+        lanes->box_muller_pairs(stage, nr * w / 2);
+        if (scratch)
+            for (r = 0; r < nr; r++)
+                for (c = 0; c < size; c++)
+                    out[(r0 + r) * size + c] = scratch[r * w + c];
+    }
+    PyMem_Free(scratch);
+    return 0;
 }
 
 /* A key word: an integer in [0, 2^64), else OverflowError (TypeError for a
@@ -816,13 +816,14 @@ key_word(PyObject *obj, uint64_t *word)
 
 static char *KEYED_KWLIST[] = {"j", "i", "key0", "key1", "out", NULL};
 
-typedef void (*keyed_fill)(const uint64_t *, const uint64_t *, Py_ssize_t, uint64_t, uint64_t,
-                           double *, Py_ssize_t);
+/* Fills out: 0, else -1 with an exception set and out unwritten. */
+typedef int (*keyed_fill)(const uint64_t *, const uint64_t *, Py_ssize_t, uint64_t, uint64_t,
+                          double *, Py_ssize_t);
 
 /* The one argument checker of keyed_uniform and keyed_normal (`format`
    names the caller in errors): j and i are uint64 vectors of one length,
    out a writable C-contiguous float64 matrix with that many rows, the keys
-   64-bit words. Then `fill` writes out. */
+   64-bit words. Then `fill` writes out, or reports why it cannot. */
 static PyObject *
 keyed(PyObject *args, PyObject *kwds, const char *format, keyed_fill fill)
 {
@@ -848,10 +849,8 @@ keyed(PyObject *args, PyObject *kwds, const char *format, keyed_fill fill)
                      i.shape[0]);
     else if (out.shape[0] != n)
         PyErr_Format(PyExc_ValueError, "out must have len(j) = %zd rows, got %zd", n, out.shape[0]);
-    else {
-        fill(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]);
+    else if (fill(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]) == 0)
         result = Py_NewRef(Py_None);
-    }
     PyBuffer_Release(&out);
 release_i:
     PyBuffer_Release(&i);
@@ -916,9 +915,9 @@ static PyMethodDef methods[] = {
      "counter (j[r], i[r], b, 0), as ((word >> 12) + 0.5) * 2**-52."},
     {"keyed_normal", (PyCFunction)(void (*)(void))keyed_normal, METH_VARARGS | METH_KEYWORDS,
      "keyed_normal($module, /, j, i, key0, key1, out)\n--\n\n"
-     "Fill out, shape (len(j), size), with standard normals: columns 2m and\n"
-     "2m + 1 of row r are Box-Muller's pair from the keyed uniforms 2m and\n"
-     "2m + 1 of row r, by the portable log, sin and cos of\n"
+     "Fill out, shape (len(j), size), with standard normals: row r is\n"
+     "box_muller of keyed_uniform's row r, drawn one wider for an odd size,\n"
+     "whose last sin is dropped, by the portable log, sin and cos of\n"
      "hdpmf._fallback.keyed_normal."},
     {"box_muller", (PyCFunction)(void (*)(void))box_muller, METH_VARARGS | METH_KEYWORDS,
      "box_muller($module, /, u, out)\n--\n\n"

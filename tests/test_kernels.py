@@ -522,14 +522,16 @@ _KEYED_BAD_ARGUMENTS = pytest.mark.parametrize("error, name, bad", [
 
 
 def _rejects(entry, error, name, bad):
-    args = dict(j=np.arange(4, dtype=np.uint64), i=np.arange(4, 8, dtype=np.uint64),
-                key0=9, key1=5, out=np.zeros((4, 6)))
-    args[name] = bad(args)
-    out = args["out"]
-    before = out.tobytes()
-    with pytest.raises(error):
-        entry(**args)
-    assert out.tobytes() == before
+    # an odd width too: the keyed normals' scratch rows are one wider
+    for width in (6, 5):
+        args = dict(j=np.arange(4, dtype=np.uint64), i=np.arange(4, 8, dtype=np.uint64),
+                    key0=9, key1=5, out=np.zeros((4, width)))
+        args[name] = bad(args)
+        out = args["out"]
+        before = out.tobytes()
+        with pytest.raises(error):
+            entry(**args)
+        assert out.tobytes() == before
 
 
 @_KEYED_BAD_ARGUMENTS

@@ -35,9 +35,12 @@ def _box_muller(impl, u):
     return out
 
 
-@pytest.mark.parametrize("size, n", [(1, 300_000), (2, 200_000), (3, 200_000), (7, 150_000), (10, 150_000)])
+@pytest.mark.parametrize("size, n", [(1, 300_000), (2, 200_000), (3, 200_000), (7, 150_000), (10, 150_000)]
+                         + [(size, 10_000) for size in (4, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16)]
+                         + [(513, 500), (514, 500)])
 def test_native_normals_equal_fallback(native, size, n):
-    # a million random keys in all, over odd and even sizes
+    # about a million random keys in all, over every size 1-16, odd and
+    # even, and two rows wider than NORMAL_CHUNK, which take a pass each
     gen = np.random.default_rng(size)
     j, i = gen.integers(0, 2**64, size=(2, n), dtype=np.uint64)
     key0 = int(gen.integers(0, 2**64, dtype=np.uint64))
@@ -66,7 +69,7 @@ def test_the_edge_uniforms_stay_below_the_normal_bound():
     assert np.abs(_box_muller(_fallback, u)).max() < rng.NORMAL_BOUND
 
 
-@pytest.mark.parametrize("size", [0, 1, 4, 5, 10])
+@pytest.mark.parametrize("size", [0, 1, 4, 5, 10, 513, 514])
 def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, size):
     j, i = np.arange(50, dtype=np.uint64), np.arange(50, 100, dtype=np.uint64)
     width = size + size % 2
@@ -75,6 +78,12 @@ def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, size):
         impl.keyed_uniform(j, i, 3, 4, u)
         expected = _box_muller(impl, u)[:, :size]
         assert _keyed_normals(impl, j, i, 3, 4, size).tobytes() == expected.tobytes()
+
+
+def test_keyed_normals_of_no_rows_stage_nothing(impl):
+    # an empty out may be wider than any scratch row could be
+    out = np.empty((0, 2**59 - 1))
+    impl.keyed_normal(np.empty(0, np.uint64), np.empty(0, np.uint64), 3, 4, out)
 
 
 def _ulps(got, exact):
