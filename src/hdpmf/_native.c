@@ -924,7 +924,9 @@ static PyMethodDef methods[] = {
      "Fill out with the standard normals of the uniforms u, both of one shape\n"
      "with an even number of columns: columns 2m and 2m + 1 are\n"
      "sqrt(-2 log u_2m) times the cos and the sin of 2 pi u_2m+1, the\n"
-     "transform of keyed_normal. out may be u itself."},
+     "transform of keyed_normal. out may be u itself. Only tests call it:\n"
+     "test_transform.py::test_box_muller_of_the_edge_uniforms_is_the_same_bits_on_both_backends\n"
+     "feeds it edge uniforms that no keyed draw can reach."},
     {NULL, NULL, 0, NULL},
 };
 

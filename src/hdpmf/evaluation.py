@@ -1,4 +1,4 @@
-"""Metrics, multi-seed orchestration, significance testing, CSV emission."""
+"""Metrics, multi-seed orchestration, CSV emission."""
 
 from __future__ import annotations
 
@@ -189,54 +189,6 @@ def run_experiment(
             for t, value in enumerate(loss_log):
                 loss_trace.write(f"{seed},{t},{value!r}\n")
     return result
-
-
-def paired_t_test(a, b) -> tuple[float, str]:
-    """One-sided paired t-test that the mean of `a` is below the mean of
-    `b`, on per-seed metrics paired by seed.
-
-    Returns (t statistic of the differences b - a, significance in
-    {'none', '90%', '95%', '99%'}). Zero-variance differences degenerate
-    to t = +/-inf; strict one-sided dominance reports 99% by convention.
-    """
-    a = np.asarray(a, dtype=np.float64)
-    b = np.asarray(b, dtype=np.float64)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("paired samples must be equal-length vectors")
-    n = len(a)
-    if n < 2:
-        raise ValueError("need at least 2 pairs")
-    d = b - a
-    sd = float(d.std(ddof=1))
-    mean = float(d.mean())
-    if sd == 0.0:
-        if mean == 0.0:
-            return 0.0, "none"
-        t = math.inf if mean > 0 else -math.inf
-    else:
-        t = mean / (sd / math.sqrt(n))
-    # t > ppf(p) exactly when cdf(t) > p, the CDF being strictly increasing
-    cdf = _t_cdf(t, n - 1)
-    for level, p in (("99%", 0.99), ("95%", 0.95), ("90%", 0.90)):
-        if cdf > p:
-            return t, level
-    return t, "none"
-
-
-def _t_cdf(t: float, nu: int) -> float:
-    """Student-t CDF for integer nu >= 1 in theta = atan(t / sqrt(nu)):
-    Abramowitz & Stegun 26.7.3 (odd nu) and 26.7.4 (even nu)."""
-    if math.isinf(t):
-        return float(t > 0)
-    theta = math.atan(t / math.sqrt(nu))
-    odd = nu % 2
-    cos2 = math.cos(theta) ** 2
-    term, total = (math.cos(theta) if odd else 1.0), 0.0
-    for k in range(1, nu // 2 + 1):
-        total += term
-        term *= cos2 * (2 * k - 1 + odd) / (2 * k + odd)
-    a = math.sin(theta) * total
-    return 0.5 + 0.5 * ((theta + a) * 2.0 / math.pi if odd else a)
 
 
 def _fmt(value: float) -> str:

@@ -10,6 +10,12 @@ the item's one scale b * sqrt(2 h_j / |raters(j)|), with h_j a shared
 exponential vector. Predictions divide by w_ij to undo the stretch
 (`protocol.predict_all`).
 
+The recommender draws h_j, and given h_j each coordinate of an item's
+noise total is N(0, 2 h_j b^2): the total is Laplace only averaged over
+an h_j the adversary does not know. So the pure w_ij * eps bound holds
+only against an adversary who does not know h_j, which the recommender
+does.
+
 The noise plan holds h and the scales, never the shares: a unit draw is
 keyed, so whoever needs a share draws it from its key. The kernel engine
 sums each item's unit draws a block at a time and scales the sums once;
@@ -117,7 +123,10 @@ class NoisePlan:
     For every rated item j the recommender draws h_j ~ Exp(1)^K and each
     rater i contributes x_j^i = scale_j * c_j^i with c_j^i ~ N(0, 1)^K and
     scale_j = b * sqrt(2 h_j / |raters(j)|), b = 2*sqrt(K)*delta/eps, so
-    the per-item aggregate is Laplace of scale b per coordinate.
+    the per-item aggregate is Laplace of scale b per coordinate. That
+    holds only over h: given h_j, each coordinate of the aggregate is
+    N(0, 2 h_j b^2), so the pure w * eps bound holds only against an
+    adversary who does not know h_j, and the recommender drew it.
 
     The plan holds no share, only h, the scales and the by-item layout
     (each item's slots sorted by user), so it costs O(n_items * K + nnz)

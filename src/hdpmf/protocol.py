@@ -35,10 +35,11 @@ pass and hands out one upload per device, which holds that device's rows
 only; a user phase steps every user's vector and projects it onto the unit
 ball. Each device has one upload for the whole run, built with the
 devices: its items and payload are read-only views of the device's items
-and of its rows of the payload buffer that every phase reuses, so a
-payload holds the current item phase's rows until the devices' next step
-overwrites them. The channel counts, and with capture on copies, every
-row of every upload. Apart from the registrations, which it holds as
+and of its rows of the payload buffer that every item phase refills, so a
+payload holds the current item phase's rows until the next item phase.
+The user phase gathers into its own buffer, so no upload ever reads U.
+The channel counts, and with capture on copies, every row of every
+upload. Apart from the registrations, which it holds as
 read-only views, the recommender reads only the uploads it is given, in
 three passes: it receives them, rejecting an unregistered sender or a
 second upload in arrival order; it checks that every registered rater
@@ -123,10 +124,12 @@ class UserDevices:
     _owner: np.ndarray = field(init=False, repr=False)  # each entry's user
     _rated: np.ndarray = field(init=False, repr=False)  # users with a rating
     # (nnz, K) buffers that every phase reuses, since a fresh array of this
-    # size is mapped and faulted in anew each time: the entries' rows of V,
-    # and the payload, which the user phase overwrites with their rows of U
+    # size is mapped and faulted in anew each time: the entries' rows of V;
+    # the payload, which the item phase gathers their rows of U into; and
+    # the user phase's own gather of those rows, so that no upload reads U
     _rows: np.ndarray = field(init=False, repr=False)
     _payload: np.ndarray = field(init=False, repr=False)
+    _own: np.ndarray = field(init=False, repr=False)
     # each rated device's one upload of the run, in ascending sender order:
     # read-only views of its items and of its rows of the payload buffer
     _uploads: list[GradientUpload] = field(init=False, repr=False)
@@ -140,7 +143,7 @@ class UserDevices:
         counts = np.diff(self.ptr)
         self._owner = np.repeat(np.arange(len(counts)), counts)
         self._rated = np.flatnonzero(counts)
-        self._rows, self._payload = np.empty(self.shares.shape), np.empty(self.shares.shape)
+        self._rows, self._payload, self._own = (np.empty(self.shares.shape) for _ in range(3))
         items, payload = self.items.view(), self._payload.view()
         items.flags.writeable = payload.flags.writeable = False
         self._uploads = [
@@ -161,15 +164,15 @@ class UserDevices:
         user_ptr, _ = dataset.by_user
         return cls(user_ptr, dataset.items, targets, plan.draw_shares(dataset.items, dataset.users), U)
 
-    def _residuals(self, V: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The entries' rows of V and of U, gathered into the two buffers,
+    def _residuals(self, V: np.ndarray, own: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The entries' rows of V and of U, gathered into `_rows` and `own`,
         and u_i . v_j - w_ij * r_ij for every entry."""
         if len(self.items) and self.items.max() >= len(V):
             raise IndexError(f"an item index exceeds V's {len(V)} rows")
         # "clip" gathers straight into the buffer, where "raise" would copy
         # through a temporary; the indices are in range
         rows = V.take(self.items, axis=0, out=self._rows, mode="clip")
-        own = self.U.take(self._owner, axis=0, out=self._payload, mode="clip")
+        own = self.U.take(self._owner, axis=0, out=own, mode="clip")
         residual = np.einsum("pk,pk->p", rows, own)
         residual -= self.wr
         return rows, own, residual
@@ -183,8 +186,8 @@ class UserDevices:
         Each device has one upload for the whole run, and every call
         refills it and returns the same objects in a new list. An upload's
         items and payload are read-only views of the device's rows; the
-        payloads stay valid until the devices' next step overwrites them."""
-        _, payload, residual = self._residuals(V)
+        payloads stay valid until the next item phase refills them."""
+        _, payload, residual = self._residuals(V, self._payload)
         residual *= 2.0
         payload *= residual[:, None]
         payload += self.shares
@@ -195,7 +198,7 @@ class UserDevices:
         factors, then projection onto the unit ball; a user with no rating
         takes the regularization step alone. Returns each user's gradient
         norm."""
-        rows, _, residual = self._residuals(V)
+        rows, _, residual = self._residuals(V, self._own)
         rows *= residual[:, None]
         grad = 2.0 * lam * self.U
         if len(self._rated):

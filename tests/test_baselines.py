@@ -13,7 +13,7 @@ from hdpmf.baselines import (
 )
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset, split_leave_n_out
-from hdpmf.evaluation import mse, paired_t_test
+from hdpmf.evaluation import mse
 from hdpmf.exceptions import ConfigError
 from hdpmf.privacy import WeightAssignment, allocate_weights
 from hdpmf.protocol import predict_all, train
@@ -184,9 +184,12 @@ class TestMethodOrdering:
         )
 
     def test_hdpmf_beats_pdpmf_significantly(self, scores):
-        t, level = paired_t_test(scores["hdpmf"], scores["pdpmf"])
-        assert t > 0
-        assert level in ("90%", "95%", "99%")
+        from scipy import stats
+
+        # one-sided paired t-test at 90% that hdpmf's mean mse is the lower
+        test = stats.ttest_rel(scores["hdpmf"], scores["pdpmf"], alternative="less")
+        assert test.statistic < 0
+        assert test.pvalue < 0.10
 
     def test_ablation_without_rescaling_is_worse_than_dpmf(self, scores):
         assert scores["hdpmf_r"].mean() > scores["dpmf"].mean()

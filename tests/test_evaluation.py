@@ -1,4 +1,4 @@
-"""Metrics, significance, orchestration, and results emission."""
+"""Metrics, orchestration, and results emission."""
 
 import math
 import os
@@ -16,11 +16,9 @@ from hdpmf.config import ExperimentConfig
 from hdpmf.evaluation import (
     ExperimentResult,
     SeedResult,
-    _t_cdf,
     emit_results,
     mae,
     mse,
-    paired_t_test,
     read_results,
     run_experiment,
 )
@@ -61,98 +59,9 @@ class TestMetrics:
             mae([1.0], [])
 
 
-class TestPairedTTest:
-    def test_equal_samples(self):
-        assert paired_t_test([1.0, 2.0, 3.0], [1.0, 2.0, 3.0]) == (0.0, "none")
-
-    def test_constant_positive_differences(self):
-        t, level = paired_t_test([1, 1, 1, 1, 1], [2, 2, 2, 2, 2])
-        assert t == math.inf and level == "99%"
-
-    def test_constant_negative_differences(self):
-        t, level = paired_t_test([2, 2, 2], [1, 1, 1])
-        assert t == -math.inf and level == "none"
-
-    def test_matches_textbook_formula(self):
-        rng = np.random.default_rng(7)
-        a, b = rng.normal(1.0, 0.1, 5), rng.normal(1.2, 0.1, 5)
-        d = b - a
-        expected = d.mean() / (d.std(ddof=1) / math.sqrt(5))
-        t, _ = paired_t_test(a, b)
-        assert t == pytest.approx(expected)
-
-    def test_antisymmetric(self):
-        rng = np.random.default_rng(8)
-        a, b = rng.normal(size=6), rng.normal(size=6)
-        assert paired_t_test(a, b)[0] == pytest.approx(-paired_t_test(b, a)[0])
-
-    def test_significance_thresholds(self):
-        # n=5, one-sided critical values: 1.533 (90%), 2.132 (95%), 3.747 (99%)
-        base = np.zeros(5)
-
-        def shifted(t_target):
-            # differences with mean m and sd 1: t = m * sqrt(5)
-            d = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
-            d = d / d.std(ddof=1)
-            return d + t_target / math.sqrt(5)
-
-        assert paired_t_test(base, shifted(1.0))[1] == "none"
-        assert paired_t_test(base, shifted(1.6))[1] == "90%"
-        assert paired_t_test(base, shifted(2.5))[1] == "95%"
-        assert paired_t_test(base, shifted(4.0))[1] == "99%"
-
-    def test_rejects_short_or_unequal(self):
-        with pytest.raises(ValueError):
-            paired_t_test([1.0], [2.0])
-        with pytest.raises(ValueError):
-            paired_t_test([1.0, 2.0], [1.0])
-
-
-class TestStudentCdf:
-    """The closed-form t CDF against SciPy, the tests' oracle."""
-
-    def test_matches_scipy_on_a_dense_grid(self):
-        from scipy import stats
-
-        # near t = 0, SciPy's nu = 1 branch drifts from the exact
-        # 1/2 + atan(t)/pi by about 1e-11, so the grid steps by 0.05
-        t = np.concatenate([np.linspace(-12.0, 12.0, 481), [-300.0, 300.0]])
-        for nu in range(1, 60):
-            ours = np.array([_t_cdf(float(x), nu) for x in t])
-            np.testing.assert_allclose(ours, stats.t.cdf(t, nu), rtol=0, atol=5e-15)
-
-    def test_infinities_and_zero(self):
-        for nu in (1, 2, 3, 4, 59, 200):
-            assert _t_cdf(math.inf, nu) == 1.0
-            assert _t_cdf(-math.inf, nu) == 0.0
-            assert _t_cdf(0.0, nu) == 0.5
-
-    def test_level_agrees_with_the_ppf_decision(self):
-        from scipy import stats
-
-        def ppf_level(t, n):
-            for level, p in (("99%", 0.99), ("95%", 0.95), ("90%", 0.90)):
-                if t > stats.t.ppf(p, n - 1):
-                    return level
-            return "none"
-
-        rng = np.random.default_rng(5)
-        for n in range(2, 41):
-            critical = stats.t.ppf([0.9, 0.95, 0.99], n - 1)
-            targets = np.concatenate([
-                critical * (1 + 1e-9), critical * (1 - 1e-9), rng.normal(1.5, 2.0, size=10),
-            ])
-            base = np.zeros(n)
-            d = np.linspace(-1.0, 1.0, n)
-            d = d / d.std(ddof=1)
-            for target in targets:
-                t, level = paired_t_test(base, d + target / math.sqrt(n))
-                assert level == ppf_level(t, n)
-
-
 def test_runs_with_scipy_blocked():
     # numpy is the only runtime dependency: with every scipy import made to
-    # fail, the package imports and both statistics run
+    # fail, the package imports and the noise diagnostic runs
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(Path(hdpmf.__file__).parents[1]), env.get("PYTHONPATH", "")]
@@ -161,8 +70,6 @@ def test_runs_with_scipy_blocked():
         "import sys; sys.modules['scipy'] = None\n"
         "import hdpmf\n"
         "from hdpmf.diagnostics import MIN_SAMPLES, check_noise_composition\n"
-        "from hdpmf.evaluation import paired_t_test\n"
-        "assert paired_t_test([1.0, 2.0, 3.0], [2.0, 3.5, 4.0])[1] == '99%'\n"
         "assert check_noise_composition(10, 4.0, 1.0, 5, MIN_SAMPLES).passed\n"
     )
     done = subprocess.run([sys.executable, "-c", code], env=env, timeout=120, capture_output=True, text=True)

@@ -706,6 +706,55 @@ class TestInformationFlow:
             for row in upload.payload:
                 assert not (set(row.tolist()) & forbidden)
 
+    def test_nothing_handed_to_the_recommender_reaches_device_state(self, synth_factory, monkeypatch):
+        # after each phase, no array the recommender was handed, nor any
+        # array one of them is a view of, shares memory with a device's
+        # private state or working buffers, and the uploads of the epoch
+        # still read as they did on delivery (the next item phase refills
+        # them)
+        ds = synth_factory(n_users=20, n_items=20, mean_per_user=6, master_seed=41)
+        weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=6)
+        cfg = ExperimentConfig(epochs=3, eta0=0.005, lam=0.01, k=4, engine="messages")
+        emit_gradient, update_user = UserDevices.emit_gradient, UserDevices.update_user
+        update_item = RecommenderState.update_item
+        state, delivered, phases = {}, [], []
+
+        def check(phase):
+            devices, recommender = state["devices"], state["recommender"]
+            for upload, items, payload in delivered:
+                assert np.array_equal(upload.items, items) and np.array_equal(upload.payload, payload)
+            handed = [recommender.sender_ptr, recommender.sender_items]
+            handed += [a for upload, _, _ in delivered for a in (upload.items, upload.payload)]
+            private = [devices.U, devices.wr, devices.shares, devices._rows, devices._own]
+            for a in handed:
+                while a is not None:
+                    assert not any(np.shares_memory(a, p) for p in private), phase
+                    a = a.base
+            phases.append(phase)
+
+        def recording_emit(self, V):
+            state["devices"] = self
+            return emit_gradient(self, V)
+
+        def recording_item(self, uploads, lam, eta):
+            state["recommender"] = self
+            uploads = list(uploads)
+            delivered[:] = [(u, u.items.copy(), u.payload.copy()) for u in uploads]
+            grad = update_item(self, uploads, lam, eta)
+            check("item")
+            return grad
+
+        def recording_user(self, V, lam, eta):
+            norms = update_user(self, V, lam, eta)
+            check("user")
+            return norms
+
+        monkeypatch.setattr(UserDevices, "emit_gradient", recording_emit)
+        monkeypatch.setattr(RecommenderState, "update_item", recording_item)
+        monkeypatch.setattr(UserDevices, "update_user", recording_user)
+        train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 6), cfg, 6)
+        assert phases == ["item", "user"] * cfg.epochs
+
 
 class TestPredictAll:
     def test_rescale_division(self):

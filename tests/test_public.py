@@ -2,7 +2,8 @@
 and README's library use need, each importable from there, and README's
 library path runs on them alone. And `src/` holds only what a run, the CLI
 or the benchmark calls: every definition in the package is named in
-`src/` or `perfbench/`."""
+`src/` or `perfbench/`, and the compiled extension exports only the
+backend's names, bar those a test needs."""
 
 import ast
 from pathlib import Path
@@ -10,15 +11,15 @@ from pathlib import Path
 import numpy as np
 
 import hdpmf
+from hdpmf import kernels
 from hdpmf.evaluation import run_single_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CSV = ROOT / "configs" / "demo-ratings.csv"
-# Defined in `src/` without a caller there or in perfbench, each with why.
-UNCALLED = {
-    # the claims report (ROADMAP direction 5) is to run it on the per-seed
-    # gaps; if that report has not landed by the next re-anchor, it goes
-    "paired_t_test",
+# Exported by the compiled extension for a test alone, each with that test.
+TEST_ONLY_EXPORTS = {
+    # feeds the transform edge uniforms that no keyed draw can reach
+    "box_muller": "test_transform.py::test_box_muller_of_the_edge_uniforms_is_the_same_bits_on_both_backends",
 }
 
 
@@ -67,5 +68,10 @@ def test_every_definition_in_the_package_is_named_by_src_or_perfbench():
                 named.add(node.attr)
             elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
                 named.add(node.value)
-    assert sorted(defined - named - UNCALLED) == []
-    assert sorted(UNCALLED - (defined - named)) == []  # an entry that gained a caller leaves the list
+    assert sorted(defined - named) == []
+
+
+def test_every_export_of_the_extension_is_the_backends_or_a_tests(native):
+    # the backend binds `kernels._ENTRY_POINTS` and reads `NAME` and `ISA`
+    public = {name for name in vars(native) if not name.startswith("_")}
+    assert sorted(public - {*kernels._ENTRY_POINTS, "NAME", "ISA"} - TEST_ONLY_EXPORTS.keys()) == []
