@@ -24,7 +24,10 @@ are contiguous. It runs over blocks of whole CSR rows holding about
 layout, form all residuals at once, and write each row's sum of scaled
 gathers (a segment sum along the contiguous axis) into one (K, rows with
 entries) gradient array. The phase then takes its step once, vectorized over
-all its rows, in place in U or V. Scratch memory is bounded by the largest
+all its rows, in place in U or V. The blocks, with their rows' entry counts
+and segment starts, depend only on the CSR pointer array, which a fit passes
+unchanged to every epoch, so `_row_layout` derives them once per pointer
+array content and block size. Scratch memory is bounded by the largest
 block, which exceeds `BLOCK_ENTRIES` by less than one row, times K, plus
 O((n_users + n_items) K) for the K-major copies, the gradient array and the
 step; never by the rating count. Per-row sums run in a different order than
@@ -33,6 +36,8 @@ bits.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -61,9 +66,10 @@ def run_epoch(
 ) -> None:
     """Run one epoch in place: item phase, then user phase."""
     # the gathers clip instead of checking each index, so the indices are
-    # checked here, before anything is written
+    # checked here, before anything is written, in one pass: as uint64 a
+    # negative index wraps above any n
     for cols, n in ((item_users, len(U)), (user_items, len(V))):
-        if len(cols) and not 0 <= cols.min() <= cols.max() < n:
+        if len(cols) and np.asarray(cols, np.int64).view(np.uint64).max() >= n:
             raise IndexError(f"CSR column indices must lie in [0, {n})")
     # diverging runs overflow here; the engine's finiteness check reports
     # them, matching the silent compiled kernel
@@ -96,6 +102,41 @@ def row_blocks(ptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
     return list(zip(bounds[:-1], bounds[1:]))
 
 
+@functools.lru_cache(maxsize=4)
+def _row_layout(ptr_bytes: bytes, entries: int) -> tuple[np.ndarray, tuple, int]:
+    """The blocks of whole rows that a phase runs over, from the bytes of
+    an int64 CSR pointer array: (rows, blocks, width).
+
+    `rows` holds the indices of the rows with entries. Each block of
+    `row_blocks(ptr, entries)` is (r0, r1, s, e, c0, c1, starts, counts):
+    rows [r0, r1) hold entries [s, e) and are `rows[c0:c1]` where they have
+    entries, `starts` holds those rows' first entries relative to s, and
+    `counts` every row's entry count. `width` is the largest e - s.
+
+    Keyed on the bytes rather than the array, so that an array edited in
+    place misses the cache. Every array is read-only: the cache hands the
+    same ones to every caller.
+    """
+    ptr = np.frombuffer(ptr_bytes, dtype=np.int64)
+    counts = np.diff(ptr)
+    counts.flags.writeable = False
+    rows = np.flatnonzero(counts)
+    rows.flags.writeable = False
+    # a block's rows with entries are a range of `rows`, and only their
+    # segments are summed: reduceat gives an empty segment the next row's
+    # first element instead of zero
+    firsts = ptr[rows]
+    blocks, c1 = [], 0
+    for r0, r1 in row_blocks(ptr, entries):
+        s, e = int(ptr[r0]), int(ptr[r1])
+        c0, c1 = c1, c1 + int(np.count_nonzero(counts[r0:r1]))
+        starts = firsts[c0:c1] - s
+        starts.flags.writeable = False
+        blocks.append((r0, r1, s, e, c0, c1, starts, counts[r0:r1]))
+    width = max((e - s for _, _, s, e, *_ in blocks), default=0)
+    return rows, tuple(blocks), width
+
+
 def _phase_gradients(At, Bt, ptr, cols, vals):
     """Data-term gradients of every row of A against its CSR entries, from
     the K-major factors At and Bt: for each row r with entries, the sum over
@@ -103,33 +144,23 @@ def _phase_gradients(At, Bt, ptr, cols, vals):
 
     Returns (rows, acc): the indices of the rows that have entries, and
     their gradients as a (K, len(rows)) array, filled a block of whole rows
-    at a time. The other side's gathers and the residuals go to buffers
-    sized for the largest block, allocated once per phase.
+    (`_row_layout`) at a time. The other side's gathers and the residuals
+    go to buffers sized for the largest block, allocated once per phase.
     """
     K = At.shape[0]
-    counts = np.diff(ptr)
-    rows = np.flatnonzero(counts)
+    rows, blocks, width = _row_layout(np.asarray(ptr, np.int64).tobytes(), BLOCK_ENTRIES)
     acc = np.empty((K, len(rows)))
-    blocks = row_blocks(ptr, BLOCK_ENTRIES)
-    width = max((int(ptr[r1] - ptr[r0]) for r0, r1 in blocks), default=0)
     b_buf, resid_buf = np.empty(K * width), np.empty(width)
-    # a block's rows with entries are a range of `rows`, and only their
-    # segments are summed: reduceat gives an empty segment the next row's
-    # first element instead of zero
-    firsts = ptr[rows]
-    c1 = 0
-    for r0, r1 in blocks:
-        s, e = ptr[r0], ptr[r1]
-        c0, c1 = c1, c1 + np.count_nonzero(counts[r0:r1])
+    for r0, r1, s, e, c0, c1, starts, counts in blocks:
         # (K, p) gathers of the other side's factor, into the buffer ("raise"
         # would copy through a temporary), and of the row's own factor,
         # freed once the residuals are formed
         b = Bt.take(cols[s:e], axis=1, out=b_buf[: K * (e - s)].reshape(K, -1), mode="clip")
-        resid = np.einsum("kp,kp->p", At[:, r0:r1].repeat(counts[r0:r1], axis=1), b, out=resid_buf[: e - s])
+        resid = np.einsum("kp,kp->p", At[:, r0:r1].repeat(counts, axis=1), b, out=resid_buf[: e - s])
         resid -= vals[s:e]
         resid *= 2.0
         b *= resid
-        np.add.reduceat(b, firsts[c0:c1] - s, axis=1, out=acc[:, c0:c1])
+        np.add.reduceat(b, starts, axis=1, out=acc[:, c0:c1])
     return rows, acc
 
 
@@ -144,9 +175,12 @@ _PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
 _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 # Philox blocks per vectorized evaluation in `keyed_uniform`: the counter,
-# word and product temporaries are each a few times 4 x 8 x this many bytes
-# (under a megabyte), however many rows a call draws.
-PHILOX_CHUNK_BLOCKS = 4096
+# word and product temporaries are each a few times 4 x 8 x this many bytes,
+# however many rows a call draws (a peak of 1.8 MiB in `keyed_uniform`, 2.6
+# MiB in `keyed_normal` at K = 10). Of 1,024 to 65,536, 8,192 drew the
+# split's 74,000 one-block rows fastest, 10.6 against 17.5 ms at 4,096; K = 10
+# normals took 82 ms, 76 at 16,384 (2-vCPU Xeon VM, 2 MiB of L2 per core).
+PHILOX_CHUNK_BLOCKS = 8192
 
 
 def _mulhilo(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

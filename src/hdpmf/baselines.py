@@ -86,7 +86,7 @@ def pdp_sample_ratings(
 def method_inputs(
     method: BaselineKind,
     dataset: RatingDataset,
-    weights: WeightAssignment,
+    weights: WeightAssignment | None,
     epsilon: float,
     K: int,
     master_seed: int,
@@ -94,9 +94,10 @@ def method_inputs(
     """What `method` feeds `protocol.train`: (training ratings, per-entry
     weights in their canonical order, noise plan).
 
-    mf trains on raw ratings with zero noise. dpmf draws one plan at the
-    minimum observed budget. pdpmf samples ratings by personal budget with
-    threshold epsilon and draws its plan at epsilon on the surviving subset;
+    mf trains on raw ratings with zero noise and reads no weights (they may
+    be None). dpmf draws one plan at the minimum observed budget. pdpmf
+    samples ratings by personal budget with threshold epsilon and draws its
+    plan at epsilon on the surviving subset;
     users whose ratings all sampled out still take their (regularization
     only) user updates, and items with no surviving raters are skipped.
     hdpmf and hdpmf_r stretch ratings by w_ij and draw the plan at epsilon.

@@ -132,12 +132,15 @@ def run_single_seed(
     loss_log: list[float] | None = None,
 ) -> SeedResult:
     """Allocate weights, split, train the configured method on its
-    `method_inputs`, score.
+    `method_inputs`, score. mf neither trains on weights nor rescales by
+    them, so it draws none.
 
     Raises EmptySplitError before training when the split holds out
     nothing, which happens when no user has more than n_test ratings.
     """
-    weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
+    weights = None
+    if cfg.method is not BaselineKind.MF:
+        weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
     n_test = 1 if cfg.split == "leave-one-out" else cfg.n_test
     plan = split_leave_n_out(dataset, n_test, seed)
     if len(plan.test) == 0:

@@ -410,7 +410,7 @@ def train(
 
 def predict_all(
     model: FactorModel,
-    weights: WeightAssignment,
+    weights: WeightAssignment | None,
     users: np.ndarray,
     items: np.ndarray,
     scale_min: float,
@@ -422,7 +422,8 @@ def predict_all(
 
     With `rescale`, raw inner products are divided by w_ij to undo
     stretching (a quotient past the float range is clamped like any other);
-    `rescale=False` gives the ablation variant.
+    `rescale=False` gives the ablation variant, and reads no weights (they
+    may be None).
     """
     users = np.asarray(users, dtype=np.int64)
     items = np.asarray(items, dtype=np.int64)

@@ -112,6 +112,19 @@ class TestRunExperiment:
         for sr in res.seed_results:
             assert sr.mae**2 <= sr.mse + 1e-12
 
+    @pytest.mark.parametrize("method", list(BaselineKind))
+    def test_every_method_but_mf_draws_weights(self, synth_factory, tmp_path, monkeypatch, method):
+        # mf neither trains on weights nor rescales by them
+        import hdpmf.evaluation as evaluation
+
+        draws = []
+        allocate = evaluation.allocate_weights
+        monkeypatch.setattr(evaluation, "allocate_weights", lambda *a: draws.append(a) or allocate(*a))
+        ds = synth_factory(n_users=15, n_items=12, mean_per_user=5, master_seed=61)
+        res = run_experiment(_csv_config(tmp_path, ds, method=method, seeds=(3,)))
+        assert len(res.seed_results) == 1
+        assert len(draws) == (method is not BaselineKind.MF)
+
     @pytest.mark.parametrize("engine", ["kernel", "messages"])
     def test_diverged_seed_recorded_as_partial(self, synth_factory, tmp_path, engine):
         ds = synth_factory(n_users=15, n_items=12, mean_per_user=5, master_seed=61)

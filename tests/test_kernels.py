@@ -275,11 +275,64 @@ def test_fallback_rejects_a_column_index_out_of_range_before_writing():
     ds, model, noise = _instance(5)
     args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **kernel_args(ds))
     for name, n in (("item_users", len(model.U)), ("user_items", len(model.V))):
-        for bad in (-1, n):
+        cols = args[name]
+        # in other dtypes too: an int32 -1, and a uint64 that is negative
+        # as an int64
+        for bad in (_replaced(cols, 0, -1), _replaced(cols, 0, n),
+                    _replaced(cols.astype(np.int32), 0, -1), _replaced(cols.astype(np.uint64), 0, 2**63)):
             U, V = model.U.copy(), model.V.copy()
             with pytest.raises(IndexError, match=rf"\[0, {n}\)"):
-                _fallback.run_epoch(U, V, **{**args, name: _replaced(args[name], 0, bad)})
+                _fallback.run_epoch(U, V, **{**args, name: bad})
             assert np.array_equal(U, model.U) and np.array_equal(V, model.V)
+
+
+def test_fallback_layout_follows_a_pointer_array_edited_in_place():
+    ds, model, noise = _instance(6)
+    args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **kernel_args(ds))
+    user_ptr = args["user_ptr"] = args["user_ptr"].copy()
+    _fallback.run_epoch(model.U.copy(), model.V.copy(), **args)
+    # hand the first entry of a user after the first to the user before:
+    # still a valid CSR, with another layout
+    r = 1 + np.flatnonzero(np.diff(user_ptr)[1:])[0]
+    user_ptr[r] += 1
+    warm = model.U.copy(), model.V.copy()
+    _fallback.run_epoch(*warm, **args)
+    _fallback._row_layout.cache_clear()
+    cold = model.U.copy(), model.V.copy()
+    _fallback.run_epoch(*cold, **args)
+    assert np.array_equal(warm[0], cold[0]) and np.array_equal(warm[1], cold[1])
+
+
+def test_fallback_layout_follows_the_block_size(monkeypatch):
+    ds, model, noise = _instance(7)
+    args = dict(item_noise=noise, lam=0.01, eta=0.05, project=True, **kernel_args(ds))
+    layouts = []
+    row_layout = _fallback._row_layout
+
+    def spy(*key):
+        layouts.append(row_layout(*key))
+        return layouts[-1]
+
+    monkeypatch.setattr(_fallback, "_row_layout", spy)
+    for entries in (8192, 3, 8192, 3):
+        monkeypatch.setattr(_fallback, "BLOCK_ENTRIES", entries)
+        layouts.clear()
+        _fallback.run_epoch(model.U.copy(), model.V.copy(), **args)
+        for ptr, (rows, blocks, width) in zip((args["item_ptr"], args["user_ptr"]), layouts, strict=True):
+            assert [b[:2] for b in blocks] == _fallback.row_blocks(ptr, entries)
+            assert np.array_equal(rows, np.flatnonzero(np.diff(ptr)))
+            assert width == max(b[3] - b[2] for b in blocks)
+
+
+def test_fallback_layout_arrays_are_read_only():
+    ds, _, _ = _instance(8)
+    rows, blocks, _ = _fallback._row_layout(np.asarray(ds.by_user[0], np.int64).tobytes(), 16)
+    arrays = [rows] + [a for block in blocks for a in block if isinstance(a, np.ndarray)]
+    assert len(arrays) == 1 + 2 * len(blocks) > 3
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[...] = 0
 
 
 @settings(max_examples=60, deadline=None)
