@@ -96,8 +96,12 @@ NATIVE_C = Path(__file__).resolve().parents[1] / "src" / "hdpmf" / "_native.c"
 # The builds of the committed `_native.c` that the native tests run on, with
 # their extra compile flags: the dispatched build takes the AVX2 lanes when
 # it loads on a CPU that has them, and the baseline build has them compiled
-# out, so that its two-lane path is tested on every machine.
-NATIVE_BUILDS = {"dispatched": [], "baseline": ["-DHDPMF_NO_AVX2"]}
+# out, so that its two-lane path is tested on every machine. Both compile
+# with warnings as errors, so a new warning fails the tests; the unused
+# `self` of each module function is the CPython idiom, so that warning
+# stays off.
+WARNINGS_AS_ERRORS = ["-Wextra", "-Wno-unused-parameter", "-Werror"]
+NATIVE_BUILDS = {"dispatched": WARNINGS_AS_ERRORS, "baseline": WARNINGS_AS_ERRORS + ["-DHDPMF_NO_AVX2"]}
 
 # Under HDPMF_BACKEND=native the tests take the built extension as it is, so
 # that a build with its own flags (sanitizers, FMA, another compiler, the
