@@ -3,12 +3,12 @@
 `keyed_uniform` draws the keyed uniforms behind every seeded draw from
 Philox4x64-10 (`philox4x64`), evaluated in uint64 arithmetic 32 bits at a
 time; the extension computes the same words and maps them the same exact
-way, so the two backends draw the same bits. `keyed_normal` turns them into
-normals by `box_muller`, whose log, sin and cos are fdlibm's polynomials in
-plain arithmetic (`log_unit`, `sincos_turn`); the extension runs the same
+way, so the two backends draw the same bits. `box_muller` turns uniforms
+into normals, with fdlibm's log, sin and cos polynomials in plain
+arithmetic (`log_unit`, `sincos_turn`); the extension runs the same
 operations in the same order in each vector lane, four pairs at a time where
-it took its AVX2 lanes and one otherwise, so the normals are the same bits
-too.
+it took its AVX2 lanes and one otherwise, so the normals that
+`rng.keyed_normal` composes from the two are the same bits too.
 
 One epoch of `run_epoch` is one full-batch sweep: every rated item gets one
 aggregated gradient step (raters' contributions plus the item's fixed noise
@@ -176,10 +176,9 @@ _PHILOX_ROUNDS = 10
 _MASK64 = (1 << 64) - 1
 # Philox blocks per vectorized evaluation in `keyed_uniform`: the counter,
 # word and product temporaries are each a few times 4 x 8 x this many bytes,
-# however many rows a call draws (a peak of 1.8 MiB in `keyed_uniform`, 2.6
-# MiB in `keyed_normal` at K = 10). Of 1,024 to 65,536, 8,192 drew the
-# split's 74,000 one-block rows fastest, 10.6 against 17.5 ms at 4,096; K = 10
-# normals took 82 ms, 76 at 16,384 (2-vCPU Xeon VM, 2 MiB of L2 per core).
+# however many rows a call draws (a peak of 1.8 MiB). Of 1,024 to 65,536,
+# 8,192 drew the split's 74,000 one-block rows fastest, 10.6 against 17.5 ms
+# at 4,096 (2-vCPU Xeon VM, 2 MiB of L2 per core).
 PHILOX_CHUNK_BLOCKS = 8192
 
 
@@ -352,22 +351,3 @@ def box_muller(u: np.ndarray, out: np.ndarray) -> None:
     out[:, 0::2] = radius * cos
     out[:, 1::2] = radius * sin
 
-
-def keyed_normal(j: np.ndarray, i: np.ndarray, key0: int, key1: int, out: np.ndarray) -> None:
-    """Fill `out`, shape (len(j), size), with standard normals: row r is
-    `box_muller` of `keyed_uniform`'s row r, drawn one column wider for an
-    odd size, whose last sin is dropped."""
-    n, size = out.shape
-    if len(j) != n or len(i) != n:
-        raise ValueError(f"j and i must have out's {n} rows, got {len(j)} and {len(i)}")
-    width = size + size % 2
-    if width == 0:
-        return
-    # rows per evaluation: the uniforms and the transform's temporaries stay
-    # bounded like keyed_uniform's
-    rows = max(1, 4 * PHILOX_CHUNK_BLOCKS // width)
-    for r0 in range(0, n, rows):
-        u = np.empty((min(rows, n - r0), width))
-        keyed_uniform(j[r0 : r0 + rows], i[r0 : r0 + rows], key0, key1, u)
-        box_muller(u, u)
-        out[r0 : r0 + rows] = u[:, :size]

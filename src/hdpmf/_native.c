@@ -1,5 +1,6 @@
 /* Compiled kernels: one full-batch training epoch over CSR rating arrays,
- * and the keyed Philox4x64-10 uniforms and normals of every seeded draw.
+ * the keyed Philox4x64-10 uniforms of every seeded draw, and the Box-Muller
+ * transform that turns them into the noise plan's normals.
  *
  * The epoch runs the item phase, then the user phase; each is a Jacobi
  * sweep over the rows. Both phases form a row's data term in one routine,
@@ -12,10 +13,11 @@
  *
  * keyed_uniform computes the same words as hdpmf._fallback.philox4x64 and
  * maps them to doubles exactly, so both backends draw the same bits.
- * keyed_normal runs Box-Muller on those uniforms (box_muller, on uniforms
- * given) with the operations of hdpmf._fallback.box_muller, in its order:
- * fdlibm's log, sin and cos polynomials, made of +, -, *, /, sqrt and exact
- * bit operations only.
+ * box_muller transforms uniforms in place with the operations of
+ * hdpmf._fallback.box_muller, in its order: fdlibm's log, sin and cos
+ * polynomials, made of +, -, *, /, sqrt and exact bit operations only.
+ * hdpmf.rng.keyed_normal draws the keyed normals on either backend as
+ * box_muller of keyed_uniform, so they are the same bits too.
  *
  * Lane widths. The vectors are GCC and Clang vector extensions, with no
  * intrinsics header, so the extension needs one of those compilers;
@@ -498,7 +500,7 @@ philox_uniforms(uint64_t j, uint64_t i, uint64_t b, uint64_t k0, uint64_t k1, do
 
 /* Row r of out (n x size) holds the blocks for counters (j[r], i[r], b, 0),
    b = 0, 1, ..., word w of block b in column 4b + w. */
-static int
+static void
 fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
              double *out, Py_ssize_t size)
 {
@@ -510,7 +512,6 @@ fill_uniform(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, ui
             for (w = 0; w < 4 && c + w < size; w++)
                 out[c + w] = u[w];
         }
-    return 0;
 }
 
 /* fdlibm 5.3 (Sun Microsystems, 1993): the log polynomial of e_log.c and
@@ -764,43 +765,6 @@ done:
     return result;
 }
 
-/* Doubles that fill_normal stages and transforms per pass, in L1. */
-#define NORMAL_CHUNK 512
-
-/* Row r of out (n x size) holds box_muller_pairs of the uniforms that
-   fill_uniform would write there, drawn one wider for an odd size, whose
-   last sin is dropped. Each pass stages a chunk of rows w = size + size % 2
-   wide, in out for an even size, else in scratch, whose rows lose their
-   last column on the way out, and transforms it in one call. */
-static int
-fill_normal(const uint64_t *j, const uint64_t *i, Py_ssize_t n, uint64_t k0, uint64_t k1,
-            double *out, Py_ssize_t size)
-{
-    Py_ssize_t w = size + size % 2, rows = w < NORMAL_CHUNK ? NORMAL_CHUNK / (w ? w : 1) : 1;
-    Py_ssize_t r0, r, c, nr;
-    double *scratch = NULL, *stage;
-
-    /* an empty out may be wider than any scratch could be */
-    if (rows > n)
-        rows = n;
-    if (size % 2 && (scratch = PyMem_New(double, rows * w)) == NULL) {
-        PyErr_NoMemory();
-        return -1;
-    }
-    for (r0 = 0; r0 < n; r0 += nr) {
-        nr = n - r0 < rows ? n - r0 : rows;
-        stage = scratch ? scratch : out + r0 * size;
-        fill_uniform(j + r0, i + r0, nr, k0, k1, stage, w);
-        lanes->box_muller_pairs(stage, nr * w / 2);
-        if (scratch)
-            for (r = 0; r < nr; r++)
-                for (c = 0; c < size; c++)
-                    out[(r0 + r) * size + c] = scratch[r * w + c];
-    }
-    PyMem_Free(scratch);
-    return 0;
-}
-
 /* A key word: an integer in [0, 2^64), else OverflowError (TypeError for a
    non-integer). */
 static int
@@ -816,24 +780,19 @@ key_word(PyObject *obj, uint64_t *word)
 
 static char *KEYED_KWLIST[] = {"j", "i", "key0", "key1", "out", NULL};
 
-/* Fills out: 0, else -1 with an exception set and out unwritten. */
-typedef int (*keyed_fill)(const uint64_t *, const uint64_t *, Py_ssize_t, uint64_t, uint64_t,
-                          double *, Py_ssize_t);
-
-/* The one argument checker of keyed_uniform and keyed_normal (`format`
-   names the caller in errors): j and i are uint64 vectors of one length,
-   out a writable C-contiguous float64 matrix with that many rows, the keys
-   64-bit words. Then `fill` writes out, or reports why it cannot. */
+/* j and i are uint64 vectors of one length, out a writable C-contiguous
+   float64 matrix with that many rows, the keys 64-bit words; out is written
+   only once all of them are checked. */
 static PyObject *
-keyed(PyObject *args, PyObject *kwds, const char *format, keyed_fill fill)
+keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
 {
     PyObject *j_obj, *i_obj, *k0_obj, *k1_obj, *out_obj, *result = NULL;
     Py_buffer j, i, out;
     uint64_t k0, k1;
     Py_ssize_t n;
 
-    if (!PyArg_ParseTupleAndKeywords(args, kwds, format, KEYED_KWLIST, &j_obj, &i_obj, &k0_obj,
-                                     &k1_obj, &out_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwds, "OOOOO:keyed_uniform", KEYED_KWLIST, &j_obj, &i_obj,
+                                     &k0_obj, &k1_obj, &out_obj))
         return NULL;
     if (key_word(k0_obj, &k0) < 0 || key_word(k1_obj, &k1) < 0)
         return NULL;
@@ -849,26 +808,16 @@ keyed(PyObject *args, PyObject *kwds, const char *format, keyed_fill fill)
                      i.shape[0]);
     else if (out.shape[0] != n)
         PyErr_Format(PyExc_ValueError, "out must have len(j) = %zd rows, got %zd", n, out.shape[0]);
-    else if (fill(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]) == 0)
+    else {
+        fill_uniform(j.buf, i.buf, n, k0, k1, out.buf, out.shape[1]);
         result = Py_NewRef(Py_None);
+    }
     PyBuffer_Release(&out);
 release_i:
     PyBuffer_Release(&i);
 release_j:
     PyBuffer_Release(&j);
     return result;
-}
-
-static PyObject *
-keyed_uniform(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    return keyed(args, kwds, "OOOOO:keyed_uniform", fill_uniform);
-}
-
-static PyObject *
-keyed_normal(PyObject *self, PyObject *args, PyObject *kwds)
-{
-    return keyed(args, kwds, "OOOOO:keyed_normal", fill_normal);
 }
 
 static char *BOX_MULLER_KWLIST[] = {"u", "out", NULL};
@@ -913,20 +862,13 @@ static PyMethodDef methods[] = {
      "Fill out, shape (len(j), size), with doubles in (0, 1): column 4b + w of\n"
      "row r is word w of the Philox4x64-10 block for key (key0, key1) and\n"
      "counter (j[r], i[r], b, 0), as ((word >> 12) + 0.5) * 2**-52."},
-    {"keyed_normal", (PyCFunction)(void (*)(void))keyed_normal, METH_VARARGS | METH_KEYWORDS,
-     "keyed_normal($module, /, j, i, key0, key1, out)\n--\n\n"
-     "Fill out, shape (len(j), size), with standard normals: row r is\n"
-     "box_muller of keyed_uniform's row r, drawn one wider for an odd size,\n"
-     "whose last sin is dropped, by the portable log, sin and cos of\n"
-     "hdpmf._fallback.keyed_normal."},
     {"box_muller", (PyCFunction)(void (*)(void))box_muller, METH_VARARGS | METH_KEYWORDS,
      "box_muller($module, /, u, out)\n--\n\n"
      "Fill out with the standard normals of the uniforms u, both of one shape\n"
      "with an even number of columns: columns 2m and 2m + 1 are\n"
-     "sqrt(-2 log u_2m) times the cos and the sin of 2 pi u_2m+1, the\n"
-     "transform of keyed_normal. out may be u itself. Only tests call it:\n"
-     "test_transform.py::test_box_muller_of_the_edge_uniforms_is_the_same_bits_on_both_backends\n"
-     "feeds it edge uniforms that no keyed draw can reach."},
+     "sqrt(-2 log u_2m) times the cos and the sin of 2 pi u_2m+1, by the\n"
+     "portable log, sin and cos of hdpmf._fallback.box_muller. out may be u\n"
+     "itself. hdpmf.rng.keyed_normal draws the keyed normals with it."},
     {NULL, NULL, 0, NULL},
 };
 
@@ -948,9 +890,9 @@ static PyModuleDef_Slot slots[] = {{Py_mod_exec, exec_module}, {0, NULL}};
 static struct PyModuleDef module = {
     .m_base = PyModuleDef_HEAD_INIT,
     .m_name = "_native",
-    .m_doc = "Compiled kernels: one training epoch over CSR rating arrays, and keyed\n"
-              "Philox4x64-10 uniforms and normals. ISA names the lane width chosen\n"
-              "when the module loaded: 'avx2' or 'baseline'.",
+    .m_doc = "Compiled kernels: one training epoch over CSR rating arrays, keyed\n"
+              "Philox4x64-10 uniforms and their Box-Muller transform. ISA names the\n"
+              "lane width chosen when the module loaded: 'avx2' or 'baseline'.",
     .m_methods = methods,
     .m_slots = slots,
 };

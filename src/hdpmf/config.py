@@ -53,7 +53,7 @@ class ExperimentConfig:
     method: BaselineKind = BaselineKind.HDPMF
     k: int = 10
     epochs: int = 100
-    eta0: float | None = None  # None: ETA0_DEFAULT
+    eta0: float = ETA0_DEFAULT
     lam: float = LAMBDA_DEFAULT
     epsilon: float = 1.0
     f_uc: float = 0.54
@@ -86,7 +86,7 @@ class ExperimentConfig:
             raise ConfigError("k", f"must be >= 1, got {self.k}")
         if self.epochs < 1:
             raise ConfigError("epochs", f"must be >= 1, got {self.epochs}")
-        if self.eta0 is not None and self.eta0 <= 0:
+        if self.eta0 <= 0:
             raise ConfigError("eta0", f"must be > 0, got {self.eta0}")
         if self.lam < 0:
             raise ConfigError("lam", f"must be >= 0, got {self.lam}")
@@ -141,16 +141,16 @@ class ExperimentConfig:
 
     @property
     def effective_eta0(self) -> float:
-        return self.eta0 if self.eta0 is not None else ETA0_DEFAULT
+        """`eta0`, under the name that `perfbench/worker.py` reads; nothing
+        in the package does."""
+        return self.eta0
 
     def effective_items(self) -> list[tuple[str, str]]:
         """All settings after defaults, for provenance echoes."""
         out = []
         for f in fields(self):
             value = getattr(self, f.name)
-            if f.name == "eta0":
-                value = self.effective_eta0
-            elif f.name == "method":
+            if f.name == "method":
                 value = value.value
             elif f.name == "seeds":
                 value = ",".join(str(s) for s in value)

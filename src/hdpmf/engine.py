@@ -27,7 +27,7 @@ def run_epochs(
     after_epoch: Callable[[], None] | None = None,
 ) -> FactorModel:
     """Call `epoch(t, eta)` for each of the `cfg.epochs` epochs, with eta
-    from the schedule of `cfg.effective_eta0`; the epoch updates `model.U`
+    from the schedule of `cfg.eta0`; the epoch updates `model.U`
     and `model.V` in place.
 
     Overflow stays silent: the first epoch that leaves a non-finite factor
@@ -36,7 +36,7 @@ def run_epochs(
     """
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(cfg.epochs):
-            epoch(t, learning_rate(t, cfg.epochs, cfg.effective_eta0))
+            epoch(t, learning_rate(t, cfg.epochs, cfg.eta0))
             if not (np.isfinite(model.U).all() and np.isfinite(model.V).all()):
                 raise DivergedRunError(t)
             if after_epoch is not None:
@@ -53,7 +53,7 @@ def fit(
     after_epoch: Callable[[], None] | None = None,
 ) -> FactorModel:
     """Train `model` in place on (possibly stretched) target values, with
-    the `epochs`, `effective_eta0` and `lam` of `cfg`.
+    the `epochs`, `eta0` and `lam` of `cfg`.
 
     `train_vals` are the per-entry regression targets in the dataset's
     canonical entry order (raw ratings for plain MF, w_ij * r_ij when

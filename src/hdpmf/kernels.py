@@ -1,13 +1,14 @@
 """Kernel backend selection.
 
 A backend provides the training epoch (`run_epoch`), the keyed Philox
-uniforms behind every seeded draw (`keyed_uniform`) and the keyed normals
-of the noise plan (`keyed_normal`); all come from the same module. The
-compiled extension is preferred when importable; the NumPy fallback is
-always available. Set HDPMF_BACKEND=python (or =native) to force a choice —
-forcing `native` is refused if the extension did not build, and any other
-value is refused too. An extension without the `ISA` that every current
-build exports was built from an older `_native.c`, and is not taken.
+uniforms behind every seeded draw (`keyed_uniform`) and the Box-Muller
+transform that `rng.keyed_normal` turns them into the noise plan's normals
+with (`box_muller`); all come from the same module. The compiled extension
+is preferred when importable; the NumPy fallback is always available. Set
+HDPMF_BACKEND=python (or =native) to force a choice — forcing `native` is
+refused if the extension did not build, and any other value is refused too.
+An extension that lacks one of the entry points or the `ISA` that every
+current build exports was built from an older `_native.c`, and is not taken.
 
 The backend is chosen on first use, when one of the three names or
 `backend_name` is first looked up, not while `import hdpmf` runs, so a
@@ -23,7 +24,7 @@ from types import ModuleType
 from . import _fallback
 from .exceptions import ConfigError
 
-_ENTRY_POINTS = ("run_epoch", "keyed_uniform", "keyed_normal")
+_ENTRY_POINTS = ("run_epoch", "keyed_uniform", "box_muller")
 _impl: ModuleType | None = None
 
 
@@ -42,7 +43,7 @@ def _select() -> ModuleType:
         # import_module, unlike `from . import _native`, names the missing
         # module in its error rather than blaming a circular import
         impl = importlib.import_module("._native", __package__)
-        if not all(hasattr(impl, name) for name in ("keyed_uniform", "keyed_normal", "ISA")):
+        if not all(hasattr(impl, name) for name in (*_ENTRY_POINTS, "ISA")):
             raise ImportError("it was built from an older _native.c; rebuild it")
     except ImportError as exc:
         if requested == "native":
@@ -73,7 +74,8 @@ def __getattr__(name: str):
 
 def backend_name() -> str:
     """Which kernel implementation is active, 'native' or 'python': it runs
-    the training epochs and draws the keyed uniforms and normals."""
+    the training epochs, draws the keyed uniforms and transforms them into
+    normals."""
     return _backend().NAME
 
 

@@ -111,8 +111,8 @@ def laplace_scale(K: int, delta: float, epsilon: float) -> float:
 # gives the same shares and totals, since every draw depends only on its
 # key and each item is reduced within one block. Blocks keep the draws
 # under a megabyte for K = 10 instead of growing with nnz; the NumPy
-# backend bounds its Philox and Box-Muller temporaries itself, under 3 MiB
-# at K = 10 (`_fallback.PHILOX_CHUNK_BLOCKS`).
+# backend's Philox and Box-Muller temporaries are bounded below that, under
+# 3 MiB at K = 10 (`rng.NORMAL_CHUNK`, `_fallback.PHILOX_CHUNK_BLOCKS`).
 NOISE_BLOCK_SLOTS = 4096
 
 

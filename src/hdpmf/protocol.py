@@ -370,8 +370,8 @@ def train(
     loss_log: list[float] | None = None,
 ) -> FactorModel:
     """Train with per-entry privacy weights and a fixed noise plan on the
-    engine `cfg.engine` names, with the `k`, `epochs`, `effective_eta0`
-    and `lam` of `cfg` and the model initialization drawn from `seed`.
+    engine `cfg.engine` names, with the `k`, `epochs`, `eta0` and `lam`
+    of `cfg` and the model initialization drawn from `seed`.
 
     `entry_weights` aligns with the dataset's canonical entry order; pass
     ones to disable stretching. Every method trains here, from the inputs

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from hdpmf import _fallback
+from hdpmf import _fallback, kernels
 from hdpmf.config import default_dataset_path
 from hdpmf.data import RatingDataset, load_movielens_100k
 from hdpmf.rng import stream
@@ -194,6 +194,20 @@ def impl(request):
         return importlib.import_module("hdpmf._native")
     build = {"native": "dispatched", "native-baseline": "baseline"}[request.param]
     return request.getfixturevalue("native_build")(build)
+
+
+@pytest.fixture
+def use_kernels(monkeypatch):
+    """`use_kernels(impl)`: `hdpmf.kernels` hands out the entry points of the
+    kernels module `impl` for the rest of the test, whichever backend it
+    selected."""
+
+    def use(impl):
+        for name in kernels._ENTRY_POINTS:
+            monkeypatch.setattr(kernels, name, getattr(impl, name))
+        monkeypatch.setattr(kernels, "_impl", impl)
+
+    return use
 
 
 def pytest_collection_modifyitems(items):

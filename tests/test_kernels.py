@@ -99,9 +99,8 @@ def test_selected_backend_matches_module():
         impl = _fallback
     else:
         impl = importlib.import_module("hdpmf._native")
-    assert kernels.run_epoch is impl.run_epoch
-    assert kernels.keyed_uniform is impl.keyed_uniform
-    assert kernels.keyed_normal is impl.keyed_normal
+    for name in kernels._ENTRY_POINTS:
+        assert getattr(kernels, name) is getattr(impl, name)
 
 
 def _select(requested: str, src_dir: Path, prelude: str = "") -> str:
@@ -161,9 +160,10 @@ def test_extension_without_keyed_uniform_is_not_selected(requested, selected):
     assert _select_with_stale_extension(requested, ["run_epoch"]).split()[0] == selected
 
 
-def test_extension_without_keyed_normal_is_refused():
-    # an extension built before keyed_normal existed draws the uniforms only
-    out = _select_with_stale_extension("native", ["run_epoch", "keyed_uniform"])
+def test_extension_without_box_muller_is_refused():
+    # an extension built while it drew the normals itself, with its lanes
+    # and ISA, lacks only the transform entry point
+    out = _select_with_stale_extension("native", ["run_epoch", "keyed_uniform", "ISA"])
     assert out.startswith("ConfigError") and "rebuild it" in out, out
 
 
@@ -171,7 +171,7 @@ def test_extension_without_keyed_normal_is_refused():
 def test_extension_without_isa_is_not_selected(requested, selected):
     # an extension built before the AVX2 lanes has every entry point, but
     # names no lane path
-    out = _select_with_stale_extension(requested, ["run_epoch", "keyed_uniform", "keyed_normal"])
+    out = _select_with_stale_extension(requested, list(kernels._ENTRY_POINTS))
     assert out.split()[0] == selected, out
     assert selected == "python" or "rebuild it" in out, out
 
@@ -371,7 +371,8 @@ def test_native_is_bit_identical_to_oracle(native, K, project):
 def test_lane_paths_give_the_same_bits(native_build, K):
     # the dispatched build (AVX2 lanes where the CPU has them) against the
     # baseline build, whatever HDPMF_BACKEND says: rows of every length
-    # 0..40 on both sides, 20 epochs, then K keyed normals for 10**5 keys
+    # 0..40 on both sides, 20 epochs, then the transform of the keyed
+    # uniforms behind K normals, for 10**5 keys
     dispatched, baseline = native_build("dispatched"), native_build("baseline")
     assert baseline.ISA == "baseline"
     rng = np.random.default_rng(100 + K)
@@ -379,10 +380,12 @@ def test_lane_paths_give_the_same_bits(native_build, K):
     for got, want in zip(_epochs(dispatched.run_epoch, inst, 20), _epochs(baseline.run_epoch, inst, 20)):
         assert got.tobytes() == want.tobytes()
     j, i = rng.integers(0, 2**64, size=(2, 10**5), dtype=np.uint64)
+    u = np.empty((len(j), K + K % 2))
+    baseline.keyed_uniform(j, i, 2**63 + K, 7, u)
     normals = []
     for build in (dispatched, baseline):
-        out = np.full((len(j), K), np.nan)
-        build.keyed_normal(j, i, 2**63 + K, 7, out)
+        out = np.full_like(u, np.nan)
+        build.box_muller(u, out)
         normals.append(out.tobytes())
     assert normals[0] == normals[1]
 
@@ -556,7 +559,7 @@ def test_native_uniforms_match_numpy_philox(native, j, i, key0, key1, size):
     assert np.all((expected > 0) & (expected < 1))
 
 
-_KEYED_BAD_ARGUMENTS = pytest.mark.parametrize("error, name, bad", [
+@pytest.mark.parametrize("error, name, bad", [
     (TypeError, "j", lambda a: a["j"].astype(np.int64)),
     (TypeError, "i", lambda a: a["i"].astype(np.float64)),
     (ValueError, "j", lambda a: a["j"].reshape(2, 2)),
@@ -572,10 +575,8 @@ _KEYED_BAD_ARGUMENTS = pytest.mark.parametrize("error, name, bad", [
     (TypeError, "key0", lambda a: 1.5),
 ], ids=["int64-j", "float64-i", "2d-j", "short-i", "strided-i", "float32-out", "fortran-out",
         "read-only-out", "short-out", "1d-out", "negative-key0", "key1-2to64", "float-key0"])
-
-
-def _rejects(entry, error, name, bad):
-    # an odd width too: the keyed normals' scratch rows are one wider
+def test_native_uniform_rejects_malformed_arguments(native, error, name, bad):
+    # an odd width too, whose rows end in part of a Philox block
     for width in (6, 5):
         args = dict(j=np.arange(4, dtype=np.uint64), i=np.arange(4, 8, dtype=np.uint64),
                     key0=9, key1=5, out=np.zeros((4, width)))
@@ -583,18 +584,8 @@ def _rejects(entry, error, name, bad):
         out = args["out"]
         before = out.tobytes()
         with pytest.raises(error):
-            entry(**args)
+            native.keyed_uniform(**args)
         assert out.tobytes() == before
-
-
-@_KEYED_BAD_ARGUMENTS
-def test_native_uniform_rejects_malformed_arguments(native, error, name, bad):
-    _rejects(native.keyed_uniform, error, name, bad)
-
-
-@_KEYED_BAD_ARGUMENTS
-def test_native_normal_rejects_malformed_arguments(native, error, name, bad):
-    _rejects(native.keyed_normal, error, name, bad)
 
 
 @pytest.mark.parametrize("error, name, bad", [

@@ -13,7 +13,7 @@ from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
-from hdpmf import _fallback, kernels, privacy
+from hdpmf import _fallback, privacy
 from hdpmf.privacy import (
     NoisePlan,
     WeightAssignment,
@@ -233,11 +233,10 @@ class TestNoisePlan:
         assert np.array_equal(plan.shares, reference.shares)
         assert np.array_equal(plan.h, reference.h)
 
-    def test_plan_is_the_same_bits_on_either_backend(self, monkeypatch, native, small_synth):
+    def test_plan_is_the_same_bits_on_either_backend(self, use_kernels, native, small_synth):
         drawn = []
         for impl in (_fallback, native):
-            monkeypatch.setattr(kernels, "keyed_uniform", impl.keyed_uniform)
-            monkeypatch.setattr(kernels, "keyed_normal", impl.keyed_normal)
+            use_kernels(impl)
             plan = build_noise_plan(small_synth, 10, 4.0, 0.5, master_seed=13)
             drawn.append((plan.shares, plan.h, plan.item_totals))
         for a, b in zip(*drawn):

@@ -2,8 +2,8 @@
 and README's library use need, each importable from there, and README's
 library path runs on them alone. And `src/` holds only what a run, the CLI
 or the benchmark calls: every definition in the package is named in
-`src/` or `perfbench/`, and the compiled extension exports only the
-backend's names, bar those a test needs."""
+`src/` or `perfbench/`, and the compiled extension exports exactly the
+backend's names."""
 
 import ast
 from pathlib import Path
@@ -16,11 +16,6 @@ from hdpmf.evaluation import run_single_seed
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMO_CSV = ROOT / "configs" / "demo-ratings.csv"
-# Exported by the compiled extension for a test alone, each with that test.
-TEST_ONLY_EXPORTS = {
-    # feeds the transform edge uniforms that no keyed draw can reach
-    "box_muller": "test_transform.py::test_box_muller_of_the_edge_uniforms_is_the_same_bits_on_both_backends",
-}
 
 
 def test_top_level_is_the_documented_surface():
@@ -74,4 +69,4 @@ def test_every_definition_in_the_package_is_named_by_src_or_perfbench():
 def test_every_export_of_the_extension_is_the_backends_or_a_tests(native):
     # the backend binds `kernels._ENTRY_POINTS` and reads `NAME` and `ISA`
     public = {name for name in vars(native) if not name.startswith("_")}
-    assert sorted(public - {*kernels._ENTRY_POINTS, "NAME", "ISA"} - TEST_ONLY_EXPORTS.keys()) == []
+    assert sorted(public) == sorted({*kernels._ENTRY_POINTS, "NAME", "ISA"})

@@ -1,8 +1,10 @@
 """The portable transform behind the keyed normals and exponentials.
 
-Both backends draw the same bits, from random keys and from the edge
-uniforms; the log, sin and cos are as accurate as stated; and a few draws
-are pinned to their exact bits, on either backend. The transform uses no
+Both backends transform the same uniforms into the same bits, from random
+keys and from the edge uniforms; the keyed normals are that transform of
+the keyed uniforms on either backend, however their rows are chunked; the
+log, sin and cos are as accurate as stated; and a few draws are pinned to
+their exact bits, on either backend. The transform uses no
 libm or NumPy transcendental function, so these pins hold on every IEEE-754
 machine and NumPy build.
 """
@@ -13,7 +15,7 @@ import math
 import numpy as np
 import pytest
 
-from hdpmf import _fallback, kernels, rng
+from hdpmf import _fallback, rng
 
 # The smallest and largest keyed uniforms, and each multiple of 1/8 in
 # (0, 1) with its two neighbours: the quarter-turn reduction's ties and
@@ -21,12 +23,6 @@ from hdpmf import _fallback, kernels, rng
 EDGES = sorted({2.0**-53, 1 - 2.0**-53} | {
     k / 8 + d for k in range(1, 8) for d in (-(2.0**-53), 0.0, 2.0**-53)
 })
-
-
-def _keyed_normals(impl, j, i, key0, key1, size):
-    out = np.full((len(j), size), np.nan)
-    impl.keyed_normal(j, i, key0, key1, out)
-    return out
 
 
 def _box_muller(impl, u):
@@ -39,13 +35,16 @@ def _box_muller(impl, u):
                          + [(size, 10_000) for size in (4, 5, 6, 8, 9, 11, 12, 13, 14, 15, 16)]
                          + [(513, 500), (514, 500)])
 def test_native_normals_equal_fallback(native, size, n):
-    # about a million random keys in all, over every size 1-16, odd and
-    # even, and two rows wider than NORMAL_CHUNK, which take a pass each
+    # the keyed uniforms that the normals of each size 1-16 and 513-514
+    # transform, every even width 2-16 and 514, of about a million random
+    # keys in all; the backends draw the same uniforms (test_kernels.py)
     gen = np.random.default_rng(size)
     j, i = gen.integers(0, 2**64, size=(2, n), dtype=np.uint64)
     key0 = int(gen.integers(0, 2**64, dtype=np.uint64))
-    got = _keyed_normals(native, j, i, key0, 5, size)
-    assert got.tobytes() == _keyed_normals(_fallback, j, i, key0, 5, size).tobytes()
+    u = np.empty((n, size + size % 2))
+    native.keyed_uniform(j, i, key0, 5, u)
+    got = _box_muller(native, u)
+    assert got.tobytes() == _box_muller(_fallback, u).tobytes()
     assert np.isfinite(got).all()
 
 
@@ -70,20 +69,32 @@ def test_the_edge_uniforms_stay_below_the_normal_bound():
 
 
 @pytest.mark.parametrize("size", [0, 1, 4, 5, 10, 513, 514])
-def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, size):
-    j, i = np.arange(50, dtype=np.uint64), np.arange(50, 100, dtype=np.uint64)
-    width = size + size % 2
+def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, use_kernels, size):
+    j, i = np.arange(50), np.arange(50, 100)
     for impl in (native, _fallback):
-        u = np.empty((50, width))
-        impl.keyed_uniform(j, i, 3, 4, u)
+        use_kernels(impl)
+        u = rng.keyed_uniform(3, "noise-c", j, i, size + size % 2)
         expected = _box_muller(impl, u)[:, :size]
-        assert _keyed_normals(impl, j, i, 3, 4, size).tobytes() == expected.tobytes()
+        assert rng.keyed_normal(3, "noise-c", j, i, size).tobytes() == expected.tobytes()
 
 
-def test_keyed_normals_of_no_rows_stage_nothing(impl):
-    # an empty out may be wider than any scratch row could be
+@pytest.mark.parametrize("size", [1, 2, 5, 10, 513])
+@pytest.mark.parametrize("rows", [1, 3, 7])
+def test_chunk_boundaries_move_no_bit(impl, use_kernels, monkeypatch, rows, size):
+    # 50 rows fit in one default chunk; chunks of 1, 3 and 7 rows split them
+    # everywhere, and 3 and 7 leave a short last chunk
+    use_kernels(impl)
+    j, i = np.arange(50), np.arange(50, 100)
+    whole = rng.keyed_normal(3, "noise-c", j, i, size)
+    monkeypatch.setattr(rng, "NORMAL_CHUNK", rows * (size + size % 2))
+    assert rng.keyed_normal(3, "noise-c", j, i, size).tobytes() == whole.tobytes()
+
+
+def test_keyed_normals_of_no_rows_stage_nothing(impl, use_kernels):
+    # an empty out may be wider than any buffer row could be
+    use_kernels(impl)
     out = np.empty((0, 2**59 - 1))
-    impl.keyed_normal(np.empty(0, np.uint64), np.empty(0, np.uint64), 3, 4, out)
+    assert rng.keyed_normal(3, "noise-c", [], [], 2**59 - 1, out) is out
 
 
 def _ulps(got, exact):
@@ -158,9 +169,8 @@ EXPONENTIALS = [
 ]
 
 
-def test_pinned_draws(monkeypatch, impl):
-    monkeypatch.setattr(kernels, "keyed_uniform", impl.keyed_uniform)
-    monkeypatch.setattr(kernels, "keyed_normal", impl.keyed_normal)
+def test_pinned_draws(use_kernels, impl):
+    use_kernels(impl)
     normals = rng.keyed_normal(5, "noise-c", [7, 1681, 2**40], [2, 0, 942], 3)
     exponentials = rng.keyed_exponential(5, "noise-h", [0, 1681], [0, 0], 3)
     assert [[v.hex() for v in row] for row in normals] == NORMALS
