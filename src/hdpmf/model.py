@@ -102,10 +102,12 @@ def objective_value(
     `noise_totals` holds each item's summed shares, since the share terms
     of the objective add up to v_j . sum_i x_j^i per item. Used by the
     loss trace and the tests' finite-difference check; training never
-    needs it.
+    needs it. Every sum is a NumPy reduction, not a BLAS product, whose
+    summation order would follow the CPU kernel that OpenBLAS picks at
+    load; so the loss trace does not depend on that pick.
     """
     preds = np.einsum("ik,ik->i", model.U[dataset.users], model.V[dataset.items])
     resid = train_vals - preds
     noise_term = float(np.einsum("jk,jk->", model.V, noise_totals))
     reg = model.lam * (float(np.sum(model.U * model.U)) + float(np.sum(model.V * model.V)))
-    return float(resid @ resid) + noise_term + reg
+    return float(np.einsum("i,i->", resid, resid)) + noise_term + reg

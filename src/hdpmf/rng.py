@@ -17,7 +17,8 @@ NumPy and the C extension run in the same order, the extension in each lane
 of its vectors on either lane path it picks at import; `keyed_exponential`
 takes the same portable log in NumPy. No draw goes through libm or NumPy's
 transcendental functions, so seeded results are the same bits on every
-IEEE-754 machine and NumPy build.
+IEEE-754 machine and NumPy build. A call draws all its rows at once, so
+callers bound the rows per call: the noise plan draws a block at a time.
 
 Draws for different keys are mutually independent, so neither parallel
 execution, entity iteration order, the arrays' layout nor how keys are
@@ -58,11 +59,6 @@ _PURPOSES = {
 # radius sqrt(-2 log u) reaches 8.58.
 NORMAL_BOUND = 9.0
 
-# Doubles that `keyed_normal` draws and transforms per chunk of rows: the
-# NumPy backend's temporaries stay bounded like `keyed_uniform`'s, and the
-# compiled transform reads its uniforms from cache (256 KiB).
-NORMAL_CHUNK = 32768
-
 
 def _check_seed(master_seed: int) -> None:
     if master_seed < 0:
@@ -79,22 +75,6 @@ def stream(master_seed: int, purpose: str, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
 
 
-def _keyed(fill, master_seed: int, purpose: str, j, i, size: int, out=None) -> np.ndarray:
-    """The (len(j), size) array that `fill`, the backend's `keyed_uniform`
-    or `_fill_normal`, writes: `out`, or a new one."""
-    _check_seed(master_seed)
-    if master_seed >= 1 << 64:
-        raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
-    j = np.ascontiguousarray(j, dtype=np.uint64)
-    i = np.ascontiguousarray(i, dtype=np.uint64)
-    if out is None:
-        out = np.empty((len(j), size))
-    elif out.shape != (len(j), size):
-        raise ValueError(f"out must have shape ({len(j)}, {size}), got {out.shape}")
-    fill(j, i, master_seed, _PURPOSES[purpose], out)
-    return out
-
-
 def keyed_uniform(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
     """Doubles in (0, 1), shape (len(j), size), for parallel key arrays j, i.
 
@@ -107,40 +87,31 @@ def keyed_uniform(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray
     the C extension, or `_fallback.philox4x64` in NumPy); both compute the
     same words and map them exactly, so the draws are the same bits.
     """
-    return _keyed(kernels.keyed_uniform, master_seed, purpose, j, i, size)
+    _check_seed(master_seed)
+    if master_seed >= 1 << 64:
+        raise ValueError(f"master_seed must fit in 64 bits, got {master_seed}")
+    j = np.ascontiguousarray(j, dtype=np.uint64)
+    i = np.ascontiguousarray(i, dtype=np.uint64)
+    out = np.empty((len(j), size))
+    kernels.keyed_uniform(j, i, master_seed, _PURPOSES[purpose], out)
+    return out
 
 
-def _fill_normal(j: np.ndarray, i: np.ndarray, key0: int, key1: int, out: np.ndarray) -> None:
-    """Fill `out` with standard normals, about NORMAL_CHUNK doubles of rows
-    at a time: the backend's `keyed_uniform` draws a chunk's uniforms and
-    its `box_muller` transforms them in place, in `out` itself for an even
-    size, else in a buffer one column wider, whose last column is dropped."""
-    n, size = out.shape
-    if n == 0 or size == 0:
-        return
-    width = size + size % 2
-    rows = min(n, max(1, NORMAL_CHUNK // width))
-    buf = np.empty((rows, width)) if size % 2 else None
-    for r0 in range(0, n, rows):
-        r1 = min(r0 + rows, n)
-        u = out[r0:r1] if buf is None else buf[: r1 - r0]
-        kernels.keyed_uniform(j[r0:r1], i[r0:r1], key0, key1, u)
-        kernels.box_muller(u, u)
-        if buf is not None:
-            out[r0:r1] = u[:, :size]
-
-
-def keyed_normal(master_seed: int, purpose: str, j, i, size: int, out=None) -> np.ndarray:
+def keyed_normal(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:
     """Standard normals, shape (len(j), size), by Box-Muller on
     `keyed_uniform`: columns 2m and 2m+1 come from uniforms 2m and 2m+1,
     and an odd size draws one uniform more per row, whose sin is dropped.
-    They fill `out`, a C-contiguous float64 array of that shape, if given.
 
-    Both backends run the portable transform (`kernels.box_muller`) on the
-    same uniforms, so the draws are the same bits, and no chunk boundary
-    moves any of them: each row depends only on its key.
+    All rows are drawn and transformed in one call each, so a caller that
+    needs bounded memory passes a bounded number of keys (the noise plan
+    draws a block at a time). Both backends run the portable transform
+    (`kernels.box_muller`) on the same uniforms, so the draws are the same
+    bits, and no split of the keys moves any of them: each row depends only
+    on its key.
     """
-    return _keyed(_fill_normal, master_seed, purpose, j, i, size, out)
+    u = keyed_uniform(master_seed, purpose, j, i, size + size % 2)
+    kernels.box_muller(u, u)
+    return np.ascontiguousarray(u[:, :size]) if size % 2 else u
 
 
 def keyed_exponential(master_seed: int, purpose: str, j, i, size: int) -> np.ndarray:

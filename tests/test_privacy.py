@@ -13,7 +13,7 @@ from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
 from hdpmf.data import RatingDataset
 from hdpmf.diagnostics import sample_aggregate_noise
-from hdpmf import _fallback, privacy
+from hdpmf import _fallback, kernels, privacy
 from hdpmf.privacy import (
     NoisePlan,
     WeightAssignment,
@@ -232,6 +232,32 @@ class TestNoisePlan:
         plan = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
         assert np.array_equal(plan.shares, reference.shares)
         assert np.array_equal(plan.h, reference.h)
+
+    def test_each_noise_block_is_one_draw_and_one_transform(self, monkeypatch):
+        # 100 raters of each of 100 items: the by-item layout spans three
+        # blocks of whole items (4,000, 4,100 and 1,900 slots), and the
+        # by-slot shares three blocks of NOISE_BLOCK_SLOTS
+        ds = _complete_dataset(100, 100)
+        plan = build_noise_plan(ds, 10, 4.0, 1.0, master_seed=5)
+        assert len(_fallback.row_blocks(plan.item_ptr, privacy.NOISE_BLOCK_SLOTS)) == 3
+        calls = {"keyed_uniform": 0, "box_muller": 0}
+
+        def counted(name):
+            kernel = getattr(kernels, name)
+
+            def call(*args):
+                calls[name] += 1
+                return kernel(*args)
+
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(kernels, name, counted(name))
+        plan.item_totals
+        assert calls == {"keyed_uniform": 3, "box_muller": 3}
+        plan.shares
+        blocks = -(-len(ds) // privacy.NOISE_BLOCK_SLOTS)
+        assert calls == {"keyed_uniform": 3 + blocks, "box_muller": 3 + blocks}
 
     def test_plan_is_the_same_bits_on_either_backend(self, use_kernels, native, small_synth):
         drawn = []

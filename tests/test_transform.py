@@ -2,11 +2,11 @@
 
 Both backends transform the same uniforms into the same bits, from random
 keys and from the edge uniforms; the keyed normals are that transform of
-the keyed uniforms on either backend, however their rows are chunked; the
-log, sin and cos are as accurate as stated; and a few draws are pinned to
-their exact bits, on either backend. The transform uses no
-libm or NumPy transcendental function, so these pins hold on every IEEE-754
-machine and NumPy build.
+the keyed uniforms on either backend, in one C-contiguous array, however
+the callers split the keys; the log, sin and cos are as accurate as
+stated; and a few draws are pinned to their exact bits, on either backend.
+The transform uses no libm or NumPy transcendental function, so these pins
+hold on every IEEE-754 machine and NumPy build.
 """
 
 import itertools
@@ -75,26 +75,27 @@ def test_keyed_normals_are_box_muller_of_the_keyed_uniforms(native, use_kernels,
         use_kernels(impl)
         u = rng.keyed_uniform(3, "noise-c", j, i, size + size % 2)
         expected = _box_muller(impl, u)[:, :size]
-        assert rng.keyed_normal(3, "noise-c", j, i, size).tobytes() == expected.tobytes()
+        got = rng.keyed_normal(3, "noise-c", j, i, size)
+        assert got.tobytes() == expected.tobytes() and got.flags.c_contiguous
 
 
 @pytest.mark.parametrize("size", [1, 2, 5, 10, 513])
 @pytest.mark.parametrize("rows", [1, 3, 7])
-def test_chunk_boundaries_move_no_bit(impl, use_kernels, monkeypatch, rows, size):
-    # 50 rows fit in one default chunk; chunks of 1, 3 and 7 rows split them
-    # everywhere, and 3 and 7 leave a short last chunk
+def test_chunk_boundaries_move_no_bit(impl, use_kernels, rows, size):
+    # the callers chunk the keys (the noise plan draws a block at a time):
+    # calls of 1, 3 and 7 rows split 50 rows everywhere, and 3 and 7 leave a
+    # short last call
     use_kernels(impl)
     j, i = np.arange(50), np.arange(50, 100)
     whole = rng.keyed_normal(3, "noise-c", j, i, size)
-    monkeypatch.setattr(rng, "NORMAL_CHUNK", rows * (size + size % 2))
-    assert rng.keyed_normal(3, "noise-c", j, i, size).tobytes() == whole.tobytes()
+    parts = [rng.keyed_normal(3, "noise-c", j[r : r + rows], i[r : r + rows], size) for r in range(0, 50, rows)]
+    assert np.concatenate(parts).tobytes() == whole.tobytes()
 
 
 def test_keyed_normals_of_no_rows_stage_nothing(impl, use_kernels):
-    # an empty out may be wider than any buffer row could be
+    # no rows may be wider than any row could be
     use_kernels(impl)
-    out = np.empty((0, 2**59 - 1))
-    assert rng.keyed_normal(3, "noise-c", [], [], 2**59 - 1, out) is out
+    assert rng.keyed_normal(3, "noise-c", [], [], 2**59 - 1).shape == (0, 2**59 - 1)
 
 
 def _ulps(got, exact):
