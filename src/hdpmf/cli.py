@@ -15,7 +15,7 @@ import math
 import os
 import sys
 import tempfile
-from contextlib import ExitStack, contextmanager, suppress
+from contextlib import contextmanager, nullcontext, suppress
 from dataclasses import replace
 from pathlib import Path
 
@@ -24,13 +24,16 @@ import numpy as np
 from . import __version__
 from .config import ExperimentConfig, parse_config
 from .diagnostics import MIN_SAMPLES, SCALE_RANGE, check_noise_composition
-from .evaluation import LOSS_TRACE_HEADER, emit_results, load_dataset, run_experiment
+from .evaluation import emit_results, load_dataset, run_experiment
 from .exceptions import ConfigError, EmptySplitError, HdpmfError, ParseError
 from .kernels import backend_path
 from .privacy import laplace_scale
 from .protocol import TRACE_HEADER
 
 SWEEP_KEYS = ("eps_uc", "f_uc", "fraction")
+# the first line of a loss trace; a `seed,epoch,objective` line for each
+# finished epoch of each seed follows
+LOSS_TRACE_HEADER = "# seed,epoch,objective\n"
 
 
 def _provenance(cfg: ExperimentConfig, extra: list[str] | None = None) -> list[str]:
@@ -122,14 +125,11 @@ def _load_checked(cfg: ExperimentConfig):
 def cmd_run(config_path: str) -> int:
     cfg = _parse_checked(config_path)
     dataset = _load_checked(cfg)
-    with ExitStack() as stack:
-        trace = None
-        if cfg.trace is not None:
-            trace = stack.enter_context(_replace_on_success(cfg.trace, TRACE_HEADER))
-        loss_trace = None
-        if cfg.loss_trace is not None:
-            loss_trace = stack.enter_context(_replace_on_success(cfg.loss_trace, LOSS_TRACE_HEADER))
-        result = run_experiment(cfg, dataset=dataset, trace=trace, loss_trace=loss_trace)
+    with _replace_on_success(cfg.trace, TRACE_HEADER) if cfg.trace is not None else nullcontext() as trace:
+        result = run_experiment(cfg, dataset=dataset, trace=trace)
+    if cfg.loss_trace is not None:
+        with _replace_on_success(cfg.loss_trace, LOSS_TRACE_HEADER) as fh:
+            fh.writelines(f"{r.seed},{t},{value!r}\n" for r in result.runs for t, value in enumerate(r.losses))
     emit_results([result], cfg.output, provenance=_provenance(cfg))
     print(f"method={cfg.method.value} dataset={cfg.dataset} seeds={len(cfg.seeds)}")
     if result.seed_results:

@@ -41,8 +41,8 @@ class NoiseCheckReport:
     target_variance: float  # 2 b^2
     ks_distance: float
     mean_tolerance: float  # 3 sigma of the sample mean
-    variance_rtol: float = 0.01
-    ks_limit: float = 0.002
+    variance_rtol: float
+    ks_limit: float
 
     @property
     def mean_ok(self) -> bool:

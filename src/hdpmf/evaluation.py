@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import csv
 import io
 import math
 import os
@@ -56,19 +57,34 @@ def mae(predictions, truths) -> float:
 
 @dataclass
 class SeedResult:
+    """One seed's run: its scores, or NaN scores and the `failure` that
+    stopped it, plus the training objective after each finished epoch when
+    `cfg.loss_trace` names a file."""
+
     seed: int
     mse: float
     mae: float
+    failure: str | None = None
+    losses: list[float] = field(default_factory=list)
 
 
 @dataclass
 class ExperimentResult:
-    """Per-seed scores of one method under one configuration."""
+    """Per-seed runs of one method under one configuration."""
 
     method: BaselineKind
     config: ExperimentConfig
-    seed_results: list[SeedResult] = field(default_factory=list)
-    failures: list[tuple[int, str]] = field(default_factory=list)
+    runs: list[SeedResult] = field(default_factory=list)
+
+    @property
+    def seed_results(self) -> list[SeedResult]:
+        """The runs that finished, in seed order."""
+        return [r for r in self.runs if r.failure is None]
+
+    @property
+    def failures(self) -> list[tuple[int, str]]:
+        """(seed, reason) of each run that failed, in seed order."""
+        return [(r.seed, r.failure) for r in self.runs if r.failure is not None]
 
     @property
     def partial(self) -> bool:
@@ -129,11 +145,11 @@ def run_single_seed(
     dataset: RatingDataset,
     seed: int,
     trace=None,
-    loss_log: list[float] | None = None,
 ) -> SeedResult:
     """Allocate weights, split, train the configured method on its
     `method_inputs`, score. mf neither trains on weights nor rescales by
-    them, so it draws none.
+    them, so it draws none. A run that diverges returns NaN scores, its
+    failure and the losses of the epochs before it.
 
     Raises EmptySplitError before training when the split holds out
     nothing, which happens when no user has more than n_test ratings.
@@ -150,48 +166,32 @@ def run_single_seed(
         )
     train_set = subsample_per_user(plan.train, cfg.fraction, seed)
     inputs = method_inputs(cfg.method, train_set, weights, cfg.epsilon, cfg.k, seed)
-    model = train(*inputs, cfg, seed, trace=trace, loss_log=loss_log)
+    losses: list[float] = []
+    try:
+        model = train(*inputs, cfg, seed, trace=trace, loss_log=losses if cfg.loss_trace is not None else None)
+    except DivergedRunError as exc:
+        return SeedResult(seed, math.nan, math.nan, str(exc), losses)
     preds = predict_all(
         model, weights, plan.test.users, plan.test.items,
         dataset.scale_min, dataset.scale_max,
         rescale=cfg.method.rescales,
     )
     truths = plan.test.ratings
-    return SeedResult(seed, mse(preds, truths), mae(preds, truths))
-
-
-# the first line of a loss trace; `run_experiment` writes the rest
-LOSS_TRACE_HEADER = "# seed,epoch,objective\n"
+    return SeedResult(seed, mse(preds, truths), mae(preds, truths), losses=losses)
 
 
 def run_experiment(
     cfg: ExperimentConfig,
     dataset: RatingDataset | None = None,
     trace=None,
-    loss_trace=None,
 ) -> ExperimentResult:
-    """Run every seed and aggregate; diverged seeds become recorded
-    failures and the aggregation over the rest is flagged partial.
-
-    `loss_trace` is an optional text handle receiving one
-    `seed,epoch,objective` line per training epoch.
-    """
+    """Run every seed; diverged seeds become recorded failures and the
+    aggregation over the rest is flagged partial."""
     if dataset is None:
         dataset = load_dataset(cfg)
     _check_k_fits(cfg, dataset)
-    result = ExperimentResult(method=cfg.method, config=cfg)
-    for seed in cfg.seeds:
-        loss_log: list[float] | None = [] if loss_trace is not None else None
-        try:
-            result.seed_results.append(
-                run_single_seed(cfg, dataset, seed, trace=trace, loss_log=loss_log)
-            )
-        except DivergedRunError as exc:
-            result.failures.append((seed, str(exc)))
-        if loss_trace is not None and loss_log:
-            for t, value in enumerate(loss_log):
-                loss_trace.write(f"{seed},{t},{value!r}\n")
-    return result
+    runs = [run_single_seed(cfg, dataset, seed, trace=trace) for seed in cfg.seeds]
+    return ExperimentResult(cfg.method, cfg, runs)
 
 
 def _fmt(value: float) -> str:
@@ -232,10 +232,6 @@ def emit_results(
     quote (a dataset path, say) is quoted and reads back intact."""
     if not results:
         raise ValueError("no results to emit")
-    # imported here, after a run's factors and noise plan are freed, so the
-    # module stays out of the run's peak memory
-    import csv
-
     out = io.StringIO()
     rows = csv.writer(out, lineterminator="\n")
     for entry in provenance or []:
@@ -255,8 +251,6 @@ def emit_results(
 
 def read_results(path: str | Path) -> tuple[list[dict], list[dict]]:
     """Parse a results file back into (seed rows, aggregate rows)."""
-    import csv
-
     rows: tuple[list[dict], list[dict]] = ([], [])
     section = 0  # 1 from the aggregate marker on
     for line in Path(path).read_text(encoding="utf-8").splitlines():

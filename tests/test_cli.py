@@ -1,5 +1,6 @@
 """Config parsing and the CLI subcommands end to end."""
 
+import re
 import warnings
 from dataclasses import replace
 from pathlib import Path
@@ -294,7 +295,31 @@ class TestCmdRun:
         assert "FAILED" in capsys.readouterr().out
 
     @pytest.mark.parametrize("engine", ["kernel", "messages"])
-    def test_loss_trace_matches_objective(self, tmp_path, synth_factory, engine):
+    def test_diverged_seed_keeps_its_loss_lines(self, tmp_path, synth_factory, engine):
+        # each seed logs the objective of every epoch it finished, and the
+        # epoch its failure names is the first it did not finish
+        data = write_csv_dataset(tmp_path, synth_factory, master_seed=73)
+        out, loss = tmp_path / "r.csv", tmp_path / "loss.csv"
+        cfg = write_config(
+            tmp_path, dataset=data, output=out, loss_trace=loss, method="mf", engine=engine,
+            eta0=1e9, epochs=60, **{k: v for k, v in BASE.items() if k not in ("eta0", "epochs")},
+        )
+        assert main(["run", str(cfg)]) == 1
+        results = out.read_text().splitlines()
+        reasons = [re.fullmatch(r"# mf,(\d+),training diverged at epoch (\d+) \(non-finite factors\)", line)
+                   for line in results[results.index("# failures") + 1:]]
+        failed = {int(match[1]): int(match[2]) for match in reasons}
+        assert sorted(failed) == [0, 1]
+        lines = loss.read_text().splitlines()
+        assert lines[0] == "# seed,epoch,objective"
+        rows = [line.split(",") for line in lines[1:]]
+        for seed, epoch in failed.items():
+            assert epoch > 0
+            assert [int(t) for s, t, _ in rows if int(s) == seed] == list(range(epoch))
+
+    @pytest.mark.parametrize("engine", ["kernel", "messages"])
+    def test_loss_trace_matches_objective(self, tmp_path, synth_factory, monkeypatch, engine):
+        from hdpmf import protocol
         from hdpmf.evaluation import load_dataset, run_experiment
         from hdpmf.model import objective_value
         from hdpmf.baselines import BaselineKind, method_inputs
@@ -326,6 +351,20 @@ class TestCmdRun:
         expected = objective_value(model, train_set, targets, plan.item_totals)
         logged = float(rows[cfg.epochs - 1][2])
         assert logged == pytest.approx(expected, rel=1e-9)
+        # the library returns the losses the command writes, and computes no
+        # objective when no loss trace is asked for
+        runs = run_experiment(cfg).runs
+        assert [len(r.losses) for r in runs] == [cfg.epochs] * len(cfg.seeds)
+        body = "".join(f"{r.seed},{t},{value!r}\n" for r in runs for t, value in enumerate(r.losses))
+        assert (tmp_path / "loss.csv").read_bytes() == b"# seed,epoch,objective\n" + body.encode()
+
+        def never(*args):
+            raise AssertionError("an objective was computed with no loss trace set")
+
+        monkeypatch.setattr(protocol, "objective_value", never)
+        runs = run_experiment(replace(cfg, loss_trace=None)).runs
+        assert len(runs) == len(cfg.seeds)
+        assert all(r.failure is None and r.losses == [] for r in runs)
 
     def test_trace_file_written(self, tmp_path, synth_factory):
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=79)
@@ -349,8 +388,9 @@ class TestCmdRun:
         assert (trace.read_bytes(), (tmp_path / "r.csv").read_bytes()) == first
 
     def test_failed_run_keeps_earlier_traces(self, tmp_path, synth_factory, capsys):
-        # the epsilon check fails after the load, when the traces are open:
-        # both earlier files keep their bytes, and no temporary file is left
+        # the epsilon check fails after the load, when the update trace is
+        # open: both earlier files keep their bytes, and no temporary file
+        # is left
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=79)
         trace, loss = tmp_path / "t.csv", tmp_path / "l.csv"
         trace.write_text("earlier trace\n")

@@ -135,6 +135,8 @@ class TestRunExperiment:
         assert res.partial
         assert all(isinstance(s, int) for s, _ in res.failures)
         assert "epoch" in res.failures[0][1]
+        failed = [r for r in res.runs if r.failure is not None]
+        assert failed and all(math.isnan(r.mse) and math.isnan(r.mae) for r in failed)
 
 
 class TestEmitResults:
@@ -146,9 +148,7 @@ class TestEmitResults:
         res = ExperimentResult(method=BaselineKind.HDPMF, config=cfg)
         rng = np.random.default_rng(9)
         for seed in range(5):
-            res.seed_results.append(
-                SeedResult(seed, float(rng.uniform(1, 2)), float(rng.uniform(0.7, 1)))
-            )
+            res.runs.append(SeedResult(seed, float(rng.uniform(1, 2)), float(rng.uniform(0.7, 1))))
         return res
 
     def test_row_count(self, tmp_path):
