@@ -152,8 +152,12 @@ def run_single_seed(
     failure and the losses of the epochs before it.
 
     Raises EmptySplitError before training when the split holds out
-    nothing, which happens when no user has more than n_test ratings.
+    nothing, which happens when no user has more than n_test ratings, and
+    ConfigError before any draw when `cfg.trace` is set but no `trace`
+    handle is passed, since the run writes its update trace only there.
     """
+    if cfg.trace is not None and trace is None:
+        raise ConfigError("trace", "pass an open handle, as `hdpmf run` does, or unset the key")
     weights = None
     if cfg.method is not BaselineKind.MF:
         weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)

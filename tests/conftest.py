@@ -105,12 +105,21 @@ NATIVE_BUILDS = {"dispatched": WARNINGS_AS_ERRORS, "baseline": WARNINGS_AS_ERROR
 
 # Under HDPMF_BACKEND=native the tests take the built extension as it is, so
 # that a build with its own flags (sanitizers, FMA, another compiler, the
-# baseline guard) is the one checked; it is one build, the dispatched one.
+# baseline guard) is the one checked; it is one build, named `dispatched`.
 INSTALLED = os.environ.get("HDPMF_BACKEND", "").strip().lower() == "native"
 
-# Every kernels module, for tests that run on each: the NumPy fallback, then
-# the native builds.
-KERNELS = ["python", "native"] + ([] if INSTALLED else ["native-baseline"])
+# The native builds that the tests run on, by their NATIVE_BUILDS names,
+# which are also the `lanes` of CI's kernel-builds matrix, and every kernels
+# module: the NumPy fallback, then those builds.
+BUILDS = ["dispatched"] if INSTALLED else list(NATIVE_BUILDS)
+KERNELS = ["python", *BUILDS]
+
+# How the test ids name each kernels module. They keep the names they had
+# before the builds were named: `impl`'s cases say `native` and
+# `native-baseline`, and the `native` fixture's dispatched cases carry no
+# build at all (`test[0]`, not `test[dispatched-0]`).
+IMPL_IDS = {"python": "python", "dispatched": "native", "baseline": "native-baseline"}
+NATIVE_IDS = {"dispatched": pytest.HIDDEN_PARAM, "baseline": "baseline"}
 
 
 def _native_build_commands(src: Path, obj: Path, out: Path, flags=()) -> list[list[str]]:
@@ -175,25 +184,25 @@ def native_build(pytestconfig, tmp_path_factory):
     return build
 
 
-@pytest.fixture(scope="session", params=["dispatched"] if INSTALLED else list(NATIVE_BUILDS))
+@pytest.fixture(scope="session", params=BUILDS, ids=[NATIVE_IDS[name] for name in BUILDS])
 def native(request, native_build):
-    """The compiled kernels module: under HDPMF_BACKEND=native the built
-    extension that every other test runs on too, else each build of
-    NATIVE_BUILDS in turn."""
+    """Each compiled kernels module of BUILDS in turn: under
+    HDPMF_BACKEND=native the built extension that every other test runs on
+    too, else each build of NATIVE_BUILDS."""
     if INSTALLED:
         return importlib.import_module("hdpmf._native")
     return native_build(request.param)
 
 
-@pytest.fixture(params=KERNELS)
+@pytest.fixture(params=KERNELS, ids=[IMPL_IDS[name] for name in KERNELS])
 def impl(request):
-    """Each kernels module of KERNELS in turn."""
+    """Each kernels module of KERNELS in turn: the NumPy fallback, then each
+    build of BUILDS."""
     if request.param == "python":
         return _fallback
     if INSTALLED:
         return importlib.import_module("hdpmf._native")
-    build = {"native": "dispatched", "native-baseline": "baseline"}[request.param]
-    return request.getfixturevalue("native_build")(build)
+    return request.getfixturevalue("native_build")(request.param)
 
 
 @pytest.fixture
@@ -209,16 +218,3 @@ def use_kernels(monkeypatch):
 
     return use
 
-
-def pytest_collection_modifyitems(items):
-    """The dispatched build's cases keep the ids they had before the baseline
-    build joined: `test[0]` rather than `test[dispatched-0]`, and `test`
-    rather than `test[dispatched]`; only the baseline's carry their build."""
-    for item in items:
-        spec = getattr(item, "callspec", None)
-        if spec is None or spec.params.get("native") != "dispatched":
-            continue
-        ids = [part for part in spec.id.split("-") if part != "dispatched"]
-        name = item.originalname + (f"[{'-'.join(ids)}]" if ids else "")
-        item._nodeid = item.nodeid[: -len(item.name)] + name
-        item.name = name

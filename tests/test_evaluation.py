@@ -21,7 +21,9 @@ from hdpmf.evaluation import (
     mse,
     read_results,
     run_experiment,
+    run_single_seed,
 )
+from hdpmf.exceptions import ConfigError
 
 
 class TestMetrics:
@@ -124,6 +126,24 @@ class TestRunExperiment:
         res = run_experiment(_csv_config(tmp_path, ds, method=method, seeds=(3,)))
         assert len(res.seed_results) == 1
         assert len(draws) == (method is not BaselineKind.MF)
+
+    def test_trace_key_without_a_handle_is_refused_before_any_draw(self, synth_factory, tmp_path, monkeypatch):
+        # the run writes its update trace only to a handle it is passed, so
+        # a config naming a trace file with no handle would drop the key
+        import hdpmf.evaluation as evaluation
+
+        def never(*args):
+            raise AssertionError("a seed was drawn for a run that cannot write its trace")
+
+        monkeypatch.setattr(evaluation, "allocate_weights", never)
+        monkeypatch.setattr(evaluation, "split_leave_n_out", never)
+        ds = synth_factory(n_users=15, n_items=12, mean_per_user=5, master_seed=61)
+        cfg = _csv_config(tmp_path, ds, engine="messages", trace=str(tmp_path / "trace.log"))
+        for run in (lambda: run_experiment(cfg), lambda: run_single_seed(cfg, ds, 0)):
+            with pytest.raises(ConfigError, match="'trace'.*open handle") as info:
+                run()
+            assert info.value.key == "trace"
+        assert not (tmp_path / "trace.log").exists()
 
     @pytest.mark.parametrize("engine", ["kernel", "messages"])
     def test_diverged_seed_recorded_as_partial(self, synth_factory, tmp_path, engine):
