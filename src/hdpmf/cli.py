@@ -137,7 +137,7 @@ def cmd_run(config_path: str) -> int:
         print(f"  MAE {result.mae_mean:.4f} +/- {result.mae_std:.4f}")
     for seed, reason in result.failures:
         print(f"  seed {seed} FAILED: {reason}")
-    if result.partial:
+    if result.failures:
         print("  (aggregates are partial)")
     print(f"results written to {cfg.output}")
     return 1 if result.failures or not result.seed_results else 0
@@ -164,7 +164,7 @@ def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
     failed = False
     for value, cfg in zip(values, configs):
         result = run_experiment(cfg, dataset=dataset)
-        failed = failed or result.partial or not result.seed_results
+        failed = failed or bool(result.failures) or not result.seed_results
         results.append(result)
         print(f"{key}={value}: MSE {result.mse_mean:.4f} +/- {result.mse_std:.4f}")
     extra = [f"sweep: {key} = {','.join(str(v) for v in values)}"]

@@ -21,11 +21,6 @@ from .baselines import BaselineKind
 from .data import MOVIELENS_SCALE
 from .exceptions import ConfigError
 
-# Fixed training defaults, the same for every method; this repository does
-# not tune them.
-ETA0_DEFAULT = 0.001
-LAMBDA_DEFAULT = 0.01
-
 _COMMENT = re.compile(r"(?:^|\s)#")
 
 
@@ -53,8 +48,10 @@ class ExperimentConfig:
     method: BaselineKind = BaselineKind.HDPMF
     k: int = 10
     epochs: int = 100
-    eta0: float = ETA0_DEFAULT
-    lam: float = LAMBDA_DEFAULT
+    # fixed training defaults, the same for every method; this repository
+    # does not tune them
+    eta0: float = 0.001
+    lam: float = 0.01
     epsilon: float = 1.0
     f_uc: float = 0.54
     f_um: float = 0.37

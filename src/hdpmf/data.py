@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 
@@ -133,7 +133,6 @@ class SplitPlan:
 
     train: RatingDataset
     test: RatingDataset
-    description: str = field(default="")
 
 
 def _dense_remap(raw: np.ndarray) -> tuple[np.ndarray, int]:
@@ -396,11 +395,7 @@ def split_leave_n_out(dataset: RatingDataset, n_test: int, master_seed: int) -> 
     counts = np.diff(dataset.by_user[0])
     quota = np.where(counts > n_test, n_test, 0)
     test_mask = _smallest_keys_per_user(dataset, quota, master_seed, "split")
-    return SplitPlan(
-        train=dataset.subset(~test_mask),
-        test=dataset.subset(test_mask),
-        description=f"leave-{n_test}-out",
-    )
+    return SplitPlan(train=dataset.subset(~test_mask), test=dataset.subset(test_mask))
 
 
 def subsample_per_user(dataset: RatingDataset, fraction: float, master_seed: int) -> RatingDataset:

@@ -72,7 +72,6 @@ class SeedResult:
 class ExperimentResult:
     """Per-seed runs of one method under one configuration."""
 
-    method: BaselineKind
     config: ExperimentConfig
     runs: list[SeedResult] = field(default_factory=list)
 
@@ -85,10 +84,6 @@ class ExperimentResult:
     def failures(self) -> list[tuple[int, str]]:
         """(seed, reason) of each run that failed, in seed order."""
         return [(r.seed, r.failure) for r in self.runs if r.failure is not None]
-
-    @property
-    def partial(self) -> bool:
-        return bool(self.failures)
 
     @property
     def mse_values(self) -> list[float]:
@@ -165,7 +160,7 @@ def run_single_seed(
     plan = split_leave_n_out(dataset, n_test, seed)
     if len(plan.test) == 0:
         raise EmptySplitError(
-            f"the {plan.description} split holds out nothing to score: no user has "
+            f"the leave-{n_test}-out split holds out nothing to score: no user has "
             f"more ratings than it holds out ({len(dataset)} ratings in the dataset)"
         )
     train_set = subsample_per_user(plan.train, cfg.fraction, seed)
@@ -195,7 +190,7 @@ def run_experiment(
         dataset = load_dataset(cfg)
     _check_k_fits(cfg, dataset)
     runs = [run_single_seed(cfg, dataset, seed, trace=trace) for seed in cfg.seeds]
-    return ExperimentResult(cfg.method, cfg, runs)
+    return ExperimentResult(cfg, runs)
 
 
 def _fmt(value: float) -> str:
@@ -207,7 +202,7 @@ def _row_prefix(result: ExperimentResult) -> list[str]:
     fraction."""
     cfg = result.config
     return [
-        result.method.value, str(cfg.dataset), str(cfg.k), _fmt(cfg.epsilon),
+        cfg.method.value, str(cfg.dataset), str(cfg.k), _fmt(cfg.epsilon),
         _fmt(cfg.f_uc), _fmt(cfg.eps_uc), _fmt(cfg.fraction),
     ]
 
@@ -245,7 +240,7 @@ def emit_results(
         rows.writerows(_result_rows(result))
     out.write(AGGREGATE_MARKER + "\n" + AGGREGATE_COLUMNS + "\n")
     rows.writerows(_aggregate_row(result) for result in results)
-    failures = [(r.method.value, seed, reason) for r in results for seed, reason in r.failures]
+    failures = [(r.config.method.value, seed, reason) for r in results for seed, reason in r.failures]
     if failures:
         out.write("# failures\n")
         for method, seed, reason in failures:

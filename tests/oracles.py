@@ -1,6 +1,6 @@
 """The scalar reference of the training update rule, and the
 finite-difference check of its gradients against the training objective
-(`hdpmf.model`).
+(`hdpmf.model`) with the random instances it runs on.
 
 Every engine and kernel is checked against these functions. One epoch is
 an item phase, then a user phase, and each phase is a Jacobi sweep:
@@ -26,7 +26,9 @@ order.
 
 import numpy as np
 
-from hdpmf.model import objective_value
+from hdpmf.data import RatingDataset
+from hdpmf.model import FactorModel, objective_value
+from hdpmf.privacy import WeightAssignment
 
 
 def kernel_args(ds, vals=None):
@@ -115,6 +117,19 @@ def _central_difference(fun, x, h):
         x[k] += h
         g[k] = (up - down) / (2 * h)
     return g
+
+
+def random_instance(rng, K):
+    """(ds, model, weights): a random dataset of 2-5 users and 2-5 items,
+    random factors of dimension K and weights, all drawn from `rng`."""
+    n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
+    n_entries = int(rng.integers(3, n * m + 1))
+    flat = rng.choice(n * m, size=n_entries, replace=False)
+    users, items = np.unravel_index(flat, (n, m))
+    ds = RatingDataset(users, items, rng.uniform(1, 5, n_entries), n, m, 1.0, 5.0)
+    model = FactorModel(rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)), lam=float(rng.uniform(0, 0.1)))
+    weights = WeightAssignment(rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m))
+    return ds, model, weights
 
 
 def fd_gradient_error(model, ds, targets, noise_totals, h=1e-6):

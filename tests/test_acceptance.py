@@ -2,9 +2,11 @@
 
 Each test prints one `ACCEPTANCE n: ... PASS/FAIL` line (run pytest -s to
 see them alongside the assertions). Criteria 1-4 score the reference
-MovieLens experiments and require the ML-100K file (see conftest.ml100k);
-they skip with an explanatory message when the dataset is not present.
-Criteria 5-9 are self-contained and always run.
+MovieLens experiments as `hdpmf run` does: `run_experiment` on the
+defaults of `ExperimentConfig`, which the committed `configs/ml100k-*.cfg`
+restate (test_cli checks that they do). They require the ML-100K file (see
+conftest.ml100k) and skip with an explanatory message when it is not
+present. Criteria 5-9 are self-contained and always run.
 """
 
 import time
@@ -14,23 +16,13 @@ import pytest
 
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.cli import main
-from hdpmf.config import ETA0_DEFAULT, LAMBDA_DEFAULT, ExperimentConfig
-from hdpmf.data import RatingDataset, split_leave_n_out
+from hdpmf.config import ExperimentConfig
 from hdpmf.diagnostics import check_noise_composition
-from hdpmf.evaluation import mae, mse
-from hdpmf.model import FactorModel, init_model
-from hdpmf.privacy import (
-    NoisePlan,
-    WeightAssignment,
-    allocate_weights,
-    build_noise_plan,
-)
-from hdpmf.protocol import MessageChannel, predict_all, train
-from oracles import fd_gradient_error
-
-SEEDS = (0, 1, 2, 3, 4)
-EPOCHS = 100
-EPSILON = 1.0
+from hdpmf.evaluation import run_experiment
+from hdpmf.model import init_model
+from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
+from hdpmf.protocol import MessageChannel, train
+from oracles import fd_gradient_error, random_instance
 
 
 def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -40,86 +32,72 @@ def _report(number: int, name: str, ok: bool, detail: str = "") -> None:
     assert ok, f"criterion {number} failed: {name}{suffix}"
 
 
-def _score_method(dataset, method: BaselineKind, K: int) -> tuple[np.ndarray, np.ndarray]:
-    cfg = ExperimentConfig(epsilon=EPSILON, epochs=EPOCHS, eta0=ETA0_DEFAULT, lam=LAMBDA_DEFAULT, k=K)
-    mses, maes = [], []
-    for seed in SEEDS:
-        weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
-        plan = split_leave_n_out(dataset, 10, seed)
-        model = train(*method_inputs(method, plan.train, weights, EPSILON, K, seed), cfg, seed)
-        preds = predict_all(
-            model, weights, plan.test.users, plan.test.items,
-            dataset.scale_min, dataset.scale_max,
-            rescale=method.rescales,
-        )
-        mses.append(mse(preds, plan.test.ratings))
-        maes.append(mae(preds, plan.test.ratings))
-    return np.array(mses), np.array(maes)
+def _reference_run(dataset, method: BaselineKind, **changes):
+    """`hdpmf run`'s result for `method` at the default setting plus
+    `changes`. A diverged seed fails the criterion: the means would skip it."""
+    result = run_experiment(ExperimentConfig(method=method, **changes), dataset=dataset)
+    assert not result.failures, result.failures
+    return result
 
 
 @pytest.fixture(scope="module")
-def ml100k_scores(ml100k):
-    """Default-setting scores of every method on ML-100K, 5 seeds, K=10."""
-    out = {}
-    for method in (BaselineKind.MF, BaselineKind.HDPMF, BaselineKind.HDPMF_R,
-                   BaselineKind.PDPMF, BaselineKind.DPMF):
-        out[method] = _score_method(ml100k, method, K=10)
-    return out
+def ml100k_results(ml100k):
+    """Every method's run at the default setting on ML-100K."""
+    return {method: _reference_run(ml100k, method) for method in BaselineKind}
 
 
 def test_criterion_1_nonprivate_reproduction(ml100k):
     start = time.time()
-    mses, maes = _score_method(ml100k, BaselineKind.MF, K=10)
+    mf = _reference_run(ml100k, BaselineKind.MF)
     elapsed = time.time() - start
     ok = (
-        0.87 <= mses.mean() <= 0.98
-        and 0.73 <= maes.mean() <= 0.80
+        0.87 <= mf.mse_mean <= 0.98
+        and 0.73 <= mf.mae_mean <= 0.80
         and elapsed < 600.0
     )
     _report(
         1, "non-private MF reproduction", ok,
-        f"MSE {mses.mean():.4f} in [0.87, 0.98], MAE {maes.mean():.4f} in [0.73, 0.80], "
+        f"MSE {mf.mse_mean:.4f} in [0.87, 0.98], MAE {mf.mae_mean:.4f} in [0.73, 0.80], "
         f"{elapsed:.0f}s < 600s",
     )
 
 
-def test_criterion_2_hdpmf_reproduction(ml100k, ml100k_scores):
-    mses10 = ml100k_scores[BaselineKind.HDPMF][0]
-    mses5, _ = _score_method(ml100k, BaselineKind.HDPMF, K=5)
-    ok = 1.30 <= mses10.mean() <= 1.65 and 1.10 <= mses5.mean() <= 1.40
+def test_criterion_2_hdpmf_reproduction(ml100k, ml100k_results):
+    mse10 = ml100k_results[BaselineKind.HDPMF].mse_mean
+    mse5 = _reference_run(ml100k, BaselineKind.HDPMF, k=5).mse_mean
+    ok = 1.30 <= mse10 <= 1.65 and 1.10 <= mse5 <= 1.40
     _report(
         2, "private reproduction at the default setting", ok,
-        f"K=10 MSE {mses10.mean():.4f} in [1.30, 1.65], K=5 MSE {mses5.mean():.4f} in [1.10, 1.40]",
+        f"K=10 MSE {mse10:.4f} in [1.30, 1.65], K=5 MSE {mse5:.4f} in [1.10, 1.40]",
     )
 
 
-def test_criterion_3_method_ordering(ml100k_scores):
+def test_criterion_3_method_ordering(ml100k_results):
     from scipy import stats
 
-    mf = ml100k_scores[BaselineKind.MF][0]
-    hd = ml100k_scores[BaselineKind.HDPMF][0]
-    pd = ml100k_scores[BaselineKind.PDPMF][0]
-    dp = ml100k_scores[BaselineKind.DPMF][0]
+    mf, hd, pd, dp = (
+        ml100k_results[m] for m in (BaselineKind.MF, BaselineKind.HDPMF, BaselineKind.PDPMF, BaselineKind.DPMF)
+    )
     # one-sided paired t-test at 90% that HDPMF's mean MSE is the lower
-    test = stats.ttest_rel(hd, pd, alternative="less")
+    test = stats.ttest_rel(hd.mse_values, pd.mse_values, alternative="less")
     ok = (
-        mf.mean() < hd.mean() < pd.mean() < dp.mean()
+        mf.mse_mean < hd.mse_mean < pd.mse_mean < dp.mse_mean
         and test.statistic < 0 and test.pvalue < 0.10
     )
     _report(
         3, "method ordering with significance", ok,
-        f"MF {mf.mean():.3f} < HDPMF {hd.mean():.3f} < PDPMF {pd.mean():.3f} "
-        f"< DPMF {dp.mean():.3f}; HDPMF<PDPMF at p = {test.pvalue:.2g} (t={test.statistic:.2f})",
+        f"MF {mf.mse_mean:.3f} < HDPMF {hd.mse_mean:.3f} < PDPMF {pd.mse_mean:.3f} "
+        f"< DPMF {dp.mse_mean:.3f}; HDPMF<PDPMF at p = {test.pvalue:.2g} (t={test.statistic:.2f})",
     )
 
 
-def test_criterion_4_rescaling_ablation(ml100k_scores):
-    hr = ml100k_scores[BaselineKind.HDPMF_R][0]
-    dp = ml100k_scores[BaselineKind.DPMF][0]
-    ok = hr.mean() > dp.mean()
+def test_criterion_4_rescaling_ablation(ml100k_results):
+    hr = ml100k_results[BaselineKind.HDPMF_R].mse_mean
+    dp = ml100k_results[BaselineKind.DPMF].mse_mean
+    ok = hr > dp
     _report(
         4, "ablation: no rescaling is worse than uniform noise", ok,
-        f"HDPMF-R {hr.mean():.3f} > DPMF {dp.mean():.3f}",
+        f"HDPMF-R {hr:.3f} > DPMF {dp:.3f}",
     )
 
 
@@ -144,16 +122,7 @@ def test_criterion_6_gradient_oracle():
     worst = 0.0
     for _ in range(100):
         K = int(rng.integers(1, 6))
-        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 6))
-        n_entries = int(rng.integers(3, n * m + 1))
-        flat = rng.choice(n * m, size=n_entries, replace=False)
-        users, items = np.unravel_index(flat, (n, m))
-        ds = RatingDataset(users, items, rng.uniform(1, 5, n_entries), n, m, 1.0, 5.0)
-        model = FactorModel(
-            rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)),
-            lam=float(rng.uniform(0, 0.1)),
-        )
-        weights = WeightAssignment(rng.uniform(0.1, 1, n), rng.uniform(0.1, 1, m))
+        ds, model, weights = random_instance(rng, K)
         plan = build_noise_plan(ds, K, ds.delta, 1.0, int(rng.integers(10_000)))
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
         worst = max(worst, fd_gradient_error(model, ds, targets, plan.item_totals))
@@ -165,10 +134,10 @@ def test_criterion_6_gradient_oracle():
 
 def test_criterion_7_reduction_bitwise(synth_factory):
     ds = synth_factory(n_users=50, n_items=50, mean_per_user=12, master_seed=101)
-    cfg = ExperimentConfig(epochs=EPOCHS, eta0=0.001, lam=LAMBDA_DEFAULT, k=10)
+    cfg = ExperimentConfig()
     uniform = WeightAssignment(np.ones(ds.n_users), np.ones(ds.n_items))
-    mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, EPSILON, cfg.k, 0), cfg, 0)
-    hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, EPSILON, cfg.k, 0)
+    mf_model = train(*method_inputs(BaselineKind.MF, ds, uniform, cfg.epsilon, cfg.k, 0), cfg, 0)
+    hd_ds, hd_weights, _ = method_inputs(BaselineKind.HDPMF, ds, uniform, cfg.epsilon, cfg.k, 0)
     hd_model = train(hd_ds, hd_weights, NoisePlan.zeros(ds, cfg.k), cfg, 0)
     ok = np.array_equal(mf_model.V, hd_model.V) and np.array_equal(mf_model.U, hd_model.U)
     _report(7, "unit weights + zero noise reduce to plain MF bitwise", ok)
@@ -198,13 +167,11 @@ def test_criterion_8_determinism(tmp_path, synth_factory):
 
 def test_criterion_9_information_flow(synth_factory):
     ds = synth_factory(n_users=20, n_items=20, mean_per_user=6, master_seed=107)
-    cfg = ExperimentConfig(
-        epsilon=EPSILON, epochs=5, eta0=0.001, lam=LAMBDA_DEFAULT, k=4, engine="messages"
-    )
+    cfg = ExperimentConfig(epochs=5, k=4, engine="messages")
     weights = allocate_weights(cfg, ds.n_users, ds.n_items, master_seed=0)
     channel = MessageChannel(capture=True)
     model0 = init_model(ds.n_users, ds.n_items, cfg.k, 0)
-    inputs = method_inputs(BaselineKind.HDPMF, ds, weights, EPSILON, cfg.k, 0)
+    inputs = method_inputs(BaselineKind.HDPMF, ds, weights, cfg.epsilon, cfg.k, 0)
     train(*inputs, cfg, 0, channel=channel)
 
     private_values = set(ds.ratings.tolist())

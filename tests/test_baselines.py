@@ -1,6 +1,7 @@
 """Baselines: sampling mechanism, uniform budgets, reductions, ordering."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,11 +13,11 @@ from hdpmf.baselines import (
     pdp_sample_ratings,
 )
 from hdpmf.config import ExperimentConfig
-from hdpmf.data import RatingDataset, split_leave_n_out
-from hdpmf.evaluation import mse
+from hdpmf.data import RatingDataset
+from hdpmf.evaluation import run_experiment
 from hdpmf.exceptions import ConfigError
-from hdpmf.privacy import WeightAssignment, allocate_weights
-from hdpmf.protocol import predict_all, train
+from hdpmf.privacy import WeightAssignment
+from hdpmf.protocol import train
 
 
 def _uniform_budget_dataset(n_entries, budget):
@@ -154,24 +155,10 @@ class TestReductions:
 
 @pytest.fixture(scope="module")
 def scores(order_synth):
-    ds = order_synth
-    cfg = ExperimentConfig(epochs=100, eta0=0.001, lam=0.01, k=10)
-    seeds = (0, 1, 2, 3, 4)
-    out = {}
-    for method in ("mf", "hdpmf", "hdpmf_r", "pdpmf", "dpmf"):
-        vals = []
-        for seed in seeds:
-            w = allocate_weights(cfg, ds.n_users, ds.n_items, seed)
-            plan = split_leave_n_out(ds, 10, seed)
-            inputs = method_inputs(BaselineKind(method), plan.train, w, cfg.epsilon, 10, seed)
-            model = train(*inputs, cfg, seed)
-            preds = predict_all(
-                model, w, plan.test.users, plan.test.items, 1.0, 5.0,
-                rescale=(method == "hdpmf"),
-            )
-            vals.append(mse(preds, plan.test.ratings))
-        out[method] = np.array(vals)
-    return out
+    return {
+        method: np.array(run_experiment(ExperimentConfig(method=BaselineKind(method)), dataset=order_synth).mse_values)
+        for method in ("mf", "hdpmf", "hdpmf_r", "pdpmf", "dpmf")
+    }
 
 
 class TestMethodOrdering:
@@ -199,18 +186,12 @@ class TestTrends:
     def test_gap_grows_with_stronger_user_privacy(self, order_synth):
         # smaller eps_uc (stronger conservative-user privacy) widens the
         # PDPMF - HDPMF gap
-        ds = order_synth
-        seeds = (0, 1, 2)
         gaps = {}
         for eps_uc in (0.1, 0.4):
-            cfg = ExperimentConfig(epochs=100, eta0=0.001, lam=0.01, k=10, eps_uc=eps_uc)
-            h, p = [], []
-            for seed in seeds:
-                w = allocate_weights(cfg, ds.n_users, ds.n_items, seed)
-                plan = split_leave_n_out(ds, 10, seed)
-                mh = train(*method_inputs(BaselineKind.HDPMF, plan.train, w, cfg.epsilon, 10, seed), cfg, seed)
-                mp = train(*method_inputs(BaselineKind.PDPMF, plan.train, w, cfg.epsilon, 10, seed), cfg, seed)
-                h.append(mse(predict_all(mh, w, plan.test.users, plan.test.items, 1, 5), plan.test.ratings))
-                p.append(mse(predict_all(mp, w, plan.test.users, plan.test.items, 1, 5, rescale=False), plan.test.ratings))
+            cfg = ExperimentConfig(eps_uc=eps_uc, seeds=(0, 1, 2))
+            h, p = (
+                run_experiment(replace(cfg, method=method), dataset=order_synth).mse_values
+                for method in (BaselineKind.HDPMF, BaselineKind.PDPMF)
+            )
             gaps[eps_uc] = np.mean(p) - np.mean(h)
         assert gaps[0.1] > gaps[0.4] > 0

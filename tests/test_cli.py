@@ -112,6 +112,14 @@ class TestParseConfig:
         (tmp_path / "echo.cfg").write_text("\n".join(echo) + "\n")
         assert parse_config(tmp_path / "echo.cfg").effective_items() == cfg.effective_items()
 
+    @pytest.mark.parametrize("method", list(BaselineKind), ids=lambda m: m.value)
+    def test_reference_configs_restate_the_defaults(self, method):
+        # the acceptance criteria score the defaults; these files are what
+        # `hdpmf run` is given for the same experiments
+        path = Path(__file__).parent.parent / "configs" / f"ml100k-{method.value.replace('_', '-')}.cfg"
+        cfg = parse_config(path)
+        assert cfg == replace(ExperimentConfig(), method=method, output=cfg.output)
+
 
 class TestConfigChecks:
     """Direct construction and `dataclasses.replace` run the checks a

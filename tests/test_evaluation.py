@@ -152,7 +152,7 @@ class TestRunExperiment:
         # silently: a RuntimeWarning is an error in this suite
         cfg = _csv_config(tmp_path, ds, method=BaselineKind.MF, eta0=1e9, epochs=60, engine=engine)
         res = run_experiment(cfg)
-        assert res.partial
+        assert res.failures
         assert all(isinstance(s, int) for s, _ in res.failures)
         assert "epoch" in res.failures[0][1]
         failed = [r for r in res.runs if r.failure is not None]
@@ -165,7 +165,7 @@ class TestEmitResults:
             dataset="data.csv", format="csv", method=BaselineKind.HDPMF,
             seeds=(0, 1, 2, 3, 4), output=str(tmp_path / "out.csv"),
         )
-        res = ExperimentResult(method=BaselineKind.HDPMF, config=cfg)
+        res = ExperimentResult(config=cfg)
         rng = np.random.default_rng(9)
         for seed in range(5):
             res.runs.append(SeedResult(seed, float(rng.uniform(1, 2)), float(rng.uniform(0.7, 1))))

@@ -7,11 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hdpmf.data import RatingDataset
 from hdpmf.model import FactorModel, init_model, learning_rate, objective_value
 from hdpmf.privacy import NoisePlan, WeightAssignment, build_noise_plan
 from hdpmf.protocol import predict_all
-from oracles import fd_gradient_error, item_gradients, user_gradients, user_step
+from oracles import fd_gradient_error, item_gradients, random_instance, user_gradients, user_step
 
 
 class TestInit:
@@ -82,19 +81,8 @@ class TestGradients:
 
 
 def _random_instance(seed, K):
-    rng = np.random.default_rng(seed)
-    n, m = rng.integers(2, 6), rng.integers(2, 6)
-    n_entries = int(rng.integers(3, n * m + 1))
-    flat = rng.choice(n * m, size=n_entries, replace=False)
-    users, items = np.unravel_index(flat, (n, m))
-    ratings = rng.uniform(1, 5, size=n_entries)
-    ds = RatingDataset(users, items, ratings, int(n), int(m), 1.0, 5.0)
-    model = FactorModel(
-        rng.normal(0, 0.5, (n, K)), rng.normal(0, 0.5, (m, K)), lam=float(rng.uniform(0, 0.1))
-    )
-    weights = WeightAssignment(rng.uniform(0.1, 1.0, n), rng.uniform(0.1, 1.0, m))
-    plan = build_noise_plan(ds, K, ds.delta, 1.0, int(seed))
-    return ds, model, weights, plan
+    ds, model, weights = random_instance(np.random.default_rng(seed), K)
+    return ds, model, weights, build_noise_plan(ds, K, ds.delta, 1.0, int(seed))
 
 
 @pytest.mark.parametrize("seed,K", [(s, k) for s in range(4) for k in (1, 2, 5)])
