@@ -152,7 +152,7 @@ def cmd_sweep(config_path: str, key: str, values: list[float]) -> int:
     for trace_key in ("trace", "loss_trace"):
         if getattr(base, trace_key) is not None:
             raise ConfigError(trace_key, "sweep writes no traces; remove the key or use run")
-    changes = {"split": "leave-one-out"} if key == "fraction" else {}
+    changes = {"n_test": 1} if key == "fraction" else {}
     configs = []
     for value in values:
         try:

@@ -63,7 +63,9 @@ class ExperimentConfig:
     eps_ic: float = 0.1
     eps_im: float = 0.5
     eps_il: float = 1.0
-    split: str = "leave-n-out"  # leave-n-out | leave-one-out
+    # `n_test` alone sets the held-out count; `split` stays only while
+    # perfbench/workloads.py writes it (ROADMAP direction 3 deletes it)
+    split: str = "leave-n-out"
     n_test: int = 10
     fraction: float = 1.0
     seeds: tuple[int, ...] = (0, 1, 2, 3, 4)
@@ -96,8 +98,9 @@ class ExperimentConfig:
             for name, fixed in zip(("scale_min", "scale_max"), MOVIELENS_SCALE):
                 if getattr(self, name) != fixed:
                     raise ConfigError(name, f"the {self.format} scale is fixed: must be {fixed}, got {getattr(self, name)}")
-        if self.split not in ("leave-n-out", "leave-one-out"):
-            raise ConfigError("split", f"must be leave-n-out or leave-one-out, got {self.split!r}")
+        if self.split != "leave-n-out":
+            raise ConfigError("split", f"must be leave-n-out, got {self.split!r}; n_test sets the held-out "
+                              "count (for leave-one-out, set n_test = 1)")
         if not 1 <= self.n_test < 1 << 63:
             raise ConfigError("n_test", f"must be in [1, 2**63), the range of int64, got {self.n_test}")
         if not (0.0 < self.fraction <= 1.0):

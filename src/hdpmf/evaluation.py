@@ -156,11 +156,10 @@ def run_single_seed(
     weights = None
     if cfg.method is not BaselineKind.MF:
         weights = allocate_weights(cfg, dataset.n_users, dataset.n_items, seed)
-    n_test = 1 if cfg.split == "leave-one-out" else cfg.n_test
-    plan = split_leave_n_out(dataset, n_test, seed)
+    plan = split_leave_n_out(dataset, cfg.n_test, seed)
     if len(plan.test) == 0:
         raise EmptySplitError(
-            f"the leave-{n_test}-out split holds out nothing to score: no user has "
+            f"the leave-{cfg.n_test}-out split holds out nothing to score: no user has "
             f"more ratings than it holds out ({len(dataset)} ratings in the dataset)"
         )
     train_set = subsample_per_user(plan.train, cfg.fraction, seed)

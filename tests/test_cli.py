@@ -149,6 +149,7 @@ class TestConfigChecks:
         ("f_im", 1.5),
         ("eps_uc", 0.0),
         ("eps_il", 1.5),
+        ("split", "leave-one-out"),
         # a value that is a dict sets several keys; `key` is the one at fault
         pytest.param("scale_max", dict(format="csv", scale_min=-1e308, scale_max=1e308), id="scale-range-overflows"),
     ])
@@ -172,6 +173,12 @@ class TestConfigChecks:
         with pytest.raises(ConfigError, match=rf"\b{key}\b") as info:
             ExperimentConfig(**changes)
         assert info.value.key == key
+
+    def test_leave_one_out_file_error_names_n_test_1(self, tmp_path, capsys):
+        # n_test alone sets the held-out count
+        assert main(["run", str(write_config(tmp_path, split="leave-one-out"))]) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("config error: config key 'split':") and "n_test = 1" in line
 
     def test_privacy_file_error_names_its_key(self, tmp_path, capsys):
         assert main(["run", str(write_config(tmp_path, f_uc=0.8, f_um=0.4))]) == 2
@@ -445,10 +452,11 @@ class TestCmdSweep:
         out = tmp_path / "sweep.csv"
         cfg = write_config(tmp_path, dataset=data, output=out, method="hdpmf", **BASE)
         assert main(["sweep", str(cfg), "--key", "fraction", "--values", "0.5,1.0"]) == 0
-        assert seen and set(seen) == {1}  # leave-one-out was used
+        assert seen and set(seen) == {1}  # one rating per user held out
         seed_rows, _ = read_results(out)
         assert sorted({r["fraction"] for r in seed_rows}) == [0.5, 1.0]
-        assert "# split = leave-one-out" in out.read_text().splitlines()
+        echoed = out.read_text().splitlines()
+        assert "# split = leave-n-out" in echoed and "# n_test = 1" in echoed
 
     def test_invalid_key_rejected(self, tmp_path, synth_factory):
         data = write_csv_dataset(tmp_path, synth_factory, master_seed=97)
