@@ -71,14 +71,11 @@ def pdp_sample_ratings(
     budgets = np.asarray(budgets, dtype=np.float64)
     if budgets.shape != (len(dataset),):
         raise ValueError("budgets must align with dataset entries")
-    # e^threshold may overflow, and e^budget where np.where keeps 1 instead
+    # pi as e^(b - t) (1 - e^-b) / (1 - e^-t), which no threshold overflows;
+    # e^(b - t) overflows only where np.where keeps 1 instead
     with np.errstate(over="ignore"):
-        scale = np.expm1(threshold)
-        if np.isfinite(scale):
-            pi = np.where(budgets >= threshold, 1.0, np.expm1(budgets) / scale)
-        else:  # the same ratio, as e^(b - t) (1 - e^-b) / (1 - e^-t)
-            ratio = np.exp(budgets - threshold) * np.expm1(-budgets) / np.expm1(-threshold)
-            pi = np.where(budgets >= threshold, 1.0, ratio)
+        ratio = np.exp(budgets - threshold) * np.expm1(-budgets) / np.expm1(-threshold)
+        pi = np.where(budgets >= threshold, 1.0, ratio)
     draws = keyed_uniform(master_seed, "pdp-sample", dataset.items, dataset.users, 1)[:, 0]
     return dataset.subset(draws < pi)
 

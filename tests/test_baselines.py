@@ -18,6 +18,7 @@ from hdpmf.evaluation import run_experiment
 from hdpmf.exceptions import ConfigError
 from hdpmf.privacy import WeightAssignment
 from hdpmf.protocol import train
+from hdpmf.rng import keyed_uniform
 
 
 def _uniform_budget_dataset(n_entries, budget):
@@ -70,15 +71,27 @@ class TestPdpSampling:
         b = pdp_sample_ratings(small_synth, budgets, 1.0, master_seed=4)
         assert np.array_equal(a.users, b.users) and np.array_equal(a.items, b.items)
 
-    @pytest.mark.parametrize("threshold,gap", [(800.0, 1.5), (1e308, 0.0)])
+    @pytest.mark.parametrize("threshold,gap", [(800.0, 1.5), (1e308, 0.0), (709.0, 1.5), (710.0, 1.5)])
     def test_threshold_past_exp_overflow_keeps_at_e_to_the_gap(self, threshold, gap):
-        # e^threshold overflows, so pi is e^(budget - threshold) in closed
-        # form; pytest turns an overflow warning into an error
+        # for thresholds on either side of 709.78, where e^threshold
+        # overflows, pi is about e^(budget - threshold); pytest turns an
+        # overflow warning into an error
         ds, budgets = _uniform_budget_dataset(100_000, threshold - gap)
         out = pdp_sample_ratings(ds, budgets, threshold, master_seed=1)
         assert len(out) / len(ds) == pytest.approx(math.exp(-gap), rel=0.02)
         half = pdp_sample_ratings(ds, budgets / 2, threshold, master_seed=1)
         assert len(half) == 0
+
+    @pytest.mark.parametrize("threshold", [1e-6, 0.1, 1.0, 16.0, 700.0])
+    def test_keeps_the_ratings_whose_draw_is_below_the_expm1_ratio(self, threshold):
+        # the textbook form expm1(b) / expm1(t), finite for every threshold
+        # here, against the overflow-safe form the sampler computes
+        ds, _ = _uniform_budget_dataset(100_000, 0.0)
+        budgets = threshold * np.arange(1, len(ds) + 1) / (len(ds) + 1)  # spread over (0, threshold)
+        draws = keyed_uniform(5, "pdp-sample", ds.items, ds.users, 1)[:, 0]
+        expected = ds.subset(draws < np.expm1(budgets) / np.expm1(threshold))
+        out = pdp_sample_ratings(ds, budgets, threshold, master_seed=5)
+        assert np.array_equal(out.users, expected.users) and np.array_equal(out.items, expected.items)
 
     def test_threshold_must_be_positive(self, small_synth):
         with pytest.raises(ValueError):
