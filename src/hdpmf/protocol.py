@@ -45,10 +45,10 @@ three passes: it receives them, rejecting an unregistered sender or a
 second upload in arrival order; it checks that every registered rater
 sent one, then, in one pass in ascending sender order, that each is an
 integer item array and a real floating payload of its registered size,
-then that the rows are its registry exactly; then it folds each
-coordinate in one `np.bincount` over the rows in that order, whatever the
-delivery order, so each item adds its raters' rows one at a time in
-ascending rater order.
+then that the rows are its registry exactly; then it receives the rows
+row-major in that order, whatever the delivery order, and folds them in
+one `np.bincount` over each value's (item, coordinate) cell, so each item
+adds its raters' rows one at a time in ascending rater order.
 
 Both paths take the same per-entity steps from the same inputs. They sum
 differently: the message path adds each rater's residual term plus noise
@@ -95,9 +95,6 @@ class MessageChannel:
         self.n_gradient_messages = 0
         self.n_broadcasts = 0  # recommender -> devices (V or h distribution)
         self.gradient_log: list[GradientUpload] = []
-
-    def broadcast(self) -> None:
-        self.n_broadcasts += 1
 
     def deliver_gradient(self, upload: GradientUpload) -> GradientUpload:
         self.n_gradient_messages += len(upload.items)
@@ -231,25 +228,25 @@ class RecommenderState:
     rated: np.ndarray = field(init=False, repr=False)
     n_raters: np.ndarray = field(init=False, repr=False)
     # the registered raters, ascending, each with the shapes of the item
-    # array and payload of its n items, (n,) and (n, K); then each
-    # registration's index in `rated`
+    # array and payload of its n items, (n,) and (n, K)
     _forms: list[tuple[int, tuple[int], tuple[int, int]]] = field(init=False, repr=False)
     _registered: frozenset[int] = field(init=False, repr=False)
-    _slots: np.ndarray = field(init=False, repr=False)
-    # (K, n_registrations): the received payloads, one coordinate per row,
-    # so that each coordinate is contiguous; every item phase reuses it
+    # (n_registrations, K): the received payloads, row-major as they
+    # arrive, reused by every item phase; then each value's cell of the
+    # flat (len(rated), K) gradient, K times its item's index in `rated`
+    # plus its coordinate
     _payload: np.ndarray = field(init=False, repr=False)
+    _cells: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.rated, self._slots, self.n_raters = np.unique(
-            self.sender_items, return_inverse=True, return_counts=True
-        )
+        self.rated, slots, self.n_raters = np.unique(self.sender_items, return_inverse=True, return_counts=True)
         counts = np.diff(self.sender_ptr)
         senders = np.flatnonzero(counts)
         self._registered = frozenset(senders.tolist())
         K = self.V.shape[1]
         self._forms = [(s, (n,), (n, K)) for s, n in zip(senders.tolist(), counts[senders].tolist())]
-        self._payload = np.empty((K, len(self.sender_items)))
+        self._payload = np.empty((len(self.sender_items), K))
+        self._cells = (slots[:, None] * K + np.arange(K)).ravel()
 
     def _misfit(self, s: int) -> ProtocolError:
         n = int(self.sender_ptr[s + 1] - self.sender_ptr[s])
@@ -274,14 +271,15 @@ class RecommenderState:
         sender.
 
         The rows are folded in ascending sender order, whatever the
-        delivery order. Each coordinate is one `np.bincount` over them,
-        which adds each item's rows one at a time in input order, starting
-        from zero, so each item sums its raters' rows in ascending rater
-        order. `np.add.reduceat` would change the bits from 3 rows on: it
-        adds a segment's first row to NumPy's pairwise sum of the rest,
-        which folds from 0.0 below 8 rows, keeps eight accumulators up to
-        128 and halves the rows above that. `np.sum` over a coordinate's
-        rows is that pairwise sum, so it can differ from 8 rows on.
+        delivery order, in one `np.bincount` over every value's (item,
+        coordinate) cell. It adds each cell's values one at a time in
+        input order, starting from zero, so each item sums its raters'
+        rows in ascending rater order. `np.add.reduceat` would change the
+        bits from 3 rows on: it adds a segment's first row to NumPy's
+        pairwise sum of the rest, which folds from 0.0 below 8 rows, keeps
+        eight accumulators up to 128 and halves the rows above that.
+        `np.sum` over a coordinate's rows is that pairwise sum, so it can
+        differ from 8 rows on.
         """
         registered = self._registered
         received: dict[int, GradientUpload] = {}
@@ -308,12 +306,12 @@ class RecommenderState:
             wrong = np.flatnonzero(np.concatenate(items) != self.sender_items)
             if len(wrong):
                 raise self._misfit(int(np.searchsorted(self.sender_ptr, wrong[0], side="right")) - 1)
-            np.concatenate(payloads, out=self._payload.T)
-        g = np.empty((len(self.rated), self.V.shape[1]))
-        for k, column in enumerate(self._payload):
-            g[:, k] = np.bincount(self._slots, weights=column, minlength=len(self.rated))
-        g += 2.0 * lam * self.V[self.rated]
-        self.V[self.rated] = self.V[self.rated] - eta * g
+            np.concatenate(payloads, out=self._payload)
+        rows = self.V[self.rated]
+        # 2 lam V first: with no registration, bincount returns int64
+        g = 2.0 * lam * rows
+        g += np.bincount(self._cells, weights=self._payload.ravel(), minlength=g.size).reshape(g.shape)
+        self.V[self.rated] = rows - eta * g
         return g
 
 
@@ -349,7 +347,7 @@ def _train_messages(
         grad = recommender.update_item(
             map(channel.deliver_gradient, devices.emit_gradient(V_ro)), cfg.lam, eta
         )
-        channel.broadcast()  # end-of-item-phase V distribution
+        channel.n_broadcasts += 1  # end-of-item-phase V distribution
         user_norms = devices.update_user(V_ro, cfg.lam, eta)
         if trace is not None:
             norms = np.concatenate((np.sqrt(np.einsum("ij,ij->i", grad, grad)), user_norms)).tolist()

@@ -50,7 +50,11 @@ log(4000 / 3) = 7.2. There are three scores:
   assumes no noise model.
 
 For pdpmf both likelihood ratios are of the mixtures
-pi f(x - mean) + (1 - pi) f(x), so they fold the keep probability in.
+pi f(x - mean) + (1 - pi) f(x), so they fold the keep probability in. The
+unfolded Laplace score takes every release to carry the rating, as if pi
+were 1. It too stays within pdpmf's claim, and it flags a pdpmf that skips
+its sampling, and so spends eps rather than w * eps, which the folded
+Laplace and the linear score miss.
 
 The power cases break hdpmf's mechanism on the (1, 1) data, and a score
 must flag each break with an eps_lb past the bound claimed; a break that a
@@ -71,6 +75,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from hdpmf import baselines
 from hdpmf.baselines import BaselineKind, method_inputs, min_observed_budget
 from hdpmf.data import RatingDataset
 from hdpmf.privacy import WeightAssignment, build_noise_plan
@@ -97,9 +102,10 @@ ONE_PLAN_CASES = [
 # dpmf and pdpmf at their calibrated budgets: (method, eps, the weights of
 # user 0 and of every other rater, plan seed), the seeds outside SEEDS and
 # PLAN_SEEDS
+PDPMF_CASE = (BaselineKind.PDPMF, 4.0, (0.5, 1.0), 16_101)
 METHOD_CASES = [
     pytest.param(BaselineKind.DPMF, 16.0, (1.0, 0.1), 16_100, id="dpmf-eps-16-min-w-0.1"),
-    pytest.param(BaselineKind.PDPMF, 4.0, (0.5, 1.0), 16_101, id="pdpmf-eps-4-w-0.5"),
+    pytest.param(*PDPMF_CASE, id="pdpmf-eps-4-w-0.5"),
 ]
 SCORES = [
     "laplace",
@@ -233,6 +239,13 @@ def _audit(method: BaselineKind, eps: float, weights: tuple[float, float], plan_
     return Audit(_scored(releases, drawn.h, eps, w), w * eps)
 
 
+def _unfolded_laplace(drawn: Drawn) -> float:
+    """eps_lb of the Laplace score that takes every release of pdpmf's case,
+    drawn as `drawn`, to carry user 0's rating with weight 1."""
+    _, eps, _, _ = PDPMF_CASE
+    return _scored(_released(drawn.weight, drawn.totals), drawn.h, eps, 1.0)["laplace"]
+
+
 def _hdpmf(eps: float, w: float) -> tuple:
     """The arguments of `_drawn` and `_audit` for hdpmf's case (eps, w)."""
     return BaselineKind.HDPMF, eps, (w, 1.0), PLAN_SEEDS[eps, w]
@@ -272,6 +285,20 @@ def test_one_plan_linear_score_stays_within_w_eps(eps, w):
 def test_score_stays_within_the_methods_budget(method, eps, weights, plan_seed, score):
     audit = _audit(method, eps, weights, plan_seed)
     assert audit.eps_lb[score] <= audit.bound
+
+
+def test_unfolded_laplace_score_stays_within_pdpmfs_budget():
+    _, eps, (w, _), _ = PDPMF_CASE
+    assert _unfolded_laplace(_drawn(*PDPMF_CASE)) <= w * eps
+
+
+def test_unfolded_laplace_score_flags_pdpmf_that_skips_its_sampling(monkeypatch):
+    # every rating kept, so user 0's rating spends eps = 4 against the
+    # claimed w * eps = 2; the plan is drawn past `_drawn`'s cache, which
+    # keeps the honest one
+    _, eps, (w, _), _ = PDPMF_CASE
+    monkeypatch.setattr(baselines, "pdp_sample_ratings", lambda dataset, budgets, threshold, master_seed: dataset)
+    assert _unfolded_laplace(_drawn.__wrapped__(*PDPMF_CASE)) > w * eps
 
 
 def test_laplace_score_flags_noise_scaled_by_one_over_sqrt_k():

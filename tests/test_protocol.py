@@ -4,6 +4,7 @@ contract."""
 
 import io
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 from hdpmf import protocol
 from hdpmf.baselines import BaselineKind, method_inputs
 from hdpmf.config import ExperimentConfig
-from hdpmf.data import RatingDataset
+from hdpmf.data import RatingDataset, load_csv, split_leave_n_out
 from hdpmf.exceptions import ProtocolError
 from hdpmf.model import FactorModel, init_model
 from hdpmf.privacy import NoisePlan, WeightAssignment, allocate_weights, build_noise_plan
@@ -440,7 +441,9 @@ class TestItemPhaseProperties:
             expected[j] = V0[j] - self.ETA * grad
         assert ends[0].tobytes() == ends[1].tobytes() == expected.tobytes()
 
-    def test_items_with_many_raters_keep_the_rater_order(self):
+    # K = 1 makes each value's (item, coordinate) cell its item's index
+    @pytest.mark.parametrize("K", [1, 3, 10], ids=lambda K: f"K-{K}")
+    def test_items_with_many_raters_keep_the_rater_order(self, K):
         # engine_cases draws at most 6 users, and below 8 rows NumPy's
         # pairwise sum of a coordinate's rows (np.sum) is a fold from 0.0,
         # so only more raters tell it from this one; items 0, 1 and 2 here
@@ -448,7 +451,6 @@ class TestItemPhaseProperties:
         # halving above 128 rows (np.add.reduceat differs from 3 rows on:
         # it adds a segment's first row to the pairwise sum of the rest)
         rng = np.random.default_rng(11)
-        K = 3
         raters = {j: np.sort(rng.choice(200, n, replace=False)).tolist() for j, n in enumerate((9, 64, 200))}
         # rows over six orders of magnitude, so that the order of a sum
         # shows in its bits
@@ -664,6 +666,65 @@ class TestProjectionInvariant:
         assert max(seen) <= 1.0 + 1e-12
 
 
+DEMO_CSV = Path(__file__).parent.parent / "configs" / "demo-ratings.csv"
+# what the untrusted recommender holds of its own at an item phase: V
+# before the step and the rater registry; with the uploads it is handed,
+# this is all that an attack on the recommender's side may read
+RECOMMENDER_HOLDS = ("V", "sender_ptr", "sender_items")
+STRETCHED_RATINGS_FINDING = (
+    "ROADMAP carried finding and direction 10: each device adds the same noise share to its row for an "
+    "item in every epoch, so the difference of two epochs' uploads cancels it, and from four epochs' "
+    "uploads the recommender recovers all 1,666 training w * r of the demo (hdpmf defaults, seed 0) to 1e-6"
+)
+
+
+def _span(rows):
+    """An orthonormal basis, (2, K), of the plane the rows lie in."""
+    return np.linalg.svd(rows, full_matrices=False)[2][:2]
+
+
+def _meet(plane, other):
+    """The unit direction that two planes, each an orthonormal (2, K)
+    basis, share."""
+    left, _, _ = np.linalg.svd(plane @ other.T)
+    return left[:, 0] @ plane
+
+
+def _recover_stretched_ratings(held, uploads):
+    """Each registration's w * r, in the registry's order, computed from
+    what the recommender holds at each of four item phases (`held`, one
+    dict of RECOMMENDER_HOLDS per phase) and from every upload it was
+    handed, in order.
+
+    Device i's row for item j in epoch t is a_t u_t + x with
+    a_t = 2(u_t . v_t - y), where u_t is its user vector, v_t item j's row
+    of V, y = w_ij r_ij and x its fixed noise share. The device's
+    differences of epochs t and t + 1 cancel x and span {u_t, u_t+1}, so
+    consecutive planes meet in the direction e_t+1 of u_t+1. With
+    u_t = s_t e_t, the middle difference is c_2 e_2 - c_1 e_1 with
+    c_t = 2 s_t (s_t e_t . v_t - y). Each c_t gives y, and equating the two
+    is linear in (s_2, s_1, s_1^2 s_2, s_1 s_2^2); with three items or more
+    its null vector fixes s_1 up to sign, and y > 0 fixes the sign."""
+    ptr, items = held[0]["sender_ptr"], held[0]["sender_items"]
+    senders = np.flatnonzero(np.diff(ptr))
+    payloads = {s: [] for s in senders.tolist()}
+    for upload in uploads:
+        payloads[upload.sender].append(upload.payload)
+    recovered = []
+    for s, rows in payloads.items():
+        rated = items[ptr[s]:ptr[s + 1]]
+        diffs = np.diff(np.stack(rows), axis=0)  # epochs 1 - 0, 2 - 1, 3 - 2
+        planes = [_span(d) for d in diffs]
+        e1, e2 = _meet(planes[0], planes[1]), _meet(planes[1], planes[2])
+        (c1, c2), *_ = np.linalg.lstsq(np.stack([-e1, e2], axis=1), diffs[1].T, rcond=None)
+        d1, d2 = held[1]["V"][rated] @ e1, held[2]["V"][rated] @ e2
+        z = np.linalg.svd(np.stack([-c1, c2, 2.0 * d1, -2.0 * d2], axis=1))[2][-1]
+        s1 = z[1] / np.sqrt(z[1] ** 2 * z[0] / z[2])
+        y = s1 * d1 - c1 / (2.0 * s1)
+        recovered.append(y if y.sum() > 0 else -y)
+    return np.concatenate(recovered)
+
+
 class TestInformationFlow:
     def test_only_k_vectors_cross_the_boundary(self, synth_factory):
         ds = synth_factory(n_users=20, n_items=20, mean_per_user=6, master_seed=41)
@@ -723,7 +784,7 @@ class TestInformationFlow:
             devices, recommender = state["devices"], state["recommender"]
             for upload, items, payload in delivered:
                 assert np.array_equal(upload.items, items) and np.array_equal(upload.payload, payload)
-            handed = [recommender.sender_ptr, recommender.sender_items]
+            handed = [getattr(recommender, name) for name in RECOMMENDER_HOLDS]
             handed += [a for upload, _, _ in delivered for a in (upload.items, upload.payload)]
             private = [devices.U, devices.wr, devices.shares, devices._rows, devices._own]
             for a in handed:
@@ -754,6 +815,29 @@ class TestInformationFlow:
         monkeypatch.setattr(UserDevices, "update_user", recording_user)
         train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 6), cfg, 6)
         assert phases == ["item", "user"] * cfg.epochs
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=STRETCHED_RATINGS_FINDING)
+    def test_recommender_cannot_recover_stretched_ratings(self, monkeypatch):
+        cfg = ExperimentConfig(epochs=4, engine="messages")
+        ds = load_csv(DEMO_CSV, 1.0, 5.0)
+        weights = allocate_weights(cfg, ds.n_users, ds.n_items, 0)
+        inputs = method_inputs(cfg.method, split_leave_n_out(ds, cfg.n_test, 0).train, weights,
+                               cfg.epsilon, cfg.k, 0)
+        update_item, held = RecommenderState.update_item, []
+
+        def recording_item(self, uploads, lam, eta):
+            held.append({name: getattr(self, name).copy() for name in RECOMMENDER_HOLDS})
+            return update_item(self, uploads, lam, eta)
+
+        monkeypatch.setattr(RecommenderState, "update_item", recording_item)
+        channel = MessageChannel(capture=True)
+        train(*inputs, cfg, 0, channel=channel)
+        train_set, entry_weights, _ = inputs
+        # the registry is by sender in the devices' entry order, which is
+        # the dataset's
+        stretched = entry_weights * train_set.ratings
+        recovered = np.abs(_recover_stretched_ratings(held, channel.gradient_log) - stretched) <= 1e-6
+        assert not recovered.any(), f"{recovered.sum()} of {len(stretched)} w * r recovered to 1e-6"
 
 
 class TestPredictAll:
