@@ -104,8 +104,8 @@ def row_blocks(ptr: np.ndarray, entries: int) -> list[tuple[int, int]]:
 
 @functools.lru_cache(maxsize=4)
 def _row_layout(ptr_bytes: bytes, entries: int) -> tuple[np.ndarray, tuple, int]:
-    """The blocks of whole rows that a phase runs over, from the bytes of
-    an int64 CSR pointer array: (rows, blocks, width).
+    """The blocks of whole rows that a phase or `NoisePlan.item_totals` runs
+    over, from the bytes of an int64 CSR pointer array: (rows, blocks, width).
 
     `rows` holds the indices of the rows with entries. Each block of
     `row_blocks(ptr, entries)` is (r0, r1, s, e, c0, c1, starts, counts):

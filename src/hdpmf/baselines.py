@@ -112,7 +112,7 @@ def method_inputs(
         budgets = epsilon * weights.matrix_entries(dataset.users, dataset.items)
         dataset = pdp_sample_ratings(dataset, budgets, epsilon, master_seed)
     try:
-        plan = build_noise_plan(dataset, K, dataset.delta, epsilon, master_seed)
+        plan = build_noise_plan(dataset, K, epsilon, master_seed)
     except NoiseScaleError:
         raise ConfigError(
             "epsilon", f"{method.value} calibrates its noise to the budget {epsilon!r}, and the Laplace "

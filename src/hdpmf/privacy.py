@@ -4,11 +4,11 @@ distributed noise composition.
 Every rating (i, j) carries a privacy weight w_ij = beta_i * gamma_j in
 (0, 1], giving it a personal budget w_ij * eps. Training sees the stretched
 value w_ij * r_ij, and the item-side gradients are perturbed once per run
-by per-item Laplace noise of scale b = 2*sqrt(K)*delta/eps, assembled from
-per-device shares: rater i of item j adds a unit normal draw c_j^i times
-the item's one scale b * sqrt(2 h_j / |raters(j)|), with h_j a shared
-exponential vector. Predictions divide by w_ij to undo the stretch
-(`protocol.predict_all`).
+by per-item Laplace noise of scale b = 2*sqrt(K)*delta/eps, with delta the
+dataset's declared rating range, assembled from per-device shares: rater i
+of item j adds a unit normal draw c_j^i times the item's one scale
+b * sqrt(2 h_j / |raters(j)|), with h_j a shared exponential vector.
+Predictions divide by w_ij to undo the stretch (`protocol.predict_all`).
 
 The recommender draws h_j, and given h_j each coordinate of an item's
 noise total is N(0, 2 h_j b^2): the total is Laplace only averaged over
@@ -16,10 +16,11 @@ an h_j the adversary does not know. So the pure w_ij * eps bound holds
 only against an adversary who does not know h_j, which the recommender
 does.
 
-The noise plan holds h and the scales, never the shares: a unit draw is
-keyed, so whoever needs a share draws it from its key. The kernel engine
-sums each item's unit draws a block at a time and scales the sums once;
-each message-engine device draws its own shares.
+The noise plan holds h and the scales, never the shares, and its K is the
+width of those arrays. A unit draw is keyed, so whoever needs a share draws
+it from its key. The kernel engine sums each item's unit draws a block at a
+time and scales the sums once; each message-engine device draws its own
+shares.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from ._fallback import row_blocks
+from ._fallback import _row_layout
 from .data import RatingDataset
 from .rng import NORMAL_BOUND, keyed_exponential, keyed_normal, keyed_uniform
 
@@ -123,23 +124,24 @@ class NoisePlan:
 
     For every rated item j the recommender draws h_j ~ Exp(1)^K and each
     rater i contributes x_j^i = scale_j * c_j^i with c_j^i ~ N(0, 1)^K and
-    scale_j = b * sqrt(2 h_j / |raters(j)|), b = 2*sqrt(K)*delta/eps, so
-    the per-item aggregate is Laplace of scale b per coordinate. That
-    holds only over h: given h_j, each coordinate of the aggregate is
-    N(0, 2 h_j b^2), so the pure w * eps bound holds only against an
-    adversary who does not know h_j, and the recommender drew it.
+    scale_j = b * sqrt(2 h_j / |raters(j)|), b = 2*sqrt(K)*delta/eps with
+    delta the dataset's declared rating range, so the per-item aggregate
+    is Laplace of scale b per coordinate. That holds only over h: given
+    h_j, each coordinate of the aggregate is N(0, 2 h_j b^2), so the pure
+    w * eps bound holds only against an adversary who does not know h_j,
+    and the recommender drew it.
 
     The plan holds no share, only h, the scales and the by-item layout
     (each item's slots sorted by user), so it costs O(n_items * K + nnz)
     memory, never nnz x K; c_j^i is the keyed normal of `noise-c` under
-    key (j, i), drawn whenever a share is needed (`draw_shares`).
+    key (j, i), drawn whenever a share is needed (`draw_shares`). K is the
+    width of `h` and `scale`.
     """
 
     item_ptr: np.ndarray  # (n_items + 1,)
     item_users: np.ndarray  # (nnz,), user per slot
     h: np.ndarray  # (n_items, K); rows of unrated items stay zero
     scale: np.ndarray  # (n_items, K): b * sqrt(2 h_j / |raters(j)|), zero where unrated
-    K: int
     master_seed: int | None  # None: the noise-free plan, whose shares are zero
 
     @classmethod
@@ -152,9 +154,13 @@ class NoisePlan:
             item_users=dataset.users[order],
             h=np.zeros((dataset.n_items, K)),
             scale=np.zeros((dataset.n_items, K)),
-            K=K,
             master_seed=None,
         )
+
+    @property
+    def K(self) -> int:
+        """The width of the plan's arrays."""
+        return self.h.shape[1]
 
     def draw_shares(self, items, users) -> np.ndarray:
         """The shares x_j^i = scale_j * c_j^i, shape (len(items), K), of
@@ -198,25 +204,22 @@ class NoisePlan:
         totals = np.zeros(self.h.shape)
         if self.master_seed is None:
             return totals
-        ptr = self.item_ptr
-        for r0, r1 in row_blocks(ptr, NOISE_BLOCK_SLOTS):
-            s, e = ptr[r0], ptr[r1]
-            counts = np.diff(ptr[r0 : r1 + 1])
+        rows, blocks, _ = _row_layout(np.asarray(self.item_ptr, np.int64).tobytes(), NOISE_BLOCK_SLOTS)
+        for r0, r1, s, e, c0, c1, starts, counts in blocks:
             c = keyed_normal(self.master_seed, "noise-c", np.repeat(np.arange(r0, r1), counts),
                              self.item_users[s:e], self.K)
-            rated = r0 + np.flatnonzero(counts)
-            if len(rated):
-                totals[rated] = np.add.reduceat(c, ptr[rated] - s, axis=0)
+            if c1 > c0:
+                totals[rows[c0:c1]] = np.add.reduceat(c, starts, axis=0)
         totals *= self.scale
         return totals
 
 
-def build_noise_plan(
-    dataset: RatingDataset, K: int, delta: float, epsilon: float, master_seed: int
-) -> NoisePlan:
+def build_noise_plan(dataset: RatingDataset, K: int, epsilon: float, master_seed: int) -> NoisePlan:
     """The run's noise plan: h_j for every rated item, and its scale
-    b * sqrt(2 h_j / |raters(j)|) with b = `laplace_scale(K, delta,
-    epsilon)`. Items with no raters get zero rows.
+    b * sqrt(2 h_j / |raters(j)|) with b = `laplace_scale(K, dataset.delta,
+    epsilon)`, calibrated to the dataset's declared rating range. Both are
+    (n_items, K) arrays, whose width is the plan's K; items with no raters
+    get zero rows.
 
     Both random parts are keyed Philox draws, so no iteration order can
     change a draw: h_j under purpose `noise-h` and key (j, 0), drawn here;
@@ -225,7 +228,7 @@ def build_noise_plan(
     item's scale changes. Raises NoiseScaleError, before any share is
     drawn, where b is not > 0 or a share or an item total could overflow.
     """
-    b = laplace_scale(K, delta, epsilon)
+    b = laplace_scale(K, dataset.delta, epsilon)
     ptr, order = dataset.by_item
     counts = np.diff(ptr)
     rated = np.flatnonzero(counts)
@@ -240,6 +243,5 @@ def build_noise_plan(
         item_users=dataset.users[order],
         h=h,
         scale=b * np.sqrt(2.0 * h / np.maximum(counts, 1)[:, None]),
-        K=K,
         master_seed=master_seed,
     )

@@ -123,7 +123,7 @@ def test_criterion_6_gradient_oracle():
     for _ in range(100):
         K = int(rng.integers(1, 6))
         ds, model, weights = random_instance(rng, K)
-        plan = build_noise_plan(ds, K, ds.delta, 1.0, int(rng.integers(10_000)))
+        plan = build_noise_plan(ds, K, 1.0, int(rng.integers(10_000)))
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
         worst = max(worst, fd_gradient_error(model, ds, targets, plan.item_totals))
         checked += 1

@@ -82,7 +82,7 @@ class TestGradients:
 
 def _random_instance(seed, K):
     ds, model, weights = random_instance(np.random.default_rng(seed), K)
-    return ds, model, weights, build_noise_plan(ds, K, ds.delta, 1.0, int(seed))
+    return ds, model, weights, build_noise_plan(ds, K, 1.0, int(seed))
 
 
 @pytest.mark.parametrize("seed,K", [(s, k) for s in range(4) for k in (1, 2, 5)])

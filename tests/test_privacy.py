@@ -165,18 +165,18 @@ def _unit_draws(plan):
     return keyed_normal(plan.master_seed, "noise-c", items, plan.item_users, plan.K)
 
 
-def _complete_dataset(n_users, n_items, rating=3.0):
+def _complete_dataset(n_users, n_items, rating=3.0, scale=(1.0, 5.0)):
     users, items = np.meshgrid(np.arange(n_users), np.arange(n_items), indexing="ij")
     return RatingDataset(
         users.ravel(), items.ravel(), np.full(n_users * n_items, rating),
-        n_users, n_items, 1.0, 5.0,
+        n_users, n_items, *scale,
     )
 
 
 class TestNoisePlan:
     def test_share_formula(self):
         ds = _complete_dataset(3, 2)
-        plan = build_noise_plan(ds, K=4, delta=4.0, epsilon=1.0, master_seed=11)
+        plan = build_noise_plan(ds, K=4, epsilon=1.0, master_seed=11)
         ptr, order = ds.by_item
         for j in range(2):
             raters = ds.users[order[ptr[j] : ptr[j + 1]]]
@@ -186,17 +186,26 @@ class TestNoisePlan:
                 c = keyed_normal(11, "noise-c", [j], [i], 4)[0]
                 assert plan.draw_shares([j], [i])[0].tobytes() == (scale * c).tobytes()
 
+    def test_scale_follows_the_declared_rating_range(self):
+        # every other plan test declares [1, 5], so a delta fixed at 4 would
+        # pass them; this plan's delta is 10
+        ds = _complete_dataset(3, 2, scale=(0.0, 10.0))
+        plan = build_noise_plan(ds, 4, 0.5, master_seed=11)
+        for j in range(2):
+            scale = laplace_scale(4, 10.0, 0.5) * np.sqrt(2.0 * plan.h[j] / 3)
+            assert plan.scale[j].tobytes() == scale.tobytes()
+
     def test_rebuild_bitwise_identical(self):
         ds = _complete_dataset(4, 3)
-        a = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=3)
-        b = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=3)
+        a = build_noise_plan(ds, 5, 1.0, master_seed=3)
+        b = build_noise_plan(ds, 5, 1.0, master_seed=3)
         assert np.array_equal(a.shares, b.shares) and np.array_equal(a.h, b.h)
 
     def test_item_without_raters_has_no_entry(self):
         ds = RatingDataset(
             np.array([0, 1]), np.array([0, 0]), np.array([3.0, 4.0]), 2, 3, 1, 5
         )
-        plan = build_noise_plan(ds, 2, 4.0, 1.0, master_seed=0)
+        plan = build_noise_plan(ds, 2, 1.0, master_seed=0)
         assert list(plan.item_ptr) == [0, 2, 2, 2]
         assert np.all(plan.h[0] > 0)
         assert not plan.h[1:].any()
@@ -204,7 +213,7 @@ class TestNoisePlan:
     def test_single_rater_share_is_standard_normal_scaled(self):
         # |raters| = 1: c ~ N(0, 1), the single-user composition form
         ds = RatingDataset(np.array([0]), np.array([0]), np.array([3.0]), 1, 1, 1, 5)
-        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=7)
+        plan = build_noise_plan(ds, 3, 1.0, master_seed=7)
         c = keyed_normal(7, "noise-c", [0], [0], 3)[0]
         expected = 8.0 * np.sqrt(6.0 * plan.h[0]) * c
         assert np.allclose(plan.draw_shares([0], [0])[0], expected, rtol=1e-12)
@@ -213,7 +222,7 @@ class TestNoisePlan:
         ds = RatingDataset(
             np.array([0, 1, 1, 2, 3]), np.array([1, 1, 3, 3, 3]), np.full(5, 3.0), 4, 5, 1, 5
         )
-        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=9)
+        plan = build_noise_plan(ds, 3, 1.0, master_seed=9)
         expected, bound = np.zeros((5, 3)), np.zeros((5, 3))
         for j in range(5):
             s, e = plan.item_ptr[j], plan.item_ptr[j + 1]
@@ -227,9 +236,9 @@ class TestNoisePlan:
     @pytest.mark.parametrize("block", [1, 3, 64])
     def test_block_size_does_not_change_plan(self, monkeypatch, block):
         ds = _complete_dataset(7, 5)
-        reference = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
+        reference = build_noise_plan(ds, 5, 1.0, master_seed=4)
         monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
-        plan = build_noise_plan(ds, 5, 4.0, 1.0, master_seed=4)
+        plan = build_noise_plan(ds, 5, 1.0, master_seed=4)
         assert np.array_equal(plan.shares, reference.shares)
         assert np.array_equal(plan.h, reference.h)
 
@@ -238,7 +247,7 @@ class TestNoisePlan:
         # blocks of whole items (4,000, 4,100 and 1,900 slots), and the
         # by-slot shares three blocks of NOISE_BLOCK_SLOTS
         ds = _complete_dataset(100, 100)
-        plan = build_noise_plan(ds, 10, 4.0, 1.0, master_seed=5)
+        plan = build_noise_plan(ds, 10, 1.0, master_seed=5)
         assert len(_fallback.row_blocks(plan.item_ptr, privacy.NOISE_BLOCK_SLOTS)) == 3
         calls = {"keyed_uniform": 0, "box_muller": 0}
 
@@ -263,7 +272,7 @@ class TestNoisePlan:
         drawn = []
         for impl in (_fallback, native):
             use_kernels(impl)
-            plan = build_noise_plan(small_synth, 10, 4.0, 0.5, master_seed=13)
+            plan = build_noise_plan(small_synth, 10, 0.5, master_seed=13)
             drawn.append((plan.shares, plan.h, plan.item_totals))
         for a, b in zip(*drawn):
             assert a.tobytes() == b.tobytes()
@@ -276,13 +285,13 @@ class TestNoisePlan:
         users = np.concatenate([np.arange(100), [0, 1, 2, 3, 5, 8, 9, 7]])
         items = np.concatenate([np.zeros(100, int), [2, 2, 3, 5, 5, 5, 3, 6]])
         ds = RatingDataset(users, items, np.full(len(users), 3.0), 100, 7, 1, 5)
-        plan = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12)
+        plan = build_noise_plan(ds, K, 1.0, master_seed=12)
         rated = np.flatnonzero(np.diff(plan.item_ptr))
         expected = np.zeros((ds.n_items, K))
         expected[rated] = np.add.reduceat(_unit_draws(plan), plan.item_ptr[rated], axis=0)
         expected *= plan.scale
         monkeypatch.setattr(privacy, "NOISE_BLOCK_SLOTS", block)
-        streamed = build_noise_plan(ds, K, 4.0, 1.0, master_seed=12).item_totals
+        streamed = build_noise_plan(ds, K, 1.0, master_seed=12).item_totals
         assert streamed.tobytes() == expected.tobytes()
 
     def test_item_totals_follow_reduceat_order(self):
@@ -296,7 +305,7 @@ class TestNoisePlan:
         users = np.concatenate([np.arange(n) for n in counts])
         items = np.repeat(np.arange(len(counts)), counts)
         ds = RatingDataset(users, items, np.full(len(users), 3.0), max(counts), len(counts), 1, 5)
-        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=17)
+        plan = build_noise_plan(ds, 3, 1.0, master_seed=17)
         draws = _unit_draws(plan)
         expected = np.zeros((len(counts), 3))
         folded = 0
@@ -321,7 +330,7 @@ class TestNoisePlan:
         shares_bytes = len(ds) * K * 8
         tracemalloc.start()
         try:
-            build_noise_plan(ds, K, 4.0, 1.0, master_seed=5).item_totals
+            build_noise_plan(ds, K, 1.0, master_seed=5).item_totals
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -329,7 +338,7 @@ class TestNoisePlan:
 
     def test_item_totals_sum_of_shares(self):
         ds = _complete_dataset(5, 2)
-        plan = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=2)
+        plan = build_noise_plan(ds, 3, 1.0, master_seed=2)
         for j in range(2):
             total = sum(plan.draw_shares([j], [i])[0] for i in range(5))
             assert np.allclose(plan.item_totals[j], total, rtol=1e-12)
@@ -348,7 +357,7 @@ class TestNoisePlan:
         ds = _complete_dataset(5, 1)
         plan_draws = []
         for seed in range(2500):
-            plan = build_noise_plan(ds, 2, 4.0, 1.0, master_seed=seed)
+            plan = build_noise_plan(ds, 2, 1.0, master_seed=seed)
             plan_draws.extend(plan.item_totals[0].tolist())
         mc = sample_aggregate_noise(2, 4.0, 1.0, raters=5, samples=5000, master_seed=0)
         ks = stats.ks_2samp(np.asarray(plan_draws), mc)
@@ -428,8 +437,8 @@ class TestKeyedDraws:
         shuffled = RatingDataset(
             ds.users[perm], ds.items[perm], ds.ratings[perm], ds.n_users, ds.n_items, 1.0, 5.0
         )
-        a = build_noise_plan(ds, 3, 4.0, 1.0, master_seed=8)
-        b = build_noise_plan(shuffled, 3, 4.0, 1.0, master_seed=8)
+        a = build_noise_plan(ds, 3, 1.0, master_seed=8)
+        b = build_noise_plan(shuffled, 3, 1.0, master_seed=8)
         for name in ("item_ptr", "item_users", "shares", "h"):
             assert np.array_equal(getattr(a, name), getattr(b, name))
 
@@ -439,8 +448,8 @@ class TestKeyedDraws:
         keep = np.array(data.draw(st.lists(st.booleans(), min_size=len(ds), max_size=len(ds))), bool)
         sub = ds.subset(keep)
         K, coef = 4, 2.0 * 4.0 / 0.5
-        full = build_noise_plan(ds, K, 4.0, 0.5, master_seed=6)
-        part = build_noise_plan(sub, K, 4.0, 0.5, master_seed=6)
+        full = build_noise_plan(ds, K, 0.5, master_seed=6)
+        part = build_noise_plan(sub, K, 0.5, master_seed=6)
 
         def unit_draw(plan, i, j):
             n_j = plan.item_ptr[j + 1] - plan.item_ptr[j]

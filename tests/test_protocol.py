@@ -293,7 +293,7 @@ class TestAggregationEquivalence:
     def test_payload_sum_matches_centralized_gradient(self, synth_factory):
         ds = synth_factory(n_users=12, n_items=10, mean_per_user=5, master_seed=21)
         weights = allocate_weights(ExperimentConfig(), ds.n_users, ds.n_items, master_seed=1)
-        plan = build_noise_plan(ds, 3, ds.delta, 1.0, master_seed=1)
+        plan = build_noise_plan(ds, 3, 1.0, master_seed=1)
         model = init_model(ds.n_users, ds.n_items, 3, master_seed=1, lam=0.02)
         targets = weights.matrix_entries(ds.users, ds.items) * ds.ratings
         totals = np.zeros((ds.n_items, 3))
@@ -572,9 +572,9 @@ class TestPlanAlignment:
         ds = synth_factory(n_users=10, n_items=8, mean_per_user=4, master_seed=53)
         cfg = ExperimentConfig(epochs=1, k=3, engine=engine)
         if case == "other-K":
-            plan = build_noise_plan(ds, 1, ds.delta, 1.0, 0)
+            plan = build_noise_plan(ds, 1, 1.0, 0)
         else:
-            plan = build_noise_plan(ds.subset(np.arange(len(ds)) % 2 == 0), 3, ds.delta, 1.0, 0)
+            plan = build_noise_plan(ds.subset(np.arange(len(ds)) % 2 == 0), 3, 1.0, 0)
         with pytest.raises(ValueError, match="noise plan"):
             train(ds, np.ones(len(ds)), plan, cfg, 0)
 
@@ -660,7 +660,7 @@ class TestProjectionInvariant:
         entry_w = weights.matrix_entries(ds.users, ds.items)
         engine.fit(
             init_model(ds.n_users, ds.n_items, cfg.k, 5, cfg.lam), ds, entry_w * ds.ratings,
-            build_noise_plan(ds, 4, ds.delta, 1.0, 5), cfg,
+            build_noise_plan(ds, 4, 1.0, 5), cfg,
         )
         assert len(seen) == 10
         assert max(seen) <= 1.0 + 1e-12
@@ -675,6 +675,12 @@ STRETCHED_RATINGS_FINDING = (
     "ROADMAP carried finding and direction 10: each device adds the same noise share to its row for an "
     "item in every epoch, so the difference of two epochs' uploads cancels it, and from four epochs' "
     "uploads the recommender recovers all 1,666 training w * r of the demo (hdpmf defaults, seed 0) to 1e-6"
+)
+RAW_RATINGS_FINDING = (
+    "ROADMAP carried finding and direction 10: dpmf's and pdpmf's devices also add the same noise share to "
+    "a row in every epoch, and the same attack recovers all 1,666 of dpmf's raw ratings of the demo and "
+    "426 of pdpmf's 491 to 1e-6 (defaults, seed 0): every rating of a device that kept three or more, "
+    "while the 65 on devices that kept one or two are not attempted"
 )
 
 
@@ -703,8 +709,10 @@ def _recover_stretched_ratings(held, uploads):
     consecutive planes meet in the direction e_t+1 of u_t+1. With
     u_t = s_t e_t, the middle difference is c_2 e_2 - c_1 e_1 with
     c_t = 2 s_t (s_t e_t . v_t - y). Each c_t gives y, and equating the two
-    is linear in (s_2, s_1, s_1^2 s_2, s_1 s_2^2); with three items or more
-    its null vector fixes s_1 up to sign, and y > 0 fixes the sign."""
+    is linear in (s_2, s_1, s_1^2 s_2, s_1 s_2^2), one equation per item;
+    with three items or more its null vector fixes s_1 up to sign, and
+    y > 0 fixes the sign. A device with fewer items gets NaN: its system is
+    under-determined, and the attack is not attempted."""
     ptr, items = held[0]["sender_ptr"], held[0]["sender_items"]
     senders = np.flatnonzero(np.diff(ptr))
     payloads = {s: [] for s in senders.tolist()}
@@ -713,6 +721,9 @@ def _recover_stretched_ratings(held, uploads):
     recovered = []
     for s, rows in payloads.items():
         rated = items[ptr[s]:ptr[s + 1]]
+        if len(rated) < 3:
+            recovered.append(np.full(len(rated), np.nan))
+            continue
         diffs = np.diff(np.stack(rows), axis=0)  # epochs 1 - 0, 2 - 1, 3 - 2
         planes = [_span(d) for d in diffs]
         e1, e2 = _meet(planes[0], planes[1]), _meet(planes[1], planes[2])
@@ -816,12 +827,16 @@ class TestInformationFlow:
         train(*method_inputs(BaselineKind.HDPMF, ds, weights, 1.0, cfg.k, 6), cfg, 6)
         assert phases == ["item", "user"] * cfg.epochs
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=STRETCHED_RATINGS_FINDING)
-    def test_recommender_cannot_recover_stretched_ratings(self, monkeypatch):
+    @staticmethod
+    def _attacked(method, monkeypatch):
+        """Train `method` on the demo's training set for four epochs at the
+        defaults, seed 0, and run the attack on what the recommender holds:
+        (how many of the training w * r it attempted, how many of those it
+        recovered to 1e-6, how many there are)."""
         cfg = ExperimentConfig(epochs=4, engine="messages")
         ds = load_csv(DEMO_CSV, 1.0, 5.0)
         weights = allocate_weights(cfg, ds.n_users, ds.n_items, 0)
-        inputs = method_inputs(cfg.method, split_leave_n_out(ds, cfg.n_test, 0).train, weights,
+        inputs = method_inputs(method, split_leave_n_out(ds, cfg.n_test, 0).train, weights,
                                cfg.epsilon, cfg.k, 0)
         update_item, held = RecommenderState.update_item, []
 
@@ -836,8 +851,22 @@ class TestInformationFlow:
         # the registry is by sender in the devices' entry order, which is
         # the dataset's
         stretched = entry_weights * train_set.ratings
-        recovered = np.abs(_recover_stretched_ratings(held, channel.gradient_log) - stretched) <= 1e-6
-        assert not recovered.any(), f"{recovered.sum()} of {len(stretched)} w * r recovered to 1e-6"
+        recovered = _recover_stretched_ratings(held, channel.gradient_log)
+        attempted = ~np.isnan(recovered)
+        hits = np.abs(recovered[attempted] - stretched[attempted]) <= 1e-6
+        return int(attempted.sum()), int(hits.sum()), len(stretched)
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=STRETCHED_RATINGS_FINDING)
+    def test_recommender_cannot_recover_stretched_ratings(self, monkeypatch):
+        attempted, recovered, total = self._attacked(BaselineKind.HDPMF, monkeypatch)
+        assert not recovered, f"{recovered} of {total} w * r recovered to 1e-6, {attempted} attempted"
+
+    @pytest.mark.xfail(strict=True, raises=AssertionError, reason=RAW_RATINGS_FINDING)
+    @pytest.mark.parametrize("method", [BaselineKind.DPMF, BaselineKind.PDPMF], ids=["dpmf", "pdpmf"])
+    def test_recommender_cannot_recover_ratings_of_dpmf_and_pdpmf(self, monkeypatch, method):
+        # w = 1: the devices train on their raw ratings
+        attempted, recovered, total = self._attacked(method, monkeypatch)
+        assert not recovered, f"{recovered} of {total} ratings recovered to 1e-6, {attempted} attempted"
 
 
 class TestPredictAll:
